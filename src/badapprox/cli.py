@@ -55,6 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(low: int):
+    """Argument type for integers >= low; anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_theta(text: str) -> CFSpec:
     if text.lstrip().startswith("{"):
         try:
@@ -355,7 +370,7 @@ def _add_output(sp, fmt_default="json"):
     sp.add_argument("--out", help="write the report to this path instead of stdout")
     sp.add_argument(
         "--precision-digits",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_SIG_DIGITS,
         dest="precision_digits",
         help="significant digits in decimal output",
@@ -420,7 +435,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=cmd_arrays)
 
     sp = subs.add_parser("verify", help="run the brute-force oracle suite")
-    sp.add_argument("--cases", type=int, default=50)
+    sp.add_argument("--cases", type=_int_at_least(0), default=50)
     sp.add_argument("--seed", type=int, default=20260822)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_verify)
@@ -449,8 +464,12 @@ def main(argv=None) -> int:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return EXIT_VERIFY if failed else EXIT_OK

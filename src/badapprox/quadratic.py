@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import isqrt
+from math import ceil, isqrt
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
@@ -145,7 +145,8 @@ class QuadraticNumber:
         """Rational approximation with absolute error below 10**-digits."""
         if self.b == 0:
             return self.a
-        scale = 10**digits
+        # The error is |b| * (sqrt(d) - t/scale) < |b|/scale <= 10**-digits.
+        scale = 10**digits * ceil(abs(self.b))
         # t <= sqrt(d)*scale < t+1
         t = isqrt(self.d * scale * scale)
         lo = self.a + self.b * Fraction(t if self.b > 0 else t + 1, scale)

@@ -5,15 +5,14 @@ s_i = floor((i+2)*theta) - floor((i+1)*theta), i >= 0. Subsequences taken
 along an arithmetic progression with common difference r agree for a
 while and then must disagree: the first disagreement index over any two
 offsets is bounded by 2*(B+2)^2 * r^2 when theta's quotients stay below
-B. This module generates bits with certified floors, scans agreements,
-and carries the exact golden-ratio machinery (Fibonacci and Lucas
-identities, the two staircase value grids, and the crossing witness that
-shows the quadratic bound is the right order).
+B. This module generates bits from the standard words of theta's
+continued fraction, scans agreements, and carries the exact golden-ratio
+machinery (Fibonacci and Lucas identities, the two staircase value grids,
+and the crossing witness that shows the quadratic bound is the right
+order).
 
-Golden-ratio bits are exact: floor(k * (sqrt(5)-1)/2) is
-(isqrt(5 k^2) - k) // 2, pure integer arithmetic. Other numbers go
-through a rational surrogate deep enough that every floor in the
-requested range is provably on the right side of its integer.
+Bits are exact for every input: the standard words are built by copying
+earlier bits, pure combinatorics with no floor to certify.
 """
 
 from __future__ import annotations
@@ -21,11 +20,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
 import numpy as np
 
-from .cf import CFSpec, choose_surrogate
+from .cf import CFSpec
 from .errors import DomainError, SequenceLengthError, VerificationError
 from .quadratic import QuadraticNumber
 
@@ -35,115 +33,79 @@ BETA = ALPHA.conjugate()  # (1 - sqrt(5))/2 = -THETA_GOLDEN
 SQRT5 = QuadraticNumber.sqrt(5)
 
 
-def _is_golden(cf: CFSpec) -> bool:
-    return (
-        cf.a0 == 0
-        and bool(cf.period)
-        and set(cf.period) == {1}
-        and set(cf.prefix) <= {1}
-    )
-
-
 class SturmianSeq:
     """Lazily generated bit prefix of one number's characteristic word.
 
-    The prefix only ever grows; concurrent readers are safe and extension
-    is serialized by a lock. Bits are cached in a numpy uint8 array so
-    agreement scans can slice without copying.
+    For theta = [0; a_1, a_2, ...] the characteristic word is the limit of
+    the standard words s_{-1} = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_{-1} and
+    s_j = s_{j-1}^(a_j) s_{j-2}; every s_j with j >= 1 is a prefix of it
+    (Lothaire, Algebraic Combinatorics on Words, 2002, ch. 2). Bits are
+    copied from earlier bits, so no floor is ever evaluated.
+
+    The prefix only ever grows and never changes: extension is serialized
+    by a lock and publishes a new array, so concurrent readers are safe.
+    The array holds s_{-1} s_0 = "10" in front of the word, which makes
+    every standard word a slice of it.
     """
 
     def __init__(self, cf: CFSpec):
         if cf.a0 != 0 or cf.is_rational:
             raise DomainError("need an irrational number strictly between 0 and 1")
         self.cf = cf
-        self._golden = _is_golden(cf)
         self._lock = threading.Lock()
-        self._arr = np.zeros(0, dtype=np.uint8)
-        self._len = 0
-        # golden path state: floor((len+1) * theta)
-        self._prev_floor = 0
-        # surrogate path state
-        self._surr: tuple[int, int, int, int] | None = None  # p, q, q_next, capacity
-        self._res = 0  # residue of (len+1)*p mod q
+        self._buf = np.array([1, 0], dtype=np.uint8)
+        self._quotients = cf.quotients()
+        # The word being written is w^reps t, with w and t given as
+        # (start, length) slices of _buf; it starts as s_1.
+        self._w, self._t = (1, 1), (0, 1)
+        self._reps = next(self._quotients) - 1
 
     def __len__(self) -> int:
-        return self._len
+        return self._buf.size - 2
 
     def ensure(self, length: int) -> None:
         """Extend the cached prefix to at least `length` bits."""
-        if length <= self._len:
+        if length <= len(self):
             return
         with self._lock:
-            if length <= self._len:
+            if length <= len(self):
                 return
-            target = max(length, 2 * self._len, 256)
-            if self._golden:
-                self._extend_golden(target)
-            else:
-                self._extend_surrogate(target)
+            self._extend(max(length, 2 * len(self), 256))
 
     def bits(self, length: int) -> np.ndarray:
         """Read-only view of the first `length` bits."""
         self.ensure(length)
-        view = self._arr[:length]
+        view = self._buf[2 : 2 + length]
         view.flags.writeable = False
         return view
 
-    # ---- generation paths ---------------------------------------------
-
-    def _grow_array(self, target: int) -> np.ndarray:
-        arr = np.empty(target, dtype=np.uint8)
-        arr[: self._len] = self._arr[: self._len]
-        return arr
-
-    def _extend_golden(self, target: int) -> None:
-        arr = self._grow_array(target)
-        pf = self._prev_floor
-        for i in range(self._len, target):
-            m = i + 2
-            nf = (isqrt(5 * m * m) - m) // 2
-            arr[i] = nf - pf
-            pf = nf
-        self._arr = arr
-        self._len = target
-        self._prev_floor = pf
-
-    def _extend_surrogate(self, target: int) -> None:
-        need_m = target + 2
-        if self._surr is None or self._surr[3] < need_m:
-            ck, ck1 = choose_surrogate(self.cf, need_m)
-            self._surr = (ck.p % ck.q, ck.q, ck1.q, need_m)
-            # restart generation under the new surrogate
-            self._len = 0
-            self._arr = np.zeros(0, dtype=np.uint8)
-            self._res = self._surr[0]
-            self._certify(1)
-        p, q, q_next, _ = self._surr
-        arr = self._grow_array(target)
-        res = self._res
-        for i in range(self._len, target):
-            nxt = res + p
-            if nxt >= q:
-                arr[i] = 1
-                res = nxt - q
-            else:
-                arr[i] = 0
-                res = nxt
-            # res is now the residue of (i+2)*p mod q; certify its floor.
-            m = i + 2
-            if res * q_next <= m or (q - res) * q_next <= m:
-                raise VerificationError(
-                    "surrogate too shallow to certify a floor; policy violated"
-                )
-        self._arr = arr
-        self._len = target
-        self._res = res
-
-    def _certify(self, m: int) -> None:
-        p, q, q_next, _ = self._surr
-        res = (m * p) % q
-        if res * q_next <= m or (q - res) * q_next <= m:
-            raise VerificationError("surrogate cannot certify the first floor")
+    def _extend(self, target: int) -> None:
+        old = self._buf
+        size = target + 2
+        buf = np.empty(size, dtype=np.uint8)
+        buf[: old.size] = old
+        i = old.size
+        (ws, q), (ts, p), reps = self._w, self._t, self._reps
+        while i < size:
+            # The copies of w run from ws to tile_end with period q; each
+            # copy reads the longest whole number of periods behind it.
+            tile_end = 2 + reps * q
+            while i < min(tile_end, size):
+                back = (i - ws) // q * q
+                k = min(back, tile_end - i, size - i)
+                buf[i : i + k] = buf[i - back : i - back + k]
+                i += k
+            end = tile_end + p
+            if tile_end <= i < size:
+                k = min(end, size) - i
+                off = ts + i - tile_end
+                buf[i : i + k] = buf[off : off + k]
+                i += k
+            if i == end:
+                (ws, q), (ts, p) = (2, end - 2), (ws, q)
+                reps = next(self._quotients)
+        self._w, self._t, self._reps = (ws, q), (ts, p), reps
+        self._buf = buf
 
 
 def generate(cf: CFSpec, length: int) -> SturmianSeq:
@@ -211,18 +173,17 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
     for r in range(2, r_max + 1):
         bound = 2 * (B + 2) ** 2 * r * r
         max_k = bound + 1
-        seq.ensure(r * max_k)
+        bits = seq.bits(r * max_k)
+        # Sorted, the pair of columns with the longest common prefix is
+        # a pair of neighbours.
+        cols = sorted(bits[a::r].tobytes() for a in range(r))
         worst: int | None = -1
-        for a in range(r - 1):
-            for b in range(a + 1, r):
-                k = agreement(seq, r, a, b, max_k)
-                if k is None:
-                    worst = None
-                    break
-                if worst is not None and k > worst:
-                    worst = k
-            if worst is None:
+        for u, v in zip(cols, cols[1:]):
+            neq = np.frombuffer(u, np.uint8) != np.frombuffer(v, np.uint8)
+            if not neq.any():
+                worst = None
                 break
+            worst = max(worst, int(neq.argmax()))
         passed = worst is not None and worst <= bound
         rows.append(DiversityRow(r=r, max_agreement=worst, bound=bound, passed=passed))
     return rows

@@ -160,17 +160,22 @@ def test_out_writes_file(capsys, tmp_path):
     assert json.loads(target.read_text())["f"] == "1+2/sqrt(5)"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     for argv in (
         ["nonsense"],
         ["gaps", "--theta", "pi", "--n", "3"],
         ["gaps", "--theta", "{not json", "--n", "3"],
         ["gaps", "--n", "3"],
         ["kron", "--theta", "golden", "--beta", "x", "--n", "3"],
+        ["gaps", "--theta", "golden", "--n", "5", "--precision-digits", "0"],
+        ["verify", "--cases", "-1"],
+        ["fb", "--b", "2", "--out", str(tmp_path / "missing" / "fb.json")],
     ):
         code, _, err = run(capsys, *argv)
         assert code == 64, argv
         assert err
+    code, _, _ = run(capsys, "verify", "--cases", "0")
+    assert code == 0
 
 
 def test_domain_errors(capsys):

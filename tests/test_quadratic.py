@@ -145,6 +145,9 @@ def test_as_fraction():
         QuadraticNumber.sqrt(2).as_fraction()
     approx = QuadraticNumber.sqrt(2).as_fraction_approx(20)
     assert abs(approx * approx - 2) < Fraction(1, 10**19)
+    # the error bound holds whatever the size of the sqrt coefficient
+    big = QuadraticNumber(Fraction(1, 3), -(10**12) - Fraction(1, 7), 5)
+    assert abs(big - big.as_fraction_approx(15)) < Fraction(1, 10**15)
 
 
 def test_hash_consistency():

@@ -1,4 +1,7 @@
+import sys
+import threading
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from badapprox import (
     lower_bound_witness,
     witness_ratio_report,
 )
+from badapprox.oracle import brute_bits, high_precision_value
 from badapprox.sturmian import THETA_GOLDEN, frac_golden_multiple
 
 
@@ -30,12 +34,65 @@ def test_frozen_bit_prefixes():
     assert generate(SQRT2_MINUS_1, 8).bits(8).tolist() == [0, 1, 0, 1, 0, 0, 1, 0]
 
 
-def test_golden_fast_path_equals_surrogate_path():
-    fast = generate(GOLDEN, 500).bits(500)
-    slow = SturmianSeq(GOLDEN)
-    slow._golden = False  # force the generic certified route
-    slow.ensure(500)
-    assert np.array_equal(fast, slow.bits(500))
+def test_golden_bits_match_isqrt_floors():
+    """floor(m * (sqrt(5)-1)/2) = (isqrt(5 m^2) - m) // 2 in integers."""
+    length = 10**5
+    floors = [(isqrt(5 * m * m) - m) // 2 for m in range(1, length + 2)]
+    want = [floors[i + 1] - floors[i] for i in range(length)]
+    assert generate(GOLDEN, length).bits(length).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "cf",
+    [
+        SQRT2_MINUS_1,
+        CFSpec(0, (1,), (2,)),  # a_1 = 1: the first standard word is "1"
+        CFSpec(0, (7, 3, 1), (2, 7, 5)),
+    ],
+)
+def test_bits_match_mpf_floors(cf):
+    length = 3000
+    want = brute_bits(high_precision_value(cf), length)
+    assert generate(cf, length).bits(length).tolist() == want
+
+
+def test_concurrent_readers_see_a_stable_prefix():
+    """One thread extends from 2^10 to 2^18 bits while three others read."""
+    seq = generate(SQRT2_MINUS_1, 2**10)
+    prefix = seq.bits(1000).copy()
+    done = threading.Event()
+    seen: list[str] = []
+
+    def extend():
+        for e in range(11, 19):
+            seq.ensure(2**e)
+        done.set()
+
+    def read():
+        last = len(seq)
+        while not done.is_set():
+            n = len(seq)
+            if n < last:
+                seen.append(f"length dropped from {last} to {n}")
+            last = n
+            if not np.array_equal(seq.bits(1000), prefix):
+                seen.append("prefix changed")
+
+    threads = [threading.Thread(target=read) for _ in range(3)]
+    threads.append(threading.Thread(target=extend))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        done.set()
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == []
+    assert len(seq) >= 2**18
 
 
 def test_bits_match_interval_membership():
@@ -120,6 +177,28 @@ def test_diversity_scan_surrogate_route():
     assert all(row.bound == 32 * row.r * row.r for row in rows)
 
 
+def _pairwise_max_agreement(cf, B, r):
+    """Largest first mismatch over every offset pair, or None."""
+    max_k = 2 * (B + 2) ** 2 * r * r + 1
+    seq = generate(cf, r * max_k)
+    worst = -1
+    for a in range(r - 1):
+        for b in range(a + 1, r):
+            k = agreement(seq, r, a, b, max_k)
+            if k is None:
+                return None
+            worst = max(worst, k)
+    return worst
+
+
+@pytest.mark.parametrize("cf, B, r_max", [(GOLDEN, 1, 12), (SQRT2_MINUS_1, 2, 6)])
+def test_diversity_scan_matches_pairwise_scan(cf, B, r_max):
+    rows = diversity_scan(cf, B, r_max)
+    assert [row.max_agreement for row in rows] == [
+        _pairwise_max_agreement(cf, B, r) for r in range(2, r_max + 1)
+    ]
+
+
 def test_diversity_scan_validation():
     with pytest.raises(DomainError):
         diversity_scan(GOLDEN, 1, 1)
@@ -168,6 +247,9 @@ def test_fractional_grids_later_stages():
         g = fractional_grids(n)
         assert g.rows == fib_lucas(2 * n + 1).lucas - 1
         assert g.cols == fib_lucas(2 * n).fib
+    g = fractional_grids(4)
+    assert decimal_str(g.lower[g.rows - 1][0]) == "0.0009121685686"
+    assert decimal_str(g.step_up) == "0.0004531038538"
     for bad in (1, 7):
         with pytest.raises(DomainError):
             fractional_grids(bad)
