@@ -8,18 +8,18 @@ given N falls into, and evaluates the sharp constant governing how large
 N times the biggest gap can get over all numbers with bounded partial
 quotients.
 
-Exactness policy: an irrational theta is replaced once, up front, by a
-convergent p_K/q_K deep enough that every pairwise comparison among the
-points is provably unaffected (the surrogate moves each point by less
-than one eighth of the smallest possible gap). Everything after that is
-integer arithmetic over the common denominator q_K, so sorting, gap
-lengths, multiplicities, and the three-length identity are exact, not
-approximate.
+Exactness policy: neighbouring points {n*theta} and {n'*theta} are
+{(n' - n)*theta} apart, so the order of the points depends only on the
+convergents. An irrational theta is sorted once under the shallowest
+convergent p_K/q_K safe for sorting (its shift of any point stays below
+one eighth of the smallest possible gap), and lengths and point values
+are read as integers over the denominator of the convergent the
+caller's radius asks for. Everything is exact, and the lengths adding
+up to exactly one certifies that the shallow order is the deep one too.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,42 +37,48 @@ from .cf import (
 from .errors import CoincidentPointsError, DomainError, VerificationError
 from .quadratic import QuadraticNumber
 
-# int64 additions of two residues must not overflow: need 2*q < 2**63.
-_NP_SAFE_LIMIT = 2**61
 
+def _multiples_in_order(p: int, q: int, N: int) -> np.ndarray:
+    """Multiples 0, n_1, ..., n_N, 0 in increasing order of n*p mod q.
 
-def _sorted_residues(p: int, q: int, N: int) -> list[int] | np.ndarray:
-    if q < _NP_SAFE_LIMIT:
-        # Residues of (j+m)*p equal residues of j*p shifted by the residue
-        # of m*p, so each doubling pass fills as much as already exists.
-        arr = np.empty(N, dtype=np.int64)
-        arr[0] = p % q
-        have = 1
-        while have < N:
-            take = min(have, N - have)
-            shifted = arr[:take] + arr[have - 1]
-            shifted[shifted >= q] -= q
-            arr[have : have + take] = shifted
-            have += take
-        arr.sort()
-        return arr
-    res = []
-    r = 0
-    for _ in range(N):
-        r += p
-        if r >= q:
-            r -= q
-        res.append(r)
-    return sorted(res)
+    Each key packs the residue of n*p above the bits of n, so one sort
+    orders the residues and carries n along. The key of j+m is the key of
+    j plus the key of m, less q in the residue part when it wraps, so each
+    doubling pass fills as much as already exists.
+    """
+    shift = N.bit_length()
+    wrap = q << shift
+    # Two keys must add without overflow; past that the same code runs on
+    # Python ints, which only exotic inputs (huge quotients or rational
+    # denominators) reach.
+    keys = np.empty(N, dtype=np.int64 if 2 * wrap < 2**63 else object)
+    keys[0] = (p % q) << shift | 1
+    have = 1
+    while have < N:
+        take = min(have, N - have)
+        shifted = keys[:take] + keys[have - 1]
+        shifted[shifted >= wrap] -= wrap
+        keys[have : have + take] = shifted
+        have += take
+    keys.sort()
+    orders = np.zeros(N + 2, dtype=np.int64)
+    orders[1:-1] = keys & ((1 << shift) - 1)
+    # GapSet caches values derived from it.
+    orders.flags.writeable = False
+    return orders
 
 
 @dataclass(frozen=True, eq=False)
 class GapSet:
     """Exact gap decomposition of {0, {theta}, ..., {N*theta}, 1}.
 
-    Points are stored as integer numerators over a single denominator (the
-    surrogate's q_K, or the exact denominator for rational input). radius
-    bounds |theta - p/q| for the surrogate; it is zero for rationals.
+    orders lists the multiples 0, n_1, ..., n_N, 0 from left to right; the
+    point of n sits at (n*numerator mod denominator)/denominator, with the
+    final 0 standing for the endpoint 1. The order comes from the
+    shallowest convergent safe for sorting; numerator/denominator is the
+    surrogate p_K/q_K the lengths and values are read under (the exact
+    value for rational input). radius bounds |theta - p/q| for that
+    surrogate; it is zero for rationals.
     """
 
     count: int
@@ -80,12 +86,18 @@ class GapSet:
     denominator: int
     depth: int
     radius: Fraction
-    nums: object = field(repr=False)  # sorted int sequence incl. 0 and denominator
+    orders: np.ndarray = field(repr=False)  # int64, N + 2 entries
     gap_nums: tuple[tuple[int, int], ...] = ()  # ascending (length numerator, multiplicity)
 
     @cached_property
+    def nums(self) -> tuple[int, ...]:
+        """Point numerators over denominator, ascending, with 0 and denominator."""
+        p, q = self.numerator, self.denominator
+        return (0, *(n * p % q for n in self.orders[1:-1].tolist()), q)
+
+    @cached_property
     def points(self) -> list[Fraction]:
-        return [Fraction(int(v), self.denominator) for v in self.nums]
+        return [Fraction(v, self.denominator) for v in self.nums]
 
     @cached_property
     def gaps(self) -> list[tuple[Fraction, int]]:
@@ -112,16 +124,11 @@ class GapSet:
             raise VerificationError("point does not belong to any multiple")
         return n
 
-    @cached_property
-    def orders(self) -> list[int]:
-        return [self.order_of(int(v)) for v in self.nums]
-
     def largest_gap_span(self) -> tuple[Fraction, Fraction]:
         """Endpoints of one gap of maximal length."""
         want = self.gap_nums[-1][0]
         prev = 0
         for v in self.nums[1:]:
-            v = int(v)
             if v - prev == want:
                 return Fraction(prev, self.denominator), Fraction(v, self.denominator)
             prev = v
@@ -148,10 +155,11 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
 
     Rational input is evaluated with its own denominator and must satisfy
     N < that denominator, otherwise points coincide and the decomposition
-    is not defined. The returned structure always satisfies the two
+    is not defined. The returned structure always satisfies the three
     machine-checked facts: there are two or three distinct gap lengths
-    (rationals may split the interval evenly, giving one), and with three
-    the largest equals the sum of the other two exactly.
+    (rationals may split the interval evenly, giving one), with three the
+    largest equals the sum of the other two exactly, and the lengths add
+    up to one, which also certifies the order of the points.
     """
     if N < 1:
         raise DomainError("need at least one multiple")
@@ -165,33 +173,29 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
                 f"rational input with denominator {q} supports only N < {q}"
             )
         p = v.numerator % q
+        order = p, q
         depth = len(cf.prefix)
         radius = Fraction(0)
     else:
+        co, _ = choose_surrogate(cf, N)
         ck, ck1 = choose_surrogate(cf, N, min_radius)
+        order = co.p % co.q, co.q
         p, q = ck.p % ck.q, ck.q
         depth = ck.k
         radius = Fraction(1, ck.q * ck1.q)
-        if N >= q:
+        if N >= co.q:
             raise AssertionError("surrogate denominator must exceed N")
 
-    nums = _sorted_residues(p, q, N)
-    if isinstance(nums, np.ndarray):
-        full = np.empty(N + 2, dtype=np.int64)
-        full[0] = 0
-        full[1:-1] = nums
-        full[-1] = q
-        diffs = np.diff(full)
-        values, counts = np.unique(diffs, return_counts=True)
-        gap_nums = tuple((int(v), int(c)) for v, c in zip(values, counts))
-        nums_seq: object = full
-    else:
-        full_list = [0] + nums + [q]
-        diffs_c = Counter(
-            full_list[i + 1] - full_list[i] for i in range(len(full_list) - 1)
-        )
-        gap_nums = tuple(sorted(diffs_c.items()))
-        nums_seq = tuple(full_list)
+    orders = _multiples_in_order(*order, N)
+    steps, counts = np.unique(np.diff(orders), return_counts=True)
+    # Neighbours n and n' are {(n' - n)*theta} apart. Distinct steps give
+    # distinct lengths unless theta is rational (3/7 at N = 6 has two
+    # steps of length 1/7).
+    lengths: dict[int, int] = {}
+    for d, m in zip(steps.tolist(), counts.tolist()):
+        g = d * p % q
+        lengths[g] = lengths.get(g, 0) + m
+    gap_nums = tuple(sorted(lengths.items()))
 
     if gap_nums[0][0] == 0:
         raise CoincidentPointsError("coincident points in the multiple set")
@@ -204,6 +208,8 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         )
     if len(gap_nums) == 3 and gap_nums[2][0] != gap_nums[0][0] + gap_nums[1][0]:
         raise VerificationError("largest gap is not the sum of the smaller two")
+    # A cyclic tour's forward distances add up to q times its windings, so
+    # this also rules out a tour out of order under p/q.
     if sum(g * m for g, m in gap_nums) != q:
         raise VerificationError("gaps do not cover the unit interval")
 
@@ -213,7 +219,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         denominator=q,
         depth=depth,
         radius=radius,
-        nums=nums_seq,
+        orders=orders,
         gap_nums=gap_nums,
     )
 

@@ -12,6 +12,7 @@ target resolution, which is kept around for comparison.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,20 +33,6 @@ class KroneckerSolution:
     legacy_bound: int  # (B+2) * N^2, the pigeonhole point count
     within_bound: bool
     depth: int
-
-
-def _bisect_right_frac(nums, beta: Fraction, q: int) -> int:
-    """Rightmost insertion index of beta among nums/q, exactly."""
-    scaled = beta.numerator * q
-    den = beta.denominator
-    lo, hi = 0, len(nums)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if int(nums[mid]) * den <= scaled:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def solve(
@@ -105,28 +92,31 @@ def solve(
 
 
 def _nearest_endpoint(gs: GapSet, beta: Fraction) -> tuple[int, int, Fraction]:
-    q = gs.denominator
-    nums = gs.nums
-    i = _bisect_right_frac(nums, beta, q)
-    # beta in [0, 1) and the points span [0, 1], so 1 <= i <= len - 1.
-    left = int(nums[i - 1])
-    right = int(nums[i])
+    q, num = gs.denominator, gs.numerator
+    orders = gs.orders
+    last = len(orders) - 1
+    # Rightmost slot whose point is <= beta, reading each probed value off
+    # its multiple. beta in [0, 1) and the points span [0, 1], so slot 0
+    # (the point 0) always qualifies and slot `last` (the point 1) never does.
+    i = bisect_right(
+        orders,
+        beta.numerator * q,
+        lo=1,
+        hi=last,
+        key=lambda n: int(n) * num % q * beta.denominator,
+    )
+    n_left, n_right = int(orders[i - 1]), int(orders[i])
+    left = n_left * num % q
+    right = q if i == last else n_right * num % q
     d_left = beta - Fraction(left, q)
     d_right = Fraction(right, q) - beta
     if d_left <= d_right:
-        chosen, err = left, d_left
+        n, value, err = n_left, left, d_left
     else:
-        chosen, err = right, d_right
-    if chosen == 0:
-        return 0, 0, err
-    if chosen == q:
-        return 0, -1, err
-    n = gs.order_of(chosen)
-    # p = floor(n * theta*) recovered exactly from the residue.
-    p = (n * gs.numerator - chosen) // q
-    if (n * gs.numerator - chosen) % q:
-        raise VerificationError("endpoint residue is inconsistent")
-    return n, p, err
+        n, value, err = n_right, right, d_right
+    # p = floor(n * theta*) from the exact residue; the endpoint 1 gives
+    # (n, p) = (0, -1).
+    return n, (n * num - value) // q, err
 
 
 def legacy_bound(bound: int, N: int) -> int:

@@ -7,6 +7,9 @@ agreement indices from a naive loop. The suite runner draws a random
 corpus and compares the exact implementations against these oracles to
 a fixed tolerance. It backs the `verify` subcommand and the final
 acceptance criterion.
+
+mpmath is imported inside the functions that use it, so importing the
+package for its exact paths never loads it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-from mpmath import mp
 
 from .cf import CFSpec, eval_theta
 from .errors import SequenceLengthError
@@ -30,6 +31,8 @@ _COMPARE_TOL = Fraction(1, 10**40)
 
 def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
     """The number described by cf as an mpf good to `dps` digits."""
+    from mpmath import mp
+
     with mp.workdps(dps + 10):
         if cf.is_rational:
             v = cf.value()
@@ -41,6 +44,8 @@ def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
 def brute_gap_points(theta, N: int):
     """Sorted circle points 0, {theta}, ..., {N*theta}, 1 and the distinct
     gap lengths, straight from floating evaluation."""
+    from mpmath import mp
+
     with mp.workdps(ORACLE_DPS):
         pts = sorted(mp.frac(k * theta) for k in range(1, N + 1))
         pts = [mp.mpf(0)] + pts + [mp.mpf(1)]
@@ -59,6 +64,8 @@ def brute_kronecker(theta, beta: Fraction, N: int):
     Scans every n and keeps the first strict improvement, so the smallest
     optimal n wins, matching the exact solver's preference.
     """
+    from mpmath import mp
+
     with mp.workdps(ORACLE_DPS):
         beta_f = mp.mpf(beta.numerator) / beta.denominator
         best = None
@@ -73,6 +80,8 @@ def brute_kronecker(theta, beta: Fraction, N: int):
 
 def brute_bits(theta, length: int) -> list[int]:
     """Characteristic bits floor((i+2)t) - floor((i+1)t) from mpf floors."""
+    from mpmath import mp
+
     with mp.workdps(ORACLE_DPS):
         floors = [int(mp.floor(m * theta)) for m in range(1, length + 2)]
     return [floors[i + 1] - floors[i] for i in range(length)]
@@ -131,6 +140,8 @@ class OracleReport:
 
 
 def _close(frac: Fraction, approx, tol: Fraction = _COMPARE_TOL) -> bool:
+    from mpmath import mp
+
     with mp.workdps(ORACLE_DPS):
         diff = abs(mp.mpf(frac.numerator) / frac.denominator - approx)
         return diff < mp.mpf(tol.numerator) / tol.denominator

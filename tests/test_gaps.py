@@ -1,5 +1,8 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from badapprox import (
     DomainError,
     QuadraticNumber,
     RegimeTag,
+    choose_surrogate,
     classify_regime,
     convergents,
     decimal_str,
@@ -21,8 +25,11 @@ from badapprox import (
     gap_set,
     predicted_gap_values,
     preset,
+    solve,
     verify_regime,
 )
+from badapprox.cli import _display_radius
+from badapprox.oracle import random_beta, random_cf
 
 DISPLAY = Fraction(1, 10**26)
 
@@ -111,6 +118,113 @@ def test_rational_gap_set():
         gap_set(three_sevenths, 7)
     half = gap_set(CFSpec(0, (2,), ()), 1)
     assert half.gap_nums == ((1, 2),)
+
+
+# ---- the sort-based reference ----------------------------------------------
+
+
+def _surrogate(cf, N, min_radius=None):
+    """(p, q) that values are read under: exact for rationals, else p_K/q_K."""
+    if cf.is_rational:
+        v = cf.value()
+        return v.numerator % v.denominator, v.denominator
+    ck, _ = choose_surrogate(cf, N, min_radius)
+    return ck.p % ck.q, ck.q
+
+
+def _reference(p, q, N):
+    """nums, orders and gap_nums from sorting n*p mod q over Python ints."""
+    ranked = sorted((n * p % q, n) for n in range(1, N + 1))
+    nums = (0, *(r for r, _ in ranked), q)
+    orders = [0, *(n for _, n in ranked), 0]
+    gaps = Counter(b - a for a, b in zip(nums, nums[1:]))
+    return nums, orders, tuple(sorted(gaps.items()))
+
+
+def _assert_matches_reference(gs, p, q):
+    nums, orders, gap_nums = _reference(p, q, gs.count)
+    assert (gs.numerator, gs.denominator) == (p, q)
+    assert gs.nums == nums
+    assert gs.orders.dtype == np.int64
+    assert gs.orders.tolist() == orders
+    assert gs.gap_nums == gap_nums
+    lo, hi = gs.largest_gap_span()
+    assert hi - lo == gs.largest
+
+
+def _scan_solve(p, q, N, beta):
+    """Nearest point to beta over every residue: left point on ties, then
+    smallest n. The point 1 belongs to n = 0 with p = -1."""
+    bn, bd = beta.numerator, beta.denominator
+    best = None
+    for n in range(N + 1):
+        r = n * p % q
+        for value in (r, q) if n == 0 else (r,):
+            key = (abs(bn * q - value * bd), value * bd > bn * q, n)
+            if best is None or key < best[0]:
+                best = key, n, (n * p - value) // q
+    (err, _, _), n, pp = best
+    return n, pp, Fraction(err, q * bd)
+
+
+def test_gap_set_matches_sorted_residues():
+    rng = random.Random(20260418)
+    for _ in range(60):
+        cf = random_cf(rng)
+        N = int(10 ** rng.uniform(0, 4.3))
+        for radius in (None, _display_radius(10, N), _display_radius(40, N)):
+            gs = gap_set(cf, N, min_radius=radius)
+            _assert_matches_reference(gs, *_surrogate(cf, N, radius))
+            assert gs.order_of(gs.nums[1]) == gs.orders[1]
+
+
+def test_rational_gap_set_matches_sorted_residues():
+    for cf, N in (
+        (CFSpec(0, (2, 3), ()), 3),
+        (CFSpec(0, (2, 3), ()), 6),
+        (CFSpec(0, (2,), ()), 1),
+        (CFSpec(0, (1, 4, 2, 5), ()), 40),
+    ):
+        _assert_matches_reference(gap_set(cf, N), *_surrogate(cf, N))
+
+
+def test_solve_matches_residue_scan_at_40_digits():
+    rng = random.Random(7)
+    for _ in range(40):
+        cf = random_cf(rng)
+        N = int(10 ** rng.uniform(0, 4))
+        radius = _display_radius(40, N)
+        gs = gap_set(cf, N, min_radius=radius)
+        i = rng.randrange(N + 1)
+        lo, hi = gs.nums[i], gs.nums[i + 1]
+        # random targets, a point itself and a tie between two neighbours
+        for beta in (
+            random_beta(rng),
+            Fraction(lo, gs.denominator),
+            Fraction(lo + hi, 2 * gs.denominator),
+        ):
+            sol = solve(cf, beta, N, min_radius=radius)
+            c = convergents(cf, sol.depth + 1)[sol.depth]
+            want = _scan_solve(c.p % c.q, c.q, N, beta)
+            assert (sol.n, sol.p, sol.achieved) == want
+
+
+def test_exotic_inputs_run_on_python_ints():
+    # Each surrogate denominator is past 2**61, so residues no longer fit
+    # int64 arithmetic; the multiples themselves still do.
+    for cf, N in (
+        (CFSpec(0, (3, 10**25, 2), ()), 7),
+        (CFSpec(0, (2,), (10**30, 1)), 6),
+        (CFSpec(0, (10**20, 3), ()), 5),
+    ):
+        gs = gap_set(cf, N)
+        assert gs.denominator > 2**61
+        _assert_matches_reference(gs, *_surrogate(cf, N))
+    cf = CFSpec(0, (10**20, 3), ())
+    p, q = _surrogate(cf, 5)
+    for beta in (Fraction(1, 3), Fraction(0), Fraction(99, 100), Fraction(p, q)):
+        sol = solve(cf, beta, 5)
+        assert (sol.n, sol.p, sol.achieved) == _scan_solve(p, q, 5, beta)
 
 
 # ---- regime classification -------------------------------------------------

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import badapprox
 from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, run_suite
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
@@ -63,3 +68,12 @@ def test_run_suite_clean():
     assert rep.gap_cases == 25
     assert rep.kronecker_cases == 25
     assert rep.agreement_cases == 25
+
+
+def test_import_does_not_load_mpmath():
+    code = "import sys, badapprox; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
