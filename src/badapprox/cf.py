@@ -272,13 +272,14 @@ def choose_surrogate(
         raise DomainError("rational input needs no surrogate")
     B = cf.bound()
     need = 16 * (B + 2) * N * N
+    if min_radius is not None:
+        # q_K*q_{K+1} >= 1/min_radius, compared in integers.
+        num, den = min_radius.numerator, min_radius.denominator
     pairs = convergent_pairs(cf)
     prev = next(pairs)
     for cur in pairs:
-        deep_enough = prev.q * cur.q > need
-        if deep_enough and min_radius is not None:
-            deep_enough = prev.q * cur.q * min_radius >= 1
-        if deep_enough:
+        qq = prev.q * cur.q
+        if qq > need and (min_radius is None or qq * num >= den):
             return prev, cur
         prev = cur
     raise AssertionError("unreachable for irrational input")

@@ -8,14 +8,18 @@ given N falls into, and evaluates the sharp constant governing how large
 N times the biggest gap can get over all numbers with bounded partial
 quotients.
 
-Exactness policy: neighbouring points {n*theta} and {n'*theta} are
-{(n' - n)*theta} apart, so the order of the points depends only on the
-convergents. An irrational theta is sorted once under the shallowest
-convergent p_K/q_K safe for sorting (its shift of any point stays below
-one eighth of the smallest possible gap), and lengths and point values
-are read as integers over the denominator of the convergent the
-caller's radius asks for. Everything is exact, and the lengths adding
-up to exactly one certifies that the shallow order is the deep one too.
+Exactness policy: an irrational theta is replaced by the convergent
+p_K/q_K the caller's radius asks for (a rational theta is used as it
+is), and the gap lengths and multiplicities are read off its
+convergents by the three-distance theorem, as integers over q_K, in
+O(log N) steps without building any point. Points are built only when
+they are listed or searched: neighbouring points {n*theta} and
+{n'*theta} are {(n' - n)*theta} apart, so their order depends only on
+the convergents, and the multiples are sorted once under the shallowest
+convergent safe for sorting (its shift of any point stays below one
+eighth of the smallest possible gap). The sorted order's steps must
+give back the theorem's lengths exactly, and since those add up to
+exactly one, this certifies that the shallow order is the deep one too.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .cf import (
     CertifiedValue,
     CFSpec,
+    Convergent,
     choose_surrogate,
     convergent_pairs,
     convergent_residual,
@@ -72,13 +77,11 @@ def _multiples_in_order(p: int, q: int, N: int) -> np.ndarray:
 class GapSet:
     """Exact gap decomposition of {0, {theta}, ..., {N*theta}, 1}.
 
-    orders lists the multiples 0, n_1, ..., n_N, 0 from left to right; the
-    point of n sits at (n*numerator mod denominator)/denominator, with the
-    final 0 standing for the endpoint 1. The order comes from the
-    shallowest convergent safe for sorting; numerator/denominator is the
-    surrogate p_K/q_K the lengths and values are read under (the exact
-    value for rational input). radius bounds |theta - p/q| for that
-    surrogate; it is zero for rationals.
+    numerator/denominator is the surrogate p_K/q_K the lengths and values
+    are read under (the exact value for rational input); radius bounds
+    |theta - p/q| for that surrogate and is zero for rationals. gap_nums
+    comes from the three-distance theorem; the points are sorted only
+    when orders (or anything built on it) is first read.
     """
 
     count: int
@@ -86,8 +89,36 @@ class GapSet:
     denominator: int
     depth: int
     radius: Fraction
-    orders: np.ndarray = field(repr=False)  # int64, N + 2 entries
-    gap_nums: tuple[tuple[int, int], ...] = ()  # ascending (length numerator, multiplicity)
+    theta: CFSpec = field(repr=False)
+    gap_nums: tuple[tuple[int, int], ...]  # ascending (length numerator, multiplicity)
+
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """Multiples 0, n_1, ..., n_N, 0 from left to right (int64, N + 2).
+
+        The point of n sits at (n*numerator mod denominator)/denominator,
+        with the final 0 standing for the endpoint 1. The order is sorted
+        under the shallowest convergent safe for sorting, and its steps
+        must give back gap_nums exactly, which certifies it.
+        """
+        N, p, q = self.count, self.numerator, self.denominator
+        if self.theta.is_rational:
+            order = p, q
+        else:
+            co, _ = choose_surrogate(self.theta, N)
+            if N >= co.q:
+                raise AssertionError("surrogate denominator must exceed N")
+            order = co.p % co.q, co.q
+        orders = _multiples_in_order(*order, N)
+        # Neighbours n and n' are {(n' - n)*theta} apart.
+        steps, counts = np.unique(np.diff(orders), return_counts=True)
+        lengths = _merged(zip((d * p % q for d in steps.tolist()), counts.tolist()))
+        # A cyclic tour's forward distances add up to q times its windings,
+        # and gap_nums adds up to q, so this also rules out a tour out of
+        # order under p/q.
+        if lengths != self.gap_nums:
+            raise VerificationError("sorted points disagree with the three-distance gaps")
+        return orders
 
     @cached_property
     def nums(self) -> tuple[int, ...]:
@@ -150,16 +181,59 @@ class GapSet:
         }
 
 
+def _three_distance(cf: CFSpec, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
+    """(length numerator, multiplicity) of the n points 0, {p/q}, ...,
+    {(n-1)*p/q}, ascending, for n <= q with p/q a convergent of cf (or cf
+    itself).
+
+    With q_k + q_{k-1} <= n < q_{k+1} + q_k, n - q_{k-1} = m*q_k + r and
+    eta_j = |q_j*p - p_j*q|, the lengths are eta_k (n - q_k times),
+    eta_{k-1} - m*eta_k (r times) and eta_{k-1} - (m-1)*eta_k (q_k - r
+    times) (Sos 1958; van Ravenstein 1988). Starting from q_{-1} = 0 also
+    covers n <= a_1.
+    """
+    prev = Convergent(-1, 1, 0)
+    pairs = convergent_pairs(cf)
+    cur = next(pairs)
+    for nxt in pairs:
+        if n < nxt.q + cur.q:
+            break
+        prev, cur = cur, nxt
+    m, r = divmod(n - prev.q, cur.q)
+    # p is reduced mod q, so drop the integer part from p_j as well.
+    eta_k = abs(cur.q * p - (cur.p - cf.a0 * cur.q) * q)
+    eta_km1 = abs(prev.q * p - (prev.p - cf.a0 * prev.q) * q)
+    return _merged(
+        (
+            (eta_k, n - cur.q),
+            (eta_km1 - m * eta_k, r),
+            (eta_km1 - (m - 1) * eta_k, cur.q - r),
+        )
+    )
+
+
+def _merged(pairs) -> tuple[tuple[int, int], ...]:
+    """Ascending (length, multiplicity) with zero multiplicities dropped
+    and equal lengths merged, which only rationals produce (3/7 at N = 6
+    has one length, 1/7, seven times)."""
+    lengths: dict[int, int] = {}
+    for g, m in pairs:
+        if m:
+            lengths[g] = lengths.get(g, 0) + m
+    return tuple(sorted(lengths.items()))
+
+
 def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet:
     """Exact gap set of the first N multiples of theta modulo one.
 
     Rational input is evaluated with its own denominator and must satisfy
     N < that denominator, otherwise points coincide and the decomposition
-    is not defined. The returned structure always satisfies the three
+    is not defined. The returned structure always satisfies the
     machine-checked facts: there are two or three distinct gap lengths
     (rationals may split the interval evenly, giving one), with three the
-    largest equals the sum of the other two exactly, and the lengths add
-    up to one, which also certifies the order of the points.
+    largest equals the sum of the other two exactly, the lengths add up
+    to one and the multiplicities to N + 1. No point is built here; see
+    GapSet.orders.
     """
     if N < 1:
         raise DomainError("need at least one multiple")
@@ -173,29 +247,15 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
                 f"rational input with denominator {q} supports only N < {q}"
             )
         p = v.numerator % q
-        order = p, q
         depth = len(cf.prefix)
         radius = Fraction(0)
     else:
-        co, _ = choose_surrogate(cf, N)
         ck, ck1 = choose_surrogate(cf, N, min_radius)
-        order = co.p % co.q, co.q
         p, q = ck.p % ck.q, ck.q
         depth = ck.k
         radius = Fraction(1, ck.q * ck1.q)
-        if N >= co.q:
-            raise AssertionError("surrogate denominator must exceed N")
 
-    orders = _multiples_in_order(*order, N)
-    steps, counts = np.unique(np.diff(orders), return_counts=True)
-    # Neighbours n and n' are {(n' - n)*theta} apart. Distinct steps give
-    # distinct lengths unless theta is rational (3/7 at N = 6 has two
-    # steps of length 1/7).
-    lengths: dict[int, int] = {}
-    for d, m in zip(steps.tolist(), counts.tolist()):
-        g = d * p % q
-        lengths[g] = lengths.get(g, 0) + m
-    gap_nums = tuple(sorted(lengths.items()))
+    gap_nums = _three_distance(cf, p, q, N + 1)
 
     if gap_nums[0][0] == 0:
         raise CoincidentPointsError("coincident points in the multiple set")
@@ -208,10 +268,10 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         )
     if len(gap_nums) == 3 and gap_nums[2][0] != gap_nums[0][0] + gap_nums[1][0]:
         raise VerificationError("largest gap is not the sum of the smaller two")
-    # A cyclic tour's forward distances add up to q times its windings, so
-    # this also rules out a tour out of order under p/q.
     if sum(g * m for g, m in gap_nums) != q:
         raise VerificationError("gaps do not cover the unit interval")
+    if sum(m for _, m in gap_nums) != N + 1:
+        raise VerificationError("gap multiplicities do not count N + 1 gaps")
 
     return GapSet(
         count=N,
@@ -219,7 +279,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         denominator=q,
         depth=depth,
         radius=radius,
-        orders=orders,
+        theta=cf,
         gap_nums=gap_nums,
     )
 

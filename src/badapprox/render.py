@@ -22,9 +22,9 @@ def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
     if sig < 1:
         raise ValueError("sig must be positive")
     if hasattr(value, "as_fraction_approx"):
-        # Approximate with enough slack that rounding to `sig` digits is
-        # unaffected by the approximation error.
-        value = value.as_fraction_approx(sig + 5)
+        if value == 0:
+            return "0"
+        value = _approx_leading(value, sig + 5)
     x = Fraction(value)
     if x == 0:
         return "0"
@@ -55,6 +55,26 @@ def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
     out = int_part + ("." + frac_part if frac_part else "")
     out = _strip(out)
     return "-" + out if neg else out
+
+
+def _approx_leading(value, digits: int) -> Fraction:
+    """Approximation of a nonzero value correct to `digits` places below
+    its leading digit, so that rounding to fewer digits is unaffected by
+    the approximation error, however small the value.
+
+    as_fraction_approx(d) is within 10**-d; once d reaches digits + 1 past
+    the approximation's own leading place, it is past the value's too.
+    """
+    d = digits
+    while True:
+        x = value.as_fraction_approx(d)
+        if x == 0:
+            d *= 2
+            continue
+        need = digits + 1 - _floor_log10(abs(x))
+        if d >= need:
+            return x
+        d = need
 
 
 def _floor_log10(x: Fraction) -> int:

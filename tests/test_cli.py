@@ -1,9 +1,10 @@
 import json
 
+import mpmath
 import pytest
 
 import badapprox.cli as cli
-from badapprox import OracleReport
+from badapprox import CFSpec, OracleReport, convergents
 
 
 def run(capsys, *argv):
@@ -195,3 +196,40 @@ def test_theta_json_round_trip(capsys):
     code, out, _ = run(capsys, "gaps", "--theta", spec, "--n", "6")
     assert code == 0
     assert len(json.loads(out)["points"]) == 8
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    calls = [
+        ["gaps", "--theta", "golden", "--n", "30", "--format", "csv"],
+        ["regime", "--theta", "sqrt2", "--n", "7"],
+        ["gaps", "--theta", "pi", "--n", "3"],
+        ["kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4", "--format", "csv"],
+        ["gaps", "--theta", "golden", "--n", "5", "--precision-digits", "20"],
+        ["extremal", "--b", "2", "--n", "3"],
+        ["gaps", "--n", "3"],
+        ["fb", "--b", "3", "--format", "csv"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert fresh[2][0] == fresh[6][0] == 64
+    assert cli.build_parser() is cli.build_parser()
+    # Interleaved twice over on the one shared parser.
+    for argv, want in [*zip(calls, fresh), *zip(reversed(calls), reversed(fresh))]:
+        assert run(capsys, *argv) == want, argv
+
+
+def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):
+    want = {12: "0.00000001366478622", 20: "4.920222451e-14", 40: "1.210429448e-27"}
+    for stage, shown in want.items():
+        code, out, _ = run(capsys, "extremal", "--b", "3", "--n", str(stage))
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["gap_to_f"] == shown
+        conv = convergents(CFSpec(0, (), (3, 1)), 2 * stage + 1)[2 * stage - 1]
+        with mpmath.workdps(120):
+            theta = (mpmath.sqrt(21) - 3) / 6  # [0; 3, 1, 3, 1, ...]
+            f = 1 + 6 / mpmath.sqrt(21)
+            true_gap = f - obj["n"] * abs(conv.q * theta - conv.p)
+            assert abs(mpmath.mpf(shown) / true_gap - 1) < mpmath.mpf(10) ** -9

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import badapprox.cli as cli
+import badapprox.gaps as gaps_module
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -15,6 +18,7 @@ from badapprox import (
     DomainError,
     QuadraticNumber,
     RegimeTag,
+    VerificationError,
     choose_surrogate,
     classify_regime,
     convergents,
@@ -28,6 +32,7 @@ from badapprox import (
     solve,
     verify_regime,
 )
+from badapprox.cf import Convergent
 from badapprox.cli import _display_radius
 from badapprox.oracle import random_beta, random_cf
 
@@ -225,6 +230,108 @@ def test_exotic_inputs_run_on_python_ints():
     for beta in (Fraction(1, 3), Fraction(0), Fraction(99, 100), Fraction(p, q)):
         sol = solve(cf, beta, 5)
         assert (sol.n, sol.p, sol.achieved) == _scan_solve(p, q, 5, beta)
+
+
+# ---- gap statistics from the three-distance theorem -----------------------
+
+
+def test_three_distance_below_the_first_quotient():
+    # N < a_1: the points 0, theta, ..., N*theta < 1 leave N gaps of length
+    # theta and one of 1 - N*theta.
+    cf = CFSpec(0, (5,), (1,))
+    for N in range(1, 5):
+        gs = gap_set(cf, N)
+        p, q = gs.numerator, gs.denominator
+        assert gs.gap_nums == tuple(sorted(((p, N), (q - N * p, 1))))
+        _assert_matches_reference(gs, *_surrogate(cf, N))
+
+
+def test_three_distance_with_an_integer_part():
+    for a0 in (-3, 1, 7):
+        for cf, N in ((CFSpec(a0, (2,), (1, 4)), 37), (CFSpec(a0, (), (3,)), 200)):
+            shifted = CFSpec(0, cf.prefix, cf.period)
+            gs, ref = gap_set(cf, N), gap_set(shifted, N)
+            assert (gs.numerator, gs.denominator, gs.gap_nums) == (
+                ref.numerator,
+                ref.denominator,
+                ref.gap_nums,
+            )
+            _assert_matches_reference(gs, *_surrogate(cf, N))
+    three_sevenths = gap_set(CFSpec(-2, (2, 3), ()), 3)
+    assert three_sevenths.gap_nums == ((1, 2), (2, 1), (3, 1))
+
+
+def test_rationals_at_full_cycle_split_evenly():
+    for cf in (
+        CFSpec(0, (2, 3), ()),
+        CFSpec(0, (1, 4, 2, 5), ()),
+        CFSpec(2, (7,), ()),
+        CFSpec(0, (3, 1, 1, 2, 6), ()),
+    ):
+        q = cf.value().denominator
+        gs = gap_set(cf, q - 1)
+        assert gs.gap_nums == ((1, q),)
+        _assert_matches_reference(gs, *_surrogate(cf, q - 1))
+
+
+def _record_gap_sets(monkeypatch, module):
+    made = []
+    real = gaps_module.gap_set
+
+    def recording(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(module, "gap_set", recording)
+    return made
+
+
+def test_statistics_callers_never_sort(monkeypatch, capsys):
+    made = _record_gap_sets(monkeypatch, gaps_module)
+    verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
+    extremal_witness(2, 6, min_radius=DISPLAY)
+    made += _record_gap_sets(monkeypatch, cli)
+    for argv in (
+        ["gaps", "--theta", "golden", "--n", "3000", "--format", "csv"],
+        ["regime", "--theta", "sqrt2", "--n", "700"],
+        ["extremal", "--b", "3", "--n", "12"],
+        ["convergence", "--b", "1", "--nmax", "6"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert len(made) >= 6
+    assert all("orders" not in gs.__dict__ for gs in made)
+    # Listing the points is what sorts them.
+    assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
+    capsys.readouterr()
+    assert "orders" in made[-1].__dict__
+
+
+def test_perturbed_sorting_convergent_is_caught(monkeypatch):
+    real = gaps_module.choose_surrogate
+    for cf, N in ((GOLDEN, 200), (SQRT2_MINUS_1, 1000), (CFSpec(0, (2,), (1, 4)), 77)):
+        gs = gap_set(cf, N, min_radius=DISPLAY)
+
+        def perturbed(cf, N, min_radius=None):
+            c, nxt = real(cf, N, min_radius)
+            return Convergent(c.k, c.p + 1, c.q), nxt
+
+        monkeypatch.setattr(gaps_module, "choose_surrogate", perturbed)
+        with pytest.raises(VerificationError):
+            gs.orders
+        assert "orders" not in gs.__dict__
+        monkeypatch.setattr(gaps_module, "choose_surrogate", real)
+        assert gs.orders[0] == 0
+
+
+def test_deep_extremal_stages_finish_fast():
+    f = gap_constant(3)
+    for stage in (20, 40):
+        start = time.perf_counter()
+        w = extremal_witness(3, stage)
+        assert time.perf_counter() - start < 1.0
+        assert w.count > 10 ** (stage * 2 // 3)
+        assert w.product + w.count**2 * w.radius < f
 
 
 # ---- regime classification -------------------------------------------------

@@ -40,3 +40,12 @@ def test_quadratic_rendering():
 def test_halfway_rounding_is_deterministic():
     assert decimal_str(Fraction(25, 1000), 1) == "0.02"
     assert decimal_str(Fraction(35, 1000), 1) == "0.04"
+
+
+def test_small_quadratic_keeps_every_digit():
+    # sqrt(2) less its first 19 digits leaves 8.0168872421e-19: an absolute
+    # error of 10**-(sig+5) would leave no correct digit at all.
+    tail = QuadraticNumber.sqrt(2) - Fraction(1414213562373095048, 10**18)
+    assert decimal_str(tail) == "8.016887242e-19"
+    assert decimal_str(-tail, 4) == "-8.017e-19"
+    assert decimal_str(QuadraticNumber.sqrt(5) - QuadraticNumber.sqrt(5)) == "0"
