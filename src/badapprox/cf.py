@@ -285,6 +285,50 @@ def choose_surrogate(
     raise AssertionError("unreachable for irrational input")
 
 
+def min_affine_mod(n: int, m: int, a: int, b: int) -> tuple[int, int]:
+    """Minimum of (a*x + b) mod m over 0 <= x < n and the smallest x
+    attaining it, in O(log m) integer steps.
+
+    With 2a <= m the values rise in runs starting at x = 0 and after
+    each wrap y = 1..Y, on the values (b - y*m) mod a. With 2a > m they
+    fall by c = m - a in runs ending at x = n - 1 and before each wrap,
+    the complete runs j < J on the values (b + j*m) mod c. Either way the
+    run ends are the same problem modulo a or c, at most m/2. Values carry
+    over and x maps back up increasingly, so ties go to the shallowest
+    run start, else to the deepest run end.
+    """
+    if n < 1 or m < 1:
+        raise DomainError("need n >= 1 and m >= 1")
+    a, b = a % m, b % m
+    levels, start, end = [], None, None  # start, end: (value, level, x there)
+    while True:
+        levels.append((m, a, b))
+        if 2 * a <= m:
+            if start is None or b < start[0]:
+                start = b, len(levels), 0
+            deeper = (a * (n - 1) + b) // m
+            if not deeper:
+                break
+            m, a, b = a, -m % a, (b - m) % a
+        else:
+            c = m - a
+            v = (b - c * (n - 1)) % m
+            if end is None or v <= end[0]:
+                end = v, len(levels), n - 1
+            deeper = (n * c - b + m - 1) // m
+            if deeper <= 0:
+                break
+            m, a, b = c, m % c, b % c
+        n = deeper
+    best, depth, x = start if end is None or start and start[0] <= end[0] else end
+    for m, a, b in reversed(levels[: depth - 1]):
+        if 2 * a <= m:
+            x = ((x + 1) * m - b + a - 1) // a
+        else:
+            x = (b + x * m) // (m - a)
+    return best, x
+
+
 def eval_theta(cf: CFSpec, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
     """Certified value of the number: center p_k/q_k, radius <= eps.
 

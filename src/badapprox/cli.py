@@ -199,11 +199,12 @@ def _gap_to_f(w, sig: int) -> QuadraticNumber:
     below 10^-(sig+2) of the difference. The shown N*H and surrogate depth
     stay those of w, whose digits already hold.
     """
-    while True:
+    for _ in range(10):
         gap = w.constant - w.product
         if w.count**2 * w.radius * 10 ** (sig + 2) < gap:
             return gap
         w = extremal_witness(w.bound, w.n, min_radius=w.radius / 2**40)
+    raise VerificationError("could not certify the digits of f - N*H")
 
 
 def cmd_extremal(args) -> tuple[str, bool]:
@@ -249,9 +250,9 @@ def cmd_sturmian(args) -> tuple[str, bool]:
     seq = generate(cf, args.n)
     bits = seq.bits(args.n)
     if args.format == "csv":
-        rows = [("i", "bit")] + [(i, int(b)) for i, b in enumerate(bits)]
+        rows = [("i", "bit"), *enumerate(bits)]
         return _csv(rows), False
-    obj = {"length": args.n, "bits": "".join(str(int(b)) for b in bits)}
+    obj = {"length": args.n, "bits": "".join(map(str, bits))}
     return _json(obj), False
 
 

@@ -13,22 +13,20 @@ p_K/q_K the caller's radius asks for (a rational theta is used as it
 is), and the gap lengths and multiplicities are read off its
 convergents by the three-distance theorem, as integers over q_K, in
 O(log N) steps without building any point. Points are built only when
-they are listed or searched: neighbouring points {n*theta} and
-{n'*theta} are {(n' - n)*theta} apart, so their order depends only on
-the convergents, and the multiples are sorted once under the shallowest
-convergent safe for sorting (its shift of any point stays below one
-eighth of the smallest possible gap). The sorted order's steps must
-give back the theorem's lengths exactly, and since those add up to
-exactly one, this certifies that the shallow order is the deep one too.
+they are listed: the successor walk of Sos (1958) steps from each
+multiple to its right neighbour using only the multiples of the
+smallest and the largest point. The walk must visit every multiple once
+and its steps must give back the theorem's lengths exactly, and since
+those add up to exactly one, this certifies the order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-
-import numpy as np
 
 from .cf import (
     CertifiedValue,
@@ -38,39 +36,10 @@ from .cf import (
     convergent_pairs,
     convergent_residual,
     convergents,
+    min_affine_mod,
 )
 from .errors import CoincidentPointsError, DomainError, VerificationError
 from .quadratic import QuadraticNumber
-
-
-def _multiples_in_order(p: int, q: int, N: int) -> np.ndarray:
-    """Multiples 0, n_1, ..., n_N, 0 in increasing order of n*p mod q.
-
-    Each key packs the residue of n*p above the bits of n, so one sort
-    orders the residues and carries n along. The key of j+m is the key of
-    j plus the key of m, less q in the residue part when it wraps, so each
-    doubling pass fills as much as already exists.
-    """
-    shift = N.bit_length()
-    wrap = q << shift
-    # Two keys must add without overflow; past that the same code runs on
-    # Python ints, which only exotic inputs (huge quotients or rational
-    # denominators) reach.
-    keys = np.empty(N, dtype=np.int64 if 2 * wrap < 2**63 else object)
-    keys[0] = (p % q) << shift | 1
-    have = 1
-    while have < N:
-        take = min(have, N - have)
-        shifted = keys[:take] + keys[have - 1]
-        shifted[shifted >= wrap] -= wrap
-        keys[have : have + take] = shifted
-        have += take
-    keys.sort()
-    orders = np.zeros(N + 2, dtype=np.int64)
-    orders[1:-1] = keys & ((1 << shift) - 1)
-    # GapSet caches values derived from it.
-    orders.flags.writeable = False
-    return orders
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +49,8 @@ class GapSet:
     numerator/denominator is the surrogate p_K/q_K the lengths and values
     are read under (the exact value for rational input); radius bounds
     |theta - p/q| for that surrogate and is zero for rationals. gap_nums
-    comes from the three-distance theorem; the points are sorted only
-    when orders (or anything built on it) is first read.
+    comes from the three-distance theorem; the points are put in order
+    only when orders (or anything built on it) is first read.
     """
 
     count: int
@@ -89,42 +58,44 @@ class GapSet:
     denominator: int
     depth: int
     radius: Fraction
-    theta: CFSpec = field(repr=False)
     gap_nums: tuple[tuple[int, int], ...]  # ascending (length numerator, multiplicity)
 
     @cached_property
-    def orders(self) -> np.ndarray:
-        """Multiples 0, n_1, ..., n_N, 0 from left to right (int64, N + 2).
+    def orders(self) -> tuple[int, ...]:
+        """Multiples 0, n_1, ..., n_N, 0 from left to right (N + 2 entries).
 
         The point of n sits at (n*numerator mod denominator)/denominator,
-        with the final 0 standing for the endpoint 1. The order is sorted
-        under the shallowest convergent safe for sorting, and its steps
-        must give back gap_nums exactly, which certifies it.
+        with the final 0 standing for the endpoint 1. With a the multiple
+        of the smallest positive point and b that of the largest, the
+        right neighbour of n is n + a, else n - b, else n + a - b (Sos
+        1958). The walk must visit each multiple once and its steps must
+        give back gap_nums exactly, which certifies it.
         """
         N, p, q = self.count, self.numerator, self.denominator
-        if self.theta.is_rational:
-            order = p, q
-        else:
-            co, _ = choose_surrogate(self.theta, N)
-            if N >= co.q:
-                raise AssertionError("surrogate denominator must exceed N")
-            order = co.p % co.q, co.q
-        orders = _multiples_in_order(*order, N)
+        a = min_affine_mod(N, q, p, p)[1] + 1
+        # (q - 1 - n*p) mod q is least where n*p mod q is largest.
+        b = min_affine_mod(N, q, -p, -p - 1)[1] + 1
+        n, orders = 0, [0]
+        for _ in range(N + 1):
+            n += a if n + a <= N else -b if n >= b else a - b
+            orders.append(n)
+        if orders[-1] or len(set(orders)) != N + 1 or not 0 <= min(orders) <= max(orders) <= N:
+            raise VerificationError("the successor walk does not visit each multiple once")
         # Neighbours n and n' are {(n' - n)*theta} apart.
-        steps, counts = np.unique(np.diff(orders), return_counts=True)
-        lengths = _merged(zip((d * p % q for d in steps.tolist()), counts.tolist()))
+        steps = Counter(map(operator.sub, orders[1:], orders))
+        lengths = _merged((d * p % q, c) for d, c in steps.items())
         # A cyclic tour's forward distances add up to q times its windings,
         # and gap_nums adds up to q, so this also rules out a tour out of
         # order under p/q.
         if lengths != self.gap_nums:
-            raise VerificationError("sorted points disagree with the three-distance gaps")
-        return orders
+            raise VerificationError("the successor walk disagrees with the three-distance gaps")
+        return tuple(orders)
 
     @cached_property
     def nums(self) -> tuple[int, ...]:
         """Point numerators over denominator, ascending, with 0 and denominator."""
         p, q = self.numerator, self.denominator
-        return (0, *(n * p % q for n in self.orders[1:-1].tolist()), q)
+        return (0, *(n * p % q for n in self.orders[1:-1]), q)
 
     @cached_property
     def points(self) -> list[Fraction]:
@@ -279,7 +250,6 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         denominator=q,
         depth=depth,
         radius=radius,
-        theta=cf,
         gap_nums=gap_nums,
     )
 

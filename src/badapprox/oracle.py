@@ -213,7 +213,7 @@ def run_suite(
         arr = seq.bits(length)
         check_len = min(length, 256)
         theta = high_precision_value(cf)
-        if arr[:check_len].tolist() != brute_bits(theta, check_len):
+        if list(arr[:check_len]) != brute_bits(theta, check_len):
             failures.append(f"{tag}: bit prefix disagrees with mpf floors")
             continue
         got = agreement(seq, r, a, b, max_k)

@@ -21,8 +21,6 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .cf import CFSpec
 from .errors import DomainError, SequenceLengthError, VerificationError
 from .quadratic import QuadraticNumber
@@ -53,7 +51,7 @@ class SturmianSeq:
             raise DomainError("need an irrational number strictly between 0 and 1")
         self.cf = cf
         self._lock = threading.Lock()
-        self._buf = np.array([1, 0], dtype=np.uint8)
+        self._buf = bytearray(b"\x01\x00")
         self._quotients = cf.quotients()
         # The word being written is w^reps t, with w and t given as
         # (start, length) slices of _buf; it starts as s_1.
@@ -61,7 +59,7 @@ class SturmianSeq:
         self._reps = next(self._quotients) - 1
 
     def __len__(self) -> int:
-        return self._buf.size - 2
+        return len(self._buf) - 2
 
     def ensure(self, length: int) -> None:
         """Extend the cached prefix to at least `length` bits."""
@@ -72,19 +70,17 @@ class SturmianSeq:
                 return
             self._extend(max(length, 2 * len(self), 256))
 
-    def bits(self, length: int) -> np.ndarray:
-        """Read-only view of the first `length` bits."""
+    def bits(self, length: int) -> bytes:
+        """The first `length` bits, one 0 or 1 byte each."""
         self.ensure(length)
-        view = self._buf[2 : 2 + length]
-        view.flags.writeable = False
-        return view
+        return bytes(memoryview(self._buf)[2 : 2 + length])
 
     def _extend(self, target: int) -> None:
         old = self._buf
         size = target + 2
-        buf = np.empty(size, dtype=np.uint8)
-        buf[: old.size] = old
-        i = old.size
+        buf = bytearray(size)
+        buf[: len(old)] = old
+        i = len(old)
         (ws, q), (ts, p), reps = self._w, self._t, self._reps
         while i < size:
             # The copies of w run from ws to tile_end with period q; each
@@ -135,17 +131,27 @@ def agreement(seq, r: int, a: int, b: int, max_k: int) -> int | None:
     if isinstance(seq, SturmianSeq):
         if len(seq) < required:
             raise SequenceLengthError(required, len(seq))
-        arr = seq.bits(len(seq))
+        arr = seq.bits(required)
     else:
-        arr = np.asarray(seq, dtype=np.uint8)
-        if arr.size < required:
-            raise SequenceLengthError(required, arr.size)
-    u = arr[a::r][:max_k]
-    v = arr[b::r][:max_k]
-    neq = u != v
-    if not neq.any():
+        arr = bytes(map(int, seq))
+        if len(arr) < required:
+            raise SequenceLengthError(required, len(arr))
+    return _first_mismatch(arr[a::r][:max_k], arr[b::r][:max_k])
+
+
+def _first_mismatch(u: bytes, v: bytes) -> int | None:
+    """First index where two equally long strings differ (None if nowhere),
+    by bisecting on slice equality, which compares whole blocks at once."""
+    if u == v:
         return None
-    return int(neq.argmax())
+    lo, hi = 0, len(u)  # u[:lo] == v[:lo] and u[lo:hi] != v[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -176,14 +182,14 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
         bits = seq.bits(r * max_k)
         # Sorted, the pair of columns with the longest common prefix is
         # a pair of neighbours.
-        cols = sorted(bits[a::r].tobytes() for a in range(r))
+        cols = sorted(bits[a::r] for a in range(r))
         worst: int | None = -1
         for u, v in zip(cols, cols[1:]):
-            neq = np.frombuffer(u, np.uint8) != np.frombuffer(v, np.uint8)
-            if not neq.any():
+            k = _first_mismatch(u, v)
+            if k is None:
                 worst = None
                 break
-            worst = max(worst, int(neq.argmax()))
+            worst = max(worst, k)
         passed = worst is not None and worst <= bound
         rows.append(DiversityRow(r=r, max_agreement=worst, bound=bound, passed=passed))
     return rows
@@ -490,7 +496,7 @@ def lower_bound_witness(n: int) -> WitnessReport:
     if k_star is None:
         raise VerificationError("no disagreement found where one must exist")
     arr = seq.bits(r * k_star + b + 1)
-    bits_at = (int(arr[r * k_star + a]), int(arr[r * k_star + b]))
+    bits_at = (arr[r * k_star + a], arr[r * k_star + b])
     if k_star == cell.candidate_low:
         matches = "low"
     elif k_star == cell.candidate_high:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from badapprox import (
@@ -23,6 +23,7 @@ from badapprox import (
     reversal_identity_check,
     tail_and_reversal,
 )
+from badapprox.cf import min_affine_mod
 
 DEEP = Fraction(1, 10**40)
 
@@ -299,3 +300,42 @@ def test_bounded_quotient_extrema_frozen():
         assert float(mx) == pytest.approx(hi, abs=1e-10)
     with pytest.raises(DomainError):
         bounded_quotient_extrema(0)
+
+
+# ---- minimum of an affine sequence modulo m --------------------------------
+
+
+def _brute_min_affine_mod(n, m, a, b):
+    values = [(a * x + b) % m for x in range(n)]
+    best = min(values)
+    return best, values.index(best)
+
+
+_moduli = st.one_of(
+    st.integers(1, 50), st.integers(1, 10**6), st.integers(2**200, 2**210)
+)
+
+
+@given(st.integers(1, 300), _moduli, st.integers(-(2**211), 2**211), st.integers(-(2**211), 2**211))
+@example(n=1, m=7, a=3, b=5)
+@example(n=40, m=13, a=0, b=9)
+@example(n=40, m=12, a=6, b=5)
+@example(n=40, m=12, a=18, b=-7)
+@example(n=300, m=2**201 + 1, a=2**200, b=3)
+@example(n=300, m=2**203 + 5, a=-1, b=2**202)
+@settings(max_examples=400)
+def test_min_affine_mod_matches_brute_loop(n, m, a, b):
+    assert min_affine_mod(n, m, a, b) == _brute_min_affine_mod(n, m, a, b)
+
+
+def test_min_affine_mod_runs_long_expansions_without_recursion():
+    # 3000 quotients of 1: the deepest Euclid descent for its size.
+    q_prev, q = 1, 1
+    for _ in range(3000):
+        q_prev, q = q, q + q_prev
+    assert min_affine_mod(q, q, q_prev, 0) == (0, 0)
+    assert min_affine_mod(q - 1, q, q_prev, q_prev) == (1, pow(q_prev, -1, q) - 1)
+    with pytest.raises(DomainError):
+        min_affine_mod(0, 5, 1, 1)
+    with pytest.raises(DomainError):
+        min_affine_mod(3, 0, 1, 1)

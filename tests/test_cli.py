@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import badapprox
 import badapprox.cli as cli
 from badapprox import CFSpec, OracleReport, convergents
 
@@ -233,3 +238,34 @@ def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):
             f = 1 + 6 / mpmath.sqrt(21)
             true_gap = f - obj["n"] * abs(conv.q * theta - conv.p)
             assert abs(mpmath.mpf(shown) / true_gap - 1) < mpmath.mpf(10) ** -9
+
+
+def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
+    real = cli.extremal_witness
+    calls = []
+
+    def never_deeper(b, n, min_radius=None):
+        calls.append(min_radius)
+        return real(b, n)
+
+    monkeypatch.setattr(cli, "extremal_witness", never_deeper)
+    code, out, err = run(capsys, "extremal", "--b", "3", "--n", "20")
+    assert code == 2 and out == ""
+    assert "could not certify" in err
+    # The witness at display depth, then ten deepening rounds.
+    assert len(calls) <= 12
+
+
+def test_cli_runs_without_numpy():
+    code = (
+        "import sys\n"
+        "from badapprox import cli\n"
+        "for argv in (['kron', '--theta', 'sqrt2', '--beta', '1/3', '--n', '100000'],\n"
+        "             ['sturmian', '--theta', 'golden', '--n', '500', '--format', 'csv'],\n"
+        "             ['diversity', '--theta', 'golden', '--b', '1', '--rmax', '12']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr

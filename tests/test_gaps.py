@@ -3,13 +3,13 @@ import time
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import badapprox.cli as cli
 import badapprox.gaps as gaps_module
+import badapprox.kronecker as kronecker_module
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -32,7 +32,6 @@ from badapprox import (
     solve,
     verify_regime,
 )
-from badapprox.cf import Convergent
 from badapprox.cli import _display_radius
 from badapprox.oracle import random_beta, random_cf
 
@@ -138,7 +137,7 @@ def _surrogate(cf, N, min_radius=None):
 
 
 def _reference(p, q, N):
-    """nums, orders and gap_nums from sorting n*p mod q over Python ints."""
+    """nums, orders and gap_nums from sorting n*p mod q."""
     ranked = sorted((n * p % q, n) for n in range(1, N + 1))
     nums = (0, *(r for r, _ in ranked), q)
     orders = [0, *(n for _, n in ranked), 0]
@@ -150,8 +149,8 @@ def _assert_matches_reference(gs, p, q):
     nums, orders, gap_nums = _reference(p, q, gs.count)
     assert (gs.numerator, gs.denominator) == (p, q)
     assert gs.nums == nums
-    assert gs.orders.dtype == np.int64
-    assert gs.orders.tolist() == orders
+    assert isinstance(gs.orders, tuple)
+    assert list(gs.orders) == orders
     assert gs.gap_nums == gap_nums
     lo, hi = gs.largest_gap_span()
     assert hi - lo == gs.largest
@@ -291,15 +290,17 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
     extremal_witness(2, 6, min_radius=DISPLAY)
     made += _record_gap_sets(monkeypatch, cli)
+    made += _record_gap_sets(monkeypatch, kronecker_module)
     for argv in (
         ["gaps", "--theta", "golden", "--n", "3000", "--format", "csv"],
+        ["kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "300000"],
         ["regime", "--theta", "sqrt2", "--n", "700"],
         ["extremal", "--b", "3", "--n", "12"],
         ["convergence", "--b", "1", "--nmax", "6"],
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert len(made) >= 6
+    assert len(made) >= 7
     assert all("orders" not in gs.__dict__ for gs in made)
     # Listing the points is what sorts them.
     assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
@@ -307,21 +308,22 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     assert "orders" in made[-1].__dict__
 
 
-def test_perturbed_sorting_convergent_is_caught(monkeypatch):
-    real = gaps_module.choose_surrogate
+def test_perturbed_walk_step_is_caught(monkeypatch):
+    real = gaps_module.min_affine_mod
     for cf, N in ((GOLDEN, 200), (SQRT2_MINUS_1, 1000), (CFSpec(0, (2,), (1, 4)), 77)):
-        gs = gap_set(cf, N, min_radius=DISPLAY)
+        for shift in (1, -1):
+            gs = gap_set(cf, N, min_radius=DISPLAY)
 
-        def perturbed(cf, N, min_radius=None):
-            c, nxt = real(cf, N, min_radius)
-            return Convergent(c.k, c.p + 1, c.q), nxt
+            def off_by_one(n, m, a, b):
+                value, x = real(n, m, a, b)
+                return value, x + shift
 
-        monkeypatch.setattr(gaps_module, "choose_surrogate", perturbed)
-        with pytest.raises(VerificationError):
-            gs.orders
-        assert "orders" not in gs.__dict__
-        monkeypatch.setattr(gaps_module, "choose_surrogate", real)
-        assert gs.orders[0] == 0
+            monkeypatch.setattr(gaps_module, "min_affine_mod", off_by_one)
+            with pytest.raises(VerificationError):
+                gs.orders
+            assert "orders" not in gs.__dict__
+            monkeypatch.setattr(gaps_module, "min_affine_mod", real)
+            assert gs.orders[0] == 0
 
 
 def test_deep_extremal_stages_finish_fast():

@@ -1,6 +1,8 @@
 import random
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from badapprox import (
@@ -14,6 +16,8 @@ from badapprox import (
     legacy_bound,
     solve,
 )
+from badapprox.cli import _display_radius
+from badapprox.oracle import high_precision_value
 
 DEEP = Fraction(1, 10**30)
 
@@ -106,3 +110,29 @@ def test_random_corpus_within_bound():
         assert 0 <= sol.n <= N
         assert abs(sol.p) <= N
         assert sol.achieved <= sol.bound
+
+
+def test_long_rational_at_a_full_cycle():
+    """3000 quotients, N = q - 1: the points are every k/q."""
+    cf = CFSpec(0, (1,) * 2999 + (2,), ())
+    v = cf.value()
+    p, q = v.numerator, v.denominator
+    sol = solve(cf, Fraction(1, 3), q - 1)
+    k = (q + 1) // 3  # the nearest k/q to 1/3, left on a tie
+    assert sol.achieved == abs(Fraction(k, q) - Fraction(1, 3))
+    assert sol.n == k * pow(p, -1, q) % q
+    assert sol.n * p - sol.p * q == k
+    assert sol.within_bound
+
+
+def test_solve_at_a_billion_points_builds_none():
+    N = 10**9
+    start = time.perf_counter()
+    sol = solve(GOLDEN, Fraction(1, 3), N, min_radius=_display_radius(40, N))
+    assert time.perf_counter() - start < 1.0
+    assert sol.within_bound and 0 <= sol.n <= N
+    theta = high_precision_value(GOLDEN)
+    with mpmath.workdps(80):
+        err = abs(sol.n * theta - sol.p - mpmath.mpf(1) / 3)
+        assert abs(err - mpmath.mpf(sol.achieved.numerator) / sol.achieved.denominator) < mpmath.mpf(10) ** -45
+    assert sol.achieved < 1 / N

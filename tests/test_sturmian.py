@@ -1,9 +1,9 @@
+import random
 import sys
 import threading
 from fractions import Fraction
 from math import isqrt
 
-import numpy as np
 import pytest
 
 from badapprox import (
@@ -25,13 +25,13 @@ from badapprox import (
     lower_bound_witness,
     witness_ratio_report,
 )
-from badapprox.oracle import brute_bits, high_precision_value
+from badapprox.oracle import brute_agreement, brute_bits, high_precision_value
 from badapprox.sturmian import THETA_GOLDEN, frac_golden_multiple
 
 
 def test_frozen_bit_prefixes():
-    assert generate(GOLDEN, 10).bits(10).tolist() == [1, 0, 1, 1, 0, 1, 0, 1, 1, 0]
-    assert generate(SQRT2_MINUS_1, 8).bits(8).tolist() == [0, 1, 0, 1, 0, 0, 1, 0]
+    assert generate(GOLDEN, 10).bits(10) == bytes([1, 0, 1, 1, 0, 1, 0, 1, 1, 0])
+    assert generate(SQRT2_MINUS_1, 8).bits(8) == bytes([0, 1, 0, 1, 0, 0, 1, 0])
 
 
 def test_golden_bits_match_isqrt_floors():
@@ -39,7 +39,7 @@ def test_golden_bits_match_isqrt_floors():
     length = 10**5
     floors = [(isqrt(5 * m * m) - m) // 2 for m in range(1, length + 2)]
     want = [floors[i + 1] - floors[i] for i in range(length)]
-    assert generate(GOLDEN, length).bits(length).tolist() == want
+    assert generate(GOLDEN, length).bits(length) == bytes(want)
 
 
 @pytest.mark.parametrize(
@@ -53,13 +53,13 @@ def test_golden_bits_match_isqrt_floors():
 def test_bits_match_mpf_floors(cf):
     length = 3000
     want = brute_bits(high_precision_value(cf), length)
-    assert generate(cf, length).bits(length).tolist() == want
+    assert generate(cf, length).bits(length) == bytes(want)
 
 
 def test_concurrent_readers_see_a_stable_prefix():
     """One thread extends from 2^10 to 2^18 bits while three others read."""
     seq = generate(SQRT2_MINUS_1, 2**10)
-    prefix = seq.bits(1000).copy()
+    prefix = seq.bits(1000)
     done = threading.Event()
     seen: list[str] = []
 
@@ -75,7 +75,7 @@ def test_concurrent_readers_see_a_stable_prefix():
             if n < last:
                 seen.append(f"length dropped from {last} to {n}")
             last = n
-            if not np.array_equal(seq.bits(1000), prefix):
+            if seq.bits(1000) != prefix:
                 seen.append("prefix changed")
 
     threads = [threading.Thread(target=read) for _ in range(3)]
@@ -106,7 +106,7 @@ def test_bits_match_interval_membership():
 
 def test_bit_frequency():
     length = 10**5
-    ones = int(generate(GOLDEN, length).bits(length).sum())
+    ones = sum(generate(GOLDEN, length).bits(length))
     # the bit sum telescopes to floor((length+1)*theta)
     assert ones == 61804
     assert abs(QuadraticNumber(Fraction(ones, length)) - THETA_GOLDEN) <= Fraction(
@@ -122,7 +122,8 @@ def test_sequence_validation():
     with pytest.raises(DomainError):
         generate(GOLDEN, -1)
     view = generate(GOLDEN, 16).bits(16)
-    with pytest.raises(ValueError):
+    assert isinstance(view, bytes) and len(view) == 16
+    with pytest.raises(TypeError):
         view[0] = 1  # read-only
 
 
@@ -147,6 +148,17 @@ def test_agreement_accepts_plain_sequences():
     assert agreement([0, 0, 1, 1, 0, 0], 2, 0, 1, 3) is None
     with pytest.raises(SequenceLengthError):
         agreement([0, 1], 2, 0, 1, 3)
+    # An int64 array is read by value, not by its raw buffer.
+    np = pytest.importorskip("numpy")
+    assert agreement(np.array([0, 1, 0, 0, 0, 1]), 2, 0, 1, 3) == 0
+    rng = random.Random(11)
+    for _ in range(300):
+        r = rng.randint(2, 9)
+        b = rng.randint(1, r - 1)
+        a = rng.randrange(b)
+        max_k = rng.randint(1, 200)
+        bits = [rng.random() < 0.03 for _ in range(r * max_k)]
+        assert agreement(bits, r, a, b, max_k) == brute_agreement(bits, r, a, b, max_k)
 
 
 FROZEN_DIVERSITY = [
