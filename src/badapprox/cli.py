@@ -56,8 +56,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_at_least(low: int):
-    """Argument type for integers >= low; anything else is a usage error."""
+def _int_in(low: int, high: int | None = None):
+    """Argument type for integers in [low, high] (no upper end when high is
+    None); anything else is a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -66,6 +67,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     return parse
@@ -385,12 +388,14 @@ def cmd_convergence(args) -> tuple[str, bool]:
 def _add_output(sp, fmt_default="json"):
     sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
     sp.add_argument("--out", help="write the report to this path instead of stdout")
+    # Rendering takes str() of a sig-digit integer, which Python refuses
+    # past 4300 digits; 1000 digits stay well inside that and fast.
     sp.add_argument(
         "--precision-digits",
-        type=_int_at_least(1),
+        type=_int_in(1, 1000),
         default=DEFAULT_SIG_DIGITS,
         dest="precision_digits",
-        help="significant digits in decimal output",
+        help="significant digits in decimal output (1 to 1000)",
     )
 
 
@@ -454,7 +459,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=cmd_arrays)
 
     sp = subs.add_parser("verify", help="run the brute-force oracle suite")
-    sp.add_argument("--cases", type=_int_at_least(0), default=50)
+    sp.add_argument("--cases", type=_int_in(0), default=50)
     sp.add_argument("--seed", type=int, default=20260822)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_verify)

@@ -137,15 +137,16 @@ class GapSet:
         raise AssertionError("largest gap disappeared")
 
     def to_json_dict(self, sig: int = 10) -> dict:
-        from .render import decimal_str
+        from .render import _ratio_str, decimal_str
 
+        q = self.denominator
         return {
             "n": self.count,
             "k_surrogate": self.depth,
-            "points": [decimal_str(p, sig) for p in self.points],
+            "points": [_ratio_str(v, q, sig) for v in self.nums],
             "gaps": [
-                {"length": decimal_str(g, sig), "multiplicity": m}
-                for g, m in self.gaps
+                {"length": _ratio_str(g, q, sig), "multiplicity": m}
+                for g, m in self.gap_nums
             ],
             "h": decimal_str(self.largest, sig),
             "product_nh": decimal_str(self.product, sig),

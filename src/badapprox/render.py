@@ -26,18 +26,26 @@ def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
             return "0"
         value = _approx_leading(value, sig + 5)
     x = Fraction(value)
-    if x == 0:
+    return _ratio_str(x.numerator, x.denominator, sig)
+
+
+def _ratio_str(n: int, d: int, sig: int) -> str:
+    """decimal_str of n/d for integers n and d > 0, without building a Fraction."""
+    if n == 0:
         return "0"
-    neg = x < 0
-    if neg:
-        x = -x
-    e = _floor_log10(x)
-    # Integer holding exactly `sig` significant digits of x.
+    neg = n < 0
+    n = abs(n)
+    e = _floor_log10(n, d)
+    # Integer holding exactly `sig` significant digits of n/d, rounded
+    # half to even (the same convention as round()).
     shift = sig - 1 - e
     if shift >= 0:
-        q = _round_frac(x * 10**shift)
+        n *= 10**shift
     else:
-        q = _round_frac(x / 10**-shift)
+        d *= 10**-shift
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q & 1):
+        q += 1
     if q >= 10**sig:  # rounding carried over, e.g. 9.99 -> 10.0
         q //= 10
         e += 1
@@ -71,25 +79,31 @@ def _approx_leading(value, digits: int) -> Fraction:
         if x == 0:
             d *= 2
             continue
-        need = digits + 1 - _floor_log10(abs(x))
+        need = digits + 1 - _floor_log10(abs(x.numerator), x.denominator)
         if d >= need:
             return x
         d = need
 
 
-def _floor_log10(x: Fraction) -> int:
-    """floor(log10(x)) for positive rational x, exactly."""
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    while x >= 10 ** (e + 1):
-        e += 1
-    while x < 10**e:
+def _floor_log10(n: int, d: int) -> int:
+    """floor(log10(n/d)) for positive integers n and d, exactly.
+
+    The bit lengths put log2(n/d) within one of their difference, and
+    0.30103 is log10(2) to 1e-8, so the estimate is off by at most one
+    until the operands run to about 10^8 bits; integer comparisons with
+    powers of ten settle it.
+    """
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while _below(n, d, e):
         e -= 1
+    while not _below(n, d, e + 1):
+        e += 1
     return e
 
 
-def _round_frac(x: Fraction) -> int:
-    """Round to nearest integer, ties to even (same convention as round())."""
-    return round(x)
+def _below(n: int, d: int, k: int) -> bool:
+    """n/d < 10**k, with the power of ten on whichever side keeps it an integer."""
+    return n < d * 10**k if k >= 0 else n * 10**-k < d
 
 
 def _strip(s: str) -> str:

@@ -423,7 +423,13 @@ def crossing_cell(n: int) -> CrossingCell:
 
 
 def crossing_unique(n: int) -> bool:
-    """Exhaustively confirm only one grid cell brackets theta^2."""
+    """Exhaustively confirm only one grid cell brackets theta^2.
+
+    Row i of the lower grid holds row0 + j*step with row0 = base - i*drop
+    and step > 0, so the cells with th2 - width < row0 + j*step < th2 are
+    the integers j strictly inside ((th2 - width - row0)/step,
+    (th2 - row0)/step), clamped to [0, cols): two exact floors per row.
+    """
     if n < 2:
         raise DomainError("witness stages are indexed from 2")
     th = THETA_GOLDEN
@@ -434,13 +440,16 @@ def crossing_unique(n: int) -> bool:
     drop = th ** (4 * n)
     step = SQRT5 * th ** (2 * n)
     width = th ** (2 * n + 1)
+    # Both ends of row i's open interval move up by i * drop/step.
+    lo0 = (th2 - width - base) / step
+    hi0 = (th2 - base) / step
+    rise = drop / step
     hits = 0
     for i in range(rows):
-        row0 = base - i * drop
-        for j in range(cols):
-            lo = row0 + j * step
-            if lo < th2 < lo + width:
-                hits += 1
+        first = max((lo0 + i * rise).floor() + 1, 0)
+        # ceil(hi) - 1, the last integer strictly below hi.
+        last = min(-(-(hi0 + i * rise)).floor() - 1, cols - 1)
+        hits += max(last - first + 1, 0)
     if hits != 1:
         raise VerificationError(f"expected one crossing cell, found {hits}")
     return True

@@ -174,6 +174,7 @@ def test_usage_errors(capsys, tmp_path):
         ["gaps", "--n", "3"],
         ["kron", "--theta", "golden", "--beta", "x", "--n", "3"],
         ["gaps", "--theta", "golden", "--n", "5", "--precision-digits", "0"],
+        ["gaps", "--theta", "golden", "--n", "5", "--precision-digits", "1001"],
         ["verify", "--cases", "-1"],
         ["fb", "--b", "2", "--out", str(tmp_path / "missing" / "fb.json")],
     ):
@@ -182,6 +183,8 @@ def test_usage_errors(capsys, tmp_path):
         assert err
     code, _, _ = run(capsys, "verify", "--cases", "0")
     assert code == 0
+    code, out, _ = run(capsys, "fb", "--b", "2", "--precision-digits", "1000")
+    assert code == 0 and json.loads(out)["decimal"] == 2.1547005383792515
 
 
 def test_domain_errors(capsys):
@@ -238,6 +241,24 @@ def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):
             f = 1 + 6 / mpmath.sqrt(21)
             true_gap = f - obj["n"] * abs(conv.q * theta - conv.p)
             assert abs(mpmath.mpf(shown) / true_gap - 1) < mpmath.mpf(10) ** -9
+
+
+def test_gap_lengths_below_the_smallest_float(capsys):
+    # Golden gaps are powers of theta; at N = 10**400 they sit near
+    # 10**-400, past where any Python float can stand in for 10**e.
+    n = 10**400
+    code, out, _ = run(capsys, "gaps", "--theta", "golden", "--n", str(n), "--format", "csv")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert header == ["gap", "multiplicity"] and 2 <= len(rows) <= 3
+    assert sum(int(m) for _, m in rows) == n + 1
+    with mpmath.workdps(60):
+        theta = (mpmath.sqrt(5) - 1) / 2
+        for shown, _ in rows:
+            value = mpmath.mpf(shown)
+            assert value > 0, shown
+            j = int(mpmath.nint(mpmath.log(value) / mpmath.log(theta)))
+            assert abs(value / theta**j - 1) < mpmath.mpf(10) ** -9, shown
 
 
 def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):

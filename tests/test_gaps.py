@@ -306,6 +306,8 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
     capsys.readouterr()
     assert "orders" in made[-1].__dict__
+    # The listing renders numerators over the shared denominator.
+    assert "points" not in made[-1].__dict__
 
 
 def test_perturbed_walk_step_is_caught(monkeypatch):

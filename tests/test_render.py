@@ -1,7 +1,10 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from badapprox.quadratic import QuadraticNumber
-from badapprox.render import decimal_str
+from badapprox.render import _floor_log10, _ratio_str, decimal_str
 
 
 def test_integers_and_exact_decimals():
@@ -40,6 +43,103 @@ def test_quadratic_rendering():
 def test_halfway_rounding_is_deterministic():
     assert decimal_str(Fraction(25, 1000), 1) == "0.02"
     assert decimal_str(Fraction(35, 1000), 1) == "0.04"
+    assert _ratio_str(25, 1000, 1) == "0.02"
+    assert _ratio_str(-35, 1000, 1) == "-0.04"
+
+
+def test_rounding_carries_into_the_next_decade():
+    assert _ratio_str(9995, 1000, 3) == "10"
+    assert _ratio_str(-9995, 1000, 3) == "-10"
+    # Carries across the switch between fixed and scientific notation.
+    assert _ratio_str(99995, 10**13, 4) == "0.00000001"
+    assert _ratio_str(999995 * 10**15, 1, 5) == "1e+21"
+
+
+def test_exact_powers_of_ten():
+    # Fixed notation holds for exponents -8 through 20.
+    assert _ratio_str(1, 10**9, 5) == "1e-9"
+    assert _ratio_str(1, 10**8, 5) == "0.00000001"
+    assert _ratio_str(10**20, 1, 5) == "100000000000000000000"
+    assert _ratio_str(10**21, 1, 5) == "1e+21"
+    assert _ratio_str(7 * 10**30, 7 * 10**10, 3) == "100000000000000000000"
+    for k in range(-60, 61):
+        n, d = (10**k, 1) if k >= 0 else (1, 10**-k)
+        assert _floor_log10(n, d) == k
+        assert _floor_log10(n * 3, d * 3) == k
+        assert _floor_log10(n * 10 - 1, d) == k
+        assert _floor_log10(n, d * 10 - 1) == k - 1
+
+
+def test_values_just_past_a_power_of_ten():
+    # Python's float nearest 10**-k lies above some values that are above
+    # 10**-k, and below 10**-400 no float is left at all: only integers
+    # may decide the exponent.
+    assert (
+        decimal_str(Fraction(1, 10) + Fraction(55, 10**32), 30)
+        == "0.100000000000000000000000000001"
+    )
+    assert decimal_str(Fraction(3, 10**400), 5) == "3e-400"
+    assert decimal_str(Fraction(-123456, 10**405), 3) == "-1.23e-400"
+    # Operands past the 4300 digits Python's int-to-str conversion allows.
+    assert decimal_str(Fraction(2 * 10**5000 + 1, 3 * 10**5000), 4) == "0.6667"
+    assert decimal_str(Fraction(1, 7 * 10**5000), 3) == "1.43e-5001"
+
+
+def _pow10(k: int) -> Fraction:
+    return Fraction(10) ** k
+
+
+def _reference(n: int, d: int, sig: int) -> str:
+    """The Fraction algorithm decimal_str used before rendering moved onto
+    integers, with exact powers of ten in place of Python floats."""
+    x = Fraction(n, d)
+    if x == 0:
+        return "0"
+    neg = x < 0
+    x = abs(x)
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    while x >= _pow10(e + 1):
+        e += 1
+    while x < _pow10(e):
+        e -= 1
+    q = round(x * _pow10(sig - 1 - e))
+    if q >= 10**sig:
+        q //= 10
+        e += 1
+    digits = str(q)
+    if e < -8 or e > 20:
+        mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
+        if "." in mantissa:
+            mantissa = mantissa.rstrip("0").rstrip(".")
+        return f"{'-' if neg else ''}{mantissa}e{e:+d}"
+    if e >= 0:
+        out = digits[: e + 1].ljust(e + 1, "0") + "." + digits[e + 1 :]
+    else:
+        out = "0." + "0" * (-e - 1) + digits
+    out = out.rstrip("0").rstrip(".")
+    return "-" + out if neg else out
+
+
+_magnitudes = st.integers(0, 60).flatmap(lambda k: st.integers(1, 10**k))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.booleans(),
+    _magnitudes,
+    _magnitudes,
+    st.integers(1, 60),
+    st.sampled_from([(1, 0), (10, 0), (10, -1), (1, 5), (5, 0)]),
+)
+def test_ratio_str_matches_exact_fraction_reference(neg, n, d, sig, tweak):
+    # tweak turns some draws into exact powers of ten, their neighbours and
+    # halfway cases, where the exponent and the rounding are decided.
+    scale, offset = tweak
+    n = n * scale + offset
+    if neg:
+        n = -n
+    assert _ratio_str(n, d, sig) == _reference(n, d, sig)
+    assert decimal_str(Fraction(n, d), sig) == _reference(n, d, sig)
 
 
 def test_small_quadratic_keeps_every_digit():

@@ -283,7 +283,12 @@ def test_crossing_cell_frozen():
 
 
 def test_crossing_is_unique():
+    # Cell by cell over the materialized lower grid: the row-wise floors in
+    # crossing_unique must see the same single bracketing cell.
+    th2 = THETA_GOLDEN * THETA_GOLDEN
     for n in (2, 3, 4):
+        g = fractional_grids(n)
+        assert sum(lo < th2 < lo + g.diff for row in g.lower for lo in row) == 1
         assert crossing_unique(n)
 
 
