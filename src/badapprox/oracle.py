@@ -1,12 +1,21 @@
-"""Independent brute-force oracles for cross-checking the exact paths.
+"""Brute-force oracles for cross-checking the exact paths.
 
-Everything here deliberately avoids the machinery under test: gap sets
-come from sorting high-precision floats, best rational approximations
-from a full scan over n, bit sequences from high-precision floors, and
-agreement indices from a naive loop. The suite runner draws a random
-corpus and compares the exact implementations against these oracles to
-a fixed tolerance. It backs the `verify` subcommand and the final
-acceptance criterion.
+The oracles share one input with the code under test: theta itself. Its
+value comes from `cf.eval_theta`, a convergent of the same expansion the
+exact side reads its surrogates from (CFSpec.value for rationals), taken
+deep enough that mpmath holds it to ORACLE_DPS digits. Everything after
+that is independent of the exact machinery: gap sets come from sorting
+high-precision floats (not the three-distance theorem), best
+approximations from a full scan over n (not min_affine_mod), bit
+sequences from high-precision floors (not standard words), and
+agreement indices from a naive loop (not slice bisection).
+
+mpmath computes every point, gap, residual and floor. Ordering those
+values and comparing them against exact fractions to a tolerance is
+decided exactly, in integers, on their dyadic values (man * 2**exp), so
+no decision rounds. The suite runner draws a random corpus and compares
+the exact implementations against these oracles to a fixed tolerance.
+It backs the `verify` subcommand and the final acceptance criterion.
 
 mpmath is imported inside the functions that use it, so importing the
 package for its exact paths never loads it.
@@ -30,7 +39,15 @@ _COMPARE_TOL = Fraction(1, 10**40)
 
 
 def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
-    """The number described by cf as an mpf good to `dps` digits."""
+    """The number described by cf as an mpf good to `dps` digits.
+
+    This is the one place the oracles lean on the package: the value is
+    the convergent `cf.eval_theta` certifies to within 10**-(dps + 5), and
+    the exact side reads its surrogates off the same convergent
+    recurrence (a rational comes from CFSpec.value). A wrong expansion or
+    recurrence would therefore mislead both sides alike; the oracles
+    check what is computed from theta, not theta itself.
+    """
     from mpmath import mp
 
     with mp.workdps(dps + 10):
@@ -43,19 +60,42 @@ def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
 
 def brute_gap_points(theta, N: int):
     """Sorted circle points 0, {theta}, ..., {N*theta}, 1 and the distinct
-    gap lengths, straight from floating evaluation."""
+    gap lengths, straight from floating evaluation.
+
+    mpmath computes every point and gap. Ordering them, and merging gaps
+    that differ by at most 1e-25 into one length, is decided exactly on
+    their dyadic values (see _sorted_exactly).
+    """
     from mpmath import mp
 
     with mp.workdps(ORACLE_DPS):
-        pts = sorted(mp.frac(k * theta) for k in range(1, N + 1))
+        pts, _, _ = _sorted_exactly([mp.frac(k * theta) for k in range(1, N + 1)])
         pts = [mp.mpf(0)] + pts + [mp.mpf(1)]
-        gaps = sorted(b - a for a, b in zip(pts, pts[1:]))
-        tol = mp.mpf(10) ** (-ORACLE_DPS // 2)
-        distinct = []
-        for g in gaps:
-            if not distinct or g - distinct[-1] > tol:
-                distinct.append(g)
-        return pts, distinct
+        gaps, keys, low = _sorted_exactly([b - a for a, b in zip(pts, pts[1:])])
+    # gaps lie in [0, 1], so low <= 0 and a key step of 2**-low is a length of 1
+    merge, unit = 10 ** (ORACLE_DPS // 2), 1 << -low
+    distinct, last = [], None
+    for g, k in zip(gaps, keys):
+        if last is None or (k - last) * merge > unit:
+            distinct.append(g)
+            last = k
+    return pts, distinct
+
+
+def _sorted_exactly(values: list) -> tuple[list, list[int], int]:
+    """Nonnegative mpf values in ascending order, with their integer keys.
+
+    A nonnegative mpf is exactly man * 2**exp. Shifting every mantissa
+    left by its exponent's excess over the smallest exponent present,
+    low, gives integer keys with value == key * 2**low, so the keys order
+    exactly as mpmath compares the values. Zero has key 0. The sort is
+    stable, so ties keep their order, as under sorted().
+    """
+    pairs = [x.man_exp for x in values]
+    low = min((e for _, e in pairs), default=0)
+    keys = [m << (e - low) for m, e in pairs]
+    order = sorted(range(len(values)), key=keys.__getitem__)
+    return [values[i] for i in order], [keys[i] for i in order], low
 
 
 def brute_kronecker(theta, beta: Fraction, N: int):
@@ -139,12 +179,22 @@ class OracleReport:
         return not self.failures
 
 
-def _close(frac: Fraction, approx, tol: Fraction = _COMPARE_TOL) -> bool:
-    from mpmath import mp
+def _close(num: int, den: int, approx) -> bool:
+    """Whether |num/den - approx| < _COMPARE_TOL, decided exactly.
 
-    with mp.workdps(ORACLE_DPS):
-        diff = abs(mp.mpf(frac.numerator) / frac.denominator - approx)
-        return diff < mp.mpf(tol.numerator) / tol.denominator
+    approx is an mpf, exactly sign * man * 2**exp; clearing den, 2**-exp
+    and the tolerance's denominator leaves one integer comparison. A
+    non-finite approx (mantissa 0, nonzero exponent) is never close.
+    """
+    sign, man, exp, _ = approx._mpf_
+    if not man and exp:
+        return False
+    if sign:
+        man = -man
+    tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
+    if exp >= 0:
+        return abs(num - (man << exp) * den) * td < tn * den
+    return abs((num << -exp) - man * den) * td < (tn * den) << -exp
 
 
 def run_suite(
@@ -167,18 +217,19 @@ def run_suite(
         gs = gap_set(cf, N, min_radius=_DEEP_RADIUS)
         theta = high_precision_value(cf)
         pts, distinct = brute_gap_points(theta, N)
-        if len(pts) != len(gs.points):
-            failures.append(f"{tag}: point count {len(gs.points)} vs {len(pts)}")
+        q = gs.denominator
+        if len(pts) != len(gs.nums):
+            failures.append(f"{tag}: point count {len(gs.nums)} vs {len(pts)}")
             continue
-        if any(not _close(p, q) for p, q in zip(gs.points, pts)):
+        if any(not _close(v, q, p) for v, p in zip(gs.nums, pts)):
             failures.append(f"{tag}: point values drift past tolerance")
             continue
-        if len(distinct) != len(gs.gaps):
+        if len(distinct) != len(gs.gap_nums):
             failures.append(
-                f"{tag}: {len(gs.gaps)} distinct gaps vs oracle {len(distinct)}"
+                f"{tag}: {len(gs.gap_nums)} distinct gaps vs oracle {len(distinct)}"
             )
             continue
-        if any(not _close(g, d) for (g, _), d in zip(gs.gaps, distinct)):
+        if any(not _close(g, q, d) for (g, _), d in zip(gs.gap_nums, distinct)):
             failures.append(f"{tag}: gap values drift past tolerance")
             continue
         gap_done += 1
@@ -195,7 +246,7 @@ def run_suite(
         if (sol.n, sol.p) != (n, p):
             failures.append(f"{tag}: minimizer ({sol.n},{sol.p}) vs oracle ({n},{p})")
             continue
-        if not _close(sol.achieved, err):
+        if not _close(sol.achieved.numerator, sol.achieved.denominator, err):
             failures.append(f"{tag}: achieved error drifts past tolerance")
             continue
         kron_done += 1

@@ -283,7 +283,8 @@ def test_cli_runs_without_numpy():
         "from badapprox import cli\n"
         "for argv in (['kron', '--theta', 'sqrt2', '--beta', '1/3', '--n', '100000'],\n"
         "             ['sturmian', '--theta', 'golden', '--n', '500', '--format', 'csv'],\n"
-        "             ['diversity', '--theta', 'golden', '--b', '1', '--rmax', '12']):\n"
+        "             ['diversity', '--theta', 'golden', '--b', '1', '--rmax', '12'],\n"
+        "             ['verify', '--cases', '2']):\n"
         "    assert cli.main(argv) == 0, argv\n"
         "assert 'numpy' not in sys.modules\n"
     )

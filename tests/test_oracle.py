@@ -1,20 +1,31 @@
+import dataclasses
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath import mp
 
 import badapprox
-from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, run_suite
+from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, oracle, run_suite
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
+    _COMPARE_TOL,
+    ORACLE_DPS,
+    _close,
+    _sorted_exactly,
     brute_agreement,
     brute_bits,
     brute_gap_points,
     brute_kronecker,
     high_precision_value,
+    random_cf,
 )
 
 
@@ -77,3 +88,207 @@ def test_import_does_not_load_mpmath():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+# ---- exact decisions on mpf values ----------------------------------------
+
+
+def _exact(x) -> Fraction:
+    """The dyadic value of a finite mpf, as a Fraction."""
+    sign, man, exp, _ = x._mpf_
+    return (-1 if sign else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def _mpf_sorted_gap_points(theta, N):
+    """brute_gap_points as plain mpf comparisons would decide it."""
+    with mp.workdps(ORACLE_DPS):
+        pts = sorted(mp.frac(k * theta) for k in range(1, N + 1))
+        pts = [mp.mpf(0)] + pts + [mp.mpf(1)]
+        gaps = sorted(b - a for a, b in zip(pts, pts[1:]))
+        tol = mp.mpf(10) ** (-ORACLE_DPS // 2)
+        distinct = []
+        for g in gaps:
+            if not distinct or g - distinct[-1] > tol:
+                distinct.append(g)
+        return pts, distinct
+
+
+def _same(xs, ys) -> bool:
+    return [x._mpf_ for x in xs] == [y._mpf_ for y in ys]
+
+
+def test_close_matches_exact_reference_at_the_tolerance():
+    eps = Fraction(1, 10**60)
+    with mp.workdps(ORACLE_DPS):
+        approxes = [mp.mpf(1), mp.mpf(6), mp.mpf(2) ** 80, mp.mpf(0),
+                    mp.mpf(1) / 3, -mp.mpf(2) / 7, mp.mpf(10) ** -45]
+    assert approxes[0].exp >= 0 and approxes[4].exp < 0
+    for approx in approxes:
+        centre = _exact(approx)
+        for side in (1, -1):
+            for off, want in ((_COMPARE_TOL - eps, True), (_COMPARE_TOL, False),
+                              (_COMPARE_TOL + eps, False), (Fraction(0), True)):
+                x = centre + side * off
+                assert _close(x.numerator, x.denominator, approx) is want, (approx, side, off)
+                assert (abs(x - centre) < _COMPARE_TOL) is want
+
+
+_EDGES = [Fraction(1, 10**70) * k + _COMPARE_TOL * sign for k in (-1, 0, 1) for sign in (-1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    man=st.integers(0, 2**170),
+    exp=st.integers(-400, 40),
+    negative=st.booleans(),
+    off=st.one_of(
+        st.fractions(min_value=-2 * _COMPARE_TOL, max_value=2 * _COMPARE_TOL),
+        st.sampled_from(_EDGES),
+    ),
+)
+def test_close_agrees_with_fraction_arithmetic(man, exp, negative, off):
+    with mp.workdps(ORACLE_DPS):
+        approx = mp.mpf((-man if negative else man, exp))
+    x = _exact(approx) + off
+    assert _close(x.numerator, x.denominator, approx) is (abs(off) < _COMPARE_TOL)
+
+
+def test_close_rejects_non_finite_values():
+    for bad in (mp.inf, -mp.inf, mp.nan):
+        assert not _close(0, 1, bad)
+
+
+def test_sorted_exactly_orders_like_mpmath():
+    with mp.workdps(ORACLE_DPS):
+        tiny = mp.mpf(2) ** -5000
+        values = [mp.mpf(1), tiny, mp.mpf(0), 3 * tiny, mp.mpf(2) ** -1100, tiny / 2,
+                  mp.mpf(0), mp.mpf(1) / 3, tiny, mp.mpf(2) ** 60]
+    got, keys, low = _sorted_exactly(values)
+    assert _same(got, sorted(values))
+    assert all(_exact(x) == k * Fraction(2) ** low for x, k in zip(got, keys))
+    assert _sorted_exactly([]) == ([], [], 0)
+
+
+def test_brute_gap_points_matches_plain_sorting_on_random_corpus():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        cf = random_cf(rng)
+        N = rng.randint(1, 400)
+        theta = high_precision_value(cf)
+        pts, distinct = brute_gap_points(theta, N)
+        ref_pts, ref_distinct = _mpf_sorted_gap_points(theta, N)
+        assert _same(pts, ref_pts), (cf, N)
+        assert _same(distinct, ref_distinct), (cf, N)
+
+
+@pytest.mark.parametrize("cf", [CFSpec(0, (2, 2), ()), CFSpec(0, (2, 3), ())])
+def test_brute_gap_points_keeps_ties_on_rational_theta(cf):
+    q = cf.value().denominator
+    theta = high_precision_value(cf)
+    for N in (q, 2 * q + 1, 40):
+        pts, distinct = brute_gap_points(theta, N)
+        ref_pts, ref_distinct = _mpf_sorted_gap_points(theta, N)
+        assert any(a == b for a, b in zip(ref_pts, ref_pts[1:]))  # ties do occur
+        assert _same(pts, ref_pts) and _same(distinct, ref_distinct)
+
+
+def test_brute_gap_points_merges_lengths_within_1e_25():
+    # theta = 1/3 + e puts two lengths 3e apart: kept apart at e = 1e-20,
+    # merged at e = 1e-30
+    for e, count in ((20, 3), (30, 2)):
+        with mp.workdps(ORACLE_DPS):
+            theta = mp.mpf(1) / 3 + mp.mpf(10) ** -e
+        _, distinct = brute_gap_points(theta, 3)
+        assert len(distinct) == count
+        assert _same(distinct, _mpf_sorted_gap_points(theta, 3)[1])
+
+
+# ---- the suite still catches faults on the exact side ---------------------
+
+
+def _shifted_gap_set(monkeypatch, shift: Fraction, where: str):
+    """Patch the suite's gap_set so one point (or one gap length) moves by shift."""
+    real = oracle.gap_set
+
+    def fake(cf, N, **kw):
+        gs = real(cf, N, **kw)
+        s, q = shift.denominator, gs.denominator
+        nums = [v * s for v in gs.nums]
+        gap_nums = [(g * s, m) for g, m in gs.gap_nums]
+        if where == "point":
+            nums[len(nums) // 2] += shift.numerator * q
+        else:
+            gap_nums[0] = (gap_nums[0][0] + shift.numerator * q, gap_nums[0][1])
+        return SimpleNamespace(nums=nums, gap_nums=gap_nums, denominator=q * s)
+
+    monkeypatch.setattr(oracle, "gap_set", fake)
+
+
+def _only_failures(rep, prefix: str, needle: str, cases: int = 3):
+    assert len(rep.failures) == cases, rep.failures
+    assert all(f.startswith(prefix) and needle in f for f in rep.failures), rep.failures
+
+
+def test_suite_catches_a_point_shifted_past_tolerance(monkeypatch):
+    _shifted_gap_set(monkeypatch, Fraction(2, 10**40), "point")
+    rep = run_suite(cases=3, seed=11)
+    assert rep.gap_cases == 0
+    _only_failures(rep, "gaps ", "point values drift past tolerance")
+
+
+def test_suite_passes_a_point_shifted_inside_tolerance(monkeypatch):
+    _shifted_gap_set(monkeypatch, Fraction(1, 10**41), "point")
+    rep = run_suite(cases=3, seed=11)
+    assert rep.ok, rep.failures
+    assert rep.gap_cases == 3
+
+
+def test_suite_catches_a_shifted_gap_length(monkeypatch):
+    _shifted_gap_set(monkeypatch, Fraction(2, 10**40), "gap")
+    _only_failures(run_suite(cases=3, seed=12), "gaps ", "gap values drift")
+
+
+def test_suite_catches_a_drifting_achieved_error(monkeypatch):
+    real = oracle.solve
+
+    def fake(*args, **kw):
+        sol = real(*args, **kw)
+        return dataclasses.replace(sol, achieved=sol.achieved + Fraction(2, 10**40))
+
+    monkeypatch.setattr(oracle, "solve", fake)
+    _only_failures(run_suite(cases=3, seed=13), "kron ", "achieved error drifts")
+
+
+def test_suite_catches_a_wrong_minimizer(monkeypatch):
+    real = oracle.solve
+
+    def fake(*args, **kw):
+        sol = real(*args, **kw)
+        return dataclasses.replace(sol, n=sol.n + 1)
+
+    monkeypatch.setattr(oracle, "solve", fake)
+    _only_failures(run_suite(cases=3, seed=14), "kron ", "minimizer")
+
+
+def test_suite_catches_a_flipped_bit(monkeypatch):
+    class Flipped(oracle.SturmianSeq):
+        def bits(self, length):
+            out = bytearray(super().bits(length))
+            out[17] ^= 1
+            return bytes(out)
+
+    monkeypatch.setattr(oracle, "SturmianSeq", Flipped)
+    _only_failures(run_suite(cases=3, seed=15), "agree ", "bit prefix disagrees")
+
+
+def test_suite_catches_a_wrong_agreement_index(monkeypatch):
+    real = oracle.agreement
+
+    def fake(*args):
+        k = real(*args)
+        return -1 if k is None else k + 1
+
+    monkeypatch.setattr(oracle, "agreement", fake)
+    rep = run_suite(cases=3, seed=16)
+    _only_failures(rep, "agree ", "vs oracle")
+    assert all(" agreement " in f for f in rep.failures)
