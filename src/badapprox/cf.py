@@ -339,12 +339,14 @@ def eval_theta(cf: CFSpec, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
         raise DomainError("eps must be positive")
     if cf.is_rational:
         return CertifiedValue(cf.value(), Fraction(0))
+    # 1/(q_k*q_{k+1}) <= eps, compared in integers.
+    num, den = eps.as_integer_ratio()
     pairs = convergent_pairs(cf)
     prev = next(pairs)
     for cur in pairs:
-        radius = Fraction(1, prev.q * cur.q)
-        if radius <= eps:
-            return CertifiedValue(prev.value, radius)
+        qq = prev.q * cur.q
+        if qq * num >= den:
+            return CertifiedValue(prev.value, Fraction(1, qq))
         prev = cur
     raise AssertionError("unreachable: periodic expansion never ends")
 

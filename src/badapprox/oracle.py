@@ -5,17 +5,26 @@ value comes from `cf.eval_theta`, a convergent of the same expansion the
 exact side reads its surrogates from (CFSpec.value for rationals), taken
 deep enough that mpmath holds it to ORACLE_DPS digits. Everything after
 that is independent of the exact machinery: gap sets come from sorting
-high-precision floats (not the three-distance theorem), best
+rounded multiples of theta (not the three-distance theorem), best
 approximations from a full scan over n (not min_affine_mod), bit
-sequences from high-precision floors (not standard words), and
+sequences from floors of theta's mpf value (not standard words), and
 agreement indices from a naive loop (not slice bisection).
 
-mpmath computes every point, gap, residual and floor. Ordering those
-values and comparing them against exact fractions to a tolerance is
-decided exactly, in integers, on their dyadic values (man * 2**exp), so
-no decision rounds. The suite runner draws a random corpus and compares
-the exact implementations against these oracles to a fixed tolerance.
-It backs the `verify` subcommand and the final acceptance criterion.
+mpmath supplies theta (above) and beta, each as an mpf, and rounds each
+gap point and gap length to ORACLE_DPS digits with its own rounding
+primitive. The Kronecker and bit scans are exact on the integer image of
+theta's mpf value (man * 2**exp): they build no mpf per n. Ordering the
+points, merging gaps and comparing against exact fractions to a
+tolerance are decided exactly, in integers, on those dyadic values, so
+no decision rounds.
+
+The oracles are meant for irrational theta. A rational theta = p/q has
+an mpf just off p/q, and that dyadic image decides an exact tie in the
+Kronecker scan (n against n + q) and the floors at multiples of q.
+
+The suite runner draws a random corpus and compares the exact
+implementations against these oracles to a fixed tolerance. It backs the
+`verify` subcommand and the final acceptance criterion.
 
 mpmath is imported inside the functions that use it, so importing the
 package for its exact paths never loads it.
@@ -60,71 +69,116 @@ def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
 
 def brute_gap_points(theta, N: int):
     """Sorted circle points 0, {theta}, ..., {N*theta}, 1 and the distinct
-    gap lengths, straight from floating evaluation.
+    gap lengths, as mpf values.
 
-    mpmath computes every point and gap. Ordering them, and merging gaps
-    that differ by at most 1e-25 into one length, is decided exactly on
-    their dyadic values (see _sorted_exactly).
+    mpmath rounds each point k*theta and each gap to ORACLE_DPS digits, as
+    mpf arithmetic would. Ordering them, and merging gaps that differ by at
+    most 1e-25 into one length, is decided exactly on integer keys (see
+    _gap_keys).
     """
     from mpmath import mp
+    from mpmath.libmp import from_man_exp
 
-    with mp.workdps(ORACLE_DPS):
-        pts, _, _ = _sorted_exactly([mp.frac(k * theta) for k in range(1, N + 1)])
-        pts = [mp.mpf(0)] + pts + [mp.mpf(1)]
-        gaps, keys, low = _sorted_exactly([b - a for a, b in zip(pts, pts[1:])])
-    # gaps lie in [0, 1], so low <= 0 and a key step of 2**-low is a length of 1
-    merge, unit = 10 ** (ORACLE_DPS // 2), 1 << -low
-    distinct, last = [], None
-    for g, k in zip(gaps, keys):
-        if last is None or (k - last) * merge > unit:
-            distinct.append(g)
-            last = k
-    return pts, distinct
+    pts, distinct, low = _gap_keys(theta, N)
+    return (
+        [mp.make_mpf(from_man_exp(k, low)) for k in pts],
+        [mp.make_mpf(from_man_exp(k, low)) for k in distinct],
+    )
 
 
-def _sorted_exactly(values: list) -> tuple[list, list[int], int]:
-    """Nonnegative mpf values in ascending order, with their integer keys.
+def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
+    """Sorted integer keys of the points and of the distinct gap lengths,
+    and their common exponent low: each value is key * 2**low.
 
-    A nonnegative mpf is exactly man * 2**exp. Shifting every mantissa
-    left by its exponent's excess over the smallest exponent present,
-    low, gives integer keys with value == key * 2**low, so the keys order
-    exactly as mpmath compares the values. Zero has key 0. The sort is
-    stable, so ties keep their order, as under sorted().
+    Each point k*theta and each gap b - a is rounded to ORACLE_DPS digits
+    by mpmath's own rounding (from_man_exp), as mpf arithmetic would round
+    it. Rounding never lowers the exponent of the exact value, and the
+    exact products k*man live at theta's exponent, so one scale,
+    low = min(exp, 0), holds every rounded value as an integer. The
+    fractional part is then a mask and the sort is over ints. Gaps that
+    differ by at most 1e-25 are merged into the first length of the run.
     """
-    pairs = [x.man_exp for x in values]
-    low = min((e for _, e in pairs), default=0)
-    keys = [m << (e - low) for m, e in pairs]
-    order = sorted(range(len(values)), key=keys.__getitem__)
-    return [values[i] for i in order], [keys[i] for i in order], low
+    from mpmath.libmp import dps_to_prec, from_man_exp
+
+    prec = dps_to_prec(ORACLE_DPS)
+    man, exp = _signed_man_exp(theta)
+    low = min(exp, 0)
+    unit = 1 << -low
+    mask = unit - 1
+    pts = []
+    for k in range(1, N + 1):
+        s, m, e, _ = from_man_exp(k * man, exp, prec, "n")
+        pts.append(((-m if s else m) << (e - low)) & mask)
+    pts.sort()
+    pts = [0] + pts + [unit]
+    gaps = []
+    for a, b in zip(pts, pts[1:]):
+        _, m, e, _ = from_man_exp(b - a, low, prec, "n")
+        gaps.append(m << (e - low))
+    gaps.sort()
+    merge = 10 ** (ORACLE_DPS // 2)
+    distinct = []
+    for g in gaps:
+        if not distinct or (g - distinct[-1]) * merge > unit:
+            distinct.append(g)
+    return pts, distinct, low
 
 
 def brute_kronecker(theta, beta: Fraction, N: int):
     """Best (n, p) minimizing |n*theta - beta - p| over 0 <= n <= N.
 
-    Scans every n and keeps the first strict improvement, so the smallest
-    optimal n wins, matching the exact solver's preference.
+    beta is taken as its ORACLE_DPS-digit mpf. Every n is scanned on the
+    exact dyadic values: x = n*theta - beta is an integer over 2**s, with
+    s the larger of the two binary scales, p is the nearest integer
+    (x + 1/2 shifted down) and the error |x - p| an integer over 2**s.
+    The first strict improvement is kept, so the smallest optimal n wins,
+    matching the exact solver's preference. The error comes back as an
+    mpf rounded to ORACLE_DPS digits.
     """
     from mpmath import mp
 
     with mp.workdps(ORACLE_DPS):
         beta_f = mp.mpf(beta.numerator) / beta.denominator
-        best = None
+        (tm, te), (bm, be) = _signed_man_exp(theta), _signed_man_exp(beta_f)
+        s = max(0, -te, -be)
+        step = tm << (te + s)
+        half = (1 << s) >> 1
+        mask = (1 << s) - 1
+        y = half - (bm << (be + s))  # x + 1/2 at n = 0, scaled by 2**s
+        best_n, best_err, best_y = 0, half + 1, y
         for n in range(N + 1):
-            x = n * theta - beta_f
-            p = int(mp.nint(x))
-            err = abs(x - p)
-            if best is None or err < best[2]:
-                best = (n, p, err)
-        return best
+            err = abs((y & mask) - half)
+            if err < best_err:
+                best_n, best_err, best_y = n, err, y
+            y += step
+        return best_n, best_y >> s, mp.mpf((best_err, -s))
 
 
 def brute_bits(theta, length: int) -> list[int]:
-    """Characteristic bits floor((i+2)t) - floor((i+1)t) from mpf floors."""
-    from mpmath import mp
+    """Characteristic bits floor((i+2)t) - floor((i+1)t) of the mpf theta.
 
-    with mp.workdps(ORACLE_DPS):
-        floors = [int(mp.floor(m * theta)) for m in range(1, length + 2)]
-    return [floors[i + 1] - floors[i] for i in range(length)]
+    theta is exactly man * 2**exp, so m*theta is the integer m*man over
+    2**-exp and each floor is one shift of a running sum, exact for the
+    mpf value.
+    """
+    man, exp = _signed_man_exp(theta)
+    if exp > 0:
+        man, exp = man << exp, 0
+    acc = man
+    prev = acc >> -exp
+    bits = []
+    for _ in range(length):
+        acc += man
+        cur = acc >> -exp
+        bits.append(cur - prev)
+        prev = cur
+    return bits
+
+
+def _signed_man_exp(x) -> tuple[int, int]:
+    """A finite mpf as (man, exp) with the sign on man: x == man * 2**exp."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
 
 
 def brute_agreement(bits, r: int, a: int, b: int, max_k: int | None = None) -> int | None:
@@ -180,17 +234,22 @@ class OracleReport:
 
 
 def _close(num: int, den: int, approx) -> bool:
-    """Whether |num/den - approx| < _COMPARE_TOL, decided exactly.
+    """Whether |num/den - approx| < _COMPARE_TOL for an mpf approx.
 
-    approx is an mpf, exactly sign * man * 2**exp; clearing den, 2**-exp
-    and the tolerance's denominator leaves one integer comparison. A
-    non-finite approx (mantissa 0, nonzero exponent) is never close.
+    A non-finite approx (mantissa 0, nonzero exponent) is never close.
     """
     sign, man, exp, _ = approx._mpf_
     if not man and exp:
         return False
-    if sign:
-        man = -man
+    return _close_dyadic(num, den, -man if sign else man, exp)
+
+
+def _close_dyadic(num: int, den: int, man: int, exp: int) -> bool:
+    """Whether |num/den - man * 2**exp| < _COMPARE_TOL, decided exactly.
+
+    Clearing den, 2**-exp and the tolerance's denominator leaves one
+    integer comparison.
+    """
     tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
     if exp >= 0:
         return abs(num - (man << exp) * den) * td < tn * den
@@ -215,13 +274,12 @@ def run_suite(
         N = rng.randint(1, max_n)
         tag = f"gaps {cf.prefix}+{cf.period} N={N}"
         gs = gap_set(cf, N, min_radius=_DEEP_RADIUS)
-        theta = high_precision_value(cf)
-        pts, distinct = brute_gap_points(theta, N)
+        pts, distinct, low = _gap_keys(high_precision_value(cf), N)
         q = gs.denominator
         if len(pts) != len(gs.nums):
             failures.append(f"{tag}: point count {len(gs.nums)} vs {len(pts)}")
             continue
-        if any(not _close(v, q, p) for v, p in zip(gs.nums, pts)):
+        if any(not _close_dyadic(v, q, k, low) for v, k in zip(gs.nums, pts)):
             failures.append(f"{tag}: point values drift past tolerance")
             continue
         if len(distinct) != len(gs.gap_nums):
@@ -229,7 +287,7 @@ def run_suite(
                 f"{tag}: {len(gs.gap_nums)} distinct gaps vs oracle {len(distinct)}"
             )
             continue
-        if any(not _close(g, q, d) for (g, _), d in zip(gs.gap_nums, distinct)):
+        if any(not _close_dyadic(g, q, k, low) for (g, _), k in zip(gs.gap_nums, distinct)):
             failures.append(f"{tag}: gap values drift past tolerance")
             continue
         gap_done += 1
@@ -258,7 +316,7 @@ def run_suite(
         b = rng.randint(1, r - 1)
         a = rng.randrange(b)
         max_k = rng.randint(20, 120)
-        tag = f"agree {cf.prefix}+{cf.period} r={r} a={a} b={b}"
+        tag = f"agree {cf.prefix}+{cf.period} r={r} a={a} b={b} max_k={max_k}"
         seq = SturmianSeq(cf)
         length = r * max_k
         arr = seq.bits(length)

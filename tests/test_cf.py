@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -23,7 +24,8 @@ from badapprox import (
     reversal_identity_check,
     tail_and_reversal,
 )
-from badapprox.cf import min_affine_mod
+from badapprox.cf import convergent_pairs, min_affine_mod
+from badapprox.oracle import random_cf
 
 DEEP = Fraction(1, 10**40)
 
@@ -160,6 +162,36 @@ def test_eval_theta_rational_is_exact():
     assert ev == CertifiedValue(Fraction(3, 7), Fraction(0))
     with pytest.raises(DomainError):
         eval_theta(GOLDEN, Fraction(0))
+
+
+def _eval_theta_by_fractions(cf, eps):
+    """eval_theta as it was written with one Fraction per convergent."""
+    pairs = convergent_pairs(cf)
+    prev = next(pairs)
+    for cur in pairs:
+        radius = Fraction(1, prev.q * cur.q)
+        if radius <= eps:
+            return CertifiedValue(prev.value, radius)
+        prev = cur
+
+
+def test_eval_theta_integer_stop_matches_fraction_stop():
+    rng = random.Random(20261018)
+    cfs = [GOLDEN, SQRT2_MINUS_1] + [random_cf(rng) for _ in range(20)]
+    for cf in cfs:
+        conv = convergents(cf, 12)
+        boundaries = [Fraction(1, a.q * b.q) for a, b in zip(conv, conv[1:])]
+        tiny = Fraction(1, 10**80)
+        for eps in [Fraction(1, 10**30), Fraction(1, 10**55)] + [
+            e + d for e in boundaries for d in (-tiny, 0, tiny)
+        ]:
+            assert eval_theta(cf, eps) == _eval_theta_by_fractions(cf, eps), (cf, eps)
+        # at eps = 1/(q_k*q_{k+1}) exactly, p_k/q_k is returned with that radius
+        for k, eps in enumerate(boundaries):
+            assert eval_theta(cf, eps) == CertifiedValue(conv[k].value, eps), (cf, k)
+    # a float eps still compares exactly
+    for eps in (1e-10, 2.0**-70, float(boundaries[3])):
+        assert eval_theta(GOLDEN, eps) == _eval_theta_by_fractions(GOLDEN, eps), eps
 
 
 def test_dist_to_int_frozen_golden():

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,12 +21,12 @@ from badapprox.oracle import (
     _COMPARE_TOL,
     ORACLE_DPS,
     _close,
-    _sorted_exactly,
     brute_agreement,
     brute_bits,
     brute_gap_points,
     brute_kronecker,
     high_precision_value,
+    random_beta,
     random_cf,
 )
 
@@ -158,17 +160,6 @@ def test_close_rejects_non_finite_values():
         assert not _close(0, 1, bad)
 
 
-def test_sorted_exactly_orders_like_mpmath():
-    with mp.workdps(ORACLE_DPS):
-        tiny = mp.mpf(2) ** -5000
-        values = [mp.mpf(1), tiny, mp.mpf(0), 3 * tiny, mp.mpf(2) ** -1100, tiny / 2,
-                  mp.mpf(0), mp.mpf(1) / 3, tiny, mp.mpf(2) ** 60]
-    got, keys, low = _sorted_exactly(values)
-    assert _same(got, sorted(values))
-    assert all(_exact(x) == k * Fraction(2) ** low for x, k in zip(got, keys))
-    assert _sorted_exactly([]) == ([], [], 0)
-
-
 def test_brute_gap_points_matches_plain_sorting_on_random_corpus():
     rng = random.Random(20261018)
     for _ in range(200):
@@ -201,6 +192,94 @@ def test_brute_gap_points_merges_lengths_within_1e_25():
         _, distinct = brute_gap_points(theta, 3)
         assert len(distinct) == count
         assert _same(distinct, _mpf_sorted_gap_points(theta, 3)[1])
+
+
+def test_brute_gap_points_rounds_long_gaps():
+    # theta near 1/10 and few points leave a last gap 1 - {N*theta} with
+    # more significant bits than ORACLE_DPS holds, so its rounding shows
+    rng = random.Random(7)
+    for _ in range(40):
+        cf = CFSpec(0, (rng.randint(8, 10),), tuple(rng.randint(1, 10) for _ in range(3)))
+        theta = high_precision_value(cf)
+        for N in range(1, 6):
+            pts, distinct = brute_gap_points(theta, N)
+            ref_pts, ref_distinct = _mpf_sorted_gap_points(theta, N)
+            assert _same(pts, ref_pts) and _same(distinct, ref_distinct), (cf, N)
+
+
+# ---- the integer scans decide as the mpf scans did ------------------------
+
+
+def _mpf_kronecker(theta, beta, N):
+    """brute_kronecker as the per-n mpf scan decided it."""
+    with mp.workdps(ORACLE_DPS):
+        beta_f = mp.mpf(beta.numerator) / beta.denominator
+        best = None
+        for n in range(N + 1):
+            x = n * theta - beta_f
+            p = int(mp.nint(x))
+            err = abs(x - p)
+            if best is None or err < best[2]:
+                best = (n, p, err)
+        return best
+
+
+def _assert_kronecker_like_mpf(theta, beta, N):
+    n, p, err = brute_kronecker(theta, beta, N)
+    rn, rp, rerr = _mpf_kronecker(theta, beta, N)
+    assert (n, p) == (rn, rp), (theta, beta, N)
+    assert abs(_exact(err) - _exact(rerr)) <= Fraction(1, 2**150), (theta, beta, N)
+
+
+def test_brute_kronecker_matches_mpf_scan_on_random_corpus():
+    rng = random.Random(20261019)
+    for i in range(300):
+        theta = high_precision_value(random_cf(rng))
+        beta = random_beta(rng, 1000 if i % 2 else 10**6)
+        _assert_kronecker_like_mpf(theta, beta, rng.randint(1, 1000))
+
+
+def test_brute_kronecker_breaks_exact_ties_toward_the_smallest_n():
+    # dyadic theta and beta make whole runs of n tie exactly, in the mpf
+    # scan too
+    with mp.workdps(ORACLE_DPS):
+        for theta in (mp.mpf(1) / 4, mp.mpf(3) / 8, mp.mpf(-5) / 4, mp.mpf(2)):
+            for beta in (Fraction(0), Fraction(1, 4), Fraction(3, 8)):
+                _assert_kronecker_like_mpf(theta, beta, 20)
+        quarter = mp.mpf(1) / 4
+    assert brute_kronecker(quarter, Fraction(1, 4), 12)[:2] == (1, 0)
+    # n = 1 and n = 5 tie exactly on the dyadic values; the mpf scan
+    # rounded the two residuals differently and kept n = 5
+    assert brute_kronecker(quarter, Fraction(1, 3), 12)[:2] == (1, 0)
+    assert _mpf_kronecker(quarter, Fraction(1, 3), 12)[:2] == (5, 1)
+
+
+def _mpf_bits(theta, length):
+    with mp.workdps(ORACLE_DPS):
+        floors = [int(mp.floor(m * theta)) for m in range(1, length + 2)]
+    return [floors[i + 1] - floors[i] for i in range(length)]
+
+
+def test_brute_bits_match_mpf_floors_on_random_corpus():
+    rng = random.Random(20261020)
+    for _ in range(50):
+        theta = high_precision_value(random_cf(rng))
+        length = rng.randint(1, 10**4)
+        assert brute_bits(theta, length) == _mpf_bits(theta, length)
+
+
+@pytest.mark.parametrize("a0", [-3, 2])
+def test_scans_handle_an_integer_part(a0):
+    rng = random.Random(a0)
+    for _ in range(10):
+        cf = random_cf(rng)
+        theta = high_precision_value(CFSpec(a0, cf.prefix, cf.period))
+        assert brute_bits(theta, 2000) == _mpf_bits(theta, 2000)
+        _assert_kronecker_like_mpf(theta, random_beta(rng), rng.randint(1, 300))
+        N = rng.randint(1, 300)
+        pts, distinct = brute_gap_points(theta, N)
+        ref_pts, ref_distinct = _mpf_sorted_gap_points(theta, N)
+        assert _same(pts, ref_pts) and _same(distinct, ref_distinct), (a0, cf, N)
 
 
 # ---- the suite still catches faults on the exact side ---------------------
@@ -292,3 +371,18 @@ def test_suite_catches_a_wrong_agreement_index(monkeypatch):
     rep = run_suite(cases=3, seed=16)
     _only_failures(rep, "agree ", "vs oracle")
     assert all(" agreement " in f for f in rep.failures)
+    # the message alone replays the disagreement
+    m = re.fullmatch(
+        r"agree (\(.*?\))\+(\(.*?\)) r=(\d+) a=(\d+) b=(\d+) max_k=(\d+): "
+        r"agreement (\S+) vs oracle (\S+)",
+        rep.failures[0],
+    )
+    assert m, rep.failures[0]
+    prefix, period = ast.literal_eval(m[1]), ast.literal_eval(m[2])
+    r, a, b, max_k = (int(m[i]) for i in range(3, 7))
+    seq = oracle.SturmianSeq(CFSpec(0, prefix, period))
+    bits = seq.bits(r * max_k)
+    got = oracle.agreement(seq, r, a, b, max_k)
+    want = brute_agreement(bits, r, a, b, max_k)
+    assert got != want
+    assert (str(got), str(want)) == (m[7], m[8])
