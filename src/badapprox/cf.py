@@ -17,12 +17,13 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, VerificationError
 from .quadratic import QuadraticNumber
 
 DEFAULT_EPS = Fraction(1, 10**30)
+CERT_ROUNDS = 10  # surrogates certify tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -270,19 +271,40 @@ def choose_surrogate(
     """
     if cf.is_rational:
         raise DomainError("rational input needs no surrogate")
-    B = cf.bound()
-    need = 16 * (B + 2) * N * N
+    least = 16 * (cf.bound() + 2) * N * N + 1
     if min_radius is not None:
-        # q_K*q_{K+1} >= 1/min_radius, compared in integers.
-        num, den = min_radius.numerator, min_radius.denominator
-    pairs = convergent_pairs(cf)
-    prev = next(pairs)
-    for cur in pairs:
-        qq = prev.q * cur.q
-        if qq > need and (min_radius is None or qq * num >= den):
-            return prev, cur
-        prev = cur
-    raise AssertionError("unreachable for irrational input")
+        least = max(least, _least_product(min_radius))
+    return _pair_past(cf, least)
+
+
+def _least_product(radius) -> int:
+    """Least q_K*q_{K+1} with 1/(q_K*q_{K+1}) <= radius; floats read exactly."""
+    if not 0 < radius < float("inf"):
+        raise DomainError(f"radius must be positive and finite, got {radius!r}")
+    num, den = radius.as_integer_ratio()
+    return -(-den // num)
+
+
+def _pair_past(cf: CFSpec, least: int) -> tuple[Convergent, Convergent]:
+    """First convergent pair (c_K, c_{K+1}) of irrational cf with q_K*q_{K+1} >= least."""
+    return next(p for p in itertools.pairwise(convergent_pairs(cf)) if p[0].q * p[1].q >= least)
+
+
+def certify(attempt: Callable, min_radius: Fraction | None, what: str, **inputs):
+    """Deepen the surrogate until a strict comparison is decidable.
+
+    attempt(radius) works under a surrogate of at most that radius (None:
+    the policy depth) and returns the radius used and its result, None
+    while undecided. Each retry asks for 2**-40 of the last radius used.
+    """
+    radius = min_radius
+    for _ in range(CERT_ROUNDS):
+        radius, result = attempt(radius)
+        if result is not None:
+            return result
+        radius /= 2**40
+    given = ", ".join(f"{name} = {value}" for name, value in inputs.items())
+    raise VerificationError(f"could not certify {what} in {CERT_ROUNDS} rounds ({given})")
 
 
 def min_affine_mod(n: int, m: int, a: int, b: int) -> tuple[int, int]:
@@ -335,20 +357,11 @@ def eval_theta(cf: CFSpec, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
     For irrational cf the radius is the classical bound 1/(q_k*q_{k+1});
     rationals come back exact with radius 0.
     """
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    least = _least_product(eps)
     if cf.is_rational:
         return CertifiedValue(cf.value(), Fraction(0))
-    # 1/(q_k*q_{k+1}) <= eps, compared in integers.
-    num, den = eps.as_integer_ratio()
-    pairs = convergent_pairs(cf)
-    prev = next(pairs)
-    for cur in pairs:
-        qq = prev.q * cur.q
-        if qq * num >= den:
-            return CertifiedValue(prev.value, Fraction(1, qq))
-        prev = cur
-    raise AssertionError("unreachable: periodic expansion never ends")
+    prev, cur = _pair_past(cf, least)
+    return CertifiedValue(prev.value, Fraction(1, prev.q * cur.q))
 
 
 def dist_to_int(cf: CFSpec, n: int, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:

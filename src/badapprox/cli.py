@@ -20,7 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cf import CFSpec, preset
+from .cf import CFSpec, certify, preset
 from .errors import DomainError, VerificationError
 from .gaps import (
     extremal_witness,
@@ -135,6 +135,11 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _flat(obj: dict, fmt: str) -> str:
+    """A one-record report: JSON, or a CSV header and one row."""
+    return _csv([tuple(obj), tuple(obj.values())]) if fmt == "csv" else _json(obj)
+
+
 # ---- subcommand handlers ----------------------------------------------
 
 
@@ -180,39 +185,32 @@ def cmd_fb(args) -> tuple[str, bool]:
         "lower": _num(lower, sig),
         "upper": _num(upper, sig),
     }
-    if args.format == "csv":
-        rows = [tuple(obj), tuple(obj.values())]
-        return _csv(rows), False
-    return _json(obj), False
+    return _flat(obj, args.format), False
 
 
 def _witness_at_display_depth(b: int, stage: int, sig: int):
-    w = extremal_witness(b, stage)
-    deep = _display_radius(sig, w.count)
-    if w.radius > deep:
-        w = extremal_witness(b, stage, min_radius=deep)
-    return w
-
-
-def _gap_to_f(w, sig: int) -> QuadraticNumber:
-    """f - N*H with every one of sig digits a digit of the true difference.
-
-    The difference shrinks with the stage while N*H moves by up to N^2
-    times the radius, so the witness is deepened until that shift is
-    below 10^-(sig+2) of the difference. The shown N*H and surrogate depth
-    stay those of w, whose digits already hold.
+    """The witness shown at the display radius, and f - N*H with all sig
+    digits those of the true difference: that shrinks with the stage
+    while N*H moves by up to N^2 times the radius, so the witness is
+    deepened until that shift is below 10^-(sig+2) of the difference.
     """
-    for _ in range(10):
+    shown = extremal_witness(b, stage)
+    deep = _display_radius(sig, shown.count)
+    if shown.radius > deep:
+        shown = extremal_witness(b, stage, min_radius=deep)
+
+    def attempt(radius):
+        w = shown if radius == shown.radius else extremal_witness(b, stage, min_radius=radius)
         gap = w.constant - w.product
-        if w.count**2 * w.radius * 10 ** (sig + 2) < gap:
-            return gap
-        w = extremal_witness(w.bound, w.n, min_radius=w.radius / 2**40)
-    raise VerificationError("could not certify the digits of f - N*H")
+        return w.radius, gap if w.count**2 * w.radius * 10 ** (sig + 2) < gap else None
+
+    gap = certify(attempt, shown.radius, "the digits of f - N*H", bound=b, stage=stage)
+    return shown, gap
 
 
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
-    w = _witness_at_display_depth(args.b, args.n, sig)
+    w, gap = _witness_at_display_depth(args.b, args.n, sig)
     obj = {
         "b": w.bound,
         "stage": w.n,
@@ -221,12 +219,9 @@ def cmd_extremal(args) -> tuple[str, bool]:
         "h": decimal_str(w.largest, sig),
         "product_nh": decimal_str(w.product, sig),
         "f": decimal_str(w.constant, sig),
-        "gap_to_f": decimal_str(_gap_to_f(w, sig), sig),
+        "gap_to_f": decimal_str(gap, sig),
     }
-    if args.format == "csv":
-        rows = [tuple(obj), tuple(obj.values())]
-        return _csv(rows), False
-    return _json(obj), False
+    return _flat(obj, args.format), False
 
 
 def cmd_kron(args) -> tuple[str, bool]:
@@ -242,10 +237,7 @@ def cmd_kron(args) -> tuple[str, bool]:
         "legacy_bound": sol.legacy_bound,
         "within_bound": sol.within_bound,
     }
-    if args.format == "csv":
-        rows = [tuple(obj), tuple(obj.values())]
-        return _csv(rows), not sol.within_bound
-    return _json(obj), not sol.within_bound
+    return _flat(obj, args.format), not sol.within_bound
 
 
 def cmd_sturmian(args) -> tuple[str, bool]:
@@ -365,16 +357,9 @@ def cmd_convergence(args) -> tuple[str, bool]:
     sig = args.precision_digits
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
-        w = _witness_at_display_depth(args.b, stage, sig)
-        table.append(
-            (
-                stage,
-                w.count,
-                decimal_str(w.product, sig),
-                decimal_str(w.constant, sig),
-                decimal_str(_gap_to_f(w, sig), sig),
-            )
-        )
+        w, gap = _witness_at_display_depth(args.b, stage, sig)
+        shown = (decimal_str(v, sig) for v in (w.product, w.constant, gap))
+        table.append((stage, w.count, *shown))
     if args.format == "json":
         header, *rows = table
         obj = {"rows": [dict(zip(header, row)) for row in rows]}

@@ -32,6 +32,7 @@ from .cf import (
     CertifiedValue,
     CFSpec,
     Convergent,
+    certify,
     choose_surrogate,
     convergent_pairs,
     convergent_residual,
@@ -400,9 +401,9 @@ def extremal_witness(
     edge. The predicted largest gap (a signed combination of two
     convergent residuals) is verified to equal the computed H exactly
     under the shared surrogate, and N*H is certified strictly below the
-    sharp constant for the true theta, deepening the surrogate until the
-    comparison is decidable. min_radius starts the surrogate deeper than
-    the policy minimum.
+    sharp constant for the true theta: cf.certify deepens the surrogate
+    from min_radius until the comparison is decidable, or raises a
+    VerificationError naming the bound and the stage.
     """
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
@@ -417,8 +418,8 @@ def extremal_witness(
     coeff = (bound - 2) // 2
     constant = gap_constant(bound)
 
-    for _ in range(10):
-        gs = gap_set(cf, N, min_radius=min_radius)
+    def attempt(radius):
+        gs = gap_set(cf, N, min_radius=radius)
         # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
         res = [abs(c.q * gs.numerator - c.p * gs.denominator) for c in conv]
         pred_num = res[2 * n - 1] - coeff * res[2 * n]
@@ -428,13 +429,12 @@ def extremal_witness(
             )
         slack = N * N * gs.radius
         if gs.product + slack < constant:
-            break
+            return gs.radius, gs
         if gs.product - slack > constant:
             raise VerificationError("witness product exceeds the sharp constant")
-        min_radius = gs.radius / 2**40
-    else:
-        raise VerificationError("could not certify the witness product")
+        return gs.radius, None
 
+    gs = certify(attempt, min_radius, "the witness product", bound=bound, stage=n)
     eps = min(Fraction(1, 10**30), gs.largest / 2**20)
     predicted = convergent_residual(cf, 2 * n - 1, eps) - convergent_residual(
         cf, 2 * n, eps

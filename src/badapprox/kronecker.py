@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, min_affine_mod
-from .errors import DomainError, VerificationError
+from .cf import CFSpec, certify, min_affine_mod
+from .errors import DomainError
 from .gaps import GapSet, gap_constant, gap_set
 from .quadratic import QuadraticNumber
 
@@ -45,8 +45,9 @@ def solve(
 
     theta must lie in (0, 1). Ties between the two bracketing points go to
     the left one. When beta falls in the final gap and the nearer endpoint
-    is 1, the solution is (n, p) = (0, -1). The certified error comparison
-    against C(B)/(2N) deepens the surrogate until it is decidable.
+    is 1, the solution is (n, p) = (0, -1). cf.certify deepens the
+    surrogate from min_radius until the error compares strictly with
+    C(B)/(2N), or raises a VerificationError naming cf, N and beta.
     """
     beta = Fraction(beta)
     if not 0 <= beta < 1:
@@ -57,27 +58,27 @@ def solve(
         raise DomainError("theta must lie strictly between 0 and 1")
     B = cf.bound()
     bound = gap_constant(B) / (2 * N)
-    legacy = (B + 2) * N * N
 
-    current = min_radius
-    for _ in range(12):
-        gs = gap_set(cf, N, min_radius=current)
+    def attempt(radius):
+        gs = gap_set(cf, N, min_radius=radius)
         n, p, achieved = _nearest_endpoint(gs, beta)
         slack = N * gs.radius
         # A genuine violation of the sharp bound is reported rather than
         # hidden, so a caller (or the acceptance suite) can see it.
-        if achieved + slack <= bound or achieved - slack > bound:
-            return KroneckerSolution(
-                n=n,
-                p=p,
-                achieved=achieved,
-                bound=bound,
-                legacy_bound=legacy,
-                within_bound=achieved + slack <= bound,
-                depth=gs.depth,
-            )
-        current = gs.radius / 2**40
-    raise VerificationError("could not separate the achieved error from the bound")
+        within = achieved + slack <= bound
+        if not within and achieved - slack <= bound:
+            return gs.radius, None
+        return gs.radius, KroneckerSolution(
+            n=n,
+            p=p,
+            achieved=achieved,
+            bound=bound,
+            legacy_bound=legacy_bound(B, N),
+            within_bound=within,
+            depth=gs.depth,
+        )
+
+    return certify(attempt, min_radius, "the error against C(B)/(2N)", cf=cf, N=N, beta=beta)
 
 
 def _nearest_endpoint(gs: GapSet, beta: Fraction) -> tuple[int, int, Fraction]:

@@ -20,8 +20,10 @@ from badapprox import (
     dist_to_int,
     eval_theta,
     expand_quadratic,
+    gap_set,
     preset,
     reversal_identity_check,
+    solve,
     tail_and_reversal,
 )
 from badapprox.cf import convergent_pairs, min_affine_mod
@@ -272,6 +274,18 @@ def test_choose_surrogate_is_minimal_and_deep_enough(cf, N):
 def test_choose_surrogate_honors_min_radius(cf, N):
     c, c_next = choose_surrogate(cf, N, min_radius=Fraction(1, 10**12))
     assert c.q * c_next.q >= 10**12
+
+
+def test_surrogate_radius_is_read_like_eval_theta_eps():
+    # A float radius is read exactly, as eval_theta reads a float eps.
+    gs = gap_set(GOLDEN, 100, min_radius=1e-20)
+    assert gs.radius <= Fraction(1e-20) < 3 * gs.radius
+    assert gs.radius == eval_theta(GOLDEN, 1e-20).radius
+    # A radius <= 0 can never be reached by deepening: refused up front.
+    with pytest.raises(DomainError):
+        gap_set(GOLDEN, 10, min_radius=Fraction(0))
+    with pytest.raises(DomainError):
+        solve(GOLDEN, Fraction(1, 3), 10, min_radius=Fraction(-1, 10))
 
 
 @given(irrational_cfs(), st.integers(min_value=5, max_value=100))

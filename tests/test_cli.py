@@ -229,17 +229,26 @@ def test_parser_is_built_once_and_reused(capsys):
 
 
 def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):
-    want = {12: "0.00000001366478622", 20: "4.920222451e-14", 40: "1.210429448e-27"}
-    for stage, shown in want.items():
-        code, out, _ = run(capsys, "extremal", "--b", "3", "--n", str(stage))
+    # (bound, stage): (gap_to_f, k_surrogate). Bound 12 at stage 40 takes
+    # five certification rounds at the policy depth.
+    want = {
+        (3, 12): ("0.00000001366478622", 46),
+        (3, 20): ("4.920222451e-14", 62),
+        (3, 40): ("1.210429448e-27", 138),
+        (12, 40): ("2.15210173e-46", 127),
+    }
+    for (b, stage), (shown, depth) in want.items():
+        code, out, _ = run(capsys, "extremal", "--b", str(b), "--n", str(stage))
         assert code == 0
         obj = json.loads(out)
-        assert obj["gap_to_f"] == shown
-        conv = convergents(CFSpec(0, (), (3, 1)), 2 * stage + 1)[2 * stage - 1]
-        with mpmath.workdps(120):
-            theta = (mpmath.sqrt(21) - 3) / 6  # [0; 3, 1, 3, 1, ...]
-            f = 1 + 6 / mpmath.sqrt(21)
-            true_gap = f - obj["n"] * abs(conv.q * theta - conv.p)
+        assert (obj["gap_to_f"], obj["k_surrogate"]) == (shown, depth)
+        conv = convergents(CFSpec(0, (), (b, 1)), 2 * stage + 1)
+        with mpmath.workdps(250):
+            theta = (mpmath.sqrt(b * b + 4 * b) - b) / (2 * b)  # [0; b, 1, b, 1, ...]
+            f = {3: 1 + 6 / mpmath.sqrt(21), 12: 1 + 49 / (2 * mpmath.sqrt(48))}[b]
+            r = [abs(c.q * theta - c.p) for c in conv]
+            h = r[2 * stage - 1] - (b - 2) // 2 * r[2 * stage]
+            true_gap = f - obj["n"] * h
             assert abs(mpmath.mpf(shown) / true_gap - 1) < mpmath.mpf(10) ** -9
 
 

@@ -32,6 +32,7 @@ from badapprox import (
     solve,
     verify_regime,
 )
+from badapprox.cf import CERT_ROUNDS
 from badapprox.cli import _display_radius
 from badapprox.oracle import random_beta, random_cf
 
@@ -485,6 +486,27 @@ def test_witness_products_increase():
             if prev is not None:
                 assert w.product - slack > prev + prev_slack
             prev, prev_slack = w.product, slack
+
+
+def test_witness_gives_up_when_the_surrogate_never_deepens(monkeypatch):
+    real = gaps_module.gap_set
+    asked, used = [], set()
+
+    def never_deeper(cf, N, min_radius=None):
+        asked.append(min_radius)
+        gs = real(cf, N)
+        used.add(gs.radius)
+        return gs
+
+    monkeypatch.setattr(gaps_module, "gap_set", never_deeper)
+    # Stage 5 of bound 3 is undecided at the policy depth.
+    with pytest.raises(VerificationError) as err:
+        extremal_witness(3, 5)
+    # Each retry asks for 2**-40 of the radius the last attempt used.
+    (radius,) = used
+    assert asked == [None] + [radius / 2**40] * (CERT_ROUNDS - 1)
+    assert "could not certify the witness product" in str(err.value)
+    assert "bound = 3, stage = 5" in str(err.value)
 
 
 def test_witness_errors():

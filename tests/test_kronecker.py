@@ -5,17 +5,21 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+import badapprox.kronecker as kronecker_module
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
     CFSpec,
     DomainError,
+    VerificationError,
     decimal_str,
+    extremal_witness,
     gap_constant,
     gap_set,
     legacy_bound,
     solve,
 )
+from badapprox.cf import CERT_ROUNDS
 from badapprox.cli import _display_radius
 from badapprox.oracle import high_precision_value
 
@@ -136,3 +140,30 @@ def test_solve_at_a_billion_points_builds_none():
         err = abs(sol.n * theta - sol.p - mpmath.mpf(1) / 3)
         assert abs(err - mpmath.mpf(sol.achieved.numerator) / sol.achieved.denominator) < mpmath.mpf(10) ** -45
     assert sol.achieved < 1 / N
+
+
+def test_solve_gives_up_when_the_surrogate_never_deepens(monkeypatch):
+    # Beta in the middle of the extremal witness's largest gap leaves the
+    # error within the policy surrogate's slack of C(B)/(2N).
+    w = extremal_witness(3, 8)
+    lo, hi = gap_set(w.theta, w.count).largest_gap_span()
+    beta = (lo + hi) / 2
+    real = kronecker_module.gap_set
+    radii = []
+
+    def never_deeper(cf, N, min_radius=None):
+        radii.append(min_radius)
+        return real(cf, N)
+
+    monkeypatch.setattr(kronecker_module, "gap_set", never_deeper)
+    with pytest.raises(VerificationError) as err:
+        solve(w.theta, beta, w.count)
+    # Each retry asks for 2**-40 of the radius the last attempt used.
+    used = real(w.theta, w.count).radius
+    assert radii == [None] + [used / 2**40] * (CERT_ROUNDS - 1)
+    message = str(err.value)
+    assert message.startswith("could not certify the error against C(B)/(2N)")
+    assert f"cf = {w.theta}, N = {w.count}, beta = {beta}" in message
+    # Deepening for real decides it, inside the bound.
+    monkeypatch.undo()
+    assert solve(w.theta, beta, w.count).within_bound
