@@ -240,6 +240,9 @@ def cmd_kron(args) -> tuple[str, bool]:
     return _flat(obj, args.format), not sol.within_bound
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def cmd_sturmian(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     seq = generate(cf, args.n)
@@ -247,7 +250,7 @@ def cmd_sturmian(args) -> tuple[str, bool]:
     if args.format == "csv":
         rows = [("i", "bit"), *enumerate(bits)]
         return _csv(rows), False
-    obj = {"length": args.n, "bits": "".join(map(str, bits))}
+    obj = {"length": args.n, "bits": bits.translate(_BIT_DIGITS).decode("ascii")}
     return _json(obj), False
 
 

@@ -1,10 +1,21 @@
 """Exact arithmetic in real quadratic fields.
 
-A QuadraticNumber is a + b*sqrt(d) with rational a, b and squarefree d.
+A QuadraticNumber is (x + y*sqrt(d)) / z with integers x, y, z, z > 0 and
+gcd(x, y, z) = 1, the usual integral form of an element of Q(sqrt(d)).
+Every operation works on these integers and normalises its result with
+one gcd; `a` = x/z and `b` = y/z are read as Fractions on demand.
+
+Radicands are reduced by `squarefree_decompose` only where they enter:
+the public constructor and `QuadraticNumber.sqrt`. Trial division stops
+at a fixed limit, so d is squarefree as far as that limit and a final
+square test can tell, and it is 1 or not a perfect square. Two radicands
+whose product is a square name the same field; arithmetic, comparison and
+hashing treat them as one.
+
 All comparisons are decided exactly by sign analysis with integer
 squaring, never through floating point, so chains of inequalities proved
-with these numbers are genuine proofs. Values with different radicands can
-still be compared (the three-term sign a + b*sqrt(d1) + c*sqrt(d2) is
+with these numbers are genuine proofs. Values from different fields can
+still be compared (the three-term sign x + y*sqrt(d1) + w*sqrt(d2) is
 decidable by squaring twice); they just cannot be mixed arithmetically.
 """
 
@@ -12,21 +23,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import total_ordering
-from math import ceil, isqrt
+from math import gcd, isqrt, lcm
+
+# Largest trial divisor in squarefree_decompose; a cofactor left over is
+# folded only when it is a perfect square.
+TRIAL_LIMIT = 1 << 16
 
 
 def squarefree_decompose(m: int) -> tuple[int, int]:
-    """Split a positive integer as m = s*s*d with d squarefree.
+    """Split a positive integer as m = s*s*d.
 
-    Returns (s, d). Trial division; fine for the sizes this toolkit needs
-    (radicands are O(bound^2)).
+    Returns (s, d). Trial division by primes up to TRIAL_LIMIT, then the
+    cofactor is folded into s if it is a perfect square. d is therefore
+    squarefree whenever m has no repeated prime factor above the limit,
+    and it is never a perfect square other than 1.
     """
     if m <= 0:
         raise ValueError("radicand must be positive")
     s, d = 1, 1
     rest = m
     p = 2
-    while p * p <= rest:
+    while p <= TRIAL_LIMIT and p * p <= rest:
         if rest % p == 0:
             e = 0
             while rest % p == 0:
@@ -36,84 +53,64 @@ def squarefree_decompose(m: int) -> tuple[int, int]:
             if e % 2:
                 d *= p
         p += 1 if p == 2 else 2
-    d *= rest
+    r = isqrt(rest)
+    if r * r == rest:
+        s *= r
+    else:
+        d *= rest
     return s, d
 
 
-def _sign_pair(a: Fraction, b: Fraction, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), d squarefree and positive."""
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if d == 1:
-        t = a + b
-        return (t > 0) - (t < 0)
-    if a == 0:
-        return 1 if b > 0 else -1
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # Opposite signs: |a| vs |b|*sqrt(d) decided by squaring. Equality is
-    # impossible (it would force sqrt(d) rational), but keep the case for
-    # defensive clarity.
-    lhs = a * a
-    rhs = b * b * d
-    if lhs == rhs:
-        return 0
-    bigger_rational = lhs > rhs
-    if a > 0:
-        return 1 if bigger_rational else -1
-    return -1 if bigger_rational else 1
+def _sign(x: int, y: int, d: int, w: int = 0, e: int = 1) -> int:
+    """Exact sign of x + y*sqrt(d) + w*sqrt(e) for integers.
 
-
-def _sign_triple(a: Fraction, b: Fraction, d1: int, c: Fraction, d2: int) -> int:
-    """Exact sign of a + b*sqrt(d1) + c*sqrt(d2) with d1 != d2 squarefree."""
-    if c == 0:
-        return _sign_pair(a, b, d1)
-    if b == 0:
-        return _sign_pair(a, c, d2)
-    s1 = _sign_pair(a, b, d1)
-    s2 = 1 if c > 0 else -1
-    if s1 == 0:
-        return s2
-    if s1 == s2:
-        return s1
-    # Opposite camps: compare (a + b*sqrt(d1))^2 against c^2*d2. The square
-    # lives back in Q(sqrt(d1)), so one more pair-sign settles it. Equality
-    # would make 1, sqrt(d1), sqrt(d2) rationally dependent: impossible.
-    inner = _sign_pair(a * a + b * b * d1 - c * c * d2, 2 * a * b, d1)
-    if inner == 0:
-        return 0
-    return s1 if inner > 0 else s2
+    d is not a perfect square when y != 0, e is not one when w != 0, and
+    when both are nonzero neither is d*e (such radicands share a field
+    and are merged first).
+    """
+    if w:
+        s1 = _sign(x, y, d)
+        s2 = 1 if w > 0 else -1
+        if s1 == 0:
+            return s2
+        if s1 == s2:
+            return s1
+        # Opposite camps: compare (x + y*sqrt(d))^2 with w^2*e. The square
+        # lives back in Q(sqrt(d)), so one more pair-sign settles it.
+        inner = _sign(x * x + y * y * d - w * w * e, 2 * x * y, d)
+        if inner == 0:
+            return 0
+        return s1 if inner > 0 else s2
+    if y == 0:
+        return (x > 0) - (x < 0)
+    if x == 0:
+        return 1 if y > 0 else -1
+    if (x > 0) == (y > 0):
+        return 1 if x > 0 else -1
+    # Opposite signs: |x| against |y|*sqrt(d), decided by squaring; the
+    # two are never equal because sqrt(d) is irrational.
+    c = x * x - y * y * d
+    return (1 if x > 0 else -1) * ((c > 0) - (c < 0))
 
 
 @total_ordering
 class QuadraticNumber:
-    """Immutable exact element a + b*sqrt(d) of Q(sqrt(d))."""
+    """Immutable exact element (x + y*sqrt(d))/z of Q(sqrt(d))."""
 
-    __slots__ = ("a", "b", "d")
+    # Read-only properties over private slots, the idiom of Fraction.
+    __slots__ = ("_x", "_y", "_z", "_d")
 
-    def __init__(self, a=0, b=0, d: int = 1):
+    def __new__(cls, a=0, b=0, d: int = 1):
         a = Fraction(a)
         b = Fraction(b)
         d = int(d)
         if d < 1:
             raise ValueError("radicand must be a positive integer")
         if b != 0 and d != 1:
-            s, d0 = squarefree_decompose(d)
+            s, d = squarefree_decompose(d)
             b *= s
-            d = d0
-        if d == 1:
-            a += b
-            b = Fraction(0)
-        if b == 0:
-            d = 1
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticNumber is immutable")
+        z = lcm(a.denominator, b.denominator)
+        return _make(a.numerator * (z // a.denominator), b.numerator * (z // b.denominator), z, d)
 
     # ---- constructors -------------------------------------------------
 
@@ -126,127 +123,118 @@ class QuadraticNumber:
         if m == 0:
             return cls(0)
         # sqrt(p/q) = sqrt(p*q)/q
-        pq = m.numerator * m.denominator
-        s, d = squarefree_decompose(pq)
-        return cls(0, Fraction(s, m.denominator), d)
+        s, d = squarefree_decompose(m.numerator * m.denominator)
+        return _make(0, s, m.denominator, d)
 
-    # ---- predicates ---------------------------------------------------
+    # ---- coefficients and predicates ----------------------------------
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part x/z."""
+        return Fraction(self._x, self._z)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient y/z of sqrt(d)."""
+        return Fraction(self._y, self._z)
+
+    @property
+    def d(self) -> int:
+        """Radicand: 1 for a rational value, else not a perfect square."""
+        return self._d
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._y == 0
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self._y:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self._x, self._z)
 
     def as_fraction_approx(self, digits: int = 30) -> Fraction:
         """Rational approximation with absolute error below 10**-digits."""
-        if self.b == 0:
-            return self.a
-        # The error is |b| * (sqrt(d) - t/scale) < |b|/scale <= 10**-digits.
-        scale = 10**digits * ceil(abs(self.b))
+        x, y, z = self._x, self._y, self._z
+        if y == 0:
+            return Fraction(x, z)
+        # The error is |y/z| * (sqrt(d) - t/scale) < |y/z|/scale <= 10**-digits.
+        scale = 10**digits * -(-abs(y) // z)
         # t <= sqrt(d)*scale < t+1
-        t = isqrt(self.d * scale * scale)
-        lo = self.a + self.b * Fraction(t if self.b > 0 else t + 1, scale)
-        return lo
+        t = isqrt(self._d * scale * scale)
+        return Fraction(x * scale + y * (t if y > 0 else t + 1), z * scale)
 
     def __float__(self) -> float:
         return float(self.as_fraction_approx(25))
 
     # ---- arithmetic ---------------------------------------------------
 
-    def _coerced(self, other):
+    def _quads(self, other):
+        """self and other as integer quadruples (x, y, z, d), over one
+        radicand when they share a field; None for a type not accepted."""
+        p = (self._x, self._y, self._z, self._d)
         if isinstance(other, QuadraticNumber):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadraticNumber(other)
+            q = (other._x, other._y, other._z, other._d)
+            if p[3] != q[3] and p[1] and q[1]:
+                return _one_field(p, q) or (p, q)
+            return p, q
+        if isinstance(other, int):
+            return p, (other, 0, 1, 1)
+        if isinstance(other, Fraction):
+            return p, (other.numerator, 0, other.denominator, 1)
         return None
 
-    def _common_d(self, other: "QuadraticNumber") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        raise ValueError(
-            f"cannot mix radicands sqrt({self.d}) and sqrt({other.d}) arithmetically"
-        )
-
     def __add__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        d = self._common_d(o)
-        return QuadraticNumber(self.a + o.a, self.b + o.b, d)
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _sum(*pq, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.d)
+        return _make(-self._x, -self._y, self._z, self._d)
 
     def __sub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _sum(*pq, -1)
 
     def __rsub__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _sum(pq[1], pq[0], -1)
 
     def __mul__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        d = self._common_d(o)
-        return QuadraticNumber(
-            self.a * o.a + self.b * o.b * d,
-            self.a * o.b + self.b * o.a,
-            d,
-        )
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _product(*pq)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadraticNumber":
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero quadratic number")
-        return QuadraticNumber(self.a / norm, -self.b / norm, self.d)
+        return _quotient((1, 0, 1, 1), (self._x, self._y, self._z, self._d))
 
     def __truediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _quotient(*pq)
 
     def __rtruediv__(self, other):
-        o = self._coerced(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        pq = self._quads(other)
+        return NotImplemented if pq is None else _quotient(pq[1], pq[0])
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = QuadraticNumber(1)
+        result = _make(1, 0, 1, 1)
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def conjugate(self) -> "QuadraticNumber":
-        return QuadraticNumber(self.a, -self.b, self.d)
+        return _make(self._x, -self._y, self._z, self._d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -254,18 +242,21 @@ class QuadraticNumber:
     # ---- order --------------------------------------------------------
 
     def sign(self) -> int:
-        return _sign_pair(self.a, self.b, self.d)
+        return _sign(self._x, self._y, self._d)
 
     def _cmp(self, other) -> int:
-        o = self._coerced(other)
-        if o is None:
+        """Sign of self - other, or NotImplemented."""
+        pq = self._quads(other)
+        if pq is None:
             return NotImplemented
-        if self.d == o.d or self.b == 0 or o.b == 0:
-            d = self._common_d(o)
-            return _sign_pair(self.a - o.a, self.b - o.b, d)
-        return _sign_triple(self.a - o.a, self.b, self.d, -o.b, o.d)
+        (x1, y1, z1, d1), (x2, y2, z2, d2) = pq
+        if y1 and y2 and d1 != d2:
+            return _sign(x1 * z2 - x2 * z1, y1 * z2, d1, -y2 * z1, d2)
+        return _sign(x1 * z2 - x2 * z1, y1 * z2 - y2 * z1, d1 if y1 else d2)
 
     def __eq__(self, other):
+        if isinstance(other, QuadraticNumber) and self._d == other._d:
+            return self._x == other._x and self._y == other._y and self._z == other._z
         c = self._cmp(other)
         if c is NotImplemented:
             return NotImplemented
@@ -278,39 +269,119 @@ class QuadraticNumber:
         return c < 0
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        x, y, z = self._x, self._y, self._z
+        if y == 0:
+            return hash(x) if z == 1 else hash(Fraction(x, z))
+        # x/z, y^2*d/z^2 and the sign of y do not depend on which radicand
+        # of the field represents the value, so equal values hash equal.
+        g = gcd(x, z)
+        n, m = y * y * self._d, z * z
+        h = gcd(n, m)
+        return hash((x // g, z // g, n // h, m // h, y > 0))
 
     def __floor__(self) -> int:
         return self.floor()
 
     def floor(self) -> int:
         """Exact floor via integer square roots, no floating point."""
-        if self.b == 0:
-            return self.a.numerator // self.a.denominator
-        # Write the value as (x + y*sqrt(d)) / z with integers x, y, z > 0.
-        z = self.a.denominator * self.b.denominator
-        x = self.a.numerator * self.b.denominator
-        y = self.b.numerator * self.a.denominator
+        x, y, z = self._x, self._y, self._z
+        if y == 0:
+            return x // z
+        t = isqrt(y * y * self._d)
         if y > 0:
             # y*sqrt(d) lies strictly between t and t+1
-            t = isqrt(y * y * self.d)
             return (x + t) // z
-        t = isqrt(y * y * self.d)
         return (x - t - 1) // z
 
     # ---- rendering ----------------------------------------------------
 
     def __repr__(self):
-        if self.b == 0:
+        if self._y == 0:
             return f"QuadraticNumber({self.a})"
-        return f"QuadraticNumber({self.a} + {self.b}*sqrt({self.d}))"
+        return f"QuadraticNumber({self.a} + {self.b}*sqrt({self._d}))"
 
     def __str__(self):
-        if self.b == 0:
+        if self._y == 0:
             return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*sqrt({self.d})"
-        op = "+" if self.b > 0 else "-"
-        return f"{self.a} {op} {abs(self.b)}*sqrt({self.d})"
+        b = self.b
+        if self._x == 0:
+            return f"{b}*sqrt({self._d})"
+        op = "+" if b > 0 else "-"
+        return f"{self.a} {op} {abs(b)}*sqrt({self._d})"
+
+
+def _make(x: int, y: int, z: int, d: int) -> QuadraticNumber:
+    """(x + y*sqrt(d))/z in normal form; d is already reduced."""
+    if y == 0 or d == 1:
+        x += y
+        y = 0
+        d = 1
+    if z < 0:
+        x, y, z = -x, -y, -z
+    g = gcd(x, y, z)
+    if g != 1:
+        x //= g
+        y //= g
+        z //= g
+    q = object.__new__(QuadraticNumber)
+    q._x = x
+    q._y = y
+    q._z = z
+    q._d = d
+    return q
+
+
+def _one_field(p, q):
+    """Two irrational quadruples over radicands d1 != d2 rewritten onto one
+    radicand, or None unless d1*d2 is a square (the same field).
+
+    sqrt(D) = (m/e)*sqrt(e) with m = isqrt(D*e), so the operand over the
+    larger radicand D is rewritten over the smaller e.
+    """
+    D, e = max(p[3], q[3]), min(p[3], q[3])
+    m = isqrt(D * e)
+    if m * m != D * e:
+        return None
+    if p[3] == D:
+        return (p[0] * e, p[1] * m, p[2] * e, e), q
+    return p, (q[0] * e, q[1] * m, q[2] * e, e)
+
+
+def _common_d(p, q) -> int:
+    """The radicand of a sum, product or quotient of two quadruples."""
+    if not p[1]:
+        return q[3]
+    if q[1] and q[3] != p[3]:
+        raise ValueError(f"cannot mix radicands sqrt({p[3]}) and sqrt({q[3]}) arithmetically")
+    return p[3]
+
+
+def _sum(p, q, s: int) -> QuadraticNumber:
+    """p + s*q for integer quadruples and s = 1 or -1."""
+    (x1, y1, z1, _), (x2, y2, z2, _) = p, q
+    d = _common_d(p, q)
+    if z1 == z2:
+        return _make(x1 + s * x2, y1 + s * y2, z1, d)
+    return _make(x1 * z2 + s * x2 * z1, y1 * z2 + s * y2 * z1, z1 * z2, d)
+
+
+def _product(p, q) -> QuadraticNumber:
+    (x1, y1, z1, _), (x2, y2, z2, _) = p, q
+    d = _common_d(p, q)
+    return _make(x1 * x2 + y1 * y2 * d, x1 * y2 + y1 * x2, z1 * z2, d)
+
+
+def _quotient(p, q) -> QuadraticNumber:
+    """p/q for integer quadruples."""
+    (x1, y1, z1, _), (x2, y2, z2, _) = p, q
+    d = _common_d(p, q)
+    # (x1 + y1 r)/z1 * z2 (x2 - y2 r)/(x2^2 - y2^2 d) with r = sqrt(d); the
+    # norm is zero only for a zero divisor, since d is 1 or not a square.
+    norm = x2 * x2 - y2 * y2 * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero quadratic number")
+    if y2 == 0:
+        return _make(x1 * z2, y1 * z2, z1 * x2, d)
+    return _make(
+        (x1 * x2 - y1 * y2 * d) * z2, (y1 * x2 - x1 * y2) * z2, z1 * norm, d
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -300,3 +301,33 @@ def test_cli_runs_without_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+def test_fb_digits_for_small_bounds_are_pinned(capsys):
+    # md5 of the concatenated stdout of fb --b 1..60 at 10 and 40 digits,
+    # as printed before radicands were factored only where they enter.
+    digest = hashlib.md5()
+    for b in range(1, 61):
+        for digits in ("10", "40"):
+            code, out, _ = run(capsys, "fb", "--b", str(b), "--precision-digits", digits)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == "c8e8c3efe09c238dd6e2c2acd2563824"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fb", "--b", str(10**25)),
+        ("kron", "--theta", json.dumps({"a0": 0, "prefix": [3, 10**25, 2], "period": []}),
+         "--beta", "1/3", "--n", "1000"),
+    ],
+)
+def test_huge_partial_quotients_answer(argv):
+    # The radicand of f(10**25) is near 10**50; factoring it by unbounded
+    # trial division never finished.
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "badapprox.cli", *argv],
+                         capture_output=True, text=True, env=env, timeout=10)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)
