@@ -101,6 +101,8 @@ class QuadraticNumber:
     __slots__ = ("_x", "_y", "_z", "_d")
 
     def __new__(cls, a=0, b=0, d: int = 1):
+        """a + b*sqrt(d) for rationals a, b and a positive integer d,
+        which is reduced here."""
         a = Fraction(a)
         b = Fraction(b)
         d = int(d)
