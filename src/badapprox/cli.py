@@ -338,8 +338,8 @@ def cmd_arrays(args) -> tuple[str, bool]:
         "step_right": decimal_str(g.step_right, sig),
         "step_up": decimal_str(g.step_up, sig),
         "step_wrap": decimal_str(g.step_wrap, sig),
-        "start": decimal_str(g.lower[g.rows - 1][0], sig),
-        "end": decimal_str(g.upper[0][g.cols - 1], sig),
+        "start": decimal_str(g.start, sig),
+        "end": decimal_str(g.end, sig),
         "verified": True,
     }
     return _json(obj), False

@@ -20,6 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cf import CFSpec
 from .errors import DomainError, SequenceLengthError, VerificationError
@@ -29,6 +30,9 @@ THETA_GOLDEN = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
 ALPHA = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
 BETA = ALPHA.conjugate()  # (1 - sqrt(5))/2 = -THETA_GOLDEN
 SQRT5 = QuadraticNumber.sqrt(5)
+# Most bits a SturmianSeq holds (one byte each, so 512 MiB); a request past
+# it raises DomainError before anything is allocated.
+MAX_BITS = 2**29
 
 
 class SturmianSeq:
@@ -62,13 +66,16 @@ class SturmianSeq:
         return len(self._buf) - 2
 
     def ensure(self, length: int) -> None:
-        """Extend the cached prefix to at least `length` bits."""
+        """Extend the cached prefix to at least `length` bits, doubling it
+        but never past MAX_BITS; a longer request raises DomainError."""
         if length <= len(self):
             return
+        if length > MAX_BITS:
+            raise DomainError(f"more than MAX_BITS = {MAX_BITS} bits requested")
         with self._lock:
             if length <= len(self):
                 return
-            self._extend(max(length, 2 * len(self), 256))
+            self._extend(min(max(length, 2 * len(self), 256), MAX_BITS))
 
     def bits(self, length: int) -> bytes:
         """The first `length` bits, one 0 or 1 byte each."""
@@ -175,6 +182,8 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
             f"stated quotient bound {B} is below the actual bound {cf.bound()}"
         )
     seq = SturmianSeq(cf)
+    # The last row's window is the longest; it must fit before any row runs.
+    seq.ensure(r_max * (2 * (B + 2) ** 2 * r_max**2 + 1))
     rows = []
     for r in range(2, r_max + 1):
         bound = 2 * (B + 2) ** 2 * r * r
@@ -245,108 +254,97 @@ def frac_golden_multiple(m: int) -> QuadraticNumber:
 class FractionalGrids:
     """The two staircase grids of fractional parts behind the witness.
 
-    lower[i][j] and upper[i][j] hold the exact values
-    gamma + (frac(F_{4n}*theta) - 1)*i + frac(L_{2n}*theta)*j with gamma
-    equal to frac(F_{2n-1}*theta) for lower and frac(L_{2n}*theta) for
-    upper. Reading either grid column-major from the bottom row upward
-    gives a strictly ascending sequence; the three step sizes are
-    step_up (within a column), step_right (same row, next column), and
-    step_wrap (top of one column to bottom of the next).
+    lower[i][j] = base - i*step_up + j*step_right and upper[i][j] =
+    lower[i][j] + diff, for 0 <= i < rows and 0 <= j < cols. Read
+    column-major from the bottom row upward, either grid ascends by
+    step_up within a column and by step_wrap from the top of one column
+    to the bottom of the next; `start` is lower's least entry and `end`
+    upper's greatest. The fields are closed forms; `lower` and `upper`
+    are built from them only when read.
     """
 
     n: int
     rows: int
     cols: int
-    lower: tuple[tuple[QuadraticNumber, ...], ...]
-    upper: tuple[tuple[QuadraticNumber, ...], ...]
+    base: QuadraticNumber  # lower[0][0]
     diff: QuadraticNumber  # upper - lower, constant
     step_right: QuadraticNumber
     step_up: QuadraticNumber
     step_wrap: QuadraticNumber
+    start: QuadraticNumber  # lower[rows-1][0]
+    end: QuadraticNumber  # upper[0][cols-1]
+
+    @cached_property
+    def lower(self) -> tuple[tuple[QuadraticNumber, ...], ...]:
+        firsts = (self.base - i * self.step_up for i in range(self.rows))
+        right = [j * self.step_right for j in range(self.cols)]
+        return tuple(tuple(v + w for w in right) for v in firsts)
+
+    @cached_property
+    def upper(self) -> tuple[tuple[QuadraticNumber, ...], ...]:
+        return tuple(tuple(v + self.diff for v in row) for row in self.lower)
+
+
+def _grids(n: int) -> FractionalGrids:
+    """The grids at any stage n >= 2, from their closed forms: base =
+    theta^(2n-1), diff = theta^(2n+1), step_up = theta^(4n) and step_right
+    = sqrt(5)*theta^(2n), with nothing checked."""
+    th = THETA_GOLDEN
+    rows = fib_lucas(2 * n + 1).lucas - 1
+    cols = fib_lucas(2 * n).fib
+    base, diff = th ** (2 * n - 1), th ** (2 * n + 1)
+    up, right = th ** (4 * n), SQRT5 * th ** (2 * n)
+    wrap = diff + 2 * up + th ** (6 * n + 1)
+    start, end = base - (rows - 1) * up, base + diff + (cols - 1) * right
+    return FractionalGrids(n, rows, cols, base, diff, right, up, wrap, start, end)
 
 
 def fractional_grids(n: int) -> FractionalGrids:
-    """Build and exhaustively verify the two grids at stage n (2..6).
+    """The two grids at stage n (2..6), every fact checked in closed form.
+
+    Checked exactly: base, step_right and 1 - step_up are the fractional
+    parts of F_{2n-1}*theta, L_{2n}*theta and F_{4n}*theta; diff is
+    step_right - base; step_wrap is step_right - (rows-1)*step_up; start
+    and end have their closed forms; and rows*cols counts the admissible
+    indices. That covers every entry with no walk over them: each entry
+    is built as base - i*step_up + j*step_right, so the column and wrap
+    steps hold by construction, and with step_up, step_wrap and diff all
+    positive the column-major walk ascends from start > 0 to end < 1.
 
     Stages beyond 6 are refused: the grids grow like the square of the
-    Fibonacci numbers and stop being useful to materialize.
+    Fibonacci numbers and stop being useful to list.
     """
     if not 2 <= n <= 6:
         raise DomainError("grids are materialized for stages 2 through 6 only")
     th = THETA_GOLDEN
+    g = _grids(n)
     f2n = fib_lucas(2 * n)
-    f2nm1 = fib_lucas(2 * n - 1)
     f4n = fib_lucas(4 * n)
-    l2np1 = fib_lucas(2 * n + 1)
-    g_low = frac_golden_multiple(f2nm1.fib)
-    g_step = frac_golden_multiple(f2n.lucas)
-    g_drop = frac_golden_multiple(f4n.fib)
-    # Exact closed forms for the three fractional parts.
-    if g_low != th ** (2 * n - 1):
+    if frac_golden_multiple(fib_lucas(2 * n - 1).fib) != g.base:
         raise VerificationError("frac(F_{2n-1}*theta) misses its closed form")
-    if g_drop != 1 - th ** (4 * n):
+    if frac_golden_multiple(f4n.fib) != 1 - g.step_up:
         raise VerificationError("frac(F_{4n}*theta) misses its closed form")
-    if g_step != SQRT5 * th ** (2 * n):
+    if frac_golden_multiple(f2n.lucas) != g.step_right:
         raise VerificationError("frac(L_{2n}*theta) misses its closed form")
     if f4n.fib != f2n.fib * f2n.lucas:
         raise VerificationError("F_{4n} = F_{2n} * L_{2n} fails")
-
-    rows = l2np1.lucas - 1
-    cols = f2n.fib
-    step_up = th ** (4 * n)
-    step_right = g_step
-    step_wrap = th ** (2 * n + 1) + 2 * th ** (4 * n) + th ** (6 * n + 1)
-    diff = g_step - g_low
-    if diff != th ** (2 * n + 1):
+    if g.diff != g.step_right - g.base:
         raise VerificationError("grid offset misses theta^(2n+1)")
-    if step_wrap != step_right - (rows - 1) * step_up:
+    if g.step_wrap != g.step_right - (g.rows - 1) * g.step_up:
         raise VerificationError("wrap step misses its closed form")
-    for name, v in (("right", step_right), ("up", step_up), ("wrap", step_wrap)):
-        if v.sign() <= 0:
-            raise VerificationError(f"step_{name} is not positive")
-
-    lower_rows = []
-    for i in range(rows):
-        base = g_low - i * step_up
-        row = [base]
-        for _ in range(cols - 1):
-            row.append(row[-1] + step_right)
-        lower_rows.append(tuple(row))
-    lower = tuple(lower_rows)
-    upper = tuple(tuple(v + diff for v in row) for row in lower)
-
-    start = lower[rows - 1][0]
-    end = upper[0][cols - 1]
-    if start != 2 * th ** (4 * n) + th ** (6 * n + 1):
+    for name in ("step_right", "step_up", "step_wrap", "diff"):
+        if getattr(g, name).sign() <= 0:
+            raise VerificationError(f"{name} is not positive")
+    if g.start != 2 * th ** (4 * n) + th ** (6 * n + 1):
         raise VerificationError("grid start entry misses its closed form")
-    if end != 1 - th ** (4 * n):
+    if g.end != 1 - th ** (4 * n):
         raise VerificationError("grid end entry misses its closed form")
-    if not (start.sign() > 0 and end < 1):
+    if not (g.start.sign() > 0 and g.end < 1):
         raise VerificationError("grid entries escape the unit interval")
-    # Column-major bottom-up walk must ascend in exact steps.
-    for grid in (lower, upper):
-        for j in range(cols):
-            for i in range(rows - 1, 0, -1):
-                if grid[i - 1][j] - grid[i][j] != step_up:
-                    raise VerificationError("column step broken")
-            if j + 1 < cols and grid[rows - 1][j + 1] - grid[0][j] != step_wrap:
-                raise VerificationError("wrap step broken")
     # Mixed-radix coverage: the walk enumerates exactly the admissible k.
-    f4np1 = fib_lucas(4 * n + 1)
-    if rows * cols != f4np1.fib - f2n.fib - 1:
+    if g.rows * g.cols != fib_lucas(4 * n + 1).fib - f2n.fib - 1:
         raise VerificationError("grid size misses the index count")
-
-    return FractionalGrids(
-        n=n,
-        rows=rows,
-        cols=cols,
-        lower=lower,
-        upper=upper,
-        diff=diff,
-        step_right=step_right,
-        step_up=step_up,
-        step_wrap=step_wrap,
-    )
+    return g
 
 
 @dataclass(frozen=True)
@@ -383,16 +381,16 @@ def crossing_cell(n: int) -> CrossingCell:
     if n < 2:
         raise DomainError("witness stages are indexed from 2")
     th = THETA_GOLDEN
+    g = _grids(n)
     f2n = fib_lucas(2 * n)
-    f2nm2 = fib_lucas(2 * n - 2)
-    f2np1 = fib_lucas(2 * n + 1)
     f4n = fib_lucas(4 * n)
     f4np1 = fib_lucas(4 * n + 1)
 
-    i_star = f2np1.lucas - 2
-    j_star = f2nm2.fib
-    lower_e = th ** (2 * n - 1) - i_star * th ** (4 * n) + j_star * SQRT5 * th ** (2 * n)
-    upper_e = lower_e + th ** (2 * n + 1)
+    # The cell sits in the bottom row, the one that starts at g.start.
+    i_star = g.rows - 1
+    j_star = fib_lucas(2 * n - 2).fib
+    lower_e = g.start + j_star * g.step_right
+    upper_e = lower_e + g.diff
     th2 = th * th
 
     if lower_e != th2 + 2 * th ** (4 * n) + th ** (6 * n + 1) - th ** (4 * n - 2):
@@ -406,7 +404,7 @@ def crossing_cell(n: int) -> CrossingCell:
     if not th2 < upper_e < th2 + th ** (2 * n - 3) + 3 * th ** (4 * n):
         raise VerificationError("upper entry escapes its certified bracket")
 
-    candidate_low = f4np1.fib - f2np1.fib - 1
+    candidate_low = f4np1.fib - fib_lucas(2 * n + 1).fib - 1
     candidate_high = f4np1.fib - f2n.fib - 1
     if i_star * f4n.fib + j_star * f2n.lucas != f2n.lucas * candidate_low:
         raise VerificationError("crossing cell index identity fails")
@@ -425,30 +423,25 @@ def crossing_cell(n: int) -> CrossingCell:
 def crossing_unique(n: int) -> bool:
     """Exhaustively confirm only one grid cell brackets theta^2.
 
-    Row i of the lower grid holds row0 + j*step with row0 = base - i*drop
-    and step > 0, so the cells with th2 - width < row0 + j*step < th2 are
-    the integers j strictly inside ((th2 - width - row0)/step,
-    (th2 - row0)/step), clamped to [0, cols): two exact floors per row.
+    Row i of the lower grid holds row0 + j*step_right with row0 = base -
+    i*step_up and step_right > 0, so the cells with th2 - diff <
+    row0 + j*step_right < th2 are the integers j strictly inside
+    ((th2 - diff - row0)/step_right, (th2 - row0)/step_right), clamped to
+    [0, cols): two exact floors per row.
     """
     if n < 2:
         raise DomainError("witness stages are indexed from 2")
-    th = THETA_GOLDEN
-    th2 = th * th
-    rows = fib_lucas(2 * n + 1).lucas - 1
-    cols = fib_lucas(2 * n).fib
-    base = th ** (2 * n - 1)
-    drop = th ** (4 * n)
-    step = SQRT5 * th ** (2 * n)
-    width = th ** (2 * n + 1)
-    # Both ends of row i's open interval move up by i * drop/step.
-    lo0 = (th2 - width - base) / step
-    hi0 = (th2 - base) / step
-    rise = drop / step
+    g = _grids(n)
+    th2 = THETA_GOLDEN * THETA_GOLDEN
+    # Both ends of row i's open interval move up by i * step_up/step_right.
+    lo0 = (th2 - g.diff - g.base) / g.step_right
+    hi0 = (th2 - g.base) / g.step_right
+    rise = g.step_up / g.step_right
     hits = 0
-    for i in range(rows):
+    for i in range(g.rows):
         first = max((lo0 + i * rise).floor() + 1, 0)
         # ceil(hi) - 1, the last integer strictly below hi.
-        last = min(-(-(hi0 + i * rise)).floor() - 1, cols - 1)
+        last = min(-(-(hi0 + i * rise)).floor() - 1, g.cols - 1)
         hits += max(last - first + 1, 0)
     if hits != 1:
         raise VerificationError(f"expected one crossing cell, found {hits}")

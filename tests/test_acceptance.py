@@ -204,7 +204,7 @@ def test_criterion_08_exact_golden_machinery():
     for n in range(51):
         fib_lucas(n)  # power-sum and shift identities re-verified inside
     for n in range(2, 6):
-        fractional_grids(n)  # steps, walk, entries, and size identity inside
+        fractional_grids(n)  # closed forms, positive steps, ends and size identity inside
         assert crossing_unique(n)
     for n in range(2, 7):
         crossing_cell(n)  # closed forms, brackets, and index identity inside

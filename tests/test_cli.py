@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath
@@ -313,6 +314,59 @@ def test_fb_digits_for_small_bounds_are_pinned(capsys):
             assert code == 0
             digest.update(out.encode())
     assert digest.hexdigest() == "c8e8c3efe09c238dd6e2c2acd2563824"
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([("arrays", "--n", str(n)) for n in range(2, 7)], "bad625a884b2fe42db987b0e1df132ad"),
+        ([("arrays", "--n", str(n), "--format", "csv") for n in range(2, 7)],
+         "74c2c6d042d3f50bdd304a0c7d2079e4"),
+        ([("witness", "--n", str(n)) for n in range(2, 7)], "2d7da1144222072c5da3509f2103480e"),
+    ],
+    ids=["arrays-json", "arrays-csv", "witness"],
+)
+def test_golden_reports_are_pinned(capsys, argv, digest):
+    # md5 of the concatenated stdout at stages 2..6, as printed when
+    # fractional_grids still built and walked every grid entry.
+    md5 = hashlib.md5()
+    for args in argv:
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        md5.update(out.encode())
+    assert md5.hexdigest() == digest
+
+
+def test_arrays_json_builds_no_entry(capsys, monkeypatch):
+    grids = []
+
+    def recorded(n):
+        grids.append(badapprox.fractional_grids(n))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "fractional_grids", recorded)
+    code, out, _ = run(capsys, "arrays", "--n", "6")
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert "lower" not in vars(grids[0]) and "upper" not in vars(grids[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("diversity", "--theta", "golden", "--b", str(10**25), "--rmax", "3"),
+        ("witness", "--n", "30"),
+        ("sturmian", "--theta", "golden", "--n", str(10**20)),
+    ],
+)
+def test_bit_budget_is_a_domain_error(capsys, argv):
+    # Each once ended in an OverflowError traceback from allocating the bits.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_BITS" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,7 @@ from badapprox import (
     witness_ratio_report,
 )
 from badapprox.oracle import brute_agreement, brute_bits, high_precision_value
-from badapprox.sturmian import THETA_GOLDEN, frac_golden_multiple
+from badapprox.sturmian import MAX_BITS, THETA_GOLDEN, frac_golden_multiple
 
 
 def test_frozen_bit_prefixes():
@@ -54,6 +54,14 @@ def test_bits_match_mpf_floors(cf):
     length = 3000
     want = brute_bits(high_precision_value(cf), length)
     assert generate(cf, length).bits(length) == bytes(want)
+
+
+def test_bit_budget_is_checked_before_allocating():
+    seq = generate(GOLDEN, 100)
+    before = len(seq)
+    with pytest.raises(DomainError, match="MAX_BITS"):
+        seq.ensure(MAX_BITS + 1)
+    assert len(seq) == before
 
 
 def test_concurrent_readers_see_a_stable_prefix():
@@ -286,7 +294,7 @@ def test_crossing_is_unique():
     # Cell by cell over the materialized lower grid: the row-wise floors in
     # crossing_unique must see the same single bracketing cell.
     th2 = THETA_GOLDEN * THETA_GOLDEN
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         g = fractional_grids(n)
         assert sum(lo < th2 < lo + g.diff for row in g.lower for lo in row) == 1
         assert crossing_unique(n)
