@@ -53,15 +53,14 @@ from .sturmian import (
     FibLucasPair,
     FractionalGrids,
     RatioReport,
-    SturmianSeq,
     WitnessReport,
     agreement,
+    characteristic_bits,
     crossing_cell,
     crossing_unique,
     diversity_scan,
     fib_lucas,
     fractional_grids,
-    generate,
     lower_bound_witness,
     witness_ratio_report,
 )
@@ -89,11 +88,11 @@ __all__ = [
     "RegimeTag",
     "SQRT2_MINUS_1",
     "SequenceLengthError",
-    "SturmianSeq",
     "VerificationError",
     "WitnessReport",
     "agreement",
     "bounded_quotient_extrema",
+    "characteristic_bits",
     "choose_surrogate",
     "classify_regime",
     "crossing_cell",
@@ -112,7 +111,6 @@ __all__ = [
     "gap_constant",
     "gap_constant_bounds",
     "gap_set",
-    "generate",
     "legacy_bound",
     "lower_bound_witness",
     "predicted_gap_values",

@@ -132,7 +132,12 @@ class CFSpec:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CFSpec":
         try:
-            return cls(obj["a0"], tuple(obj.get("prefix", ())), tuple(obj.get("period", ())))
+            a0 = obj["a0"]
+            prefix, period = tuple(obj.get("prefix", ())), tuple(obj.get("period", ()))
+            # JSON true and false would pass operator.index as 1 and 0.
+            if any(isinstance(a, bool) for a in (a0, *prefix, *period)):
+                raise TypeError("a0 and the quotients must be integers, not booleans")
+            return cls(a0, prefix, period)
         except DomainError:
             raise
         except (KeyError, TypeError, ValueError) as exc:

@@ -34,9 +34,9 @@ from .oracle import run_suite
 from .quadratic import QuadraticNumber
 from .render import DEFAULT_SIG_DIGITS, decimal_str
 from .sturmian import (
+    characteristic_bits,
     diversity_scan,
     fractional_grids,
-    generate,
     lower_bound_witness,
     witness_ratio_report,
 )
@@ -245,8 +245,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def cmd_sturmian(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
-    seq = generate(cf, args.n)
-    bits = seq.bits(args.n)
+    bits = characteristic_bits(cf, args.n)
     if args.format == "csv":
         rows = [("i", "bit"), *enumerate(bits)]
         return _csv(rows), False
@@ -280,7 +279,6 @@ def cmd_diversity(args) -> tuple[str, bool]:
 
 def cmd_witness(args) -> tuple[str, bool]:
     rep = lower_bound_witness(args.n)
-    ratio = witness_ratio_report()
     sig = args.precision_digits
     w = rep.witness
     if args.format == "csv":
@@ -289,6 +287,7 @@ def cmd_witness(args) -> tuple[str, bool]:
             (args.n, w.r, w.a, w.b, w.first_mismatch, w.bound, rep.matches),
         ]
         return _csv(rows), False
+    ratio = witness_ratio_report()
     approached = ratio.candidates[ratio.approached]
     other = ratio.candidates[1 - ratio.approached]
     obj = {

@@ -42,6 +42,10 @@ from .cf import (
 from .errors import CoincidentPointsError, DomainError, VerificationError
 from .quadratic import QuadraticNumber
 
+# Most multiples a listing puts in order; reading GapSet.orders (or the
+# points built on it) past this raises DomainError before the walk runs.
+MAX_POINTS = 2**20
+
 
 @dataclass(frozen=True, eq=False)
 class GapSet:
@@ -73,6 +77,8 @@ class GapSet:
         give back gap_nums exactly, which certifies it.
         """
         N, p, q = self.count, self.numerator, self.denominator
+        if N > MAX_POINTS:
+            raise DomainError(f"listing {N} points is past MAX_POINTS = {MAX_POINTS}")
         a = min_affine_mod(N, q, p, p)[1] + 1
         # (q - 1 - n*p) mod q is least where n*p mod q is largest.
         b = min_affine_mod(N, q, -p, -p - 1)[1] + 1

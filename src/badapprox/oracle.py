@@ -40,7 +40,7 @@ from .cf import CFSpec, eval_theta
 from .errors import SequenceLengthError
 from .gaps import gap_set
 from .kronecker import solve
-from .sturmian import SturmianSeq, agreement
+from .sturmian import agreement, characteristic_bits
 
 ORACLE_DPS = 50
 _DEEP_RADIUS = Fraction(1, 10**45)
@@ -317,15 +317,14 @@ def run_suite(
         a = rng.randrange(b)
         max_k = rng.randint(20, 120)
         tag = f"agree {cf.prefix}+{cf.period} r={r} a={a} b={b} max_k={max_k}"
-        seq = SturmianSeq(cf)
         length = r * max_k
-        arr = seq.bits(length)
+        arr = characteristic_bits(cf, length)
         check_len = min(length, 256)
         theta = high_precision_value(cf)
         if list(arr[:check_len]) != brute_bits(theta, check_len):
             failures.append(f"{tag}: bit prefix disagrees with mpf floors")
             continue
-        got = agreement(seq, r, a, b, max_k)
+        got = agreement(arr, r, a, b, max_k)
         want = brute_agreement(arr, r, a, b, max_k)
         if got != want:
             failures.append(f"{tag}: agreement {got} vs oracle {want}")

@@ -5,19 +5,18 @@ s_i = floor((i+2)*theta) - floor((i+1)*theta), i >= 0. Subsequences taken
 along an arithmetic progression with common difference r agree for a
 while and then must disagree: the first disagreement index over any two
 offsets is bounded by 2*(B+2)^2 * r^2 when theta's quotients stay below
-B. This module generates bits from the standard words of theta's
-continued fraction, scans agreements, and carries the exact golden-ratio
-machinery (Fibonacci and Lucas identities, the two staircase value grids,
-and the crossing witness that shows the quadratic bound is the right
-order).
+B. This module builds bits, scans agreements, and carries the exact
+golden-ratio machinery (Fibonacci and Lucas identities, the two staircase
+value grids, and the crossing witness that shows the quadratic bound is
+the right order).
 
-Bits are exact for every input: the standard words are built by copying
-earlier bits, pure combinatorics with no floor to certify.
+Bits are exact for every input: characteristic_bits copies earlier bits
+of the standard words of theta's continued fraction into a new buffer per
+call, with no floor to certify and no state kept between calls.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -30,65 +29,33 @@ THETA_GOLDEN = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
 ALPHA = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
 BETA = ALPHA.conjugate()  # (1 - sqrt(5))/2 = -THETA_GOLDEN
 SQRT5 = QuadraticNumber.sqrt(5)
-# Most bits a SturmianSeq holds (one byte each, so 512 MiB); a request past
-# it raises DomainError before anything is allocated.
+# Most bits one call returns (one byte each, so 512 MiB); a request past it
+# raises DomainError before anything is allocated.
 MAX_BITS = 2**29
 
 
-class SturmianSeq:
-    """Lazily generated bit prefix of one number's characteristic word.
-
-    For theta = [0; a_1, a_2, ...] the characteristic word is the limit of
+def characteristic_bits(cf: CFSpec, length: int) -> bytearray:
+    """The first `length` bits of the characteristic word of theta = [0;
+    a_1, a_2, ...], one 0 or 1 byte each, in a new buffer: the limit of
     the standard words s_{-1} = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_{-1} and
-    s_j = s_{j-1}^(a_j) s_{j-2}; every s_j with j >= 1 is a prefix of it
-    (Lothaire, Algebraic Combinatorics on Words, 2002, ch. 2). Bits are
-    copied from earlier bits, so no floor is ever evaluated.
-
-    The prefix only ever grows and never changes: extension is serialized
-    by a lock and publishes a new array, so concurrent readers are safe.
-    The array holds s_{-1} s_0 = "10" in front of the word, which makes
-    every standard word a slice of it.
+    s_j = s_{j-1}^(a_j) s_{j-2} (Lothaire, Algebraic Combinatorics on
+    Words, 2002, ch. 2). The buffer starts with s_{-1} s_0 = "10", which
+    makes every standard word a slice of it; copies go view to view, so
+    the peak is length + 2 bytes.
     """
-
-    def __init__(self, cf: CFSpec):
-        if cf.a0 != 0 or cf.is_rational:
-            raise DomainError("need an irrational number strictly between 0 and 1")
-        self.cf = cf
-        self._lock = threading.Lock()
-        self._buf = bytearray(b"\x01\x00")
-        self._quotients = cf.quotients()
-        # The word being written is w^reps t, with w and t given as
-        # (start, length) slices of _buf; it starts as s_1.
-        self._w, self._t = (1, 1), (0, 1)
-        self._reps = next(self._quotients) - 1
-
-    def __len__(self) -> int:
-        return len(self._buf) - 2
-
-    def ensure(self, length: int) -> None:
-        """Extend the cached prefix to at least `length` bits, doubling it
-        but never past MAX_BITS; a longer request raises DomainError."""
-        if length <= len(self):
-            return
-        if length > MAX_BITS:
-            raise DomainError(f"more than MAX_BITS = {MAX_BITS} bits requested")
-        with self._lock:
-            if length <= len(self):
-                return
-            self._extend(min(max(length, 2 * len(self), 256), MAX_BITS))
-
-    def bits(self, length: int) -> bytes:
-        """The first `length` bits, one 0 or 1 byte each."""
-        self.ensure(length)
-        return bytes(memoryview(self._buf)[2 : 2 + length])
-
-    def _extend(self, target: int) -> None:
-        old = self._buf
-        size = target + 2
-        buf = bytearray(size)
-        buf[: len(old)] = old
-        i = len(old)
-        (ws, q), (ts, p), reps = self._w, self._t, self._reps
+    if cf.a0 != 0 or cf.is_rational:
+        raise DomainError("need an irrational number strictly between 0 and 1")
+    if not 0 <= length <= MAX_BITS:
+        raise DomainError(f"need 0 <= length <= MAX_BITS = {MAX_BITS} bits")
+    size = length + 2
+    buf = bytearray(size)
+    buf[0] = 1
+    quotients = cf.quotients()
+    # The word being written is w^reps t, with w and t given as
+    # (start, length) slices of buf; it starts as s_1, written from i = 2.
+    (ws, q), (ts, p), i = (1, 1), (0, 1), 2
+    reps = next(quotients) - 1
+    with memoryview(buf) as view:
         while i < size:
             # The copies of w run from ws to tile_end with period q; each
             # copy reads the longest whole number of periods behind it.
@@ -96,37 +63,28 @@ class SturmianSeq:
             while i < min(tile_end, size):
                 back = (i - ws) // q * q
                 k = min(back, tile_end - i, size - i)
-                buf[i : i + k] = buf[i - back : i - back + k]
+                view[i : i + k] = view[i - back : i - back + k]
                 i += k
             end = tile_end + p
             if tile_end <= i < size:
                 k = min(end, size) - i
                 off = ts + i - tile_end
-                buf[i : i + k] = buf[off : off + k]
+                view[i : i + k] = view[off : off + k]
                 i += k
             if i == end:
                 (ws, q), (ts, p) = (2, end - 2), (ws, q)
-                reps = next(self._quotients)
-        self._w, self._t, self._reps = (ws, q), (ts, p), reps
-        self._buf = buf
-
-
-def generate(cf: CFSpec, length: int) -> SturmianSeq:
-    """Sequence object with at least `length` bits materialized."""
-    if length < 0:
-        raise DomainError("length must be nonnegative")
-    seq = SturmianSeq(cf)
-    if length:
-        seq.ensure(length)
-    return seq
+                reps = next(quotients)
+    del buf[:2]
+    return buf
 
 
 def agreement(seq, r: int, a: int, b: int, max_k: int) -> int | None:
     """First index k < max_k with bit(r*k + a) != bit(r*k + b).
 
     Returns None when the two subsequences agree on all of k < max_k.
-    `seq` may be a SturmianSeq or any bit sequence; either way it must
-    already hold r*(max_k-1) + b + 1 bits.
+    `seq` holds at least r*(max_k-1) + b + 1 bits: bytes or a bytearray
+    (as characteristic_bits returns) is read as it is, any other sequence
+    through int.
     """
     if r < 1:
         raise DomainError("progression step must be >= 1")
@@ -135,15 +93,10 @@ def agreement(seq, r: int, a: int, b: int, max_k: int) -> int | None:
     if max_k < 1:
         raise DomainError("max_k must be >= 1")
     required = r * (max_k - 1) + b + 1
-    if isinstance(seq, SturmianSeq):
-        if len(seq) < required:
-            raise SequenceLengthError(required, len(seq))
-        arr = seq.bits(required)
-    else:
-        arr = bytes(map(int, seq))
-        if len(arr) < required:
-            raise SequenceLengthError(required, len(arr))
-    return _first_mismatch(arr[a::r][:max_k], arr[b::r][:max_k])
+    arr = seq if isinstance(seq, (bytes, bytearray)) else bytes(map(int, seq))
+    if len(arr) < required:
+        raise SequenceLengthError(required, len(arr))
+    return _first_mismatch(arr[a : r * max_k : r], arr[b : r * max_k : r])
 
 
 def _first_mismatch(u: bytes, v: bytes) -> int | None:
@@ -181,17 +134,15 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
         raise DomainError(
             f"stated quotient bound {B} is below the actual bound {cf.bound()}"
         )
-    seq = SturmianSeq(cf)
-    # The last row's window is the longest; it must fit before any row runs.
-    seq.ensure(r_max * (2 * (B + 2) ** 2 * r_max**2 + 1))
+    # The last row's window is the longest; every row reads a prefix of it.
+    word = characteristic_bits(cf, r_max * (2 * (B + 2) ** 2 * r_max**2 + 1))
     rows = []
     for r in range(2, r_max + 1):
         bound = 2 * (B + 2) ** 2 * r * r
         max_k = bound + 1
-        bits = seq.bits(r * max_k)
         # Sorted, the pair of columns with the longest common prefix is
         # a pair of neighbours.
-        cols = sorted(bits[a::r] for a in range(r))
+        cols = sorted(word[a : r * max_k : r] for a in range(r))
         worst: int | None = -1
         for u, v in zip(cols, cols[1:]):
             k = _first_mismatch(u, v)
@@ -491,14 +442,12 @@ def lower_bound_witness(n: int) -> WitnessReport:
     unique = crossing_unique(n) if n <= 5 else None
 
     # Ground truth: scan the actual bits.
-    seq = SturmianSeq(CFSpec(0, (), (1,)))
     max_k = cell.candidate_high + 2
-    seq.ensure(r * (max_k - 1) + b + 1)
-    k_star = agreement(seq, r, a, b, max_k)
+    word = characteristic_bits(CFSpec(0, (), (1,)), r * (max_k - 1) + b + 1)
+    k_star = agreement(word, r, a, b, max_k)
     if k_star is None:
         raise VerificationError("no disagreement found where one must exist")
-    arr = seq.bits(r * k_star + b + 1)
-    bits_at = (arr[r * k_star + a], arr[r * k_star + b])
+    bits_at = (word[r * k_star + a], word[r * k_star + b])
     if k_star == cell.candidate_low:
         matches = "low"
     elif k_star == cell.candidate_high:

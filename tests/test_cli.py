@@ -173,6 +173,8 @@ def test_usage_errors(capsys, tmp_path):
         ["nonsense"],
         ["gaps", "--theta", "pi", "--n", "3"],
         ["gaps", "--theta", "{not json", "--n", "3"],
+        ["sturmian", "--theta", '{"a0": 0, "prefix": [], "period": [true]}', "--n", "5"],
+        ["sturmian", "--theta", '{"a0": false, "period": [1]}', "--n", "5"],
         ["gaps", "--n", "3"],
         ["kron", "--theta", "golden", "--beta", "x", "--n", "3"],
         ["gaps", "--theta", "golden", "--n", "5", "--precision-digits", "0"],
@@ -367,6 +369,26 @@ def test_bit_budget_is_a_domain_error(capsys, argv):
     assert err.startswith("error:") and "MAX_BITS" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_points_budget_is_a_domain_error(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gaps", "--theta", "sqrt2", "--n", "300000000")
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_POINTS" in err
+    assert elapsed < 1.0
+    # Gap statistics never put the points in order, so the budget leaves them be.
+    code, out, _ = run(capsys, "gaps", "--theta", "sqrt2", "--n", "300000000", "--format", "csv")
+    assert code == 0 and out.startswith("gap,multiplicity")
+
+
+def test_points_budget_edge(capsys, monkeypatch):
+    monkeypatch.setattr(badapprox.gaps, "MAX_POINTS", 100)
+    code, out, _ = run(capsys, "gaps", "--theta", "golden", "--n", "100")
+    assert code == 0 and len(json.loads(out)["points"]) == 102
+    code, out, err = run(capsys, "gaps", "--theta", "golden", "--n", "101")
+    assert code == 1 and out == "" and "MAX_POINTS" in err
 
 
 @pytest.mark.parametrize(

@@ -350,13 +350,14 @@ def test_suite_catches_a_wrong_minimizer(monkeypatch):
 
 
 def test_suite_catches_a_flipped_bit(monkeypatch):
-    class Flipped(oracle.SturmianSeq):
-        def bits(self, length):
-            out = bytearray(super().bits(length))
-            out[17] ^= 1
-            return bytes(out)
+    real = oracle.characteristic_bits
 
-    monkeypatch.setattr(oracle, "SturmianSeq", Flipped)
+    def flipped(cf, length):
+        out = real(cf, length)
+        out[17] ^= 1
+        return out
+
+    monkeypatch.setattr(oracle, "characteristic_bits", flipped)
     _only_failures(run_suite(cases=3, seed=15), "agree ", "bit prefix disagrees")
 
 
@@ -380,9 +381,8 @@ def test_suite_catches_a_wrong_agreement_index(monkeypatch):
     assert m, rep.failures[0]
     prefix, period = ast.literal_eval(m[1]), ast.literal_eval(m[2])
     r, a, b, max_k = (int(m[i]) for i in range(3, 7))
-    seq = oracle.SturmianSeq(CFSpec(0, prefix, period))
-    bits = seq.bits(r * max_k)
-    got = oracle.agreement(seq, r, a, b, max_k)
+    bits = oracle.characteristic_bits(CFSpec(0, prefix, period), r * max_k)
+    got = oracle.agreement(bits, r, a, b, max_k)
     want = brute_agreement(bits, r, a, b, max_k)
     assert got != want
     assert (str(got), str(want)) == (m[7], m[8])

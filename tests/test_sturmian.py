@@ -1,6 +1,5 @@
 import random
-import sys
-import threading
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -13,15 +12,14 @@ from badapprox import (
     DomainError,
     QuadraticNumber,
     SequenceLengthError,
-    SturmianSeq,
     agreement,
+    characteristic_bits,
     crossing_cell,
     crossing_unique,
     decimal_str,
     diversity_scan,
     fib_lucas,
     fractional_grids,
-    generate,
     lower_bound_witness,
     witness_ratio_report,
 )
@@ -30,8 +28,8 @@ from badapprox.sturmian import MAX_BITS, THETA_GOLDEN, frac_golden_multiple
 
 
 def test_frozen_bit_prefixes():
-    assert generate(GOLDEN, 10).bits(10) == bytes([1, 0, 1, 1, 0, 1, 0, 1, 1, 0])
-    assert generate(SQRT2_MINUS_1, 8).bits(8) == bytes([0, 1, 0, 1, 0, 0, 1, 0])
+    assert characteristic_bits(GOLDEN, 10) == bytes([1, 0, 1, 1, 0, 1, 0, 1, 1, 0])
+    assert characteristic_bits(SQRT2_MINUS_1, 8) == bytes([0, 1, 0, 1, 0, 0, 1, 0])
 
 
 def test_golden_bits_match_isqrt_floors():
@@ -39,7 +37,7 @@ def test_golden_bits_match_isqrt_floors():
     length = 10**5
     floors = [(isqrt(5 * m * m) - m) // 2 for m in range(1, length + 2)]
     want = [floors[i + 1] - floors[i] for i in range(length)]
-    assert generate(GOLDEN, length).bits(length) == bytes(want)
+    assert characteristic_bits(GOLDEN, length) == bytes(want)
 
 
 @pytest.mark.parametrize(
@@ -53,59 +51,36 @@ def test_golden_bits_match_isqrt_floors():
 def test_bits_match_mpf_floors(cf):
     length = 3000
     want = brute_bits(high_precision_value(cf), length)
-    assert generate(cf, length).bits(length) == bytes(want)
+    assert characteristic_bits(cf, length) == bytes(want)
 
 
 def test_bit_budget_is_checked_before_allocating():
-    seq = generate(GOLDEN, 100)
-    before = len(seq)
-    with pytest.raises(DomainError, match="MAX_BITS"):
-        seq.ensure(MAX_BITS + 1)
-    assert len(seq) == before
-
-
-def test_concurrent_readers_see_a_stable_prefix():
-    """One thread extends from 2^10 to 2^18 bits while three others read."""
-    seq = generate(SQRT2_MINUS_1, 2**10)
-    prefix = seq.bits(1000)
-    done = threading.Event()
-    seen: list[str] = []
-
-    def extend():
-        for e in range(11, 19):
-            seq.ensure(2**e)
-        done.set()
-
-    def read():
-        last = len(seq)
-        while not done.is_set():
-            n = len(seq)
-            if n < last:
-                seen.append(f"length dropped from {last} to {n}")
-            last = n
-            if seq.bits(1000) != prefix:
-                seen.append("prefix changed")
-
-    threads = [threading.Thread(target=read) for _ in range(3)]
-    threads.append(threading.Thread(target=extend))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
+    tracemalloc.start()
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with pytest.raises(DomainError, match="MAX_BITS"):
+            characteristic_bits(GOLDEN, MAX_BITS + 1)
+        _, peak = tracemalloc.get_traced_memory()
     finally:
-        done.set()
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == []
-    assert len(seq) >= 2**18
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_bits_hold_one_byte_per_bit():
+    """The word is built in place, so the peak is one byte per bit: a
+    bytearray copy source would add a temporary of about a third of the
+    word, and a trimmed copy on return would double it."""
+    tracemalloc.start()
+    try:
+        characteristic_bits(GOLDEN, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1e7
 
 
 def test_bits_match_interval_membership():
     """bit i is 1 exactly when {(i+1)*theta} lands in [1-theta, 1)."""
-    bits = generate(GOLDEN, 200).bits(200)
+    bits = characteristic_bits(GOLDEN, 200)
     cut = 1 - THETA_GOLDEN
     for i in range(200):
         frac = frac_golden_multiple(i + 1)
@@ -114,7 +89,7 @@ def test_bits_match_interval_membership():
 
 def test_bit_frequency():
     length = 10**5
-    ones = sum(generate(GOLDEN, length).bits(length))
+    ones = sum(characteristic_bits(GOLDEN, length))
     # the bit sum telescopes to floor((length+1)*theta)
     assert ones == 61804
     assert abs(QuadraticNumber(Fraction(ones, length)) - THETA_GOLDEN) <= Fraction(
@@ -124,19 +99,24 @@ def test_bit_frequency():
 
 def test_sequence_validation():
     with pytest.raises(DomainError):
-        SturmianSeq(CFSpec(1, (), (1,)))
+        characteristic_bits(CFSpec(1, (), (1,)), 16)
     with pytest.raises(DomainError):
-        SturmianSeq(CFSpec(0, (2, 3), ()))
+        characteristic_bits(CFSpec(0, (2, 3), ()), 16)
     with pytest.raises(DomainError):
-        generate(GOLDEN, -1)
-    view = generate(GOLDEN, 16).bits(16)
-    assert isinstance(view, bytes) and len(view) == 16
-    with pytest.raises(TypeError):
-        view[0] = 1  # read-only
+        characteristic_bits(GOLDEN, -1)
+    assert characteristic_bits(GOLDEN, 0) == bytearray()
+    first = characteristic_bits(GOLDEN, 16)
+    assert isinstance(first, bytearray) and len(first) == 16
+    # Each call hands out a buffer of its own: writing into one leaves
+    # the next call's bits as they were.
+    second = characteristic_bits(GOLDEN, 16)
+    assert first is not second and first == second
+    first[0] ^= 1
+    assert characteristic_bits(GOLDEN, 16) == second != first
 
 
 def test_agreement_contract():
-    seq = generate(GOLDEN, 100)
+    seq = characteristic_bits(GOLDEN, 100)
     with pytest.raises(DomainError):
         agreement(seq, 0, 0, 1, 5)
     with pytest.raises(DomainError):
@@ -200,7 +180,7 @@ def test_diversity_scan_surrogate_route():
 def _pairwise_max_agreement(cf, B, r):
     """Largest first mismatch over every offset pair, or None."""
     max_k = 2 * (B + 2) ** 2 * r * r + 1
-    seq = generate(cf, r * max_k)
+    seq = characteristic_bits(cf, r * max_k)
     worst = -1
     for a in range(r - 1):
         for b in range(a + 1, r):
