@@ -82,10 +82,8 @@ class CFSpec:
         return max(self.prefix + self.period)
 
     def quotients(self) -> Iterator[int]:
-        """Yield a1, a2, ... (stops for rationals, cycles forever else)."""
-        yield from self.prefix
-        if self.period:
-            yield from itertools.cycle(self.period)
+        """Iterate a1, a2, ... (stops for rationals, cycles forever else)."""
+        return itertools.chain(self.prefix, itertools.cycle(self.period))
 
     def quotient(self, k: int) -> int:
         """The partial quotient a_k for k >= 1."""
@@ -291,8 +289,18 @@ def _least_product(radius) -> int:
 
 
 def _pair_past(cf: CFSpec, least: int) -> tuple[Convergent, Convergent]:
-    """First convergent pair (c_K, c_{K+1}) of irrational cf with q_K*q_{K+1} >= least."""
-    return next(p for p in itertools.pairwise(convergent_pairs(cf)) if p[0].q * p[1].q >= least)
+    """First convergent pair (c_K, c_{K+1}) with q_K*q_{K+1} >= least.
+
+    The recurrence runs on plain ints; only the pair returned becomes
+    Convergents. A rational expansion that runs out first is a DomainError.
+    """
+    p_prev, q_prev, p, q = 1, 0, cf.a0, 1
+    for k, a in enumerate(cf.quotients(), start=1):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        if q_prev * q >= least:
+            return Convergent(k - 1, p_prev, q_prev), Convergent(k, p, q)
+    raise DomainError(f"rational expansion runs out before q_K*q_(K+1) >= {least}")
 
 
 def certify(attempt: Callable, min_radius: Fraction | None, what: str, **inputs):

@@ -6,7 +6,8 @@ sequences, diversity scans, the crossing witness, the value grids, the
 oracle suite, and witness convergence tables. Reports go to stdout (or
 --out) as JSON or CSV.
 
-Exit codes: 0 success, 1 domain error (bad mathematical input), 2 a
+Exit codes: 0 success, 1 domain error (bad mathematical input, or an
+input that needs more memory than the process may allocate), 2 a
 verified bound or invariant failed, 64 usage error.
 """
 
@@ -470,6 +471,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except MemoryError:
+        print("error: out of memory; the input needs more than this process may allocate",
+              file=sys.stderr)
         return EXIT_DOMAIN
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

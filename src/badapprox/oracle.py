@@ -10,13 +10,15 @@ approximations from a full scan over n (not min_affine_mod), bit
 sequences from floors of theta's mpf value (not standard words), and
 agreement indices from a naive loop (not slice bisection).
 
-mpmath supplies theta (above) and beta, each as an mpf, and rounds each
-gap point and gap length to ORACLE_DPS digits with its own rounding
-primitive. The Kronecker and bit scans are exact on the integer image of
-theta's mpf value (man * 2**exp): they build no mpf per n. Ordering the
-points, merging gaps and comparing against exact fractions to a
-tolerance are decided exactly, in integers, on those dyadic values, so
-no decision rounds.
+mpmath supplies theta (above) and beta, each as an mpf, and the working
+precision: each gap point and gap length is rounded half to even to
+mpmath's dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS
+digits rounds, by an integer routine (_round_bits) that a test pins
+against mpmath's from_man_exp. The Kronecker and bit scans are exact on
+the integer image of theta's mpf value (man * 2**exp): they build no mpf
+per n. Ordering the points, merging gaps and comparing against exact
+fractions to a tolerance are decided exactly, in integers, on those
+dyadic values, so no decision rounds.
 
 The oracles are meant for irrational theta. A rational theta = p/q has
 an mpf just off p/q, and that dyadic image decides an exact tie in the
@@ -71,10 +73,10 @@ def brute_gap_points(theta, N: int):
     """Sorted circle points 0, {theta}, ..., {N*theta}, 1 and the distinct
     gap lengths, as mpf values.
 
-    mpmath rounds each point k*theta and each gap to ORACLE_DPS digits, as
-    mpf arithmetic would. Ordering them, and merging gaps that differ by at
-    most 1e-25 into one length, is decided exactly on integer keys (see
-    _gap_keys).
+    Each point k*theta and each gap is rounded to ORACLE_DPS digits, as
+    mpf arithmetic would round it. Rounding, ordering, and merging gaps
+    that differ by at most 1e-25 into one length are done exactly on
+    integer keys (see _gap_keys); mpmath builds the mpf values returned.
     """
     from mpmath import mp
     from mpmath.libmp import from_man_exp
@@ -90,31 +92,31 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     """Sorted integer keys of the points and of the distinct gap lengths,
     and their common exponent low: each value is key * 2**low.
 
-    Each point k*theta and each gap b - a is rounded to ORACLE_DPS digits
-    by mpmath's own rounding (from_man_exp), as mpf arithmetic would round
-    it. Rounding never lowers the exponent of the exact value, and the
-    exact products k*man live at theta's exponent, so one scale,
-    low = min(exp, 0), holds every rounded value as an integer. The
-    fractional part is then a mask and the sort is over ints. Gaps that
-    differ by at most 1e-25 are merged into the first length of the run.
+    Each point k*theta and each gap b - a is rounded half to even to
+    dps_to_prec(ORACLE_DPS) bits (_round_bits), as mpf arithmetic at
+    ORACLE_DPS digits would round it. Rounding never lowers the exponent
+    of the exact value, and the exact products k*man live at theta's
+    exponent, so one scale, low = min(exp, 0), holds every rounded value
+    as an integer. The fractional part is then a mask and the sort is
+    over ints. Gaps that differ by at most 1e-25 are merged into the
+    first length of the run.
     """
-    from mpmath.libmp import dps_to_prec, from_man_exp
+    from mpmath.libmp import dps_to_prec
 
     prec = dps_to_prec(ORACLE_DPS)
     man, exp = _signed_man_exp(theta)
     low = min(exp, 0)
+    shift = exp - low
     unit = 1 << -low
     mask = unit - 1
-    pts = []
-    for k in range(1, N + 1):
-        s, m, e, _ = from_man_exp(k * man, exp, prec, "n")
-        pts.append(((-m if s else m) << (e - low)) & mask)
+    # The rounding is symmetric, so it runs on |man| and the sign goes
+    # back on before the mask.
+    sign = -1 if man < 0 else 1
+    mag = abs(man)
+    pts = [(sign * _round_bits(k * mag, prec) << shift) & mask for k in range(1, N + 1)]
     pts.sort()
     pts = [0] + pts + [unit]
-    gaps = []
-    for a, b in zip(pts, pts[1:]):
-        _, m, e, _ = from_man_exp(b - a, low, prec, "n")
-        gaps.append(m << (e - low))
+    gaps = [_round_bits(b - a, prec) for a, b in zip(pts, pts[1:])]
     gaps.sort()
     merge = 10 ** (ORACLE_DPS // 2)
     distinct = []
@@ -122,6 +124,23 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
         if not distinct or (g - distinct[-1]) * merge > unit:
             distinct.append(g)
     return pts, distinct, low
+
+
+def _round_bits(v: int, prec: int) -> int:
+    """v >= 0 rounded half to even to prec significant bits, at v's scale.
+
+    The same value mpmath's from_man_exp(v, 0, prec, "n") gives; the
+    low bits that are dropped come back as zeros.
+    """
+    drop = v.bit_length() - prec
+    if drop <= 0:
+        return v
+    kept = v >> drop
+    rest = v - (kept << drop)
+    half = 1 << (drop - 1)
+    if rest > half or (rest == half and kept & 1):
+        kept += 1
+    return kept << drop
 
 
 def brute_kronecker(theta, beta: Fraction, N: int):
@@ -256,6 +275,21 @@ def _close_dyadic(num: int, den: int, man: int, exp: int) -> bool:
     return abs((num << -exp) - man * den) * td < (tn * den) << -exp
 
 
+def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
+    """Whether _close_dyadic(num, den, man, exp) holds for every pair of
+    nums and mans, which must be of one length, at an exp <= 0 such as
+    _gap_keys' low.
+
+    The bound and the shift are the same for every pair, so they are
+    computed once.
+    """
+    tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
+    shift = -exp
+    bound = (tn * den) << shift
+    pairs = zip(nums, mans, strict=True)
+    return all(abs((num << shift) - man * den) * td < bound for num, man in pairs)
+
+
 def run_suite(
     cases: int = 200, seed: int = 20260822, max_n: int = 400
 ) -> OracleReport:
@@ -279,7 +313,7 @@ def run_suite(
         if len(pts) != len(gs.nums):
             failures.append(f"{tag}: point count {len(gs.nums)} vs {len(pts)}")
             continue
-        if any(not _close_dyadic(v, q, k, low) for v, k in zip(gs.nums, pts)):
+        if not _all_close_dyadic(gs.nums, q, pts, low):
             failures.append(f"{tag}: point values drift past tolerance")
             continue
         if len(distinct) != len(gs.gap_nums):
@@ -287,7 +321,7 @@ def run_suite(
                 f"{tag}: {len(gs.gap_nums)} distinct gaps vs oracle {len(distinct)}"
             )
             continue
-        if any(not _close_dyadic(g, q, k, low) for (g, _), k in zip(gs.gap_nums, distinct)):
+        if not _all_close_dyadic([g for g, _ in gs.gap_nums], q, distinct, low):
             failures.append(f"{tag}: gap values drift past tolerance")
             continue
         gap_done += 1

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from badapprox import (
     SQRT2_MINUS_1,
     CertifiedValue,
     CFSpec,
+    Convergent,
     DomainError,
     QuadraticNumber,
     bounded_quotient_extrema,
@@ -26,7 +28,7 @@ from badapprox import (
     solve,
     tail_and_reversal,
 )
-from badapprox.cf import convergent_pairs, min_affine_mod
+from badapprox.cf import _pair_past, convergent_pairs, min_affine_mod
 from badapprox.oracle import random_cf
 
 DEEP = Fraction(1, 10**40)
@@ -286,6 +288,38 @@ def test_surrogate_radius_is_read_like_eval_theta_eps():
         gap_set(GOLDEN, 10, min_radius=Fraction(0))
     with pytest.raises(DomainError):
         solve(GOLDEN, Fraction(1, 3), 10, min_radius=Fraction(-1, 10))
+
+
+def _pair_past_reference(cf, least):
+    """The first pair past least, read off the Convergent stream."""
+    return next(p for p in itertools.pairwise(convergent_pairs(cf)) if p[0].q * p[1].q >= least)
+
+
+def test_pair_past_matches_the_convergent_stream():
+    rng = random.Random(20261101)
+    cfs = [GOLDEN, SQRT2_MINUS_1, CFSpec(-3, (2,), (1, 4)), CFSpec(5, (), (10**30,))]
+    cfs += [random_cf(rng, rng.choice((2, 10, 1000))) for _ in range(300)]
+    for cf in cfs:
+        leasts = [-(10**9), 0, 1, 2, 10**6, 10**50, 10**400]
+        leasts.append(rng.randrange(1, 10 ** rng.randint(1, 80)))
+        # either side of each product the walk passes
+        for c, d in itertools.pairwise(convergents(cf, 12)):
+            leasts += [c.q * d.q - 1, c.q * d.q, c.q * d.q + 1]
+        for least in leasts:
+            got = _pair_past(cf, least)
+            assert got == _pair_past_reference(cf, least), (cf, least)
+            assert all(type(c) is Convergent for c in got)
+
+
+def test_pair_past_on_a_rational_that_runs_out():
+    cf = CFSpec(1, (2, 3, 4), ())
+    conv = convergents(cf, 10)
+    assert len(conv) == 4
+    # Pairs that exist are found as on an irrational expansion.
+    assert _pair_past(cf, conv[2].q * conv[3].q) == (conv[2], conv[3])
+    for rational, least in ((cf, conv[2].q * conv[3].q + 1), (CFSpec(7), 1)):
+        with pytest.raises(DomainError, match="runs out"):
+            _pair_past(rational, least)
 
 
 @given(irrational_cfs(), st.integers(min_value=5, max_value=100))

@@ -407,3 +407,24 @@ def test_huge_partial_quotients_answer(argv):
                          capture_output=True, text=True, env=env, timeout=10)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)
+
+
+def test_out_of_memory_is_a_domain_error():
+    # witness --n 7 builds 433,178,079 bits in one buffer; under a 256 MiB
+    # address-space cap that allocation fails, which once ended in a bare
+    # MemoryError traceback.
+    cap = 256 * 2**20
+    code = (
+        "import resource, sys\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, hard))\n"
+        "from badapprox import cli\n"
+        "sys.exit(cli.main(['witness', '--n', '7']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.startswith("error:") and "memory" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 import badapprox
 from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, oracle, run_suite
@@ -20,7 +21,10 @@ from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
     _COMPARE_TOL,
     ORACLE_DPS,
+    _all_close_dyadic,
     _close,
+    _close_dyadic,
+    _round_bits,
     brute_agreement,
     brute_bits,
     brute_gap_points,
@@ -158,6 +162,74 @@ def test_close_agrees_with_fraction_arithmetic(man, exp, negative, off):
 def test_close_rejects_non_finite_values():
     for bad in (mp.inf, -mp.inf, mp.nan):
         assert not _close(0, 1, bad)
+
+
+# ---- integer rounding, pinned against mpmath's -----------------------------
+
+_PRECS = st.one_of(st.sampled_from([1, 2, 53, dps_to_prec(ORACLE_DPS)]), st.integers(1, 400))
+
+
+@st.composite
+def _half_ties(draw):
+    """(v, prec) with v exactly halfway between two prec-bit values."""
+    prec = draw(_PRECS)
+    kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    drop = draw(st.integers(1, 300))
+    return (kept << drop) | (1 << (drop - 1)), prec
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just(0), _PRECS),
+        st.tuples(st.integers(0, 2**60), _PRECS),
+        st.tuples(st.integers(0, 2**1200), _PRECS),
+        _half_ties(),
+    )
+)
+def test_round_bits_matches_from_man_exp(case):
+    v, prec = case
+    _, m, e, _ = from_man_exp(v, 0, prec, "n")
+    assert _round_bits(v, prec) == m << e
+
+
+def test_round_bits_breaks_ties_to_even():
+    prec = dps_to_prec(ORACLE_DPS)
+    for kept in (1 << (prec - 1), (1 << (prec - 1)) + 1, (1 << prec) - 2, (1 << prec) - 1):
+        for drop in (1, 2, 40):
+            tie = (kept << drop) | (1 << (drop - 1))
+            want = (kept + (kept & 1)) << drop
+            assert _round_bits(tie, prec) == want
+            assert _round_bits(tie - 1, prec) == kept << drop
+            assert _round_bits(tie + 1, prec) == (kept + 1) << drop
+    assert _round_bits(0, prec) == 0
+    assert _round_bits((1 << prec) - 1, prec) == (1 << prec) - 1
+
+
+@settings(max_examples=500, deadline=None)
+@given(exp=st.integers(-300, 0), r=st.integers(1, 50), data=st.data())
+def test_all_close_dyadic_is_all_of_close_dyadic(exp, r, data):
+    # den carries 10**40 and 2**-exp, so num/den can sit exactly at the
+    # tolerance from man * 2**exp; at is _COMPARE_TOL * den.
+    den = (10**40 * r) << -exp
+    at = den // 10**40
+    mans = data.draw(st.lists(st.integers(-(2**170), 2**170), max_size=8))
+    offs = data.draw(
+        st.lists(
+            st.one_of(st.sampled_from([-at - 1, -at, -at + 1, 0, at - 1, at, at + 1]),
+                      st.integers(-2 * at, 2 * at)),
+            min_size=len(mans), max_size=len(mans),
+        )
+    )
+    nums = [man * (den >> -exp) + off for man, off in zip(mans, offs)]
+    got = _all_close_dyadic(nums, den, mans, exp)
+    assert got is all(_close_dyadic(n, den, m, exp) for n, m in zip(nums, mans))
+    assert got is all(abs(off) < at for off in offs)
+
+
+def test_all_close_dyadic_needs_lists_of_one_length():
+    with pytest.raises(ValueError):
+        _all_close_dyadic([0, 0], 1, [0], -3)
 
 
 def test_brute_gap_points_matches_plain_sorting_on_random_corpus():
