@@ -145,7 +145,7 @@ class CFSpec:
     def from_json(cls, text: str) -> "CFSpec":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise DomainError(f"invalid JSON for expansion: {exc}") from exc
         if not isinstance(obj, dict):
             raise DomainError("expansion JSON must be an object")

@@ -24,6 +24,7 @@ from fractions import Fraction
 from .cf import CFSpec, certify, preset
 from .errors import DomainError, VerificationError
 from .gaps import (
+    MAX_STAGE,
     extremal_witness,
     gap_constant,
     gap_constant_bounds,
@@ -192,8 +193,13 @@ def cmd_fb(args) -> tuple[str, bool]:
 def _witness_at_display_depth(b: int, stage: int, sig: int):
     """The witness shown at the display radius, and f - N*H with all sig
     digits those of the true difference: that shrinks with the stage
-    while N*H moves by up to N^2 times the radius, so the witness is
-    deepened until that shift is below 10^-(sig+2) of the difference.
+    while N*H moves by up to N^2 times the radius, so N*H is read from
+    ever deeper gap sets of the shown (theta, N) until that shift is
+    below 10^-(sig+2) of the difference. The first round asks for the
+    shown radius and so reads the shown surrogate.
+
+    The shown witness is built at the policy depth first, only to learn
+    N, and again at the display radius when the policy one is shallower.
     """
     shown = extremal_witness(b, stage)
     deep = _display_radius(sig, shown.count)
@@ -201,9 +207,9 @@ def _witness_at_display_depth(b: int, stage: int, sig: int):
         shown = extremal_witness(b, stage, min_radius=deep)
 
     def attempt(radius):
-        w = shown if radius == shown.radius else extremal_witness(b, stage, min_radius=radius)
-        gap = w.constant - w.product
-        return w.radius, gap if w.count**2 * w.radius * 10 ** (sig + 2) < gap else None
+        gs = gap_set(shown.theta, shown.count, min_radius=radius)
+        gap = shown.constant - gs.product
+        return gs.radius, gap if shown.count**2 * gs.radius * 10 ** (sig + 2) < gap else None
 
     gap = certify(attempt, shown.radius, "the digits of f - N*H", bound=b, stage=stage)
     return shown, gap
@@ -358,6 +364,8 @@ def cmd_verify(args) -> tuple[str, bool]:
 
 def cmd_convergence(args) -> tuple[str, bool]:
     sig = args.precision_digits
+    if args.nmax > MAX_STAGE:
+        raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {MAX_STAGE}")
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
         w, gap = _witness_at_display_depth(args.b, stage, sig)

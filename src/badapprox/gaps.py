@@ -45,6 +45,10 @@ from .quadratic import QuadraticNumber
 # Most multiples a listing puts in order; reading GapSet.orders (or the
 # points built on it) past this raises DomainError before the walk runs.
 MAX_POINTS = 2**20
+# Deepest extremal witness stage served; a deeper one raises DomainError
+# before any convergent is built. At bound 1 stage 266 is the deepest whose
+# product certifies, and stage 1000 still gives up in well under a second.
+MAX_STAGE = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,10 +419,11 @@ def extremal_witness(
         raise DomainError("quotient bound must be >= 1")
     if n < 1:
         raise DomainError("witness stages are indexed from 1")
+    if n > MAX_STAGE:
+        raise DomainError(f"witness stage {n} is past MAX_STAGE = {MAX_STAGE}")
     cf = CFSpec(0, (), (bound, 1))
-    conv = convergents(cf, 2 * n + 1)
-    q = [c.q for c in conv]
-    N = q[2 * n - 1] + ((bound + 2) // 2) * q[2 * n] - 2
+    *_, c_odd, c_even = convergents(cf, 2 * n + 1)
+    N = c_odd.q + ((bound + 2) // 2) * c_even.q - 2
     if N < 1:
         raise DomainError(f"stage {n} gives an empty witness for bound {bound}")
     coeff = (bound - 2) // 2
@@ -427,8 +432,9 @@ def extremal_witness(
     def attempt(radius):
         gs = gap_set(cf, N, min_radius=radius)
         # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
-        res = [abs(c.q * gs.numerator - c.p * gs.denominator) for c in conv]
-        pred_num = res[2 * n - 1] - coeff * res[2 * n]
+        res_odd, res_even = (abs(c.q * gs.numerator - c.p * gs.denominator)
+                             for c in (c_odd, c_even))
+        pred_num = res_odd - coeff * res_even
         if pred_num != gs.gap_nums[-1][0]:
             raise VerificationError(
                 "predicted largest gap disagrees with the computed one"

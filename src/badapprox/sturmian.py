@@ -303,7 +303,7 @@ class DiversityWitness:
     r: int
     a: int
     b: int
-    first_mismatch: int | None
+    first_mismatch: int
     bound: int
 
 
@@ -408,7 +408,8 @@ class WitnessReport:
     disagreement index; the direct bit scan adjudicates between them and
     `matches` records the outcome. The crossing pair is the unique grid
     cell whose lower value sits below theta^2 while its upper value sits
-    above, which is exactly where the two subsequences part ways.
+    above, which is exactly where the two subsequences part ways, and
+    unique_crossing records the exhaustive check that no other cell does.
     """
 
     witness: DiversityWitness
@@ -419,19 +420,45 @@ class WitnessReport:
     crossing_pair: tuple[int, int]
     crossing_lower: QuadraticNumber
     crossing_upper: QuadraticNumber
-    unique_crossing: bool | None
+    unique_crossing: bool
+
+
+def _largest_witness_stage() -> int:
+    """Largest stage whose bit scan fits MAX_BITS.
+
+    The scan at stage n reads L_{2n} * (F_{4n+1} - F_{2n} + 1) bits (the
+    window r*(max_k - 1) + b + 1 of lower_bound_witness); the Fibonacci
+    numbers are walked in plain integers and the walk stops at the first
+    window past the budget.
+    """
+    f, n = [0, 1], 2
+    while True:
+        while len(f) <= 4 * n + 1:
+            f.append(f[-1] + f[-2])
+        if (f[2 * n - 1] + f[2 * n + 1]) * (f[4 * n + 1] - f[2 * n] + 1) > MAX_BITS:
+            return n - 1
+        n += 1
 
 
 def lower_bound_witness(n: int) -> WitnessReport:
     """Golden-ratio witness showing agreement of quadratic length.
 
     Uses r = L_{2n}, offsets a = F_{2n-1} - 1 and b = L_{2n} - 1. All
-    grid-entry facts are established in exact arithmetic; the first
-    disagreement index comes from a direct scan of the bits, which is the
-    ground truth the closed forms are judged against. The exhaustive
-    uniqueness scan runs through stage 5 and is skipped beyond that
-    (unique_crossing None).
+    grid-entry facts, including the exhaustive check that the crossing
+    cell is unique, are established in exact arithmetic at every stage;
+    the first disagreement index comes from a direct scan of the bits,
+    which is the ground truth the closed forms are judged against.
+
+    The stages served are 2 through the largest whose scan fits MAX_BITS
+    (7 at MAX_BITS = 2^29); any other stage raises DomainError before
+    any work is done.
     """
+    top = _largest_witness_stage()
+    if not 2 <= n <= top:
+        raise DomainError(
+            f"the witness serves stages 2 through {top}, "
+            f"the last whose bit scan fits MAX_BITS = {MAX_BITS} bits"
+        )
     cell = crossing_cell(n)
     f2n = fib_lucas(2 * n)
     r = f2n.lucas
@@ -439,7 +466,7 @@ def lower_bound_witness(n: int) -> WitnessReport:
     b = f2n.lucas - 1
     bound = 2 * 9 * r * r  # B = 1 for the golden ratio: 2*(B+2)^2 = 18
 
-    unique = crossing_unique(n) if n <= 5 else None
+    unique = crossing_unique(n)
 
     # Ground truth: scan the actual bits.
     max_k = cell.candidate_high + 2

@@ -275,19 +275,40 @@ def test_gap_lengths_below_the_smallest_float(capsys):
 
 
 def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
-    real = cli.extremal_witness
+    real = cli.gap_set
     calls = []
 
-    def never_deeper(b, n, min_radius=None):
+    def never_deeper(cf, n, min_radius=None):
         calls.append(min_radius)
-        return real(b, n)
+        return real(cf, n)
 
-    monkeypatch.setattr(cli, "extremal_witness", never_deeper)
+    monkeypatch.setattr(cli, "gap_set", never_deeper)
     code, out, err = run(capsys, "extremal", "--b", "3", "--n", "20")
     assert code == 2 and out == ""
     assert "could not certify" in err
-    # The witness at display depth, then ten deepening rounds.
+    # Ten deepening rounds, each reading one gap set.
     assert len(calls) <= 12
+
+
+def test_deeper_digits_build_no_witness(capsys, monkeypatch):
+    # The witness is built at the policy depth and at the display radius;
+    # every deeper round of f - N*H reads a plain gap set.
+    built, read = [], []
+    real_witness, real_gap_set = cli.extremal_witness, cli.gap_set
+
+    def witness(*args, **kwargs):
+        built.append(args)
+        return real_witness(*args, **kwargs)
+
+    def gap_set(*args, **kwargs):
+        read.append(args)
+        return real_gap_set(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "extremal_witness", witness)
+    monkeypatch.setattr(cli, "gap_set", gap_set)
+    code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10")
+    assert code == 0 and json.loads(out)["stage"] == 10
+    assert len(built) <= 2 and len(read) >= 2
 
 
 def test_cli_runs_without_numpy():
@@ -324,7 +345,7 @@ def test_fb_digits_for_small_bounds_are_pinned(capsys):
         ([("arrays", "--n", str(n)) for n in range(2, 7)], "bad625a884b2fe42db987b0e1df132ad"),
         ([("arrays", "--n", str(n), "--format", "csv") for n in range(2, 7)],
          "74c2c6d042d3f50bdd304a0c7d2079e4"),
-        ([("witness", "--n", str(n)) for n in range(2, 7)], "2d7da1144222072c5da3509f2103480e"),
+        ([("witness", "--n", str(n)) for n in range(2, 7)], "5ba3ef0ac0cca64970aa52186b1fa458"),
     ],
     ids=["arrays-json", "arrays-csv", "witness"],
 )
@@ -369,6 +390,54 @@ def test_bit_budget_is_a_domain_error(capsys, argv):
     assert err.startswith("error:") and "MAX_BITS" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("stage", ["8", "100000"])
+def test_witness_stages_past_the_bit_budget_are_refused_first(capsys, stage):
+    # Stage 8 would scan 7.8e9 bits; the refusal once came only after the
+    # Z[phi] work, 1.5 s at stage 20000, and stage 100000 did not end in 10 s.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "witness", "--n", stage)
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_BITS" in err
+    assert elapsed < 0.5
+
+
+def test_witness_checks_uniqueness_past_stage_5(capsys):
+    code, out, _ = run(capsys, "witness", "--n", "6")
+    assert code == 0
+    assert json.loads(out)["crossing"]["unique"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("extremal", "--b", "1", "--n", "1000000"), ("convergence", "--b", "1", "--nmax", "1000000")],
+)
+def test_extremal_stage_limit(capsys, argv):
+    # Each ran past a 10 s timeout, building every convergent and residual.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "MAX_STAGE" in err
+    assert elapsed < 1.0
+
+
+def test_deepest_certified_extremal_stage_is_served(capsys):
+    # md5 of the stdout printed before the stage limit existed.
+    code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "266")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "77c5623d92205f9ccbae6ec0a1bdbd1f"
+
+
+def test_theta_json_with_a_huge_integer_is_a_usage_error(capsys):
+    # json.loads refuses integers past 4300 digits with a plain ValueError,
+    # which once escaped as a traceback.
+    theta = '{"a0": 0, "prefix": [' + "9" * 5000 + '], "period": [1]}'
+    code, out, err = run(capsys, "gaps", "--theta", theta, "--n", "5")
+    assert code == 64 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_points_budget_is_a_domain_error(capsys):

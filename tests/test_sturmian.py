@@ -296,6 +296,28 @@ def test_lower_bound_witness_frozen():
     assert (w3.candidate_low, w3.candidate_high) == (219, 224)
 
 
+def test_lower_bound_witness_checks_uniqueness_at_every_stage():
+    assert lower_bound_witness(6).unique_crossing is True
+
+
+def test_witness_stage_range_follows_the_bit_budget(monkeypatch):
+    # Stage 3 scans exactly r*(max_k - 1) + b + 1 = 18*225 + 17 + 1 bits:
+    # a budget of that many serves it, one bit less refuses it before any
+    # work, with no second limit to keep in step.
+    monkeypatch.setattr("badapprox.sturmian.MAX_BITS", 4068)
+    assert lower_bound_witness(3).witness.first_mismatch == 219
+    with pytest.raises(DomainError, match="MAX_BITS"):
+        lower_bound_witness(4)
+    monkeypatch.setattr("badapprox.sturmian.MAX_BITS", 4067)
+    assert lower_bound_witness(2).witness.first_mismatch == 28
+    with pytest.raises(DomainError, match="MAX_BITS"):
+        lower_bound_witness(3)
+    monkeypatch.setattr("badapprox.sturmian.crossing_cell", None)
+    for n in (1, 3, 10**6):
+        with pytest.raises(DomainError, match="stages 2 through 2"):
+            lower_bound_witness(n)
+
+
 def test_witness_agreement_is_quadratic_in_r():
     for n in (2, 3, 4):
         w = lower_bound_witness(n)
