@@ -8,7 +8,7 @@ that is independent of the exact machinery: gap sets come from sorting
 rounded multiples of theta (not the three-distance theorem), best
 approximations from a full scan over n (not min_affine_mod), bit
 sequences from floors of theta's mpf value (not standard words), and
-agreement indices from a naive loop (not slice bisection).
+agreement indices from a naive loop (not the XOR of big-endian integers).
 
 mpmath supplies theta (above) and beta, each as an mpf, and the working
 precision: each gap point and gap length is rounded half to even to

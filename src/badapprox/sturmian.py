@@ -100,18 +100,14 @@ def agreement(seq, r: int, a: int, b: int, max_k: int) -> int | None:
 
 
 def _first_mismatch(u: bytes, v: bytes) -> int | None:
-    """First index where two equally long strings differ (None if nowhere),
-    by bisecting on slice equality, which compares whole blocks at once."""
-    if u == v:
+    """First index where two equally long byte strings differ (None if
+    nowhere). Read big-endian, x = int(u) ^ int(v) is 0 exactly when they
+    are equal; otherwise its top set bit falls in the first differing byte,
+    which is byte len(u) - 1 - (x.bit_length() - 1) // 8."""
+    x = int.from_bytes(u, "big") ^ int.from_bytes(v, "big")
+    if not x:
         return None
-    lo, hi = 0, len(u)  # u[:lo] == v[:lo] and u[lo:hi] != v[lo:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if u[lo:mid] == v[lo:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return len(u) - 1 - (x.bit_length() - 1) // 8
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,21 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
 
     B must dominate the partial quotients of cf; each row checks the
     quadratic bound 2*(B+2)^2 * r^2.
+
+    Each row is exact, though it reads only a prefix of its window. Among
+    sorted strings, the common prefix of any two is the shortest common
+    prefix of the neighbour pairs between them, so the longest over all
+    pairs is attained by neighbours. The row sorts its r columns cut to
+    their first `length` entries. If every pair of sorted neighbours
+    differs inside that prefix, so does every pair of columns, at the same
+    index as in the whole window, and the neighbours' largest first
+    mismatch is the row's maximum. Otherwise `length` doubles, capped at
+    the whole window max_k, where a pair that still agrees means some pair
+    agrees past the window (None). `length` carries over to the next row.
+    Each cut column is one big-endian integer: among byte strings of one
+    length, the integers sort as the bytes do, and a neighbour pair's first
+    mismatch comes from its XOR as in _first_mismatch, so the smallest XOR
+    bit length gives the row's largest index.
     """
     if r_max < 2:
         raise DomainError("need r_max >= 2")
@@ -137,19 +148,20 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
     # The last row's window is the longest; every row reads a prefix of it.
     word = characteristic_bits(cf, r_max * (2 * (B + 2) ** 2 * r_max**2 + 1))
     rows = []
+    length = 1
     for r in range(2, r_max + 1):
         bound = 2 * (B + 2) ** 2 * r * r
         max_k = bound + 1
-        # Sorted, the pair of columns with the longest common prefix is
-        # a pair of neighbours.
-        cols = sorted(word[a : r * max_k : r] for a in range(r))
-        worst: int | None = -1
-        for u, v in zip(cols, cols[1:]):
-            k = _first_mismatch(u, v)
-            if k is None:
-                worst = None
+        while True:
+            cols = sorted(
+                int.from_bytes(word[a : r * length : r], "big") for a in range(r)
+            )
+            # 0 when some pair of neighbours agrees on the whole prefix.
+            low = min((u ^ v).bit_length() for u, v in zip(cols, cols[1:]))
+            if low or length == max_k:
                 break
-            worst = max(worst, k)
+            length = min(2 * length, max_k)
+        worst = length - 1 - (low - 1) // 8 if low else None
         passed = worst is not None and worst <= bound
         rows.append(DiversityRow(r=r, max_agreement=worst, bound=bound, passed=passed))
     return rows

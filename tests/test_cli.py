@@ -360,6 +360,18 @@ def test_golden_reports_are_pinned(capsys, argv, digest):
     assert md5.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("json", "bf4adda6043605ce82c768bf895c148e"), ("csv", "7be5389248ddfca4b5cd28eb6145f864")],
+)
+def test_golden_diversity_report_is_pinned(capsys, fmt, digest):
+    # md5 of the stdout printed when every row sorted whole-window columns.
+    code, out, _ = run(capsys, "diversity", "--theta", "golden", "--b", "1", "--rmax", "60",
+                       "--format", fmt)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_arrays_json_builds_no_entry(capsys, monkeypatch):
     grids = []
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from badapprox import (
     GOLDEN,
@@ -23,8 +25,8 @@ from badapprox import (
     lower_bound_witness,
     witness_ratio_report,
 )
-from badapprox.oracle import brute_agreement, brute_bits, high_precision_value
-from badapprox.sturmian import MAX_BITS, THETA_GOLDEN, frac_golden_multiple
+from badapprox.oracle import brute_agreement, brute_bits, high_precision_value, random_cf
+from badapprox.sturmian import MAX_BITS, THETA_GOLDEN, _first_mismatch, frac_golden_multiple
 
 
 def test_frozen_bit_prefixes():
@@ -197,6 +199,115 @@ def test_diversity_scan_matches_pairwise_scan(cf, B, r_max):
     assert [row.max_agreement for row in rows] == [
         _pairwise_max_agreement(cf, B, r) for r in range(2, r_max + 1)
     ]
+
+
+def _plain_first_mismatch(u, v):
+    for i in range(len(u)):
+        if u[i] != v[i]:
+            return i
+    return None
+
+
+@given(
+    u=st.binary(max_size=70),
+    at=st.integers(min_value=0),
+    delta=st.integers(min_value=0, max_value=255),
+    tail=st.binary(max_size=70),
+)
+@example(u=b"", at=0, delta=0, tail=b"")
+@example(u=bytes(16), at=0, delta=0, tail=b"")  # equal strings
+@example(u=bytes(9), at=0, delta=1, tail=b"")  # index 0, length not a multiple of 8
+@example(u=bytes(13), at=12, delta=1, tail=b"")  # the last index
+@example(u=b"\x00\xff\x80", at=1, delta=129, tail=b"\x07")  # bytes past {0, 1}
+@settings(max_examples=300, deadline=None)
+def test_first_mismatch_matches_index_loop(u, at, delta, tail):
+    """v is u with byte `at` shifted by delta (0 leaves it) and the bytes
+    after it overwritten by tail, cut to u's length."""
+    v = bytearray(u)
+    if u:
+        at %= len(u)
+        v[at] = (v[at] + delta) % 256
+        rest = tail[: len(u) - at - 1]
+        v[at + 1 : at + 1 + len(rest)] = rest
+    assert len(v) == len(u)
+    assert _first_mismatch(u, bytes(v)) == _plain_first_mismatch(u, v)
+    assert _first_mismatch(bytearray(u), v) == _plain_first_mismatch(u, v)
+
+
+def _bisect_first_mismatch(u, v):
+    """First index where two equally long strings differ (None if nowhere),
+    by bisecting on slice equality."""
+    if u == v:
+        return None
+    lo, hi = 0, len(u)  # u[:lo] == v[:lo] and u[lo:hi] != v[lo:hi]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if u[lo:mid] == v[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _full_window_scan(cf, B, r_max):
+    """(r, max_agreement) per row from every column's whole window, sorted
+    as bytes, with neighbours bisected: the reference for diversity_scan's
+    prefix cut."""
+    word = characteristic_bits(cf, r_max * (2 * (B + 2) ** 2 * r_max**2 + 1))
+    rows = []
+    for r in range(2, r_max + 1):
+        max_k = 2 * (B + 2) ** 2 * r * r + 1
+        cols = sorted(word[a : r * max_k : r] for a in range(r))
+        worst = -1
+        for u, v in zip(cols, cols[1:]):
+            k = _bisect_first_mismatch(u, v)
+            if k is None:
+                worst = None
+                break
+            worst = max(worst, k)
+        rows.append((r, worst))
+    return rows
+
+
+def _scan_rows(cf, B, r_max):
+    return [(row.r, row.max_agreement) for row in diversity_scan(cf, B, r_max)]
+
+
+def test_diversity_scan_matches_full_window_scan():
+    assert _scan_rows(GOLDEN, 1, 60) == _full_window_scan(GOLDEN, 1, 60)
+    rng = random.Random(17)
+    for _ in range(60):
+        cf = random_cf(rng, 5)
+        B = cf.bound()
+        r_max = 12 if B <= 3 else 8
+        assert _scan_rows(cf, B, r_max) == _full_window_scan(cf, B, r_max), cf
+
+
+@pytest.mark.parametrize(
+    "cf, expected",
+    [
+        (CFSpec(0, (), (5, 1, 4)), {4: 8, 9: 7}),
+        (CFSpec(0, (1, 3, 1), (3, 2, 2, 3)), {12: 19}),
+        (CFSpec(0, (1, 3, 1, 1), (2, 3)), {7: 9}),
+        (CFSpec(0, (5, 2), (5, 5, 3, 3, 4)), {8: 7, 9: 6}),
+    ],
+)
+def test_diversity_rows_whose_maximum_is_not_at_circular_neighbours(cf, expected):
+    """On these rows the longest agreement is between columns whose
+    starting points are not neighbours on the circle; the scan must still
+    find it, so each maximum is checked against every pair, naively."""
+    B = cf.bound()
+    rows = dict(_scan_rows(cf, B, max(expected)))
+    for r, want in expected.items():
+        max_k = 2 * (B + 2) ** 2 * r * r + 1
+        bits = characteristic_bits(cf, r * max_k)
+        pairs = [
+            brute_agreement(bits, r, a, b, max_k)
+            for a in range(r - 1)
+            for b in range(a + 1, r)
+        ]
+        assert None not in pairs
+        assert rows[r] == max(pairs) == want
 
 
 def test_diversity_scan_validation():
