@@ -151,7 +151,7 @@ def cmd_gaps(args) -> tuple[str, bool]:
     gs = gap_set(cf, args.n, min_radius=_display_radius(sig, args.n))
     if args.format == "csv":
         rows = [("gap", "multiplicity")]
-        rows += [(decimal_str(g, sig), m) for g, m in gs.gaps]
+        rows += [(s, m) for s, (_, m) in zip(gs.length_strs(sig), gs.gap_nums)]
         return _csv(rows), False
     return _json(gs.to_json_dict(sig)), False
 
@@ -170,7 +170,7 @@ def cmd_regime(args) -> tuple[str, bool]:
         "k": tag.k,
         "l": tag.l,
         "case": tag.case,
-        "gaps": [decimal_str(g, sig) for g, _ in gs.gaps],
+        "gaps": gs.length_strs(sig),
         "predicted": [decimal_str(p.center, sig) for p in predicted],
         "matches": ok,
     }

@@ -46,8 +46,10 @@ from .quadratic import QuadraticNumber
 # points built on it) past this raises DomainError before the walk runs.
 MAX_POINTS = 2**20
 # Deepest extremal witness stage served; a deeper one raises DomainError
-# before any convergent is built. At bound 1 stage 266 is the deepest whose
-# product certifies, and stage 1000 still gives up in well under a second.
+# before any convergent is built. The deepest stage whose product
+# certifies, per bound: 1:266, 2:201, 3:165, 4:147, 5:137, 6:128, 7:119,
+# 8:119, 9:111, 10:110, 11:101, 12:101. Every deeper stage up to 1000
+# gives up (VerificationError) in well under a second.
 MAX_STAGE = 1000
 
 
@@ -147,19 +149,27 @@ class GapSet:
             prev = v
         raise AssertionError("largest gap disappeared")
 
-    def to_json_dict(self, sig: int = 10) -> dict:
-        from .render import _ratio_str, decimal_str
+    def length_strs(self, sig: int = 10) -> list[str]:
+        """The ascending gap lengths as decimal strings, rendered in one run
+        over the shared denominator."""
+        from .render import _ratios_str
 
-        q = self.denominator
+        return _ratios_str([g for g, _ in self.gap_nums], self.denominator, sig)
+
+    def to_json_dict(self, sig: int = 10) -> dict:
+        from .render import _ratios_str, decimal_str
+
+        lengths = self.length_strs(sig)
         return {
             "n": self.count,
             "k_surrogate": self.depth,
-            "points": [_ratio_str(v, q, sig) for v in self.nums],
+            "points": _ratios_str(self.nums, self.denominator, sig),
             "gaps": [
-                {"length": _ratio_str(g, q, sig), "multiplicity": m}
-                for g, m in self.gap_nums
+                {"length": s, "multiplicity": m}
+                for s, (_, m) in zip(lengths, self.gap_nums)
             ],
-            "h": decimal_str(self.largest, sig),
+            # The largest gap is the last length: the same value, so the same string.
+            "h": lengths[-1],
             "product_nh": decimal_str(self.product, sig),
         }
 

@@ -3,6 +3,11 @@
 Exact rationals and quadratic numbers never pass through floating point on
 the way to the user: they are rounded once, here, to a requested number of
 significant digits using integer arithmetic only.
+
+One core, _ratios_str(nums, d, sig), renders integers over one denominator
+a decade at a time: what a decade needs (exponent, bounds, rounding factor,
+leading zeros) is worked out when a value enters it and reused while the
+next values stay in it. A single value is a one-element run.
 """
 
 from __future__ import annotations
@@ -30,22 +35,53 @@ def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
 
 
 def _ratio_str(n: int, d: int, sig: int) -> str:
-    """decimal_str of n/d for integers n and d > 0, without building a Fraction."""
-    if n == 0:
-        return "0"
-    neg = n < 0
-    n = abs(n)
-    e = _floor_log10(n, d)
-    # Integer holding exactly `sig` significant digits of n/d, rounded
-    # half to even (the same convention as round()).
-    shift = sig - 1 - e
-    if shift >= 0:
-        n *= 10**shift
-    else:
-        d *= 10**-shift
-    q, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and q & 1):
-        q += 1
+    """decimal_str of n/d for integers n and d > 0, without building a Fraction.
+
+    A single value is a one-element run of the batch core.
+    """
+    return _ratios_str((n,), d, sig)[0]
+
+
+def _ratios_str(nums, d: int, sig: int) -> list[str]:
+    """_ratio_str of n/d for each integer n in nums, over one d > 0.
+
+    The core works a decade at a time: the exponent e, the bounds
+    lo <= |n| < hi of the decade 10**e <= |n|/d < 10**(e+1), the rounding
+    multiplier or divisor and the leading "0.000" string are kept while
+    consecutive values stay in one decade, and recomputed with _decade
+    only when a value leaves it. A sorted listing of N points changes
+    decade about log10(N) times. A positive value with -8 <= e < 0 whose
+    rounding does not carry is the leading string and its digits; every
+    other value goes through _digits_str, the one formatting tail.
+    """
+    top = 10**sig
+    out = []
+    lo = hi = 0  # an empty decade, so the first nonzero value sets one
+    for n in nums:
+        m = abs(n)
+        if not lo <= m < hi:
+            if m == 0:
+                out.append("0")
+                continue
+            e, lo, hi = _decade(m, d)
+            # Integer holding exactly `sig` significant digits of m/d,
+            # rounded half to even (the same convention as round()).
+            shift = sig - 1 - e
+            mul, div = (10**shift, d) if shift >= 0 else (1, d * 10**-shift)
+            lead = "0." + "0" * (-e - 1) if -8 <= e < 0 else None
+        q, r = divmod(m * mul, div)
+        if 2 * r > div or (2 * r == div and q & 1):
+            q += 1
+        if lead is not None and n > 0 and q < top:
+            out.append((lead + str(q)).rstrip("0"))
+        else:
+            out.append(_digits_str(q, e, n < 0, sig))
+    return out
+
+
+def _digits_str(q: int, e: int, neg: bool, sig: int) -> str:
+    """Format q, the value's `sig` significant digits rounded, at decimal
+    exponent e: fixed notation for -8 <= e <= 20, scientific otherwise."""
     if q >= 10**sig:  # rounding carried over, e.g. 9.99 -> 10.0
         q //= 10
         e += 1
@@ -86,24 +122,33 @@ def _approx_leading(value, digits: int) -> Fraction:
 
 
 def _floor_log10(n: int, d: int) -> int:
-    """floor(log10(n/d)) for positive integers n and d, exactly.
+    """floor(log10(n/d)) for positive integers n and d, exactly."""
+    return _decade(n, d)[0]
+
+
+def _decade(n: int, d: int) -> tuple[int, int, int]:
+    """(e, lo, hi) with e = floor(log10(n/d)) for positive integers n and
+    d, and lo <= n < hi the integers whose ratio to d has that exponent.
 
     The bit lengths put log2(n/d) within one of their difference, and
     0.30103 is log10(2) to 1e-8, so the estimate is off by at most one
     until the operands run to about 10^8 bits; integer comparisons with
-    powers of ten settle it.
+    the decade's bounds settle it.
     """
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while _below(n, d, e):
+    lo, hi = _scaled_up(d, e), _scaled_up(d, e + 1)
+    while n < lo:
         e -= 1
-    while not _below(n, d, e + 1):
+        lo, hi = _scaled_up(d, e), lo
+    while n >= hi:
         e += 1
-    return e
+        lo, hi = hi, _scaled_up(d, e + 1)
+    return e, lo, hi
 
 
-def _below(n: int, d: int, k: int) -> bool:
-    """n/d < 10**k, with the power of ten on whichever side keeps it an integer."""
-    return n < d * 10**k if k >= 0 else n * 10**-k < d
+def _scaled_up(d: int, k: int) -> int:
+    """ceil(d * 10**k): the least integer n with n/d >= 10**k."""
+    return d * 10**k if k >= 0 else -(-d // 10**-k)
 
 
 def _strip(s: str) -> str:

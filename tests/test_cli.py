@@ -372,6 +372,22 @@ def test_golden_diversity_report_is_pinned(capsys, fmt, digest):
     assert hashlib.md5(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--theta", "sqrt2", "--n", "100000"), "044849888d91fe5edca84f1cd5fcc6a6"),
+        (("--theta", "golden", "--n", "20000", "--precision-digits", "40"),
+         "a78ac46cfea919383598b4deb9543349"),
+    ],
+    ids=["sqrt2-1e5", "golden-2e4-40"],
+)
+def test_point_listings_are_pinned(capsys, argv, digest):
+    # md5 of the stdout printed when every point was rendered on its own.
+    code, out, _ = run(capsys, "gaps", *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == digest
+
+
 def test_arrays_json_builds_no_entry(capsys, monkeypatch):
     grids = []
 

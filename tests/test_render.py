@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from badapprox.quadratic import QuadraticNumber
-from badapprox.render import _floor_log10, _ratio_str, decimal_str
+from badapprox.render import _floor_log10, _ratio_str, _ratios_str, decimal_str
 
 
 def test_integers_and_exact_decimals():
@@ -140,6 +140,62 @@ def test_ratio_str_matches_exact_fraction_reference(neg, n, d, sig, tweak):
         n = -n
     assert _ratio_str(n, d, sig) == _reference(n, d, sig)
     assert decimal_str(Fraction(n, d), sig) == _reference(n, d, sig)
+
+
+def _decade_edges(d: int):
+    """d*10**k, one below it and d // 10**k: where a sorted run changes decade."""
+    return st.integers(0, 25).flatmap(
+        lambda k: st.sampled_from([d * 10**k, max(d * 10**k - 1, 0), d // 10**k])
+    )
+
+
+@st.composite
+def _runs(draw):
+    """(nums, d, sig) for one batch call: a sorted non-negative run seeded at
+    decade edges, or an unsorted run of mixed sign."""
+    d0 = draw(_magnitudes)
+    sig = draw(st.integers(1, 60))
+    # With d = 2 * 10**j * d0, (2 * 10**sig - 1) * d0 * 10**k over d is
+    # 99...9.5 (sig nines) times a power of ten: a half-way tie whose
+    # rounding carries into the next decade.
+    j = draw(st.integers(0, 12))
+    d = draw(st.sampled_from([d0, 2 * 10**j * d0]))
+    carries = st.integers(0, 25).map(lambda k: (2 * 10**sig - 1) * d0 * 10**k)
+    values = st.one_of(
+        _decade_edges(d),
+        st.integers(0, 2 * d),
+        _magnitudes,
+        carries,
+        # Far below and far above one: both scientific ends.
+        st.integers(1, 10**9).map(lambda n: n * d // 10**30),
+        st.integers(1, 10**9).map(lambda n: n * d * 10**21),
+    )
+    nums = draw(st.lists(values, max_size=40))
+    if draw(st.booleans()):
+        nums.sort()
+    else:
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(nums), max_size=len(nums)))
+        nums = [s * n for s, n in zip(signs, nums)]
+    return nums, d, sig
+
+
+@settings(max_examples=400, deadline=None)
+@given(_runs())
+def test_ratios_str_matches_exact_fraction_reference(run):
+    nums, d, sig = run
+    assert _ratios_str(nums, d, sig) == [_reference(n, d, sig) for n in nums]
+
+
+def test_ratios_str_carries_and_scientific_ends_in_one_run():
+    # A half-way carry (9.995 -> 10 at three digits) inside a run of its
+    # decade, then a jump into scientific notation; over 10**13, a carry
+    # out of scientific notation (9.9995e-9 -> 0.00000001 at four digits).
+    nums = [9994, 9995, 9996, -9995, 1, 10**11, 10**25]
+    assert _ratios_str(nums, 1000, 3) == [
+        _reference(n, 1000, 3) for n in nums
+    ] == ["9.99", "10", "10", "-10", "0.001", "100000000", "1e+22"]
+    tiny = [1, 2, 99995, 10**5, 10**6]
+    assert _ratios_str(tiny, 10**13, 4) == [_reference(n, 10**13, 4) for n in tiny]
 
 
 def test_small_quadratic_keeps_every_digit():
