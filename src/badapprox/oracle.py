@@ -49,23 +49,24 @@ _DEEP_RADIUS = Fraction(1, 10**45)
 _COMPARE_TOL = Fraction(1, 10**40)
 
 
-def high_precision_value(cf: CFSpec, dps: int = ORACLE_DPS):
-    """The number described by cf as an mpf good to `dps` digits.
+def high_precision_value(cf: CFSpec):
+    """The number described by cf as an mpf good to ORACLE_DPS digits.
 
     This is the one place the oracles lean on the package: the value is
-    the convergent `cf.eval_theta` certifies to within 10**-(dps + 5), and
-    the exact side reads its surrogates off the same convergent
-    recurrence (a rational comes from CFSpec.value). A wrong expansion or
-    recurrence would therefore mislead both sides alike; the oracles
-    check what is computed from theta, not theta itself.
+    the convergent `cf.eval_theta` certifies to within
+    10**-(ORACLE_DPS + 5), and the exact side reads its surrogates off the
+    same convergent recurrence (a rational comes from CFSpec.value). A
+    wrong expansion or recurrence would therefore mislead both sides
+    alike; the oracles check what is computed from theta, not theta
+    itself.
     """
     from mpmath import mp
 
-    with mp.workdps(dps + 10):
+    with mp.workdps(ORACLE_DPS + 10):
         if cf.is_rational:
             v = cf.value()
             return mp.mpf(v.numerator) / v.denominator
-        cert = eval_theta(cf, Fraction(1, 10 ** (dps + 5)))
+        cert = eval_theta(cf, Fraction(1, 10 ** (ORACLE_DPS + 5)))
         return mp.mpf(cert.center.numerator) / cert.center.denominator
 
 
@@ -255,33 +256,26 @@ class OracleReport:
 def _close(num: int, den: int, approx) -> bool:
     """Whether |num/den - approx| < _COMPARE_TOL for an mpf approx.
 
-    A non-finite approx (mantissa 0, nonzero exponent) is never close.
+    A non-finite approx (mantissa 0, nonzero exponent) is never close. A
+    positive exponent moves into the mantissa, which leaves the exp <= 0
+    that _all_close_dyadic takes.
     """
     sign, man, exp, _ = approx._mpf_
     if not man and exp:
         return False
-    return _close_dyadic(num, den, -man if sign else man, exp)
-
-
-def _close_dyadic(num: int, den: int, man: int, exp: int) -> bool:
-    """Whether |num/den - man * 2**exp| < _COMPARE_TOL, decided exactly.
-
-    Clearing den, 2**-exp and the tolerance's denominator leaves one
-    integer comparison.
-    """
-    tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
-    if exp >= 0:
-        return abs(num - (man << exp) * den) * td < tn * den
-    return abs((num << -exp) - man * den) * td < (tn * den) << -exp
+    if exp > 0:
+        man, exp = man << exp, 0
+    return _all_close_dyadic([num], den, [-man if sign else man], exp)
 
 
 def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
-    """Whether _close_dyadic(num, den, man, exp) holds for every pair of
+    """Whether |num/den - man * 2**exp| < _COMPARE_TOL for every pair of
     nums and mans, which must be of one length, at an exp <= 0 such as
-    _gap_keys' low.
+    _gap_keys' low or that of the Kronecker error in _close.
 
-    The bound and the shift are the same for every pair, so they are
-    computed once.
+    Clearing den, 2**-exp and the tolerance's denominator leaves one
+    integer comparison per pair; the bound and the shift are the same for
+    every pair, so they are computed once.
     """
     tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
     shift = -exp
@@ -290,14 +284,13 @@ def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
     return all(abs((num << shift) - man * den) * td < bound for num, man in pairs)
 
 
-def run_suite(
-    cases: int = 200, seed: int = 20260822, max_n: int = 400
-) -> OracleReport:
+def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
     """Compare the exact paths against the oracles over a random corpus.
 
     Runs `cases` trials of each family (gap sets, best approximations,
-    agreement scans). Gap points and errors must match to 1e-40; best
-    approximation indices and agreement indices must match exactly.
+    agreement scans), with N up to 400 in the first two. Gap points and
+    errors must match to 1e-40; best approximation indices and agreement
+    indices must match exactly.
     """
     rng = random.Random(seed)
     failures: list[str] = []
@@ -305,7 +298,7 @@ def run_suite(
     gap_done = 0
     for _ in range(cases):
         cf = random_cf(rng)
-        N = rng.randint(1, max_n)
+        N = rng.randint(1, 400)
         tag = f"gaps {cf.prefix}+{cf.period} N={N}"
         gs = gap_set(cf, N, min_radius=_DEEP_RADIUS)
         pts, distinct, low = _gap_keys(high_precision_value(cf), N)
@@ -329,7 +322,7 @@ def run_suite(
     kron_done = 0
     for _ in range(cases):
         cf = random_cf(rng)
-        N = rng.randint(1, max_n)
+        N = rng.randint(1, 400)
         beta = random_beta(rng)
         tag = f"kron {cf.prefix}+{cf.period} N={N} beta={beta}"
         sol = solve(cf, beta, N, min_radius=_DEEP_RADIUS)

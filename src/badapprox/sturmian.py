@@ -10,9 +10,10 @@ golden-ratio machinery (Fibonacci and Lucas identities, the two staircase
 value grids, and the crossing witness that shows the quadratic bound is
 the right order).
 
-Bits are exact for every input: characteristic_bits copies earlier bits
-of the standard words of theta's continued fraction into a new buffer per
-call, with no floor to certify and no state kept between calls.
+Bits are exact for every input: characteristic_bits writes each standard
+word of theta's continued fraction by copying the prefix already written
+into a new buffer per call, with no floor to certify and no state kept
+between calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cf import CFSpec
+from .cf import GOLDEN, CFSpec
 from .errors import DomainError, SequenceLengthError, VerificationError
 from .quadratic import QuadraticNumber
 
@@ -39,42 +40,35 @@ def characteristic_bits(cf: CFSpec, length: int) -> bytearray:
     a_1, a_2, ...], one 0 or 1 byte each, in a new buffer: the limit of
     the standard words s_{-1} = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_{-1} and
     s_j = s_{j-1}^(a_j) s_{j-2} (Lothaire, Algebraic Combinatorics on
-    Words, 2002, ch. 2). The buffer starts with s_{-1} s_0 = "10", which
-    makes every standard word a slice of it; copies go view to view, so
-    the peak is length + 2 bytes.
+    Words, 2002, ch. 2). From s_1 on, each standard word is a prefix of
+    the next, so buf[:i] always holds the latest s_j, and s_(j+1) is
+    written by copying prefixes of buf after it: a_(j+1) - 1 more copies of
+    s_j, then s_(j-1) (or s_0, one zero byte, already in place). Copies go
+    view to view and never overlap, so the peak is `length` bytes.
     """
     if cf.a0 != 0 or cf.is_rational:
         raise DomainError("need an irrational number strictly between 0 and 1")
     if not 0 <= length <= MAX_BITS:
         raise DomainError(f"need 0 <= length <= MAX_BITS = {MAX_BITS} bits")
-    size = length + 2
-    buf = bytearray(size)
-    buf[0] = 1
+    buf = bytearray(length)
     quotients = cf.quotients()
-    # The word being written is w^reps t, with w and t given as
-    # (start, length) slices of buf; it starts as s_1, written from i = 2.
-    (ws, q), (ts, p), i = (1, 1), (0, 1), 2
-    reps = next(quotients) - 1
+    i = next(quotients)  # s_1 = 0^(a_1 - 1) 1 fills buf[:i]
+    if i <= length:
+        buf[i - 1] = 1
+    prev = 0  # len(s_(j-1)); 0 stands for s_0
     with memoryview(buf) as view:
-        while i < size:
-            # The copies of w run from ws to tile_end with period q; each
-            # copy reads the longest whole number of periods behind it.
-            tile_end = 2 + reps * q
-            while i < min(tile_end, size):
-                back = (i - ws) // q * q
-                k = min(back, tile_end - i, size - i)
-                view[i : i + k] = view[i - back : i - back + k]
+        for a in quotients:
+            if i >= length:
+                break
+            cur, end = i, min(a * i, length)
+            while i < end:
+                k = min(i, end - i)
+                view[i : i + k] = view[:k]
                 i += k
-            end = tile_end + p
-            if tile_end <= i < size:
-                k = min(end, size) - i
-                off = ts + i - tile_end
-                view[i : i + k] = view[off : off + k]
-                i += k
-            if i == end:
-                (ws, q), (ts, p) = (2, end - 2), (ws, q)
-                reps = next(quotients)
-    del buf[:2]
+            k = min(prev or 1, length - i)
+            if prev:
+                view[i : i + k] = view[:k]
+            i, prev = i + k, cur
     return buf
 
 
@@ -96,18 +90,20 @@ def agreement(seq, r: int, a: int, b: int, max_k: int) -> int | None:
     arr = seq if isinstance(seq, (bytes, bytearray)) else bytes(map(int, seq))
     if len(arr) < required:
         raise SequenceLengthError(required, len(arr))
-    return _first_mismatch(arr[a : r * max_k : r], arr[b : r * max_k : r])
+    u = int.from_bytes(arr[a : r * max_k : r], "big")
+    v = int.from_bytes(arr[b : r * max_k : r], "big")
+    return _first_mismatch(u ^ v, max_k)
 
 
-def _first_mismatch(u: bytes, v: bytes) -> int | None:
-    """First index where two equally long byte strings differ (None if
-    nowhere). Read big-endian, x = int(u) ^ int(v) is 0 exactly when they
-    are equal; otherwise its top set bit falls in the first differing byte,
-    which is byte len(u) - 1 - (x.bit_length() - 1) // 8."""
-    x = int.from_bytes(u, "big") ^ int.from_bytes(v, "big")
+def _first_mismatch(x: int, length: int) -> int | None:
+    """First index where two `length`-byte strings differ (None if
+    nowhere), from x, the XOR of the two read as big-endian integers; the
+    one copy of this index rule. x is 0 exactly when they are equal;
+    otherwise its top set bit falls in the first differing byte, which is
+    byte length - 1 - (x.bit_length() - 1) // 8."""
     if not x:
         return None
-    return len(u) - 1 - (x.bit_length() - 1) // 8
+    return length - 1 - (x.bit_length() - 1) // 8
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,8 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
     agrees past the window (None). `length` carries over to the next row.
     Each cut column is one big-endian integer: among byte strings of one
     length, the integers sort as the bytes do, and a neighbour pair's first
-    mismatch comes from its XOR as in _first_mismatch, so the smallest XOR
-    bit length gives the row's largest index.
+    mismatch comes from its XOR by _first_mismatch, so the smallest XOR
+    gives the row's largest index.
     """
     if r_max < 2:
         raise DomainError("need r_max >= 2")
@@ -157,11 +153,11 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
                 int.from_bytes(word[a : r * length : r], "big") for a in range(r)
             )
             # 0 when some pair of neighbours agrees on the whole prefix.
-            low = min((u ^ v).bit_length() for u, v in zip(cols, cols[1:]))
+            low = min(u ^ v for u, v in zip(cols, cols[1:]))
             if low or length == max_k:
                 break
             length = min(2 * length, max_k)
-        worst = length - 1 - (low - 1) // 8 if low else None
+        worst = _first_mismatch(low, length)
         passed = worst is not None and worst <= bound
         rows.append(DiversityRow(r=r, max_agreement=worst, bound=bound, passed=passed))
     return rows
@@ -482,7 +478,7 @@ def lower_bound_witness(n: int) -> WitnessReport:
 
     # Ground truth: scan the actual bits.
     max_k = cell.candidate_high + 2
-    word = characteristic_bits(CFSpec(0, (), (1,)), r * (max_k - 1) + b + 1)
+    word = characteristic_bits(GOLDEN, r * (max_k - 1) + b + 1)
     k_star = agreement(word, r, a, b, max_k)
     if k_star is None:
         raise VerificationError("no disagreement found where one must exist")

@@ -346,12 +346,37 @@ def test_fb_digits_for_small_bounds_are_pinned(capsys):
         ([("arrays", "--n", str(n), "--format", "csv") for n in range(2, 7)],
          "74c2c6d042d3f50bdd304a0c7d2079e4"),
         ([("witness", "--n", str(n)) for n in range(2, 7)], "5ba3ef0ac0cca64970aa52186b1fa458"),
+        ([("witness", "--n", str(n), "--format", "csv") for n in range(2, 7)],
+         "1106cbdbfbc816267475834050bb0804"),
     ],
-    ids=["arrays-json", "arrays-csv", "witness"],
+    ids=["arrays-json", "arrays-csv", "witness", "witness-csv"],
 )
 def test_golden_reports_are_pinned(capsys, argv, digest):
     # md5 of the concatenated stdout at stages 2..6, as printed when
     # fractional_grids still built and walked every grid entry.
+    md5 = hashlib.md5()
+    for args in argv:
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        md5.update(out.encode())
+    assert md5.hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ([("regime", "--theta", theta, "--n", "100000", "--format", "csv")
+          for theta in ("golden", "sqrt2", "extremal:3")], "c91f7a2c6a2cf58e66d10457d2fadf8f"),
+        ([("convergence", "--b", "3", "--nmax", "12", "--format", "json")],
+         "cc906d3c68241956d5c02c6a22030fe4"),
+        ([("convergence", "--b", "1", "--nmax", "20", "--format", "json",
+           "--precision-digits", "40")], "bf10a40db6babce6747be4007e5e716e"),
+    ],
+    ids=["regime-csv", "convergence-json", "convergence-json-40"],
+)
+def test_other_report_formats_are_pinned(capsys, argv, digest):
+    # md5 of the concatenated stdout of report formats that no other test
+    # or benchmark call prints.
     md5 = hashlib.md5()
     for args in argv:
         code, out, _ = run(capsys, *args)

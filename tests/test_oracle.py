@@ -23,7 +23,6 @@ from badapprox.oracle import (
     ORACLE_DPS,
     _all_close_dyadic,
     _close,
-    _close_dyadic,
     _round_bits,
     brute_agreement,
     brute_bits,
@@ -223,7 +222,7 @@ def test_all_close_dyadic_is_all_of_close_dyadic(exp, r, data):
     )
     nums = [man * (den >> -exp) + off for man, off in zip(mans, offs)]
     got = _all_close_dyadic(nums, den, mans, exp)
-    assert got is all(_close_dyadic(n, den, m, exp) for n, m in zip(nums, mans))
+    assert got is all(_all_close_dyadic([n], den, [m], exp) for n, m in zip(nums, mans))
     assert got is all(abs(off) < at for off in offs)
 
 

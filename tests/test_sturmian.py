@@ -56,6 +56,38 @@ def test_bits_match_mpf_floors(cf):
     assert characteristic_bits(cf, length) == bytes(want)
 
 
+def _standard_word(cf, n):
+    """The first n bits of the characteristic word by its definition:
+    s_{-1} = 1, s_0 = 0, s_1 = s_0^(a_1 - 1) s_{-1} and s_j = s_{j-1}^(a_j)
+    s_{j-2}, on bytes. A repeat count past n // len(s) + 1 already covers
+    n bits, so it is cut there and huge quotients stay small."""
+    older, old = b"\x01", b"\x00"
+    quotients = cf.quotients()
+    reps = next(quotients) - 1
+    while True:
+        older, old = old, old * min(reps, n // len(old) + 1) + older
+        if len(old) >= n:
+            return old[:n]
+        reps = next(quotients)
+
+
+_QUOTIENTS = st.one_of(st.integers(1, 12), st.sampled_from([10**6, 10**25]))
+
+
+@given(
+    prefix=st.lists(_QUOTIENTS, max_size=4),
+    period=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    n=st.integers(0, 20000),
+)
+@example(prefix=[1], period=[2], n=5000)  # a_1 = 1: s_1 = s_{-1} = "1"
+@example(prefix=[10**25], period=[1], n=20000)  # a_1 > n: all zeros
+@example(prefix=[1, 10**6], period=[3, 1], n=3 * 10**6)
+@settings(deadline=None)
+def test_bits_are_the_standard_word(prefix, period, n):
+    cf = CFSpec(0, tuple(prefix), tuple(period))
+    assert characteristic_bits(cf, n) == _standard_word(cf, n)
+
+
 def test_bit_budget_is_checked_before_allocating():
     tracemalloc.start()
     try:
@@ -230,8 +262,8 @@ def test_first_mismatch_matches_index_loop(u, at, delta, tail):
         rest = tail[: len(u) - at - 1]
         v[at + 1 : at + 1 + len(rest)] = rest
     assert len(v) == len(u)
-    assert _first_mismatch(u, bytes(v)) == _plain_first_mismatch(u, v)
-    assert _first_mismatch(bytearray(u), v) == _plain_first_mismatch(u, v)
+    x = int.from_bytes(u, "big") ^ int.from_bytes(v, "big")
+    assert _first_mismatch(x, len(u)) == _plain_first_mismatch(u, v)
 
 
 def _bisect_first_mismatch(u, v):
