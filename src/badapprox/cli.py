@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .cf import CFSpec, certify, preset
+from .cf import CFSpec, preset
 from .errors import DomainError, VerificationError
 from .gaps import (
     MAX_STAGE,
@@ -191,33 +191,21 @@ def cmd_fb(args) -> tuple[str, bool]:
 
 
 def _witness_at_display_depth(b: int, stage: int, sig: int):
-    """The witness shown at the display radius, and f - N*H with all sig
-    digits those of the true difference: that shrinks with the stage
-    while N*H moves by up to N^2 times the radius, so N*H is read from
-    ever deeper gap sets of the shown (theta, N) until that shift is
-    below 10^-(sig+2) of the difference. The first round asks for the
-    shown radius and so reads the shown surrogate.
-
-    The shown witness is built at the policy depth first, only to learn
-    N, and again at the display radius when the policy one is shallower.
+    """The extremal witness shown at sig digits: built at the policy depth
+    first, only to learn N, and again at the display radius when the
+    policy one is shallower, so its N*H holds sig digits for theta. Its
+    gap_to_f is exact, so every digit of it holds at any depth.
     """
     shown = extremal_witness(b, stage)
     deep = _display_radius(sig, shown.count)
     if shown.radius > deep:
         shown = extremal_witness(b, stage, min_radius=deep)
-
-    def attempt(radius):
-        gs = gap_set(shown.theta, shown.count, min_radius=radius)
-        gap = shown.constant - gs.product
-        return gs.radius, gap if shown.count**2 * gs.radius * 10 ** (sig + 2) < gap else None
-
-    gap = certify(attempt, shown.radius, "the digits of f - N*H", bound=b, stage=stage)
-    return shown, gap
+    return shown
 
 
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
-    w, gap = _witness_at_display_depth(args.b, args.n, sig)
+    w = _witness_at_display_depth(args.b, args.n, sig)
     obj = {
         "b": w.bound,
         "stage": w.n,
@@ -226,7 +214,7 @@ def cmd_extremal(args) -> tuple[str, bool]:
         "h": decimal_str(w.largest, sig),
         "product_nh": decimal_str(w.product, sig),
         "f": decimal_str(w.constant, sig),
-        "gap_to_f": decimal_str(gap, sig),
+        "gap_to_f": decimal_str(w.gap_to_f, sig),
     }
     return _flat(obj, args.format), False
 
@@ -364,12 +352,14 @@ def cmd_verify(args) -> tuple[str, bool]:
 
 def cmd_convergence(args) -> tuple[str, bool]:
     sig = args.precision_digits
+    if args.nmax < 1:
+        raise DomainError("witness stages are indexed from 1")
     if args.nmax > MAX_STAGE:
         raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {MAX_STAGE}")
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
-        w, gap = _witness_at_display_depth(args.b, stage, sig)
-        shown = (decimal_str(v, sig) for v in (w.product, w.constant, gap))
+        w = _witness_at_display_depth(args.b, stage, sig)
+        shown = (decimal_str(v, sig) for v in (w.product, w.constant, w.gap_to_f))
         table.append((stage, w.count, *shown))
     if args.format == "json":
         header, *rows = table

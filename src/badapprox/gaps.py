@@ -398,7 +398,12 @@ def gap_constant_bounds(bound: int) -> tuple[Fraction, QuadraticNumber]:
 
 @dataclass(frozen=True)
 class ExtremalWitness:
-    """A concrete (theta, N) whose N*H approaches the sharp constant."""
+    """A concrete (theta, N) whose N*H approaches the sharp constant.
+
+    largest and product are read under the surrogate p_K/q_K (depth K,
+    within radius of theta); gap_to_f is the exact f - N*H for theta
+    itself, in the constant's own field.
+    """
 
     bound: int
     n: int
@@ -408,6 +413,7 @@ class ExtremalWitness:
     largest: Fraction
     product: Fraction
     constant: QuadraticNumber
+    gap_to_f: QuadraticNumber
     depth: int
     radius: Fraction
 
@@ -424,6 +430,11 @@ def extremal_witness(
     sharp constant for the true theta: cf.certify deepens the surrogate
     from min_radius until the comparison is decidable, or raises a
     VerificationError naming the bound and the stage.
+
+    theta is a root of bound*x^2 + bound*x - 1, so the same combination of
+    residuals is also computed exactly for theta itself. It must lie
+    within N times the radius of the computed H (else VerificationError),
+    and gap_to_f = constant - N*h is exact.
     """
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
@@ -457,12 +468,18 @@ def extremal_witness(
         return gs.radius, None
 
     gs = certify(attempt, min_radius, "the witness product", bound=bound, stage=n)
+    # theta = [0; (bound, 1)] is the positive root of bound*x^2 + bound*x - 1,
+    # in the field of the constant, so the true largest gap is exact.
+    theta = (QuadraticNumber.sqrt(bound * bound + 4 * bound) - bound) / (2 * bound)
+    h = (c_odd.p - c_odd.q * theta) - coeff * (c_even.q * theta - c_even.p)
+    # h - H = (q_odd + coeff*q_even)*(p_K/q_K - theta), and that factor is
+    # at most N in size.
+    if abs(h - gs.largest) > N * gs.radius:
+        raise VerificationError("the exact largest gap escapes the computed one")
     eps = min(Fraction(1, 10**30), gs.largest / 2**20)
     predicted = convergent_residual(cf, 2 * n - 1, eps) - convergent_residual(
         cf, 2 * n, eps
     ).scale(coeff)
-    if abs(predicted.center - gs.largest) > predicted.radius + N * gs.radius:
-        raise VerificationError("certified prediction excludes the computed gap")
     return ExtremalWitness(
         bound=bound,
         n=n,
@@ -472,6 +489,7 @@ def extremal_witness(
         largest=gs.largest,
         product=gs.product,
         constant=constant,
+        gap_to_f=constant - N * h,
         depth=gs.depth,
         radius=gs.radius,
     )

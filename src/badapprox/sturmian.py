@@ -189,9 +189,9 @@ def fib_lucas(n: int) -> FibLucasPair:
         l_prev, l = l, l + l_prev
     an = ALPHA**n
     bn = BETA**n
-    if QuadraticNumber(f) * SQRT5 != an - bn:
+    if f * SQRT5 != an - bn:
         raise VerificationError(f"Fibonacci {n} fails its power-sum form")
-    if QuadraticNumber(l) != an + bn:
+    if an + bn != l:
         raise VerificationError(f"Lucas {n} fails its power-sum form")
     if n >= 1:
         if f * THETA_GOLDEN != f_prev - bn:
@@ -331,11 +331,21 @@ class CrossingCell:
 
 
 def crossing_cell(n: int) -> CrossingCell:
-    """Exact facts about the crossing cell at stage n.
+    """Exact facts about the crossing cell at stage n, all on one grid pair.
 
     Establishes, in exact arithmetic: the closed forms of the cell's two
-    values, the strict two-sided brackets around theta^2, and the integer
-    identity tying the cell's position to the lower candidate index.
+    values, the strict two-sided brackets around theta^2, the integer
+    identity tying the cell's position to the lower candidate index, and
+    that no other cell brackets theta^2. The closed forms spell out each
+    power of theta themselves, so they do not lean on the grid fields
+    they check.
+
+    Uniqueness is counted row by row: row i of the lower grid holds row0 +
+    j*step_right with row0 = base - i*step_up and step_right > 0, so the
+    cells with th2 - diff < row0 + j*step_right < th2 are the integers j
+    strictly inside ((th2 - diff - row0)/step_right, (th2 - row0)/step_right),
+    clamped to [0, cols): two exact floors per row. A count other than one
+    raises VerificationError.
     """
     if n < 2:
         raise DomainError("witness stages are indexed from 2")
@@ -351,22 +361,34 @@ def crossing_cell(n: int) -> CrossingCell:
     lower_e = g.start + j_star * g.step_right
     upper_e = lower_e + g.diff
     th2 = th * th
+    t4, t4m2, t6p1 = th ** (4 * n), th ** (4 * n - 2), th ** (6 * n + 1)
 
-    if lower_e != th2 + 2 * th ** (4 * n) + th ** (6 * n + 1) - th ** (4 * n - 2):
+    if lower_e != th2 + 2 * t4 + t6p1 - t4m2:
         raise VerificationError("crossing lower entry misses its closed form")
-    if upper_e != th2 + SQRT5 * th ** (2 * n) + 2 * th ** (4 * n) + th ** (
-        6 * n + 1
-    ) - th ** (2 * n - 1) - th ** (4 * n - 2):
+    if upper_e != th2 + SQRT5 * th ** (2 * n) + 2 * t4 + t6p1 - th ** (2 * n - 1) - t4m2:
         raise VerificationError("crossing upper entry misses its closed form")
-    if not th2 - th ** (4 * n - 2) < lower_e < th2:
+    if not th2 - t4m2 < lower_e < th2:
         raise VerificationError("lower entry escapes its certified bracket")
-    if not th2 < upper_e < th2 + th ** (2 * n - 3) + 3 * th ** (4 * n):
+    if not th2 < upper_e < th2 + th ** (2 * n - 3) + 3 * t4:
         raise VerificationError("upper entry escapes its certified bracket")
 
     candidate_low = f4np1.fib - fib_lucas(2 * n + 1).fib - 1
     candidate_high = f4np1.fib - f2n.fib - 1
     if i_star * f4n.fib + j_star * f2n.lucas != f2n.lucas * candidate_low:
         raise VerificationError("crossing cell index identity fails")
+
+    # Both ends of row i's open interval move up by i * step_up/step_right.
+    lo0 = (th2 - g.diff - g.base) / g.step_right
+    hi0 = (th2 - g.base) / g.step_right
+    rise = g.step_up / g.step_right
+    hits = 0
+    for i in range(g.rows):
+        first = max((lo0 + i * rise).floor() + 1, 0)
+        # ceil(hi) - 1, the last integer strictly below hi.
+        last = min(-(-(hi0 + i * rise)).floor() - 1, g.cols - 1)
+        hits += max(last - first + 1, 0)
+    if hits != 1:
+        raise VerificationError(f"expected one crossing cell, found {hits}")
 
     return CrossingCell(
         n=n,
@@ -380,30 +402,12 @@ def crossing_cell(n: int) -> CrossingCell:
 
 
 def crossing_unique(n: int) -> bool:
-    """Exhaustively confirm only one grid cell brackets theta^2.
+    """True when exactly one grid cell brackets theta^2 at stage n.
 
-    Row i of the lower grid holds row0 + j*step_right with row0 = base -
-    i*step_up and step_right > 0, so the cells with th2 - diff <
-    row0 + j*step_right < th2 are the integers j strictly inside
-    ((th2 - diff - row0)/step_right, (th2 - row0)/step_right), clamped to
-    [0, cols): two exact floors per row.
+    The count is crossing_cell's, made on the grids it builds; any other
+    count raises VerificationError, and n < 2 raises DomainError.
     """
-    if n < 2:
-        raise DomainError("witness stages are indexed from 2")
-    g = _grids(n)
-    th2 = THETA_GOLDEN * THETA_GOLDEN
-    # Both ends of row i's open interval move up by i * step_up/step_right.
-    lo0 = (th2 - g.diff - g.base) / g.step_right
-    hi0 = (th2 - g.base) / g.step_right
-    rise = g.step_up / g.step_right
-    hits = 0
-    for i in range(g.rows):
-        first = max((lo0 + i * rise).floor() + 1, 0)
-        # ceil(hi) - 1, the last integer strictly below hi.
-        last = min(-(-(hi0 + i * rise)).floor() - 1, g.cols - 1)
-        hits += max(last - first + 1, 0)
-    if hits != 1:
-        raise VerificationError(f"expected one crossing cell, found {hits}")
+    crossing_cell(n)
     return True
 
 
@@ -417,7 +421,8 @@ class WitnessReport:
     `matches` records the outcome. The crossing pair is the unique grid
     cell whose lower value sits below theta^2 while its upper value sits
     above, which is exactly where the two subsequences part ways, and
-    unique_crossing records the exhaustive check that no other cell does.
+    unique_crossing records crossing_cell's exhaustive check that no other
+    cell does (it is always True: the witness raises instead).
     """
 
     witness: DiversityWitness
@@ -453,9 +458,10 @@ def lower_bound_witness(n: int) -> WitnessReport:
 
     Uses r = L_{2n}, offsets a = F_{2n-1} - 1 and b = L_{2n} - 1. All
     grid-entry facts, including the exhaustive check that the crossing
-    cell is unique, are established in exact arithmetic at every stage;
-    the first disagreement index comes from a direct scan of the bits,
-    which is the ground truth the closed forms are judged against.
+    cell is unique, are established in exact arithmetic at every stage by
+    one crossing_cell call on one grid pair; the first disagreement index
+    comes from a direct scan of the bits, which is the ground truth the
+    closed forms are judged against.
 
     The stages served are 2 through the largest whose scan fits MAX_BITS
     (7 at MAX_BITS = 2^29); any other stage raises DomainError before
@@ -473,8 +479,6 @@ def lower_bound_witness(n: int) -> WitnessReport:
     a = fib_lucas(2 * n - 1).fib - 1
     b = f2n.lucas - 1
     bound = 2 * 9 * r * r  # B = 1 for the golden ratio: 2*(B+2)^2 = 18
-
-    unique = crossing_unique(n)
 
     # Ground truth: scan the actual bits.
     max_k = cell.candidate_high + 2
@@ -499,7 +503,7 @@ def lower_bound_witness(n: int) -> WitnessReport:
         crossing_pair=(cell.i, cell.j),
         crossing_lower=cell.lower,
         crossing_upper=cell.upper,
-        unique_crossing=unique,
+        unique_crossing=True,
     )
 
 

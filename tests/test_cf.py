@@ -419,3 +419,27 @@ def test_min_affine_mod_runs_long_expansions_without_recursion():
         min_affine_mod(0, 5, 1, 1)
     with pytest.raises(DomainError):
         min_affine_mod(3, 0, 1, 1)
+
+
+def test_refusals_and_edge_values():
+    with pytest.raises(DomainError):
+        convergents(GOLDEN, 0)
+    with pytest.raises(ValueError):
+        CertifiedValue(1, -1)
+    half = CertifiedValue(Fraction(1, 2), Fraction(1, 10))
+    assert half - Fraction(1, 4) == CertifiedValue(Fraction(1, 4), Fraction(1, 10))
+    assert 1 - half == half
+    with pytest.raises(DomainError):
+        CertifiedValue(0, 1).reciprocal()
+    rational = CFSpec(0, (2, 3), ())  # 3/7
+    with pytest.raises(DomainError):
+        choose_surrogate(rational, 5)
+    assert dist_to_int(rational, 2) == CertifiedValue(Fraction(1, 7), 0)
+    for call in (
+        lambda: GOLDEN.tail(0),
+        lambda: convergent_residual(GOLDEN, -1),
+        lambda: tail_and_reversal(GOLDEN, 0),
+        lambda: reversal_identity_check(GOLDEN, 0),
+    ):
+        with pytest.raises(DomainError):
+            call()

@@ -275,14 +275,14 @@ def test_gap_lengths_below_the_smallest_float(capsys):
 
 
 def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
-    real = cli.gap_set
+    real = badapprox.gaps.gap_set
     calls = []
 
     def never_deeper(cf, n, min_radius=None):
         calls.append(min_radius)
         return real(cf, n)
 
-    monkeypatch.setattr(cli, "gap_set", never_deeper)
+    monkeypatch.setattr(badapprox.gaps, "gap_set", never_deeper)
     code, out, err = run(capsys, "extremal", "--b", "3", "--n", "20")
     assert code == 2 and out == ""
     assert "could not certify" in err
@@ -292,7 +292,7 @@ def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
 
 def test_deeper_digits_build_no_witness(capsys, monkeypatch):
     # The witness is built at the policy depth and at the display radius;
-    # every deeper round of f - N*H reads a plain gap set.
+    # f - N*H comes exact on it, so no gap set is read for its digits.
     built, read = [], []
     real_witness, real_gap_set = cli.extremal_witness, cli.gap_set
 
@@ -308,7 +308,39 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
     monkeypatch.setattr(cli, "gap_set", gap_set)
     code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10")
     assert code == 0 and json.loads(out)["stage"] == 10
-    assert len(built) <= 2 and len(read) >= 2
+    assert len(built) <= 2 and read == []
+
+
+def test_extremal_sweep_is_pinned(capsys):
+    # md5 of the concatenated stdout, as printed when the digits of
+    # f - N*H were read off ever deeper gap sets instead of computed
+    # exactly in the constant's field.
+    md5 = hashlib.md5()
+    for b in range(1, 13):
+        for stage in (1, 2, 3, 5, 8, 13, 21, 34, 40):
+            for digits in ("10", "40"):
+                code, out, _ = run(capsys, "extremal", "--b", str(b), "--n", str(stage),
+                                   "--precision-digits", digits)
+                assert code == 0
+                md5.update(out.encode())
+    assert md5.hexdigest() == "1c98fd929762865333dc2fa075b484d2"
+    code, out, _ = run(capsys, "convergence", "--b", "1", "--nmax", "40",
+                       "--precision-digits", "40")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "96760f01651a8e0dea454eaae82ea0a6"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--b", "0", "--nmax", "0"),
+        ("--b", "3", "--nmax", "0", "--format", "json"),
+        ("--b", "-3", "--nmax", "-2"),
+    ],
+)
+def test_convergence_needs_a_stage(capsys, argv):
+    code, out, err = run(capsys, "convergence", *argv)
+    assert code == 1 and out == "" and "error:" in err
 
 
 def test_cli_runs_without_numpy():

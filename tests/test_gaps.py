@@ -3,6 +3,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -515,3 +516,32 @@ def test_witness_errors():
     with pytest.raises(DomainError):
         extremal_witness(1, 0)
     assert extremal_witness(2, 1).theta == preset("extremal:2")
+
+
+def test_extremal_gap_to_f_is_exact():
+    # f - N*H against theta = [0; (b, 1)] and the closed form of f(b) at
+    # 250 digits, at the policy depth.
+    for b in range(1, 13):
+        a = b // 2
+        for n in (1, 10, 40):
+            w = extremal_witness(b, n)
+            assert w.gap_to_f > 0
+            conv = convergents(w.theta, 2 * n + 1)
+            with mpmath.workdps(250):
+                if b % 2:
+                    f = 1 + mpmath.mpf(a * a + 3 * a + 2) / mpmath.sqrt(4 * a * a + 12 * a + 5)
+                else:
+                    f = 1 + mpmath.mpf((a + 1) ** 2) / (2 * mpmath.sqrt(a * a + 2 * a))
+                theta = (mpmath.sqrt(b * b + 4 * b) - b) / (2 * b)
+                r = [abs(c.q * theta - c.p) for c in conv]
+                want = f - w.count * (r[2 * n - 1] - (b - 2) // 2 * r[2 * n])
+                g = w.gap_to_f
+                got = (mpmath.mpf(g.a.numerator) / g.a.denominator
+                       + mpmath.mpf(g.b.numerator) / g.b.denominator * mpmath.sqrt(g.d))
+                assert abs(got / want - 1) < mpmath.mpf(10) ** -40, (b, n)
+
+
+def test_order_of_the_endpoints_is_zero():
+    gs = gap_set(GOLDEN, 5)
+    assert gs.order_of(0) == 0
+    assert gs.order_of(gs.denominator) == 0

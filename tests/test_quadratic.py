@@ -437,3 +437,9 @@ def test_integer_triples_agree_with_fraction_reference(x, y, r, e, digits):
         assert hash(q) == hash(ref.a)
     for same in ((q + r) - r, (q + q) / 2, -(-q), (q * 3) / 3):
         assert same == q and hash(same) == hash(q)
+
+
+def test_zero_radicand_edges():
+    with pytest.raises(ValueError):
+        squarefree_decompose(0)
+    assert QuadraticNumber.sqrt(0) == 0

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -205,3 +206,8 @@ def test_small_quadratic_keeps_every_digit():
     assert decimal_str(tail) == "8.016887242e-19"
     assert decimal_str(-tail, 4) == "-8.017e-19"
     assert decimal_str(QuadraticNumber.sqrt(5) - QuadraticNumber.sqrt(5)) == "0"
+
+
+def test_zero_digits_are_refused():
+    with pytest.raises(ValueError):
+        decimal_str(Fraction(1, 3), 0)

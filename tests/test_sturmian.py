@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,7 +27,13 @@ from badapprox import (
     witness_ratio_report,
 )
 from badapprox.oracle import brute_agreement, brute_bits, high_precision_value, random_cf
-from badapprox.sturmian import MAX_BITS, THETA_GOLDEN, _first_mismatch, frac_golden_multiple
+from badapprox.sturmian import (
+    MAX_BITS,
+    THETA_GOLDEN,
+    _first_mismatch,
+    _grids,
+    frac_golden_multiple,
+)
 
 
 def test_frozen_bit_prefixes():
@@ -479,3 +486,22 @@ def test_ratio_report():
     assert decimal_str(rep.candidates[0]) == "0.7236067977"
     with pytest.raises(DomainError):
         witness_ratio_report(3, 2)
+
+
+def test_witness_builds_one_grid_pair(monkeypatch):
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return _grids(n)
+
+    monkeypatch.setattr("badapprox.sturmian._grids", counted)
+    for n in (2, 3, 4, 5):
+        built.clear()
+        lower_bound_witness(n)
+        assert built == [n]
+
+
+def test_floor_of_the_golden_theta():
+    assert math.floor(THETA_GOLDEN) == 0
+    assert math.floor(-THETA_GOLDEN) == -1
