@@ -190,22 +190,10 @@ def cmd_fb(args) -> tuple[str, bool]:
     return _flat(obj, args.format), False
 
 
-def _witness_at_display_depth(b: int, stage: int, sig: int):
-    """The extremal witness shown at sig digits: built at the policy depth
-    first, only to learn N, and again at the display radius when the
-    policy one is shallower, so its N*H holds sig digits for theta. Its
-    gap_to_f is exact, so every digit of it holds at any depth.
-    """
-    shown = extremal_witness(b, stage)
-    deep = _display_radius(sig, shown.count)
-    if shown.radius > deep:
-        shown = extremal_witness(b, stage, min_radius=deep)
-    return shown
-
-
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
-    w = _witness_at_display_depth(args.b, args.n, sig)
+    w = extremal_witness(args.b, args.n)
+    w = w.at_radius(_display_radius(sig, w.count))
     obj = {
         "b": w.bound,
         "stage": w.n,
@@ -358,7 +346,8 @@ def cmd_convergence(args) -> tuple[str, bool]:
         raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {MAX_STAGE}")
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
-        w = _witness_at_display_depth(args.b, stage, sig)
+        w = extremal_witness(args.b, stage)
+        w = w.at_radius(_display_radius(sig, w.count))
         shown = (decimal_str(v, sig) for v in (w.product, w.constant, w.gap_to_f))
         table.append((stage, w.count, *shown))
     if args.format == "json":

@@ -22,9 +22,10 @@ those add up to exactly one, this certifies the order.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,8 +35,6 @@ from .cf import (
     Convergent,
     certify,
     choose_surrogate,
-    convergent_pairs,
-    convergent_residual,
     convergents,
     min_affine_mod,
 )
@@ -185,22 +184,21 @@ def _three_distance(cf: CFSpec, p: int, q: int, n: int) -> tuple[tuple[int, int]
     times) (Sos 1958; van Ravenstein 1988). Starting from q_{-1} = 0 also
     covers n <= a_1.
     """
-    prev = Convergent(-1, 1, 0)
-    pairs = convergent_pairs(cf)
-    cur = next(pairs)
-    for nxt in pairs:
-        if n < nxt.q + cur.q:
+    # p_j, q_j of [0; a_1, ...]: p is reduced mod q, so the integer part goes.
+    p_km1, q_km1, p_k, q_k = 1, 0, 0, 1
+    for a in cf.quotients():
+        p_next, q_next = a * p_k + p_km1, a * q_k + q_km1
+        if n < q_next + q_k:
             break
-        prev, cur = cur, nxt
-    m, r = divmod(n - prev.q, cur.q)
-    # p is reduced mod q, so drop the integer part from p_j as well.
-    eta_k = abs(cur.q * p - (cur.p - cf.a0 * cur.q) * q)
-    eta_km1 = abs(prev.q * p - (prev.p - cf.a0 * prev.q) * q)
+        p_km1, q_km1, p_k, q_k = p_k, q_k, p_next, q_next
+    m, r = divmod(n - q_km1, q_k)
+    eta_k = abs(q_k * p - p_k * q)
+    eta_km1 = abs(q_km1 * p - p_km1 * q)
     return _merged(
         (
-            (eta_k, n - cur.q),
+            (eta_k, n - q_k),
             (eta_km1 - m * eta_k, r),
-            (eta_km1 - (m - 1) * eta_k, cur.q - r),
+            (eta_km1 - (m - 1) * eta_k, q_k - r),
         )
     )
 
@@ -301,19 +299,22 @@ def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     """Locate N among the denominator brackets of theta's convergents."""
     if cf.is_integer:
         raise DomainError("integer input has no convergent brackets")
-    qs = []
-    for c in convergent_pairs(cf):
-        qs.append(c.q)
-        if c.k >= 1 and c.q > N:
+    qs = [1]  # q_0, q_1, ... up to the first past N
+    q_prev = 0
+    for a in cf.quotients():
+        q_prev, q = qs[-1], a * qs[-1] + q_prev
+        qs.append(q)
+        if q > N:
             break
     else:
         # rational expansion exhausted without exceeding N
         raise CoincidentPointsError(
             f"rational input resolves only N < {qs[-1]}"
         )
-    if len(qs) < 2 or qs[1] > N:
-        raise DomainError(f"N must be at least q_1 = {qs[1] if len(qs) > 1 else 1}")
-    k = max(i for i in range(len(qs)) if qs[i] <= N)
+    if qs[1] > N:
+        raise DomainError(f"N must be at least q_1 = {qs[1]}")
+    # Every q_j before the last is at most N.
+    k = len(qs) - 2
     l = (N - qs[k - 1]) // qs[k]
     a_next = cf.quotient(k + 1)
     if not 0 <= l < a_next:
@@ -321,18 +322,78 @@ def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     return RegimeTag(k=k, l=l)
 
 
+def _residuals(cf: CFSpec, tag: RegimeTag, eps) -> tuple[tuple[int, int, int, int], ...]:
+    """r_k = |q_k*theta - p_k| and r_{k-1}, read off one convergent walk,
+    each as integers (c, d, e, r): the centre c/d within radius r/(d*e).
+
+    Each residual sits on the surrogate convergent_residual(cf, j,
+    eps/(2l + 3)) would use: the first p_K/q_K with q_K*q_{K+1} >= (2l +
+    3)*q_j/eps, so d = q_K, e = q_{K+1} and r = q_j. A rational theta is
+    its own last convergent: d is its denominator, e = 1 and r = 0.
+    """
+    k = tag.k
+    if k < 1:
+        raise DomainError("residuals are indexed from 0")
+    part = Fraction(eps, 2 * tag.l + 3)
+    if not cf.is_rational and part <= 0:
+        raise DomainError(f"radius must be positive, got {eps!r}")
+    ps, qs = [1, cf.a0], [0, 1]  # p_j and q_j sit at index j + 1
+    quotients = cf.quotients()
+    for a in itertools.islice(quotients, k):
+        ps.append(a * ps[-1] + ps[-2])
+        qs.append(a * qs[-1] + qs[-2])
+    if len(qs) < k + 2:
+        raise DomainError(f"expansion has no convergent of index {k}")
+    # The least q_K*q_{K+1} each residual asks for, r_k's first; a rational
+    # theta is walked to its end instead.
+    least = None
+    if not cf.is_rational:
+        least = [-(-qs[j] * part.denominator // part.numerator) for j in (k + 1, k)]
+    p_prev, q_prev, p, q = ps[-2], qs[-2], ps[-1], qs[-1]
+    for a in quotients:
+        if least and q_prev * q >= least[0]:
+            break
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        ps.append(p)
+        qs.append(q)
+    if least is None:
+        return tuple((abs(qs[j] * p - ps[j] * q), q, 1, 0) for j in (k + 1, k))
+    # The pair (qs[i], qs[i + 1]) is (q_{i-1}, q_i), and the products grow
+    # with i, so each first pair past its least is found stepping back.
+    i, found = len(qs) - 2, []
+    for j, low in zip((k + 1, k), least):
+        while i > 1 and qs[i - 1] * qs[i] >= low:
+            i -= 1
+        found.append((abs(qs[j] * ps[i] - ps[j] * qs[i]), qs[i], qs[i + 1], qs[j]))
+    return tuple(found)
+
+
+def _bands(cf: CFSpec, tag: RegimeTag, eps) -> tuple[list[tuple[int, int]], int]:
+    """The predicted gaps as integers (c, r) over one denominator w, each
+    the centre c/w within radius r/w, and w.
+
+    With l = 0 they are r_k, r_{k-1} and their sum, else r_k, r_{k-1} -
+    l*r_k and r_{k-1} - (l - 1)*r_k; centres combine as the residuals do
+    and radii add up.
+    """
+    (ca, da, ea, ra), (cb, db, eb, rb) = _residuals(cf, tag, eps)
+    wa, wb = da * ea, db * eb
+    a, a_radius, b, b_radius = ca * ea * wb, ra * wb, cb * eb * wa, rb * wa
+    l = tag.l
+    mix = ((1, 0), (0, 1), (1, 1)) if l == 0 else ((1, 0), (-l, 1), (1 - l, 1))
+    return [(x * a + y * b, abs(x) * a_radius + abs(y) * b_radius) for x, y in mix], wa * wb
+
+
+def _certified(bands: list[tuple[int, int]], w: int) -> list[CertifiedValue]:
+    return [CertifiedValue(Fraction(c, w), Fraction(r, w)) for c, r in bands]
+
+
 def predicted_gap_values(
     cf: CFSpec, tag: RegimeTag, eps: Fraction
 ) -> list[CertifiedValue]:
     """Certified gap lengths the classification predicts may occur."""
-    part = Fraction(eps, 2 * tag.l + 3)
-    r_k = convergent_residual(cf, tag.k, part)
-    r_km1 = convergent_residual(cf, tag.k - 1, part)
-    if tag.l == 0:
-        return [r_k, r_km1, r_k + r_km1]
-    lo = r_km1 - r_k.scale(tag.l)
-    hi = r_km1 - r_k.scale(tag.l - 1)
-    return [r_k, lo, hi]
+    return _certified(*_bands(cf, tag, eps))
 
 
 def verify_regime(
@@ -346,6 +407,10 @@ def verify_regime(
     distinct gap lengths, so a match is never accidental. min_radius
     deepens the surrogate past the policy minimum, for callers that want
     the reported decimals accurate for theta itself.
+
+    A gap g/q matches a prediction c/w within r/w when |g/q - c/w| <= r/w
+    + N*gs.radius; with gs.radius = u/s that is decided on integers, times
+    q*s*w.
     """
     tag = classify_regime(cf, N)
     gs = gap_set(cf, N, min_radius=min_radius)
@@ -353,13 +418,14 @@ def verify_regime(
     eps = Fraction(1, 16 * (B + 2) * N * N)
     if min_radius is not None:
         eps = min(eps, min_radius)
-    predicted = predicted_gap_values(cf, tag, eps)
-    slack = N * gs.radius
+    bands, w = _bands(cf, tag, eps)
+    q, u, s = gs.denominator, gs.radius.numerator, gs.radius.denominator
+    slack = N * u * q * w
+    scaled = [(c * q * s, r * q * s + slack) for c, r in bands]
     ok = all(
-        any(abs(g - p.center) <= p.radius + slack for p in predicted)
-        for g, _ in gs.gaps
+        any(abs(g * s * w - c) <= r for c, r in scaled) for g, _ in gs.gap_nums
     )
-    return tag, gs, predicted, ok
+    return tag, gs, _certified(bands, w), ok
 
 
 # ---- the sharp constant ----------------------------------------------
@@ -400,22 +466,74 @@ def gap_constant_bounds(bound: int) -> tuple[Fraction, QuadraticNumber]:
 class ExtremalWitness:
     """A concrete (theta, N) whose N*H approaches the sharp constant.
 
-    largest and product are read under the surrogate p_K/q_K (depth K,
-    within radius of theta); gap_to_f is the exact f - N*H for theta
-    itself, in the constant's own field.
+    pair holds c_{2n-1} and c_{2n}, whose residuals make up the largest
+    gap; h is that gap for theta itself and gap_to_f the exact f - N*h,
+    both in the constant's own field. largest and product are read under
+    the surrogate p_K/q_K (depth K, within radius of theta).
     """
 
     bound: int
     n: int
     theta: CFSpec
     count: int
-    predicted_gap: CertifiedValue
+    pair: tuple[Convergent, Convergent]
+    h: QuadraticNumber
     largest: Fraction
     product: Fraction
     constant: QuadraticNumber
     gap_to_f: QuadraticNumber
     depth: int
     radius: Fraction
+
+    def at_radius(self, radius: Fraction) -> ExtremalWitness:
+        """This witness read under a surrogate within radius of theta: itself
+        when it already is, else with only the gap-set certification rerun
+        from radius; N, f, h and gap_to_f carry over."""
+        if self.radius <= radius:
+            return self
+        gs = _witness_gap_set(self.theta, self.n, self.count, self.pair, self.h,
+                              self.constant, radius)
+        return replace(self, largest=gs.largest, product=gs.product, depth=gs.depth,
+                       radius=gs.radius)
+
+
+def _witness_gap_set(cf, n, N, pair, h, constant, min_radius) -> GapSet:
+    """The certified gap set of the witness at stage n of cf = [0; (bound,
+    1)]: cf.certify deepens the surrogate from min_radius until N*H < f is
+    decidable, or raises a VerificationError naming the bound and the
+    stage. Under every surrogate tried, H must be the predicted
+    combination of the residuals of pair exactly, and under the last one
+    the exact h must lie within N times its radius of H.
+    """
+    bound = cf.period[0]
+    coeff = (bound - 2) // 2
+    c_odd, c_even = pair
+
+    def attempt(radius):
+        gs = gap_set(cf, N, min_radius=radius)
+        q, g = gs.denominator, gs.gap_nums[-1][0]
+        # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
+        res_odd, res_even = (abs(c.q * gs.numerator - c.p * q) for c in (c_odd, c_even))
+        if res_odd - coeff * res_even != g:
+            raise VerificationError(
+                "predicted largest gap disagrees with the computed one"
+            )
+        # N*H = N*g/q and its slack N^2*radius = N^2*u/v, all over q*v:
+        # each comparison with f is one exact sign in f's field.
+        u, v = gs.radius.numerator, gs.radius.denominator
+        room, slack = constant * (q * v) - N * g * v, N * N * u * q
+        if (room - slack).sign() > 0:
+            return gs.radius, gs
+        if (room + slack).sign() < 0:
+            raise VerificationError("witness product exceeds the sharp constant")
+        return gs.radius, None
+
+    gs = certify(attempt, min_radius, "the witness product", bound=bound, stage=n)
+    # h - H = (q_odd + coeff*q_even)*(p_K/q_K - theta), and that factor is
+    # at most N in size.
+    if abs(h - gs.largest) > N * gs.radius:
+        raise VerificationError("the exact largest gap escapes the computed one")
+    return gs
 
 
 def extremal_witness(
@@ -424,17 +542,14 @@ def extremal_witness(
     """Witness number and point count at stage n for a quotient bound.
 
     theta alternates bound, 1; N sits just below a denominator bracket
-    edge. The predicted largest gap (a signed combination of two
-    convergent residuals) is verified to equal the computed H exactly
-    under the shared surrogate, and N*H is certified strictly below the
-    sharp constant for the true theta: cf.certify deepens the surrogate
-    from min_radius until the comparison is decidable, or raises a
-    VerificationError naming the bound and the stage.
-
-    theta is a root of bound*x^2 + bound*x - 1, so the same combination of
-    residuals is also computed exactly for theta itself. It must lie
-    within N times the radius of the computed H (else VerificationError),
-    and gap_to_f = constant - N*h is exact.
+    edge. The largest gap is predicted as a signed combination of two
+    convergent residuals. theta is a root of bound*x^2 + bound*x - 1, so
+    that combination is computed exactly for theta itself, as h in the
+    field of the constant, and gap_to_f = constant - N*h is exact. The
+    computed H must equal the prediction exactly under the surrogate and
+    lie within N times its radius of h, and N*H is certified strictly
+    below the sharp constant, deepening the surrogate from min_radius
+    (see _witness_gap_set).
     """
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
@@ -449,43 +564,18 @@ def extremal_witness(
         raise DomainError(f"stage {n} gives an empty witness for bound {bound}")
     coeff = (bound - 2) // 2
     constant = gap_constant(bound)
-
-    def attempt(radius):
-        gs = gap_set(cf, N, min_radius=radius)
-        # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
-        res_odd, res_even = (abs(c.q * gs.numerator - c.p * gs.denominator)
-                             for c in (c_odd, c_even))
-        pred_num = res_odd - coeff * res_even
-        if pred_num != gs.gap_nums[-1][0]:
-            raise VerificationError(
-                "predicted largest gap disagrees with the computed one"
-            )
-        slack = N * N * gs.radius
-        if gs.product + slack < constant:
-            return gs.radius, gs
-        if gs.product - slack > constant:
-            raise VerificationError("witness product exceeds the sharp constant")
-        return gs.radius, None
-
-    gs = certify(attempt, min_radius, "the witness product", bound=bound, stage=n)
     # theta = [0; (bound, 1)] is the positive root of bound*x^2 + bound*x - 1,
     # in the field of the constant, so the true largest gap is exact.
     theta = (QuadraticNumber.sqrt(bound * bound + 4 * bound) - bound) / (2 * bound)
     h = (c_odd.p - c_odd.q * theta) - coeff * (c_even.q * theta - c_even.p)
-    # h - H = (q_odd + coeff*q_even)*(p_K/q_K - theta), and that factor is
-    # at most N in size.
-    if abs(h - gs.largest) > N * gs.radius:
-        raise VerificationError("the exact largest gap escapes the computed one")
-    eps = min(Fraction(1, 10**30), gs.largest / 2**20)
-    predicted = convergent_residual(cf, 2 * n - 1, eps) - convergent_residual(
-        cf, 2 * n, eps
-    ).scale(coeff)
+    gs = _witness_gap_set(cf, n, N, (c_odd, c_even), h, constant, min_radius)
     return ExtremalWitness(
         bound=bound,
         n=n,
         theta=cf,
         count=N,
-        predicted_gap=predicted,
+        pair=(c_odd, c_even),
+        h=h,
         largest=gs.largest,
         product=gs.product,
         constant=constant,

@@ -201,6 +201,18 @@ def fib_lucas(n: int) -> FibLucasPair:
     return FibLucasPair(n=n, fib=f, lucas=l)
 
 
+class _FibLucasTable(dict):
+    """fib_lucas by index, each pair built and verified once per table.
+
+    A table serves one public call: the grids, the crossing cell and the
+    witness at one stage read their pairs from it.
+    """
+
+    def __missing__(self, n: int) -> FibLucasPair:
+        self[n] = pair = fib_lucas(n)
+        return pair
+
+
 def frac_golden_multiple(m: int) -> QuadraticNumber:
     """Exact fractional part of m * (sqrt(5)-1)/2."""
     if m < 0:
@@ -244,13 +256,13 @@ class FractionalGrids:
         return tuple(tuple(v + self.diff for v in row) for row in self.lower)
 
 
-def _grids(n: int) -> FractionalGrids:
+def _grids(n: int, fl: _FibLucasTable) -> FractionalGrids:
     """The grids at any stage n >= 2, from their closed forms: base =
     theta^(2n-1), diff = theta^(2n+1), step_up = theta^(4n) and step_right
     = sqrt(5)*theta^(2n), with nothing checked."""
     th = THETA_GOLDEN
-    rows = fib_lucas(2 * n + 1).lucas - 1
-    cols = fib_lucas(2 * n).fib
+    rows = fl[2 * n + 1].lucas - 1
+    cols = fl[2 * n].fib
     base, diff = th ** (2 * n - 1), th ** (2 * n + 1)
     up, right = th ** (4 * n), SQRT5 * th ** (2 * n)
     wrap = diff + 2 * up + th ** (6 * n + 1)
@@ -276,10 +288,10 @@ def fractional_grids(n: int) -> FractionalGrids:
     if not 2 <= n <= 6:
         raise DomainError("grids are materialized for stages 2 through 6 only")
     th = THETA_GOLDEN
-    g = _grids(n)
-    f2n = fib_lucas(2 * n)
-    f4n = fib_lucas(4 * n)
-    if frac_golden_multiple(fib_lucas(2 * n - 1).fib) != g.base:
+    fl = _FibLucasTable()
+    g = _grids(n, fl)
+    f2n, f4n = fl[2 * n], fl[4 * n]
+    if frac_golden_multiple(fl[2 * n - 1].fib) != g.base:
         raise VerificationError("frac(F_{2n-1}*theta) misses its closed form")
     if frac_golden_multiple(f4n.fib) != 1 - g.step_up:
         raise VerificationError("frac(F_{4n}*theta) misses its closed form")
@@ -301,7 +313,7 @@ def fractional_grids(n: int) -> FractionalGrids:
     if not (g.start.sign() > 0 and g.end < 1):
         raise VerificationError("grid entries escape the unit interval")
     # Mixed-radix coverage: the walk enumerates exactly the admissible k.
-    if g.rows * g.cols != fib_lucas(4 * n + 1).fib - f2n.fib - 1:
+    if g.rows * g.cols != fl[4 * n + 1].fib - f2n.fib - 1:
         raise VerificationError("grid size misses the index count")
     return g
 
@@ -349,15 +361,17 @@ def crossing_cell(n: int) -> CrossingCell:
     """
     if n < 2:
         raise DomainError("witness stages are indexed from 2")
+    return _crossing_cell(n, _FibLucasTable())
+
+
+def _crossing_cell(n: int, fl: _FibLucasTable) -> CrossingCell:
     th = THETA_GOLDEN
-    g = _grids(n)
-    f2n = fib_lucas(2 * n)
-    f4n = fib_lucas(4 * n)
-    f4np1 = fib_lucas(4 * n + 1)
+    g = _grids(n, fl)
+    f2n, f4n, f4np1 = fl[2 * n], fl[4 * n], fl[4 * n + 1]
 
     # The cell sits in the bottom row, the one that starts at g.start.
     i_star = g.rows - 1
-    j_star = fib_lucas(2 * n - 2).fib
+    j_star = fl[2 * n - 2].fib
     lower_e = g.start + j_star * g.step_right
     upper_e = lower_e + g.diff
     th2 = th * th
@@ -372,7 +386,7 @@ def crossing_cell(n: int) -> CrossingCell:
     if not th2 < upper_e < th2 + th ** (2 * n - 3) + 3 * t4:
         raise VerificationError("upper entry escapes its certified bracket")
 
-    candidate_low = f4np1.fib - fib_lucas(2 * n + 1).fib - 1
+    candidate_low = f4np1.fib - fl[2 * n + 1].fib - 1
     candidate_high = f4np1.fib - f2n.fib - 1
     if i_star * f4n.fib + j_star * f2n.lucas != f2n.lucas * candidate_low:
         raise VerificationError("crossing cell index identity fails")
@@ -459,7 +473,8 @@ def lower_bound_witness(n: int) -> WitnessReport:
     Uses r = L_{2n}, offsets a = F_{2n-1} - 1 and b = L_{2n} - 1. All
     grid-entry facts, including the exhaustive check that the crossing
     cell is unique, are established in exact arithmetic at every stage by
-    one crossing_cell call on one grid pair; the first disagreement index
+    one crossing_cell on one grid pair, which reads its Fibonacci and
+    Lucas pairs from the witness's own table; the first disagreement index
     comes from a direct scan of the bits, which is the ground truth the
     closed forms are judged against.
 
@@ -473,10 +488,11 @@ def lower_bound_witness(n: int) -> WitnessReport:
             f"the witness serves stages 2 through {top}, "
             f"the last whose bit scan fits MAX_BITS = {MAX_BITS} bits"
         )
-    cell = crossing_cell(n)
-    f2n = fib_lucas(2 * n)
+    fl = _FibLucasTable()
+    cell = _crossing_cell(n, fl)
+    f2n = fl[2 * n]
     r = f2n.lucas
-    a = fib_lucas(2 * n - 1).fib - 1
+    a = fl[2 * n - 1].fib - 1
     b = f2n.lucas - 1
     bound = 2 * 9 * r * r  # B = 1 for the golden ratio: 2*(B+2)^2 = 18
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import pytest
 import badapprox
 import badapprox.cli as cli
 from badapprox import CFSpec, OracleReport, convergents
+from badapprox.oracle import random_cf
 
 
 def run(capsys, *argv):
@@ -62,6 +64,30 @@ def test_regime_json(capsys):
     assert (obj["k"], obj["l"], obj["case"]) == (2, 1, "interval-2")
     assert obj["matches"] is True
     assert obj["gaps"] == ["0.07106781187", "0.1005050634", "0.1715728753"]
+
+
+def test_regime_sweep_is_pinned(capsys):
+    # md5 of the concatenated exit codes and stdout, as printed when the
+    # predicted gaps were CertifiedValue sums of two convergent_residual
+    # calls and every match was decided in Fraction arithmetic.
+    rng = random.Random(21)
+    thetas = ["golden", "sqrt2", "extremal:1", "extremal:3", "extremal:7"]
+    thetas += [random_cf(rng).to_json() for _ in range(6)]
+    thetas.append(CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9), ()).to_json())
+    md5, brackets = hashlib.md5(), set()
+    for theta in thetas:
+        for n in (3, 7, 20, 97, 1000, 4321, 100000, 500000):
+            for digits in ("10", "40"):
+                for fmt in ("json", "csv"):
+                    code, out, _ = run(capsys, "regime", "--theta", theta, "--n", str(n),
+                                       "--precision-digits", digits, "--format", fmt)
+                    md5.update(f"{code}\n{out}".encode())
+                    if code == 0 and fmt == "json":
+                        brackets.add((theta, json.loads(out)["l"] > 0))
+    # Both cases occur, the rational theta among them.
+    assert {wide for _, wide in brackets} == {False, True}
+    assert any(theta == thetas[-1] for theta, _ in brackets)
+    assert md5.hexdigest() == "a98c2b05a21aea21f4a2c857efb6d1a4"
 
 
 def test_kron_json(capsys):
@@ -291,8 +317,9 @@ def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
 
 
 def test_deeper_digits_build_no_witness(capsys, monkeypatch):
-    # The witness is built at the policy depth and at the display radius;
-    # f - N*H comes exact on it, so no gap set is read for its digits.
+    # One witness per displayed stage: built at the policy depth, and only
+    # its gap-set certification reruns at the display radius; f - N*H comes
+    # exact on it, so no gap set is read for its digits.
     built, read = [], []
     real_witness, real_gap_set = cli.extremal_witness, cli.gap_set
 
@@ -306,9 +333,14 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "extremal_witness", witness)
     monkeypatch.setattr(cli, "gap_set", gap_set)
-    code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10")
-    assert code == 0 and json.loads(out)["stage"] == 10
-    assert len(built) <= 2 and read == []
+    for digits in ("10", "40"):
+        code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10",
+                           "--precision-digits", digits)
+        assert code == 0 and json.loads(out)["stage"] == 10
+    code, out, _ = run(capsys, "convergence", "--b", "3", "--nmax", "12",
+                       "--precision-digits", "40")
+    assert code == 0
+    assert len(built) == 2 + 12 and read == []
 
 
 def test_extremal_sweep_is_pinned(capsys):

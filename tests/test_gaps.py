@@ -1,11 +1,13 @@
+import dataclasses
 import random
 import time
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import badapprox.cli as cli
@@ -22,6 +24,7 @@ from badapprox import (
     VerificationError,
     choose_surrogate,
     classify_regime,
+    convergent_residual,
     convergents,
     decimal_str,
     extremal_witness,
@@ -369,6 +372,73 @@ def test_predicted_values_shape():
     assert vals[2].agrees_with(vals[0] + vals[1])  # interval-1: third is the sum
 
 
+def _reference_predicted(cf, tag, eps):
+    """The predicted gaps as CertifiedValue arithmetic on two
+    convergent_residual calls, the formula the integer one replaced."""
+    part = Fraction(eps, 2 * tag.l + 3)
+    r_k = convergent_residual(cf, tag.k, part)
+    r_km1 = convergent_residual(cf, tag.k - 1, part)
+    if tag.l == 0:
+        return [r_k, r_km1, r_k + r_km1]
+    return [r_k, r_km1 - r_k.scale(tag.l), r_km1 - r_k.scale(tag.l - 1)]
+
+
+def _reference_matches(gs, predicted, N):
+    slack = N * gs.radius
+    return all(
+        any(abs(g - p.center) <= p.radius + slack for p in predicted) for g, _ in gs.gaps
+    )
+
+
+@st.composite
+def regime_cases(draw):
+    """(cf, N, min_radius, shift): an irrational or a rational theta, an N
+    it resolves, a display radius or none, and a shift for the gap
+    numerators (0 leaves them as computed)."""
+    if draw(st.booleans()):
+        cf = draw(irrational_cfs())
+    else:
+        quotients = draw(st.lists(st.integers(1, 12), min_size=3, max_size=14))
+        cf = CFSpec(draw(st.integers(0, 2)), tuple(quotients), ())
+        assume(not cf.is_integer)
+    qs = [c.q for c in convergents(cf, 40)]
+    assume(len(qs) > 2)
+    top = qs[-1] - 1 if cf.is_rational else 10**7
+    assume(qs[1] <= top)
+    N = draw(st.integers(qs[1], top))
+    min_radius = draw(st.sampled_from([None, Fraction(1, 10**12), Fraction(1, 10**45),
+                                       _display_radius(10, N), _display_radius(40, N)]))
+    shift = draw(st.sampled_from([0, 0, 0, 1, -1, 2]))
+    return cf, N, min_radius, shift
+
+
+@given(regime_cases())
+@settings(max_examples=300, deadline=None)
+@example((CFSpec(0, (), (2,)), 7, None, 0))
+@example((CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6), ()), 100, None, 0))
+@example((CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6), ()), 100, None, -1))
+def test_integer_regime_match_is_the_certified_formula(case):
+    cf, N, min_radius, shift = case
+    real = gaps_module.gap_set
+
+    def shifted(*args, **kwargs):
+        gs = real(*args, **kwargs)
+        nums = tuple((g + shift, m) for g, m in gs.gap_nums)
+        return dataclasses.replace(gs, gap_nums=nums)
+
+    with mock.patch.object(gaps_module, "gap_set", shifted):
+        tag, gs, predicted, ok = verify_regime(cf, N, min_radius=min_radius)
+    eps = Fraction(1, 16 * (cf.bound() + 2) * N * N)
+    if min_radius is not None:
+        eps = min(eps, min_radius)
+    assert predicted == _reference_predicted(cf, tag, eps)
+    assert ok == _reference_matches(gs, predicted, N)
+    if not shift:
+        assert ok
+    for tiny in (Fraction(1, 3), Fraction(7, 10**20)):
+        assert predicted_gap_values(cf, tag, tiny) == _reference_predicted(cf, tag, tiny)
+
+
 @given(irrational_cfs(), st.integers(min_value=1, max_value=250))
 @settings(max_examples=100, deadline=None)
 def test_observed_gaps_are_among_predicted(cf, N):
@@ -462,9 +532,15 @@ def test_witness_frozen_stage_ten():
     assert decimal_str(w.product) == "1.894213263"
     assert w.constant == gap_constant(1)
     assert w.product < w.constant
-    assert w.predicted_gap.contains(w.largest) or abs(
-        w.predicted_gap.center - w.largest
-    ) <= w.predicted_gap.radius + w.count * w.radius
+    # The exact largest gap for theta = [0; (1)] at stage 10 is r_19 + r_20,
+    # built here from the convergents and the root of x^2 + x - 1.
+    theta = (QuadraticNumber.sqrt(5) - 1) / 2
+    c19, c20 = convergents(GOLDEN, 21)[19:]
+    h = (c19.p - c19.q * theta) + (c20.q * theta - c20.p)
+    assert w.h == h
+    assert abs(h - w.largest) <= w.count * w.radius
+    assert w.gap_to_f == w.constant - w.count * h
+    assert w.gap_to_f > 0
 
 
 def test_witness_early_stages_frozen():

@@ -491,15 +491,37 @@ def test_ratio_report():
 def test_witness_builds_one_grid_pair(monkeypatch):
     built = []
 
-    def counted(n):
+    def counted(n, *table):
         built.append(n)
-        return _grids(n)
+        return _grids(n, *table)
 
     monkeypatch.setattr("badapprox.sturmian._grids", counted)
     for n in (2, 3, 4, 5):
         built.clear()
         lower_bound_witness(n)
         assert built == [n]
+
+
+def test_witness_builds_each_fib_lucas_pair_once(monkeypatch):
+    # The grids, the crossing cell and the witness share one table, so each
+    # index is built, and its power sums verified, exactly once.
+    built = []
+
+    def counted(n):
+        built.append(n)
+        return fib_lucas(n)
+
+    monkeypatch.setattr("badapprox.sturmian.fib_lucas", counted)
+    for n in (2, 3, 4, 5):
+        built.clear()
+        lower_bound_witness(n)
+        assert sorted(built) == [2 * n - 2, 2 * n - 1, 2 * n, 2 * n + 1, 4 * n, 4 * n + 1]
+        built.clear()
+        crossing_cell(n)
+        assert sorted(built) == [2 * n - 2, 2 * n, 2 * n + 1, 4 * n, 4 * n + 1]
+        built.clear()
+        fractional_grids(n)
+        assert sorted(built) == [2 * n - 1, 2 * n, 2 * n + 1, 4 * n, 4 * n + 1]
 
 
 def test_floor_of_the_golden_theta():
