@@ -58,9 +58,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_in(low: int, high: int | None = None):
-    """Argument type for integers in [low, high] (no upper end when high is
-    None); anything else is a usage error."""
+def _int_in(low: int, high: int):
+    """Argument type for integers in [low, high]; anything else is a usage
+    error."""
 
     def parse(text: str) -> int:
         try:
@@ -69,7 +69,7 @@ def _int_in(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        if high is not None and value > high:
+        if value > high:
             raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
@@ -434,7 +434,14 @@ def build_parser() -> _Parser:
     sp.set_defaults(handler=cmd_arrays)
 
     sp = subs.add_parser("verify", help="run the brute-force oracle suite")
-    sp.add_argument("--cases", type=_int_in(0), default=50)
+    # A case of each family takes about a millisecond, so the cap runs in
+    # minutes; an uncapped count could run until the process is killed.
+    sp.add_argument(
+        "--cases",
+        type=_int_in(0, 100000),
+        default=50,
+        help="cases per oracle family (0 to 100000)",
+    )
     sp.add_argument("--seed", type=int, default=20260822)
     sp.add_argument("--out")
     sp.set_defaults(handler=cmd_verify)

@@ -1,22 +1,27 @@
 """Brute-force oracles for cross-checking the exact paths.
 
 The oracles share one input with the code under test: theta itself. Its
-value comes from `cf.eval_theta`, a convergent of the same expansion the
-exact side reads its surrogates from (CFSpec.value for rationals), taken
-deep enough that mpmath holds it to ORACLE_DPS digits. Everything after
-that is independent of the exact machinery: gap sets come from sorting
-rounded multiples of theta (not the three-distance theorem), best
-approximations from a full scan over n (not min_affine_mod), bit
-sequences from floors of theta's mpf value (not standard words), and
-agreement indices from a naive loop (not the XOR of big-endian integers).
+value is the convergent p_K/q_K of the first pair with q_K*q_(K+1) >=
+10**(ORACLE_DPS + 5), read off the same recurrence (cf._pair_past) the
+exact side takes its surrogates from (CFSpec.value for rationals), so
+mpmath holds it to ORACLE_DPS digits. Everything after that is
+independent of the exact machinery: gap sets come from sorting rounded
+multiples of theta (not the three-distance theorem), best approximations
+from a full scan over n (not min_affine_mod), bit sequences from floors
+of theta's mpf value (not standard words), and agreement indices from a
+naive loop (not the XOR of big-endian integers).
 
 mpmath supplies theta (above) and beta, each as an mpf, and the working
 precision: each gap point and gap length is rounded half to even to
 mpmath's dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS
 digits rounds, by an integer routine (_round_bits) that a test pins
-against mpmath's from_man_exp. The Kronecker and bit scans are exact on
-the integer image of theta's mpf value (man * 2**exp): they build no mpf
-per n. Ordering the points, merging gaps and comparing against exact
+against mpmath's from_man_exp. The points are rounded a run at a time:
+the multiples k*|man| keep one bit length over a run of k, so the whole
+run drops the same low bits. Rounding to nearest is monotone, so the raw
+gaps sort in the order of their rounded values, and only the lengths the
+merge probes are rounded. The Kronecker and bit scans are exact on the
+integer image of theta's mpf value (man * 2**exp): they build no mpf per
+n. Ordering the points, merging gaps and comparing against exact
 fractions to a tolerance are decided exactly, in integers, on those
 dyadic values, so no decision rounds.
 
@@ -35,10 +40,12 @@ package for its exact paths never loads it.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .cf import CFSpec, eval_theta
+from .cf import CFSpec, _pair_past
 from .errors import SequenceLengthError
 from .gaps import gap_set
 from .kronecker import solve
@@ -53,10 +60,12 @@ def high_precision_value(cf: CFSpec):
     """The number described by cf as an mpf good to ORACLE_DPS digits.
 
     This is the one place the oracles lean on the package: the value is
-    the convergent `cf.eval_theta` certifies to within
-    10**-(ORACLE_DPS + 5), and the exact side reads its surrogates off the
-    same convergent recurrence (a rational comes from CFSpec.value). A
-    wrong expansion or recurrence would therefore mislead both sides
+    p_K / q_K for the first convergent pair with q_K * q_(K+1) >=
+    10**(ORACLE_DPS + 5), read off cf._pair_past, so within
+    10**-(ORACLE_DPS + 5) of theta. It is the centre `cf.eval_theta` would
+    certify at that radius, and the exact side reads its surrogates off
+    the same convergent recurrence (a rational comes from CFSpec.value).
+    A wrong expansion or recurrence would therefore mislead both sides
     alike; the oracles check what is computed from theta, not theta
     itself.
     """
@@ -66,8 +75,8 @@ def high_precision_value(cf: CFSpec):
         if cf.is_rational:
             v = cf.value()
             return mp.mpf(v.numerator) / v.denominator
-        cert = eval_theta(cf, Fraction(1, 10 ** (ORACLE_DPS + 5)))
-        return mp.mpf(cert.center.numerator) / cert.center.denominator
+        c, _ = _pair_past(cf, 10 ** (ORACLE_DPS + 5))
+        return mp.mpf(c.p) / c.q
 
 
 def brute_gap_points(theta, N: int):
@@ -94,36 +103,67 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     and their common exponent low: each value is key * 2**low.
 
     Each point k*theta and each gap b - a is rounded half to even to
-    dps_to_prec(ORACLE_DPS) bits (_round_bits), as mpf arithmetic at
-    ORACLE_DPS digits would round it. Rounding never lowers the exponent
-    of the exact value, and the exact products k*man live at theta's
-    exponent, so one scale, low = min(exp, 0), holds every rounded value
-    as an integer. The fractional part is then a mask and the sort is
-    over ints. Gaps that differ by at most 1e-25 are merged into the
-    first length of the run.
+    dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS digits
+    would round it. Rounding never lowers the exponent of the exact value,
+    and the exact products k*man live at theta's exponent, so one scale,
+    low = min(exp, 0), holds every rounded value as an integer; when
+    exp >= 0 the points are integers and every fractional part is 0. The
+    fractional part is then a mask and the sort is over ints.
+
+    The rounding is symmetric, so it runs on |k*man|, and a negative
+    theta negates the fractional parts modulo 1 afterwards. The products
+    keep one bit length L for a run of k, up to (2**L - 1) // |man|, so
+    each run drops the same number of low bits and is rounded in one pass
+    with that drop and its half.
+
+    Gaps that differ by at most 1e-25 are merged into the first length of
+    the run. Rounding to nearest onto a binary grid is monotone, so the
+    raw gaps sort in the order of their rounded values, and each merged
+    run ends where a bisection over the raw gaps, keyed by _round_bits,
+    first passes its first length plus 1e-25: only the probes are rounded.
     """
     from mpmath.libmp import dps_to_prec
 
     prec = dps_to_prec(ORACLE_DPS)
     man, exp = _signed_man_exp(theta)
     low = min(exp, 0)
-    shift = exp - low
     unit = 1 << -low
     mask = unit - 1
-    # The rounding is symmetric, so it runs on |man| and the sign goes
-    # back on before the mask.
-    sign = -1 if man < 0 else 1
     mag = abs(man)
-    pts = [(sign * _round_bits(k * mag, prec) << shift) & mask for k in range(1, N + 1)]
+    pts = []
+    k = 1
+    while k <= N:
+        top = (k * mag).bit_length()
+        last = min(N, ((1 << top) - 1) // mag) if mag else N
+        drop = top - prec
+        if drop > 0:
+            # v + half - 1 carries into the kept bits exactly when the
+            # dropped bits pass half; adding the kept low bit makes a tie
+            # carry when that bit is odd, so ties go to even. One mask
+            # then clears the dropped bits and takes the fractional part.
+            bias = (1 << (drop - 1)) - 1
+            keep = mask & -(1 << drop)
+            pts += [
+                (v + bias + (v >> drop & 1)) & keep
+                for v in range(k * mag, (last + 1) * mag, mag)
+            ]
+        else:
+            pts += [j * mag & mask for j in range(k, last + 1)]
+        k = last + 1
+    if man < 0:
+        pts = [-p & mask for p in pts]
     pts.sort()
     pts = [0] + pts + [unit]
-    gaps = [_round_bits(b - a, prec) for a, b in zip(pts, pts[1:])]
-    gaps.sort()
-    merge = 10 ** (ORACLE_DPS // 2)
+    gaps = sorted(b - a for a, b in zip(pts, pts[1:]))
+    # (g - first) * 10**25 > unit holds exactly when g - first > unit // 10**25
+    within = unit // 10 ** (ORACLE_DPS // 2)
+    rounded = partial(_round_bits, prec=prec)
     distinct = []
-    for g in gaps:
-        if not distinct or (g - distinct[-1]) * merge > unit:
-            distinct.append(g)
+    i = 0
+    while i < len(gaps):
+        first = rounded(gaps[i])
+        distinct.append(first)
+        i = bisect_right(gaps, first + within, i + 1, key=rounded)
     return pts, distinct, low
 
 
@@ -274,14 +314,15 @@ def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
     _gap_keys' low or that of the Kronecker error in _close.
 
     Clearing den, 2**-exp and the tolerance's denominator leaves one
-    integer comparison per pair; the bound and the shift are the same for
-    every pair, so they are computed once.
+    integer comparison per pair, x * td < bound with x >= 0, which holds
+    exactly when x <= (bound - 1) // td. That limit and the shift are the
+    same for every pair, so they are computed once.
     """
     tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
     shift = -exp
-    bound = (tn * den) << shift
+    limit = (((tn * den) << shift) - 1) // td
     pairs = zip(nums, mans, strict=True)
-    return all(abs((num << shift) - man * den) * td < bound for num, man in pairs)
+    return all(abs((num << shift) - man * den) <= limit for num, man in pairs)
 
 
 def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:

@@ -186,6 +186,21 @@ def test_verify_failure_exit(capsys, monkeypatch):
     }
 
 
+def test_verify_cases_are_capped_at_parse_time(capsys, monkeypatch):
+    asked = []
+
+    def fake(cases, seed):
+        asked.append(cases)
+        return OracleReport(cases, cases, cases, ())
+
+    monkeypatch.setattr(cli, "run_suite", fake)
+    assert run(capsys, "verify", "--cases", "100000")[0] == 0
+    for text in ("100001", "99999999999999999999"):
+        code, out, err = run(capsys, "verify", "--cases", text)
+        assert code == 64 and out == "" and "must be <= 100000" in err
+    assert asked == [100000]
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(capsys, "fb", "--b", "1", "--out", str(target))

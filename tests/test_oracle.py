@@ -16,13 +16,14 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 import badapprox
-from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, oracle, run_suite
+from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, eval_theta, oracle, run_suite
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
     _COMPARE_TOL,
     ORACLE_DPS,
     _all_close_dyadic,
     _close,
+    _gap_keys,
     _round_bits,
     brute_agreement,
     brute_bits,
@@ -39,6 +40,22 @@ def test_high_precision_value():
     assert abs(float(golden) - 0.6180339887498949) < 1e-15
     rational = high_precision_value(CFSpec(0, (2, 3), ()))
     assert abs(float(rational) - 3 / 7) < 1e-15
+
+
+def _eval_theta_mpf(cf):
+    """high_precision_value as it read the centre off cf.eval_theta."""
+    with mp.workdps(ORACLE_DPS + 10):
+        c = eval_theta(cf, Fraction(1, 10 ** (ORACLE_DPS + 5))).center
+        return mp.mpf(c.numerator) / c.denominator
+
+
+def test_high_precision_value_is_the_eval_theta_centre():
+    rng = random.Random(20261020)
+    cfs = [random_cf(rng, rng.choice([2, 10, 1000])) for _ in range(300)]
+    cfs += [CFSpec(a0, cf.prefix, cf.period) for a0, cf in zip((-4, 1, 7), cfs)]
+    cfs += [CFSpec(a0, prefix, ()) for a0 in (-2, 0, 3) for prefix in ((), (2,), (2, 3), (5, 7, 3))]
+    for cf in cfs:
+        assert high_precision_value(cf)._mpf_ == _eval_theta_mpf(cf)._mpf_, cf
 
 
 def test_brute_gap_points_golden():
@@ -205,6 +222,24 @@ def test_round_bits_breaks_ties_to_even():
     assert _round_bits((1 << prec) - 1, prec) == (1 << prec) - 1
 
 
+@settings(max_examples=1000, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.integers(0, 2**1200), st.integers(0, 2**1200), _PRECS),
+        st.tuples(st.integers(0, 2**200), st.integers(0, 2**200), _PRECS),
+        # 2**L - 1 against 2**L, where the bit length and the drop change
+        st.builds(lambda L, prec: ((1 << L) - 1, 1 << L, prec), st.integers(1, 400), _PRECS),
+        # a tie against its neighbours and against itself
+        st.builds(lambda t, d: (t[0] + min(d, 0), t[0] + max(d, 0), t[1]),
+                  _half_ties(), st.integers(-2, 2)),
+    )
+)
+def test_round_bits_is_monotone(case):
+    v, w, prec = case
+    v, w = min(v, w), max(v, w)
+    assert _round_bits(v, prec) <= _round_bits(w, prec)
+
+
 @settings(max_examples=500, deadline=None)
 @given(exp=st.integers(-300, 0), r=st.integers(1, 50), data=st.data())
 def test_all_close_dyadic_is_all_of_close_dyadic(exp, r, data):
@@ -276,6 +311,81 @@ def test_brute_gap_points_rounds_long_gaps():
             pts, distinct = brute_gap_points(theta, N)
             ref_pts, ref_distinct = _mpf_sorted_gap_points(theta, N)
             assert _same(pts, ref_pts) and _same(distinct, ref_distinct), (cf, N)
+
+
+# ---- _gap_keys against its one-call-per-value formulation -----------------
+
+
+def _gap_keys_per_value(theta, N):
+    """_gap_keys as it was first written: every point and every gap goes
+    through _round_bits, and gaps merge by the multiplied-out 1e-25 rule."""
+    prec = dps_to_prec(ORACLE_DPS)
+    sign, man, exp, _ = theta._mpf_
+    low = min(exp, 0)
+    unit = 1 << -low
+    pts = [
+        ((-1 if sign else 1) * _round_bits(k * man, prec) << exp - low) & (unit - 1)
+        for k in range(1, N + 1)
+    ]
+    pts = [0] + sorted(pts) + [unit]
+    distinct = []
+    for g in sorted(_round_bits(b - a, prec) for a, b in zip(pts, pts[1:])):
+        if not distinct or (g - distinct[-1]) * 10 ** (ORACLE_DPS // 2) > unit:
+            distinct.append(g)
+    return pts, distinct, low
+
+
+def test_gap_keys_match_per_value_rounding_on_random_corpus():
+    rng = random.Random(20261019)
+    for i in range(120):
+        cf = random_cf(rng)
+        N = rng.randint(1, 2000) if i % 2 else rng.randint(1, 40)
+        theta = high_precision_value(cf)
+        assert _gap_keys(theta, N) == _gap_keys_per_value(theta, N), (cf, N)
+
+
+def test_gap_keys_match_per_value_rounding_on_edge_values():
+    with mp.workdps(ORACLE_DPS):
+        thetas = [
+            -mp.mpf(3) / 7,  # negative mantissa
+            -mp.sqrt(2) - 5,
+            mp.mpf(2) ** 70 + mp.mpf(1) / 3,  # more bits than the precision holds
+            mp.mpf(6),  # exp > 0: every point is 0
+            mp.mpf(0),
+            mp.mpf(1) / 4,  # few bits, nothing rounds
+        ]
+    assert thetas[0]._mpf_[0] == 1 and thetas[3]._mpf_[2] > 0
+    cases = [(theta, N) for theta in thetas for N in (1, 2, 3, 7, 40, 300)]
+    # rational theta = 2/5 and 3/7, whose points tie at N = q and 2q + 1
+    for cf in (CFSpec(0, (2, 2), ()), CFSpec(0, (2, 3), ())):
+        q = cf.value().denominator
+        cases += [(high_precision_value(cf), N) for N in (q, 2 * q + 1)]
+    for theta, N in cases:
+        assert _gap_keys(theta, N) == _gap_keys_per_value(theta, N), (theta, N)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_gap_keys_merge_at_exactly_1e_25(delta):
+    # theta = m / 2**E with 3m = 2**E + s puts the points 0 < s < m < 2m
+    # < 2**E, so the gaps are s, m - s (twice) and m: the two longer
+    # lengths lie s apart, and s sits delta units from unit // 10**25.
+    # An odd s with 3 | 2**E + s makes m odd, so the mpf keeps exponent -E.
+    def apart(E):
+        return (1 << E) // 10 ** (ORACLE_DPS // 2) + delta
+
+    E = next(
+        E for E in range(84, dps_to_prec(ORACLE_DPS))
+        if apart(E) % 2 and ((1 << E) + apart(E)) % 3 == 0
+    )
+    s = apart(E)
+    m = ((1 << E) + s) // 3
+    with mp.workprec(2 * E):
+        theta = mp.mpf((m, -E))
+    assert theta._mpf_[1:3] == (m, -E)
+    pts, distinct, low = _gap_keys(theta, 3)
+    assert (pts, low) == ([0, s, m, 2 * m, 1 << E], -E)
+    assert distinct == ([s, m - s, m] if delta > 0 else [s, m - s])
+    assert (pts, distinct, low) == _gap_keys_per_value(theta, 3)
 
 
 # ---- the integer scans decide as the mpf scans did ------------------------
