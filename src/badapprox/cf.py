@@ -272,6 +272,7 @@ def choose_surrogate(
     gap, so every pairwise comparison among the points survives the
     substitution. An optional min_radius forces the depth further.
     """
+    N = operator.index(N)
     if cf.is_rational:
         raise DomainError("rational input needs no surrogate")
     least = 16 * (cf.bound() + 2) * N * N + 1
@@ -379,6 +380,7 @@ def eval_theta(cf: CFSpec, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
 
 def dist_to_int(cf: CFSpec, n: int, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
     """Certified distance from n*theta to the nearest integer."""
+    n = operator.index(n)
     if n < 0:
         n = -n
     if n == 0:

@@ -101,11 +101,12 @@ def _num(value, sig: int):
 
 
 def _display_radius(sig: int, n: int) -> Fraction:
-    """Surrogate radius small enough that reported digits hold for theta.
+    """Surrogate radius rho for reports of n multiples at sig digits.
 
-    Point positions shift by at most n times the radius and the product
-    n*H by at most n^2 times it, so this keeps both below the last
-    displayed digit.
+    Under it a point or a gap moves by at most n*rho and the product n*H
+    by at most n^2*rho = 10^-(sig+2)/16, a small fraction of a last digit,
+    so a printed last digit can be one off only when the value lies that
+    close to a rounding boundary.
     """
     return Fraction(1, 16 * max(n, 1) ** 2 * 10 ** (sig + 2))
 

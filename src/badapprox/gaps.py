@@ -22,7 +22,6 @@ those add up to exactly one, this certifies the order.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from .cf import (
     certify,
     choose_surrogate,
     convergents,
+    eval_theta,
     min_affine_mod,
 )
 from .errors import CoincidentPointsError, DomainError, VerificationError
@@ -226,6 +226,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
     to one and the multiplicities to N + 1. No point is built here; see
     GapSet.orders.
     """
+    N = operator.index(N)  # rejects 10.5, which would pass every check below
     if N < 1:
         raise DomainError("need at least one multiple")
     if cf.is_integer:
@@ -297,6 +298,7 @@ class RegimeTag:
 
 def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     """Locate N among the denominator brackets of theta's convergents."""
+    N = operator.index(N)
     if cf.is_integer:
         raise DomainError("integer input has no convergent brackets")
     qs = [1]  # q_0, q_1, ... up to the first past N
@@ -322,78 +324,48 @@ def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     return RegimeTag(k=k, l=l)
 
 
-def _residuals(cf: CFSpec, tag: RegimeTag, eps) -> tuple[tuple[int, int, int, int], ...]:
-    """r_k = |q_k*theta - p_k| and r_{k-1}, read off one convergent walk,
-    each as integers (c, d, e, r): the centre c/d within radius r/(d*e).
+def _bracket(cf: CFSpec, tag: RegimeTag) -> tuple[Convergent, Convergent]:
+    """The convergents c_{k-1} and c_k of tag's bracket."""
+    convs = convergents(cf, tag.k + 1)
+    if tag.k < 1 or len(convs) <= tag.k:
+        raise DomainError(f"expansion has no convergents of index {tag.k - 1} and {tag.k}")
+    return convs[-2], convs[-1]
 
-    Each residual sits on the surrogate convergent_residual(cf, j,
-    eps/(2l + 3)) would use: the first p_K/q_K with q_K*q_{K+1} >= (2l +
-    3)*q_j/eps, so d = q_K, e = q_{K+1} and r = q_j. A rational theta is
-    its own last convergent: d is its denominator, e = 1 and r = 0.
+
+def _staircase(bracket: tuple[Convergent, Convergent], l: int, p: int, q: int,
+               radius: Fraction) -> tuple[list[int], list[CertifiedValue]]:
+    """The predicted gaps as numerators over q, and as certified values,
+    read under p/q: a convergent p_K/q_K of theta within radius of it, or
+    theta itself with radius zero.
+
+    With (c_{k-1}, c_k) the bracket and eta_j = |q_j*p - p_j*q|, the
+    numerators are eta_k, eta_{k-1} - l*eta_k and eta_{k-1} - (l - 1)*eta_k
+    (Sos 1958); at l = 0 the last two are eta_{k-1} and eta_{k-1} + eta_k.
+    eta_j/q is within q_j*radius of r_j = |q_j*theta - p_j|, so x*eta_k +
+    y*eta_{k-1} is within (|x|*q_k + |y|*q_{k-1})*radius of its value for
+    theta.
     """
-    k = tag.k
-    if k < 1:
-        raise DomainError("residuals are indexed from 0")
-    part = Fraction(eps, 2 * tag.l + 3)
-    if not cf.is_rational and part <= 0:
-        raise DomainError(f"radius must be positive, got {eps!r}")
-    ps, qs = [1, cf.a0], [0, 1]  # p_j and q_j sit at index j + 1
-    quotients = cf.quotients()
-    for a in itertools.islice(quotients, k):
-        ps.append(a * ps[-1] + ps[-2])
-        qs.append(a * qs[-1] + qs[-2])
-    if len(qs) < k + 2:
-        raise DomainError(f"expansion has no convergent of index {k}")
-    # The least q_K*q_{K+1} each residual asks for, r_k's first; a rational
-    # theta is walked to its end instead.
-    least = None
-    if not cf.is_rational:
-        least = [-(-qs[j] * part.denominator // part.numerator) for j in (k + 1, k)]
-    p_prev, q_prev, p, q = ps[-2], qs[-2], ps[-1], qs[-1]
-    for a in quotients:
-        if least and q_prev * q >= least[0]:
-            break
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        ps.append(p)
-        qs.append(q)
-    if least is None:
-        return tuple((abs(qs[j] * p - ps[j] * q), q, 1, 0) for j in (k + 1, k))
-    # The pair (qs[i], qs[i + 1]) is (q_{i-1}, q_i), and the products grow
-    # with i, so each first pair past its least is found stepping back.
-    i, found = len(qs) - 2, []
-    for j, low in zip((k + 1, k), least):
-        while i > 1 and qs[i - 1] * qs[i] >= low:
-            i -= 1
-        found.append((abs(qs[j] * ps[i] - ps[j] * qs[i]), qs[i], qs[i + 1], qs[j]))
-    return tuple(found)
-
-
-def _bands(cf: CFSpec, tag: RegimeTag, eps) -> tuple[list[tuple[int, int]], int]:
-    """The predicted gaps as integers (c, r) over one denominator w, each
-    the centre c/w within radius r/w, and w.
-
-    With l = 0 they are r_k, r_{k-1} and their sum, else r_k, r_{k-1} -
-    l*r_k and r_{k-1} - (l - 1)*r_k; centres combine as the residuals do
-    and radii add up.
-    """
-    (ca, da, ea, ra), (cb, db, eb, rb) = _residuals(cf, tag, eps)
-    wa, wb = da * ea, db * eb
-    a, a_radius, b, b_radius = ca * ea * wb, ra * wb, cb * eb * wa, rb * wa
-    l = tag.l
-    mix = ((1, 0), (0, 1), (1, 1)) if l == 0 else ((1, 0), (-l, 1), (1 - l, 1))
-    return [(x * a + y * b, abs(x) * a_radius + abs(y) * b_radius) for x, y in mix], wa * wb
-
-
-def _certified(bands: list[tuple[int, int]], w: int) -> list[CertifiedValue]:
-    return [CertifiedValue(Fraction(c, w), Fraction(r, w)) for c, r in bands]
+    c_km1, c_k = bracket
+    eta_k, eta_km1 = (abs(c.q * p - c.p * q) for c in (c_k, c_km1))
+    mix = ((1, 0), (-l, 1), (1 - l, 1))
+    nums = [x * eta_k + y * eta_km1 for x, y in mix]
+    values = [
+        CertifiedValue(Fraction(n, q), (abs(x) * c_k.q + abs(y) * c_km1.q) * radius)
+        for n, (x, y) in zip(nums, mix)
+    ]
+    return nums, values
 
 
 def predicted_gap_values(
     cf: CFSpec, tag: RegimeTag, eps: Fraction
 ) -> list[CertifiedValue]:
-    """Certified gap lengths the classification predicts may occur."""
-    return _certified(*_bands(cf, tag, eps))
+    """Certified gap lengths the classification predicts may occur, read
+    under the first convergent that keeps every radius within eps."""
+    c_km1, c_k = bracket = _bracket(cf, tag)
+    # The widest radius factor of the staircase is max(l, 1)*q_k + q_{k-1}.
+    theta = eval_theta(cf, Fraction(eps) / (max(tag.l, 1) * c_k.q + c_km1.q))
+    p, q = theta.center.numerator, theta.center.denominator
+    return _staircase(bracket, tag.l, p, q, theta.radius)[1]
 
 
 def verify_regime(
@@ -402,30 +374,17 @@ def verify_regime(
     """Classify N and check the observed gaps against the prediction.
 
     Returns (tag, gap set, predicted values, all-observed-are-predicted).
-    The tolerance combines the certified radii with the surrogate's worst
-    case shift and stays below half the least possible separation between
-    distinct gap lengths, so a match is never accidental. min_radius
-    deepens the surrogate past the policy minimum, for callers that want
-    the reported decimals accurate for theta itself.
-
-    A gap g/q matches a prediction c/w within r/w when |g/q - c/w| <= r/w
-    + N*gs.radius; with gs.radius = u/s that is decided on integers, times
-    q*s*w.
+    The prediction is read under the gap set's own p_K/q_K, so each
+    observed numerator must be one of the predicted ones exactly. min_radius
+    deepens the surrogate past the policy minimum, as in gap_set.
     """
     tag = classify_regime(cf, N)
     gs = gap_set(cf, N, min_radius=min_radius)
-    B = cf.bound()
-    eps = Fraction(1, 16 * (B + 2) * N * N)
-    if min_radius is not None:
-        eps = min(eps, min_radius)
-    bands, w = _bands(cf, tag, eps)
-    q, u, s = gs.denominator, gs.radius.numerator, gs.radius.denominator
-    slack = N * u * q * w
-    scaled = [(c * q * s, r * q * s + slack) for c, r in bands]
-    ok = all(
-        any(abs(g * s * w - c) <= r for c, r in scaled) for g, _ in gs.gap_nums
-    )
-    return tag, gs, _certified(bands, w), ok
+    # gs.numerator is reduced modulo q; the convergents carry a0.
+    p, q = gs.numerator + cf.a0 * gs.denominator, gs.denominator
+    nums, predicted = _staircase(_bracket(cf, tag), tag.l, p, q, gs.radius)
+    ok = all(g in nums for g, _ in gs.gap_nums)
+    return tag, gs, predicted, ok
 
 
 # ---- the sharp constant ----------------------------------------------

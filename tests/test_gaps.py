@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import time
 from collections import Counter
@@ -27,6 +28,7 @@ from badapprox import (
     convergent_residual,
     convergents,
     decimal_str,
+    dist_to_int,
     extremal_witness,
     gap_constant,
     gap_constant_bounds,
@@ -431,12 +433,19 @@ def test_integer_regime_match_is_the_certified_formula(case):
     eps = Fraction(1, 16 * (cf.bound() + 2) * N * N)
     if min_radius is not None:
         eps = min(eps, min_radius)
-    assert predicted == _reference_predicted(cf, tag, eps)
+    reference = _reference_predicted(cf, tag, eps)
+    assert all(p.agrees_with(r) for p, r in zip(predicted, reference, strict=True))
     assert ok == _reference_matches(gs, predicted, N)
     if not shift:
         assert ok
+        # Read under the gap set's own surrogate, each length is a centre.
+        centres = {p.center for p in predicted}
+        assert all(g in centres for g, _ in gs.gaps)
     for tiny in (Fraction(1, 3), Fraction(7, 10**20)):
-        assert predicted_gap_values(cf, tag, tiny) == _reference_predicted(cf, tag, tiny)
+        values = predicted_gap_values(cf, tag, tiny)
+        assert all(v.radius <= tiny for v in values)
+        reference = _reference_predicted(cf, tag, tiny)
+        assert all(v.agrees_with(r) for v, r in zip(values, reference, strict=True))
 
 
 @given(irrational_cfs(), st.integers(min_value=1, max_value=250))
@@ -449,6 +458,33 @@ def test_observed_gaps_are_among_predicted(cf, N):
     assert len(predicted) == 3
     assert 1 <= tag.k
     assert 0 <= tag.l < cf.quotient(tag.k + 1)
+
+
+def test_float_radius_reads_as_its_exact_fraction():
+    exact = Fraction(1e-20)
+    tag, gs, predicted, ok = verify_regime(GOLDEN, 100, min_radius=1e-20)
+    want_tag, want_gs, want_predicted, want_ok = verify_regime(GOLDEN, 100, min_radius=exact)
+    assert (tag, predicted, ok) == (want_tag, want_predicted, want_ok)
+    assert (gs.denominator, gs.radius, gs.gap_nums) == (
+        want_gs.denominator, want_gs.radius, want_gs.gap_nums)
+    assert predicted_gap_values(GOLDEN, tag, 1e-20) == predicted_gap_values(GOLDEN, tag, exact)
+
+
+def test_regime_prints_each_length_once(capsys):
+    # A rounding-boundary case: the gap set and the prediction are one value.
+    theta = '{"a0": 0, "prefix": [6, 6, 6], "period": [4, 6, 6, 6, 1]}'
+    argv = ["regime", "--theta", theta, "--n", "10", "--precision-digits", "9"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["matches"]
+    assert set(out["gaps"]) <= set(out["predicted"])
+
+
+@pytest.mark.parametrize("call", [gap_set, classify_regime, choose_surrogate, dist_to_int])
+@pytest.mark.parametrize("count", [10.5, 10.0])
+def test_counts_must_be_integers(call, count):
+    with pytest.raises(TypeError):
+        call(GOLDEN, count)
 
 
 def test_verify_regime_rational_is_exact():

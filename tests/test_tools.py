@@ -1,0 +1,47 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
+_SPEC = importlib.util.spec_from_file_location("count_code_lines", _PATH)
+count_code_lines = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(count_code_lines)
+
+FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment does not hide code
+
+# a comment-only line
+
+
+def f(x):
+    """Function docstring."""
+    text = """a multi-line string
+that is not a docstring
+"""
+    return x + len(text)
+
+
+class C:
+    """Class docstring,
+
+    with a blank line inside."""
+
+    value = (
+        1
+    )
+'''
+
+
+def test_counts_code_lines_only():
+    # import, def, text (3 lines), return, class, value (3 lines)
+    assert count_code_lines.count_code_lines(FIXTURE) == 10
+
+
+def test_cli_prints_each_file_and_the_total(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(FIXTURE)
+    (tmp_path / "b.py").write_text("x = 1\n\n# note\n")
+    assert count_code_lines.main([str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["10", "1", "11"]
+    assert lines[-1].split()[1] == "total"
