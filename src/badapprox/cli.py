@@ -6,6 +6,17 @@ sequences, diversity scans, the crossing witness, the value grids, the
 oracle suite, and witness convergence tables. Reports go to stdout (or
 --out) as JSON or CSV.
 
+Syntax: `badapprox SUB --name value ...`, where each option is given by
+its full name as `--name value` or `--name=value`, in any order; when an
+option is repeated, the last one wins. `badapprox -h` lists the
+subcommands and `badapprox SUB -h` the options of one; both exit 0.
+Every subcommand reads its options off one table, `_COMMANDS`.
+
+Numbers that `fb` and `kron` print as JSON numbers (CSV fields) must be
+zero or lie between the smallest normal double and the largest finite
+one once rounded; any other value is a domain error, since a double
+would print it as inf or as a false 0.
+
 Exit codes: 0 success, 1 domain error (bad mathematical input, or an
 input that needs more memory than the process may allocate), 2 a
 verified bound or invariant failed, 64 usage error.
@@ -13,13 +24,13 @@ verified bound or invariant failed, 64 usage error.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import io
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .cf import CFSpec, preset
 from .errors import DomainError, VerificationError
@@ -50,40 +61,38 @@ EXIT_USAGE = 64
 
 
 class UsageError(Exception):
-    pass
+    """A malformed command line, such as an unknown option or a bad value: exit 64."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _int_in(low: int, high: int):
-    """Argument type for integers in [low, high]; anything else is a usage
-    error."""
+def _int_in(low, high):
+    """Converter for integers in [low, high]; anything else is a usage error."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise ValueError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+            raise ValueError(f"must be >= {low}, got {value}")
         if value > high:
-            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+            raise ValueError(f"must be <= {high}, got {value}")
         return value
 
     return parse
 
 
+_int = _int_in(-float("inf"), float("inf"))
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"invalid choice: {text!r} (choose from json, csv)")
+    return text
+
+
 def _parse_theta(text: str) -> CFSpec:
-    if text.lstrip().startswith("{"):
-        try:
-            return CFSpec.from_json(text)
-        except DomainError as exc:
-            raise UsageError(str(exc)) from exc
     try:
-        return preset(text)
+        return CFSpec.from_json(text) if text.lstrip().startswith("{") else preset(text)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -95,9 +104,16 @@ def _parse_beta(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _num(value, sig: int):
-    """Value rounded to sig digits, as a JSON-friendly number."""
-    return float(decimal_str(value, sig))
+def _num(value, sig: int, field: str) -> float:
+    """Value rounded to sig digits, as a JSON number.
+
+    A nonzero value whose double would be infinite or below the smallest
+    normal double is a domain error: printed, it would read inf or a false 0.
+    """
+    text = decimal_str(value, sig)
+    if text != "0" and not sys.float_info.min <= abs(float(text)) <= sys.float_info.max:
+        raise DomainError(f"{field} {decimal_str(value, 3)} is outside the normal range of a double")
+    return float(text)
 
 
 def _display_radius(sig: int, n: int) -> Fraction:
@@ -127,15 +143,23 @@ def _symbolic(q: QuadraticNumber) -> str:
     return f"{q.a}{sign}{tail}"
 
 
+def _printed(render, *args, **kwargs):
+    """render(*args, **kwargs), where str() of an integer past Python's digit
+    limit (4300 by default) is a domain error, not a traceback."""
+    try:
+        return render(*args, **kwargs)
+    except ValueError as exc:
+        raise DomainError("the report holds an integer too long for Python to print") from exc
+
+
 def _csv(rows) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    _printed(csv.writer(buf, lineterminator="\n").writerows, rows)
     return buf.getvalue()
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _printed(json.dumps, obj, indent=2) + "\n"
 
 
 def _flat(obj: dict, fmt: str) -> str:
@@ -183,10 +207,10 @@ def cmd_fb(args) -> tuple[str, bool]:
     lower, upper = gap_constant_bounds(args.b)
     sig = args.precision_digits
     obj = {
-        "f": _symbolic(f),
-        "decimal": _num(f, sig),
-        "lower": _num(lower, sig),
-        "upper": _num(upper, sig),
+        "f": _printed(_symbolic, f),
+        "decimal": _num(f, sig, "decimal"),
+        "lower": _num(lower, sig, "lower"),
+        "upper": _num(upper, sig, "upper"),
     }
     return _flat(obj, args.format), False
 
@@ -216,8 +240,8 @@ def cmd_kron(args) -> tuple[str, bool]:
     obj = {
         "n": sol.n,
         "p": sol.p,
-        "error": _num(sol.achieved, sig),
-        "bound": _num(sol.bound, sig),
+        "error": _num(sol.achieved, sig, "error"),
+        "bound": _num(sol.bound, sig, "bound"),
         "legacy_bound": sol.legacy_bound,
         "within_bound": sol.within_bound,
     }
@@ -358,109 +382,107 @@ def cmd_convergence(args) -> tuple[str, bool]:
     return _csv(table), False
 
 
-# ---- parser -----------------------------------------------------------
+# ---- option table -----------------------------------------------------
+
+_REQUIRED = object()  # the default of an option that must be given
 
 
-def _add_output(sp, fmt_default="json"):
-    sp.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-    sp.add_argument("--out", help="write the report to this path instead of stdout")
+class _Opt(NamedTuple):
+    convert: Callable[[str], object]
+    help: str
+    default: object = _REQUIRED
+
+
+_OUT = _Opt(str, "write the report to this path instead of stdout", None)
+
+
+def _output(fmt: str = "json") -> dict[str, _Opt]:
     # Rendering takes str() of a sig-digit integer, which Python refuses
     # past 4300 digits; 1000 digits stay well inside that and fast.
-    sp.add_argument(
-        "--precision-digits",
-        type=_int_in(1, 1000),
-        default=DEFAULT_SIG_DIGITS,
-        dest="precision_digits",
-        help="significant digits in decimal output (1 to 1000)",
-    )
+    digits = _Opt(_int_in(1, 1000), "significant digits in decimal output (1 to 1000)", DEFAULT_SIG_DIGITS)
+    return {"--format": _Opt(_format, "json or csv", fmt), "--out": _OUT, "--precision-digits": digits}
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="badapprox", description=__doc__.split("\n\n")[0])
-    subs = parser.add_subparsers(dest="subcommand", required=True)
+_THETA = _Opt(str, "preset golden, sqrt2 or extremal:B, or JSON {a0, prefix, period}")
+_N = _Opt(_int, "number of multiples N")
+_B = _Opt(_int, "quotient bound B")
+_STAGE = _Opt(_int, "witness stage")
 
-    sp = subs.add_parser("gaps", help="gap set of {theta}, ..., {N theta}")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_gaps)
-
-    sp = subs.add_parser("regime", help="bracket classification and predicted gaps")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_regime)
-
-    sp = subs.add_parser("fb", help="sharp constant for a quotient bound")
-    sp.add_argument("--b", type=int, required=True)
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_fb)
-
-    sp = subs.add_parser("extremal", help="witness with N*H near the constant")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True, help="witness stage")
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_extremal)
-
-    sp = subs.add_parser("kron", help="best n with n*theta near beta mod 1")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--beta", required=True, help="rational target p/q in [0,1)")
-    sp.add_argument("--n", type=int, required=True)
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_kron)
-
-    sp = subs.add_parser("sturmian", help="characteristic bit sequence")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--n", type=int, required=True, help="number of bits")
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_sturmian)
-
-    sp = subs.add_parser("diversity", help="agreement bounds over residue classes")
-    sp.add_argument("--theta", required=True)
-    sp.add_argument("--b", type=int, required=True, help="quotient bound to certify")
-    sp.add_argument("--rmax", type=int, required=True)
-    _add_output(sp, fmt_default="csv")
-    sp.set_defaults(handler=cmd_diversity)
-
-    sp = subs.add_parser("witness", help="golden crossing witness and ratio report")
-    sp.add_argument("--n", type=int, required=True, help="witness stage")
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_witness)
-
-    sp = subs.add_parser("arrays", help="the two golden value grids")
-    sp.add_argument("--n", type=int, required=True, help="grid stage")
-    _add_output(sp)
-    sp.set_defaults(handler=cmd_arrays)
-
-    sp = subs.add_parser("verify", help="run the brute-force oracle suite")
+# Subcommand -> (handler, help, options). A handler reads each option as the
+# attribute named after it: --precision-digits is args.precision_digits.
+_COMMANDS = {
+    "gaps": (cmd_gaps, "gap set of {theta}, ..., {N theta}", {"--theta": _THETA, "--n": _N, **_output()}),
+    "regime": (cmd_regime, "bracket classification and predicted gaps",
+               {"--theta": _THETA, "--n": _N, **_output()}),
+    "fb": (cmd_fb, "sharp constant for a quotient bound", {"--b": _B, **_output()}),
+    "extremal": (cmd_extremal, "witness with N*H near the constant", {"--b": _B, "--n": _STAGE, **_output()}),
+    "kron": (cmd_kron, "best n with n*theta near beta mod 1",
+             {"--theta": _THETA, "--beta": _Opt(str, "rational target p/q in [0,1)"), "--n": _N, **_output()}),
+    "sturmian": (cmd_sturmian, "characteristic bit sequence",
+                 {"--theta": _THETA, "--n": _Opt(_int, "number of bits"), **_output()}),
+    "diversity": (cmd_diversity, "agreement bounds over residue classes",
+                  {"--theta": _THETA, "--b": _Opt(_int, "quotient bound to certify"),
+                   "--rmax": _Opt(_int, "largest residue class r"), **_output("csv")}),
+    "witness": (cmd_witness, "golden crossing witness and ratio report", {"--n": _STAGE, **_output()}),
+    "arrays": (cmd_arrays, "the two golden value grids", {"--n": _Opt(_int, "grid stage"), **_output()}),
     # A case of each family takes about a millisecond, so the cap runs in
     # minutes; an uncapped count could run until the process is killed.
-    sp.add_argument(
-        "--cases",
-        type=_int_in(0, 100000),
-        default=50,
-        help="cases per oracle family (0 to 100000)",
-    )
-    sp.add_argument("--seed", type=int, default=20260822)
-    sp.add_argument("--out")
-    sp.set_defaults(handler=cmd_verify)
+    "verify": (cmd_verify, "run the brute-force oracle suite",
+               {"--cases": _Opt(_int_in(0, 100000), "cases per oracle family (0 to 100000)", 50),
+                "--seed": _Opt(_int, "seed of the random cases", 20260822), "--out": _OUT}),
+    "convergence": (cmd_convergence, "N*H against the constant, stage by stage",
+                    {"--b": _B, "--nmax": _Opt(_int, "last witness stage"), **_output("csv")}),
+}
+_HELP = ("-h", "--help")
 
-    sp = subs.add_parser("convergence", help="N*H against the constant, stage by stage")
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    _add_output(sp, fmt_default="csv")
-    sp.set_defaults(handler=cmd_convergence)
 
-    return parser
+def _help(args) -> tuple[str, bool]:
+    """Usage text of the whole command (args.sub None) or of one subcommand."""
+    if args.sub is None:
+        lines = ["usage: badapprox SUB [--name value ...]", "", __doc__.split("\n\n")[0], "", "subcommands:"]
+        lines += [f"  {name:<12} {row[1]}" for name, row in _COMMANDS.items()]
+        lines += ["", "Run 'badapprox SUB -h' for the options of one subcommand."]
+    else:
+        _, text, options = _COMMANDS[args.sub]
+        lines = [f"usage: badapprox {args.sub} [--name value ...]", "", text, "", "options:"]
+        notes = {_REQUIRED: " (required)", None: ""}
+        lines += [f"  {flag:<20} {opt.help}{notes.get(opt.default, f' (default {opt.default})')}"
+                  for flag, opt in options.items()]
+    return "\n".join(lines) + "\n", False
+
+
+def _parse(argv: list[str]):
+    """(handler, arguments) for `SUB --name value ...`; -h or --help gets _help."""
+    if not argv or argv[0] not in _COMMANDS:
+        if argv and argv[0] in _HELP:
+            return _help, SimpleNamespace(sub=None, out=None)
+        what = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise UsageError(f"{what}; choose from {', '.join(_COMMANDS)}")
+    sub, words, values = argv[0], iter(argv[1:]), {}
+    handler, _, options = _COMMANDS[sub]
+    for word in words:
+        if word in _HELP:
+            return _help, SimpleNamespace(sub=sub, out=None)
+        flag, eq, value = word.partition("=")
+        if flag not in options:
+            raise UsageError(f"{sub}: unknown option {flag!r}" if word.startswith("-") else f"{sub}: stray word {word!r}")
+        value = value if eq else next(words, None)
+        if value is None:
+            raise UsageError(f"argument {flag}: expected one value")
+        try:
+            values[flag] = options[flag].convert(value)
+        except ValueError as exc:
+            raise UsageError(f"argument {flag}: {exc}") from None
+    missing = [flag for flag, opt in options.items() if opt.default is _REQUIRED and flag not in values]
+    if missing:
+        raise UsageError(f"{sub}: the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{f[2:].replace("-", "_"): values.get(f, o.default) for f, o in options.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        text, failed = args.handler(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        text, failed = handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,10 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -9,11 +12,15 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import badapprox
 import badapprox.cli as cli
 from badapprox import CFSpec, OracleReport, convergents
+from badapprox.gaps import MAX_POINTS, MAX_STAGE
 from badapprox.oracle import random_cf
+from badapprox.sturmian import MAX_BITS
 
 
 def run(capsys, *argv):
@@ -251,7 +258,9 @@ def test_theta_json_round_trip(capsys):
     assert len(json.loads(out)["points"]) == 8
 
 
-def test_parser_is_built_once_and_reused(capsys):
+def test_interleaved_calls_give_identical_results(capsys):
+    # Parsing keeps no state between calls: each call, run again after the
+    # others in either order, prints the same exit code, stdout and stderr.
     calls = [
         ["gaps", "--theta", "golden", "--n", "30", "--format", "csv"],
         ["regime", "--theta", "sqrt2", "--n", "7"],
@@ -261,16 +270,237 @@ def test_parser_is_built_once_and_reused(capsys):
         ["extremal", "--b", "2", "--n", "3"],
         ["gaps", "--n", "3"],
         ["fb", "--b", "3", "--format", "csv"],
+        ["fb", "-h"],
     ]
-    fresh = []
-    for argv in calls:
-        cli.build_parser.cache_clear()
-        fresh.append(run(capsys, *argv))
-    assert fresh[2][0] == fresh[6][0] == 64
-    assert cli.build_parser() is cli.build_parser()
-    # Interleaved twice over on the one shared parser.
-    for argv, want in [*zip(calls, fresh), *zip(reversed(calls), reversed(fresh))]:
+    first = [run(capsys, *argv) for argv in calls]
+    assert first[2][0] == first[6][0] == 64
+    for argv, want in [*zip(calls, first), *zip(reversed(calls), reversed(first))]:
         assert run(capsys, *argv) == want, argv
+
+
+_BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        ([], "no subcommand; choose from gaps, regime, fb"),
+        (["nosuch"], "unknown subcommand 'nosuch'"),
+        (["--n", "3"], "unknown subcommand '--n'"),
+        (["gaps", "--theta", "golden", "--n", "3", "--nmax", "4"], "gaps: unknown option '--nmax'"),
+        (["gaps", "--thet", "golden", "--n", "3"], "gaps: unknown option '--thet'"),
+        (["verify", "--format", "json"], "verify: unknown option '--format'"),
+        (["gaps", "--theta", "golden", "3"], "gaps: stray word '3'"),
+        (["gaps", "--theta", "golden", "--n", "3", ""], "gaps: stray word ''"),
+        (["gaps", "--theta", "golden", "--n"], "argument --n: expected one value"),
+        (["kron", "--n", "3"], "kron: the following arguments are required: --theta, --beta"),
+        (["gaps"], "gaps: the following arguments are required: --theta, --n"),
+        (["gaps", "--theta", "golden", "--n", "3.5"], "argument --n: invalid int value: '3.5'"),
+        (["gaps", "--theta", "golden", "--n="], "argument --n: invalid int value: ''"),
+        (["fb", "--b", _BIG], "argument --b: invalid int value"),
+        (["fb", "--b", "2", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["fb", "--b", "2", "--precision-digits", "0"], "argument --precision-digits: must be >= 1, got 0"),
+        (["fb", "--b", "2", "--precision-digits", "1001"], "must be <= 1000, got 1001"),
+        (["verify", "--cases", "-1"], "argument --cases: must be >= 0, got -1"),
+        (["verify", "--cases", "100001"], "argument --cases: must be <= 100000"),
+    ],
+)
+def test_parse_failures_name_the_option(capsys, argv, fragment):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error:") and fragment in err, err
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        (["fb", "--b", "1", "--b", "2"], ["fb", "--b", "2"]),
+        (["fb", "--b", "2", "--format", "csv", "--format", "json"], ["fb", "--b", "2"]),
+        (["gaps", "--theta=golden", "--n=3"], ["gaps", "--theta", "golden", "--n", "3"]),
+        (["gaps", "--n=3", "--format=csv", "--theta=sqrt2"], ["gaps", "--theta", "sqrt2", "--n", "3", "--format", "csv"]),
+        (["kron", "--beta=9/10", "--theta", "sqrt2", "--n=4", "--precision-digits=20"],
+         ["kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4", "--precision-digits", "20"]),
+        (["gaps", "--theta={\"a0\": 0, \"prefix\": [2], \"period\": [1, 5]}", "--n", "6"],
+         ["gaps", "--theta", '{"a0": 0, "prefix": [2], "period": [1, 5]}', "--n", "6"]),
+        (["verify", "--cases=3", "--seed=7"], ["verify", "--seed", "7", "--cases", "3"]),
+    ],
+)
+def test_option_spellings_print_the_same_report(capsys, argv, same):
+    # --name=value reads as --name value, and the last repeat wins.
+    want = run(capsys, *same)
+    assert want[0] == 0
+    assert run(capsys, *argv) == want
+
+
+@pytest.mark.parametrize("sub", [None, *cli._COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_name(capsys, sub, flag):
+    code, out, err = run(capsys, *([] if sub is None else [sub]), flag)
+    assert (code, err) == (0, "")
+    names = list(cli._COMMANDS) if sub is None else list(cli._COMMANDS[sub][2])
+    assert all(name in out for name in names), out
+    assert out.startswith("usage: badapprox")
+    if sub is not None:
+        # Help wins wherever it stands among the options.
+        first = next(iter(cli._COMMANDS[sub][2]))
+        assert run(capsys, sub, first, "1", flag) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("fb", "--b", "1" + "0" * 400), "decimal"),
+        (("kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 330), "error"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_numbers_past_a_double_are_domain_errors(capsys, argv, field, fmt):
+    # Each once exited 0 printing Infinity (inf in CSV) or a false 0.0.
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {field} ") and "double" in err
+
+
+def test_numbers_inside_the_double_range_print_as_before(capsys):
+    # The extremes a double still holds print their rounded decimals.
+    code, out, _ = run(capsys, "fb", "--b", "1" + "0" * 300)
+    assert code == 0 and json.loads(out)["decimal"] == 2.5e299
+    code, out, _ = run(capsys, "kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 300)
+    obj = json.loads(out)
+    assert code == 0 and 0 < obj["error"] < obj["bound"] < 1e-290
+
+
+def test_integers_past_the_print_limit_are_domain_errors(capsys):
+    # f for a 2200-digit bound has a radicand past Python's 4300-digit limit
+    # for str(), which once escaped as a bare ValueError; so did the N of an
+    # extremal witness past that limit, from json.dumps.
+    code, out, err = run(capsys, "fb", "--b", "9" * 2200)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "too long for Python to print" in err
+    for render in (cli._json, cli._csv):
+        with pytest.raises(badapprox.DomainError, match="too long"):
+            render([[10**5000]])
+
+
+# ---- argv fuzz ----------------------------------------------------------
+
+_NOT_NUMBERS = ["", "x", "1.5", "1e3", "1/3", "golden", "{", " 7", "\u0663", "--n"]
+_LONG = ["9" * 400, "-" + "9" * 400]
+_AT_CAPS = ["0", "-1", "1000", "1001", "100000", "100001", str(MAX_STAGE + 1), str(MAX_POINTS + 1)]
+
+# (subcommand, option) -> (cap, limit). A size that makes a call run long is
+# drawn only up to cap, or from limit up, where the call is refused before
+# the work starts; other integers are drawn up to 50 or with 400 digits.
+_SIZES = {
+    ("gaps", "--n"): (2000, MAX_POINTS + 1),  # JSON listings; CSV statistics take O(log N)
+    ("sturmian", "--n"): (10**4, MAX_BITS + 1),
+    ("diversity", "--b"): (3, 10**6),  # a window of rmax*(2(B+2)^2 rmax^2 + 1) bits
+    ("diversity", "--rmax"): (12, MAX_BITS + 1),
+    ("witness", "--n"): (6, 8),  # stage 7 builds 433,178,079 bits
+    ("arrays", "--n"): (3, 7),  # CSV at stage 4 and 1000 digits takes a second
+    ("extremal", "--n"): (5, MAX_STAGE + 1),
+    ("convergence", "--nmax"): (5, MAX_STAGE + 1),
+    ("verify", "--cases"): (3, 100001),
+}
+_THETAS = [
+    "golden", "sqrt2", "extremal:1", "extremal:4", "extremal:" + "9" * 400,
+    '{"a0": 0, "prefix": [2, 3]}', '{"a0": 0, "prefix": [' + "9" * 400 + '], "period": [1]}',
+    '{"a0": 0, "prefix": [2], "period": [1, 5]}', '{"a0": -3, "prefix": [1, 7], "period": [2]}',
+]
+_BAD_THETAS = ["extremal:0", "pi", "", "{", '{"a0": 0, "prefix": [], "period": [true]}',
+               '{"a0": 0, "prefix": [' + _BIG + '], "period": [1]}']
+_BETAS = ["1/3", "9/10", "0", "-1/3", "1", "1e-400", "1/" + "9" * 400, "0.25"]
+_BAD_BETAS = ["1/0", "x", ""]
+_BAD_SUBS = ["", "nosuch", "GAPS", "--n", "-h", "--help"]
+_BAD_FLAGS = ["--nope", "--", "-n", "--thet", "--N", "-h", "--help"]
+
+
+def _values(sub, flag, out_path, bad):
+    """Values for one option: served ones, or (bad) ones it must refuse."""
+    pick = {
+        "--theta": (_THETAS, _BAD_THETAS),
+        "--beta": (_BETAS, _BAD_BETAS),
+        "--format": (["json", "csv"], ["xml", "", "JSON"]),
+        "--out": ([str(out_path), ""], [str(out_path.parent / "missing" / "r.txt")]),
+    }.get(flag)
+    if pick:
+        return st.sampled_from(pick[bad])
+    cap, limit = _SIZES.get((sub, flag), (50, None))
+    if bad:
+        past = st.integers(limit, 10 * limit).map(str) | st.just(_LONG[0]) if limit else st.sampled_from(_AT_CAPS)
+        return past | st.sampled_from([_LONG[1], _BIG, *_NOT_NUMBERS])
+    if flag == "--precision-digits":
+        return st.integers(1, 40).map(str) | st.just("1000")
+    return st.integers(1, cap).map(str) | (st.nothing() if limit else st.just(_LONG[0]))
+
+
+@st.composite
+def _argvs(draw, out_path):
+    """(argv, subcommand, [(flag, value), ...] in the order given).
+
+    Each call draws a rate of malformed words, from none to half of them.
+    """
+    rate = draw(st.sampled_from([0, 0, 1, 2, 5]))
+
+    def bad():
+        return draw(st.integers(0, 9)) >= 10 - rate  # shrinks toward well-formed
+
+    sub = draw(st.sampled_from(_BAD_SUBS if bad() else list(cli._COMMANDS)))
+    table = cli._COMMANDS.get(sub, (None, None, {}))[2]
+    known = sorted(table) or sorted({f for _, _, opts in cli._COMMANDS.values() for f in opts})
+    flags = [f for f in table if not bad()]  # drop a required option now and then
+    flags += draw(st.lists(st.sampled_from(_BAD_FLAGS if bad() else known), max_size=2))
+    flags = draw(st.permutations(flags))
+    argv, pairs = [sub], []
+    for flag in flags:
+        value = draw(_values(sub, flag, out_path, bad()))
+        pairs.append((flag, value))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if bad():
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_NOT_NUMBERS)))
+    if flags and bad() and "=" not in argv[-1]:
+        argv.pop()  # a trailing option with no value
+    return argv, sub, pairs
+
+
+def _refuse(constant):
+    raise AssertionError(f"{constant} in a JSON report")
+
+
+@pytest.fixture(scope="module")
+def fuzz_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "r.txt"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_argv_fuzz(fuzz_out, data):
+    # Every argv drawn off the option table ends in a documented exit code,
+    # with nothing escaping cli.main, and every report it prints is valid:
+    # strict JSON with no Infinity or NaN, and CSV with no inf or nan.
+    argv, sub, pairs = data.draw(_argvs(fuzz_out))
+    fuzz_out.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 64), (argv, err)
+    if code in (1, 64):
+        assert out == "" and err.startswith(("error:", "usage error:")), (argv, err)
+        return
+    if out.startswith("usage: badapprox"):
+        assert code == 0 and err == ""
+        return
+    report = out or fuzz_out.read_text()
+    if sub == "verify":
+        for line in report.splitlines():
+            json.loads(line, parse_constant=_refuse)
+        return
+    formats = [v for f, v in pairs if f == "--format"] or [cli._COMMANDS[sub][2]["--format"].default]
+    if formats[-1] == "json":
+        json.loads(report, parse_constant=_refuse)
+    else:
+        assert not re.search(r"(^|,)-?(inf|nan)(,|$)", report, re.M), argv
 
 
 def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):

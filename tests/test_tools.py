@@ -1,5 +1,10 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import badapprox.cli as cli
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
 _SPEC = importlib.util.spec_from_file_location("count_code_lines", _PATH)
@@ -45,3 +50,20 @@ def test_cli_prints_each_file_and_the_total(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["10", "1", "11"]
     assert lines[-1].split()[1] == "total"
+
+
+def test_bench_rows_all_exit_zero(tmp_path):
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, str(_PATH.parent / "bench.py"), "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())
+    assert report["repeats"] == 1 and report["speed"] > 0
+    assert report["python"] == sys.version.split()[0]
+    rows = [*report["cli"], report["process"]]
+    assert {row["argv"].split()[0] for row in report["cli"]} == set(cli._COMMANDS)
+    for row in rows:
+        assert row["exit_codes"] == [0], row
+        assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]

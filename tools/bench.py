@@ -1,0 +1,120 @@
+"""Time every CLI subcommand end to end and write the numbers as JSON.
+
+Usage: python tools/bench.py --out BENCH.json [--repeats K]
+
+For one fixed argv per subcommand (the README's examples, with
+`verify --cases 4`) it runs K in-process `cli.main` calls after one
+untimed warm-up call, and records the median and quartiles of their wall
+time. It also times K process starts of `badapprox fb --b 2`, from
+interpreter start to exit. Beside the times it records the git commit, the
+Python version and the machine speed relative to perfbench's reference,
+from perfbench's own calibration (a speed of 0.7 means times here are
+about 1/0.7 of what the reference machine takes). At the default K the
+whole run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from worker import calibrate, speed  # noqa: E402
+
+from badapprox import cli  # noqa: E402
+
+CALLS = (
+    ("gaps", "--theta", "golden", "--n", "3"),
+    ("regime", "--theta", "sqrt2", "--n", "7"),
+    ("fb", "--b", "2"),
+    ("extremal", "--b", "1", "--n", "10"),
+    ("convergence", "--b", "1", "--nmax", "6"),
+    ("kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4"),
+    ("sturmian", "--theta", "golden", "--n", "32"),
+    ("diversity", "--theta", "golden", "--b", "1", "--rmax", "10"),
+    ("witness", "--n", "2"),
+    ("arrays", "--n", "2"),
+    ("verify", "--cases", "4"),
+)
+PROCESS_CALL = ("fb", "--b", "2")
+CALIBRATION_SAMPLES = 20
+
+
+def summary(ms: list[float]) -> dict:
+    """Median and quartiles in ms; with one sample all three are that sample."""
+    if len(ms) < 2:
+        return {"median_ms": ms[0], "q1_ms": ms[0], "q3_ms": ms[0]}
+    q1, median, q3 = statistics.quantiles(ms, n=4, method="inclusive")
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3}
+
+
+def time_call(argv) -> tuple[int, float]:
+    """(exit code, wall ms) of one in-process call, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        start = time.perf_counter()
+        code = cli.main(list(argv))
+        return code, (time.perf_counter() - start) * 1e3
+
+
+def time_process(argv) -> tuple[int, float]:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "badapprox.cli", *argv],
+                          capture_output=True, env=env, timeout=60)
+    return done.returncode, (time.perf_counter() - start) * 1e3
+
+
+def row(argv, repeats: int, timer) -> dict:
+    results = [timer(argv) for _ in range(repeats)]
+    codes = sorted({code for code, _ in results})
+    return {"argv": " ".join(argv), "exit_codes": codes, **summary([ms for _, ms in results])}
+
+
+def git(*args) -> str:
+    try:
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10)
+    except OSError:
+        return ""
+    return done.stdout.strip() if done.returncode == 0 else ""
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="path of the JSON file to write")
+    ap.add_argument("--repeats", type=int, default=50, help="timed calls per row (default 50)")
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+
+    calibrate()  # its first call also imports numpy
+    cal_ns = sum(calibrate() for _ in range(CALIBRATION_SAMPLES))
+    rows = []
+    for call in CALLS:
+        time_call(call)  # warm-up: imports and first-call caches
+        rows.append(row(call, args.repeats, time_call))
+    report = {
+        "git_sha": git("rev-parse", "HEAD") or "unknown",
+        "git_dirty": bool(git("status", "--porcelain", "--", "src", "tools")),
+        "python": sys.version.split()[0],
+        "speed": speed(CALIBRATION_SAMPLES, cal_ns),
+        "repeats": args.repeats,
+        "cli": rows,
+        "process": row(PROCESS_CALL, args.repeats, time_process),
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
