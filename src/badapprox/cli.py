@@ -143,13 +143,33 @@ def _symbolic(q: QuadraticNumber) -> str:
     return f"{q.a}{sign}{tail}"
 
 
+_TOO_LONG = "the report holds an integer too long for Python to print"
+
+
 def _printed(render, *args, **kwargs):
     """render(*args, **kwargs), where str() of an integer past Python's digit
     limit (4300 by default) is a domain error, not a traceback."""
     try:
         return render(*args, **kwargs)
     except ValueError as exc:
-        raise DomainError("the report holds an integer too long for Python to print") from exc
+        raise DomainError(_TOO_LONG) from exc
+
+
+def _refuse_unprintable(bound: int, stage: int) -> None:
+    """Raise _printed's DomainError before any convergent is built when the
+    extremal witness for this bound and stage has an N too long to print.
+
+    For theta = [0; (B, 1)], q_{2j} = q_{2j-1} + q_{2j-2} >= (B + 1)*q_{2j-2},
+    so q_{2n} >= (B + 1)^n. For B >= 2, N = q_{2n-1} + ((B + 2)//2)*q_{2n} - 2
+    >= q_{2n}, as q_{2n-1} >= q_1 = B. So N > B^n >= 10^(n*(len(str(B)) - 1))
+    has more than n*(len(str(B)) - 1) digits, and str() refuses it once that
+    product reaches the limit (0: no limit). Stages past MAX_STAGE are left
+    to extremal_witness's own refusal.
+    """
+    # Pythons before 3.10.7 have no limit and no getter for it.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if bound >= 2 and limit and stage <= MAX_STAGE and stage * (len(str(bound)) - 1) >= limit:
+        raise DomainError(_TOO_LONG)
 
 
 def _csv(rows) -> str:
@@ -217,6 +237,7 @@ def cmd_fb(args) -> tuple[str, bool]:
 
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
+    _refuse_unprintable(args.b, args.n)
     w = extremal_witness(args.b, args.n)
     w = w.at_radius(_display_radius(sig, w.count))
     obj = {
@@ -369,6 +390,7 @@ def cmd_convergence(args) -> tuple[str, bool]:
         raise DomainError("witness stages are indexed from 1")
     if args.nmax > MAX_STAGE:
         raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {MAX_STAGE}")
+    _refuse_unprintable(args.b, args.nmax)
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
         w = extremal_witness(args.b, stage)

@@ -220,20 +220,28 @@ class QuadraticNumber:
         return NotImplemented if pq is None else _quotient(pq[1], pq[0])
 
     def __pow__(self, exponent: int):
+        """self**exponent, by binary powering on the integer pair (x, y)
+        with z**exponent underneath, normalised once at the end.
+
+        The pair product is (x + y*sqrt(d))(u + v*sqrt(d)) = (xu + yvd) +
+        (xv + yu)*sqrt(d), so the unreduced triple holds the exact power.
+        The normal form (gcd(x, y, z) = 1, z > 0) of a value is unique, so
+        one _make gives the same triple as normalising after every product.
+        Negative exponents invert first.
+        """
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _make(1, 0, 1, 1)
-        base = self
-        e = exponent
+        x, y, d = self._x, self._y, self._d
+        rx, ry, e = 1, 0, exponent
         while e:
             if e & 1:
-                result = result * base
+                rx, ry = rx * x + ry * y * d, rx * y + ry * x
             e >>= 1
             if e:
-                base = base * base
-        return result
+                x, y = x * x + y * y * d, 2 * x * y
+        return _make(rx, ry, self._z**exponent, d)
 
     def conjugate(self) -> "QuadraticNumber":
         return _make(self._x, -self._y, self._z, self._d)

@@ -352,11 +352,18 @@ def crossing_cell(n: int) -> CrossingCell:
     power of theta themselves, so they do not lean on the grid fields
     they check.
 
-    Uniqueness is counted row by row: row i of the lower grid holds row0 +
-    j*step_right with row0 = base - i*step_up and step_right > 0, so the
-    cells with th2 - diff < row0 + j*step_right < th2 are the integers j
-    strictly inside ((th2 - diff - row0)/step_right, (th2 - row0)/step_right),
-    clamped to [0, cols): two exact floors per row. A count other than one
+    Uniqueness is counted in closed form, at the same cost at every stage.
+    Row i of the lower grid holds row0 + j*step_right with row0 = base -
+    i*step_up and step_right > 0, so the cells with th2 - diff < row0 +
+    j*step_right < th2 are the integers j strictly between lo0 + i*rise and
+    hi0 + i*rise, clamped to [0, cols), where lo0 = (th2 - diff -
+    base)/step_right, hi0 = (th2 - base)/step_right and rise =
+    step_up/step_right = theta^(2n)/sqrt(5). As L_{2n+1}*theta^(2n) = phi -
+    theta^(4n+1) and rows = L_{2n+1} - 1, the total rise (rows - 1)*rise =
+    (phi - theta^(4n+1) - 2*theta^(2n))/sqrt(5) is below phi/sqrt(5) < 1.
+    So over all rows each end of the interval passes an integer at most
+    once, and _bracketed_cells counts the rows in at most three runs of
+    equal count, checking the total rise exactly. A count other than one
     raises VerificationError.
     """
     if n < 2:
@@ -395,12 +402,7 @@ def _crossing_cell(n: int, fl: _FibLucasTable) -> CrossingCell:
     lo0 = (th2 - g.diff - g.base) / g.step_right
     hi0 = (th2 - g.base) / g.step_right
     rise = g.step_up / g.step_right
-    hits = 0
-    for i in range(g.rows):
-        first = max((lo0 + i * rise).floor() + 1, 0)
-        # ceil(hi) - 1, the last integer strictly below hi.
-        last = min(-(-(hi0 + i * rise)).floor() - 1, g.cols - 1)
-        hits += max(last - first + 1, 0)
+    hits = _bracketed_cells(lo0, hi0, rise, g.rows, g.cols)
     if hits != 1:
         raise VerificationError(f"expected one crossing cell, found {hits}")
 
@@ -413,6 +415,32 @@ def _crossing_cell(n: int, fl: _FibLucasTable) -> CrossingCell:
         candidate_low=candidate_low,
         candidate_high=candidate_high,
     )
+
+
+def _bracketed_cells(lo0, hi0, rise, rows: int, cols: int) -> int:
+    """Number of cells (i, j) with 0 <= i < rows, 0 <= j < cols and lo0 +
+    i*rise < j < hi0 + i*rise, for 0 < rise and (rows - 1)*rise < 1.
+
+    Row i holds the j from floor(lo0 + i*rise) + 1 to ceil(hi0 + i*rise) -
+    1, clamped to [0, cols). Each end rises by less than one over all rows,
+    so the floor steps up once at most, at the first row s_lo with lo0 +
+    i*rise >= floor(lo0) + 1, and so does the ceiling, at the first row s_hi
+    with hi0 + i*rise > ceil(hi0); both are at least 1. Between the cuts 0,
+    s_lo, s_hi and rows, every row of a run has the same two ends.
+    A rise outside those limits raises VerificationError.
+    """
+    if rise.sign() <= 0 or (rows - 1) * rise >= 1:
+        raise VerificationError("the rows must rise by more than 0 and less than 1 in all")
+    lo, hi = lo0.floor(), -(-hi0).floor()
+    s_lo = min(-(-(lo + 1 - lo0) / rise).floor(), rows)
+    s_hi = min(((hi - hi0) / rise).floor() + 1, rows)
+    cuts = sorted({0, s_lo, s_hi, rows})
+    hits = 0
+    for start, stop in zip(cuts, cuts[1:]):
+        first = max(lo + 1 + (start >= s_lo), 0)
+        last = min(hi - 1 + (start >= s_hi), cols - 1)
+        hits += (stop - start) * max(last - first + 1, 0)
+    return hits
 
 
 def crossing_unique(n: int) -> bool:
@@ -435,8 +463,8 @@ class WitnessReport:
     `matches` records the outcome. The crossing pair is the unique grid
     cell whose lower value sits below theta^2 while its upper value sits
     above, which is exactly where the two subsequences part ways, and
-    unique_crossing records crossing_cell's exhaustive check that no other
-    cell does (it is always True: the witness raises instead).
+    unique_crossing records crossing_cell's exact count showing that no
+    other cell does (it is always True: the witness raises instead).
     """
 
     witness: DiversityWitness
@@ -471,7 +499,7 @@ def lower_bound_witness(n: int) -> WitnessReport:
     """Golden-ratio witness showing agreement of quadratic length.
 
     Uses r = L_{2n}, offsets a = F_{2n-1} - 1 and b = L_{2n} - 1. All
-    grid-entry facts, including the exhaustive check that the crossing
+    grid-entry facts, including the exact count showing that the crossing
     cell is unique, are established in exact arithmetic at every stage by
     one crossing_cell on one grid pair, which reads its Fibonacci and
     Lucas pairs from the witness's own table; the first disagreement index

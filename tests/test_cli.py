@@ -382,6 +382,42 @@ def test_integers_past_the_print_limit_are_domain_errors(capsys):
             render([[10**5000]])
 
 
+def test_unprintable_witnesses_are_refused_before_any_work(capsys, monkeypatch):
+    # N >= B^stage, so stage*(digits(B) - 1) >= the str() limit can never
+    # print: exit 1 at once, with the message a late refusal prints.
+    built = []
+    real = cli.extremal_witness
+    monkeypatch.setattr(cli, "extremal_witness", lambda b, n: built.append(n) or real(b, n))
+    for argv in (("extremal", "--b", "9" * 700, "--n", "7"),
+                 ("extremal", "--b", "9" * 400, "--n", "40"),
+                 ("convergence", "--b", "9" * 400, "--nmax", "20")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 0.2, argv
+        assert (code, out, built) == (1, "", []), argv
+        assert err == "error: the report holds an integer too long for Python to print\n"
+    # Just inside the limit the witness is built as before. Under the lowest
+    # limit, 640 digits: 1*639, 2*319 and 3*213 are built (their N still
+    # cannot print), 2*320 and 3*214 are refused unbuilt.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for sub, flag in (("extremal", "--n"), ("convergence", "--nmax")):
+            for digits, stage, builds in ((640, 1, True), (320, 2, True), (321, 2, False),
+                                          (214, 3, True), (215, 3, False)):
+                built.clear()
+                code, out, err = run(capsys, sub, "--b", "9" * digits, flag, str(stage))
+                assert (code, out) == (1, "") and "too long" in err
+                assert built[-1:] == ([stage] if builds else []), (sub, digits, stage)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # At the default limit, 2*319 = 638 digits is far inside: the report
+    # prints what it printed before the check.
+    code, out, _ = run(capsys, "extremal", "--b", "9" * 320, "--n", "2")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "c20ffa2183a9d6da0f9e57f07e877a6f"
+
+
 # ---- argv fuzz ----------------------------------------------------------
 
 _NOT_NUMBERS = ["", "x", "1.5", "1e3", "1/3", "golden", "{", " 7", "\u0663", "--n"]

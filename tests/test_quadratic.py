@@ -439,6 +439,41 @@ def test_integer_triples_agree_with_fraction_reference(x, y, r, e, digits):
         assert same == q and hash(same) == hash(q)
 
 
+def _triple(q):
+    return (q._x, q._y, q._z, q._d)
+
+
+@given(a=st.fractions(-50, 50, max_denominator=40), b=st.fractions(-50, 50, max_denominator=40),
+       d=st.sampled_from([1, 2, 3, 5, 8, 12]), e=st.integers(-8, 64))
+@settings(max_examples=300, deadline=None)
+def test_pow_is_the_repeated_product(a, b, d, e):
+    # One normalisation at the end gives the triple that normalising after
+    # every product gives, since the normal form is unique.
+    q, ref = QuadraticNumber(a, b, d), RefQuadratic(a, b, d)
+    if q == 0 and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            q**e
+        return
+    step = q if e >= 0 else q.inverse()
+    product = QuadraticNumber(1)
+    for _ in range(abs(e)):
+        product = product * step
+    power, expected = q**e, ref**e
+    assert _triple(power) == _triple(product)
+    assert (power.a, power.b, power.d) == (expected.a, expected.b, expected.d)
+
+
+def test_pow_edges():
+    zero = QuadraticNumber(0)
+    assert _triple(zero**0) == (1, 0, 1, 1)
+    assert _triple(QuadraticNumber(0, 3, 12) ** 0) == (1, 0, 1, 1)
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+    # Rational bases stay rational, with d = 1.
+    assert _triple(QuadraticNumber(Fraction(-2, 3)) ** 5) == (-32, 0, 243, 1)
+    assert _triple(QuadraticNumber.sqrt(8) ** 3) == (0, 16, 1, 2)
+
+
 def test_zero_radicand_edges():
     with pytest.raises(ValueError):
         squarefree_decompose(0)

@@ -15,6 +15,7 @@ from badapprox import (
     DomainError,
     QuadraticNumber,
     SequenceLengthError,
+    VerificationError,
     agreement,
     characteristic_bits,
     crossing_cell,
@@ -29,7 +30,9 @@ from badapprox import (
 from badapprox.oracle import brute_agreement, brute_bits, high_precision_value, random_cf
 from badapprox.sturmian import (
     MAX_BITS,
+    SQRT5,
     THETA_GOLDEN,
+    _bracketed_cells,
     _first_mismatch,
     _grids,
     frac_golden_multiple,
@@ -421,13 +424,101 @@ def test_crossing_cell_frozen():
 
 
 def test_crossing_is_unique():
-    # Cell by cell over the materialized lower grid: the row-wise floors in
-    # crossing_unique must see the same single bracketing cell.
+    # Cell by cell over the materialized lower grid: the closed-form count
+    # in crossing_unique must see the same single bracketing cell.
     th2 = THETA_GOLDEN * THETA_GOLDEN
     for n in (2, 3, 4, 5):
         g = fractional_grids(n)
         assert sum(lo < th2 < lo + g.diff for row in g.lower for lo in row) == 1
         assert crossing_unique(n)
+
+
+def _row_loop_cells(lo0, hi0, rise, rows, cols):
+    """Reference count for _bracketed_cells: two exact floors per row."""
+    hits = 0
+    for i in range(rows):
+        first = max((lo0 + i * rise).floor() + 1, 0)
+        # ceil(hi) - 1, the last integer strictly below hi.
+        last = min(-(-(hi0 + i * rise)).floor() - 1, cols - 1)
+        hits += max(last - first + 1, 0)
+    return hits
+
+
+def test_closed_form_count_matches_the_row_loop_at_every_listed_stage(monkeypatch):
+    # The row loop on the very inputs crossing_cell passes at stages 2-10.
+    seen = []
+    monkeypatch.setattr("badapprox.sturmian._bracketed_cells",
+                        lambda *args: seen.append(args) or _bracketed_cells(*args))
+    for n in range(2, 11):
+        crossing_cell(n)
+    assert len(seen) == 9
+    for args in seen:
+        assert _row_loop_cells(*args) == 1
+
+
+# (lo0, hi0, rise, rows, cols): counts 0, 1 and more, a one-row grid, clamps
+# at both ends, and ends that land exactly on integers part way up.
+_BRACKET_EDGES = [
+    (QuadraticNumber(2), QuadraticNumber(Fraction(5, 2)), QuadraticNumber(Fraction(1, 10)), 3, 9),
+    (QuadraticNumber(Fraction(1, 2)), QuadraticNumber(Fraction(3, 2)), SQRT5, 1, 5),
+    (QuadraticNumber(Fraction(-1, 3)), 4 + SQRT5 / 10, SQRT5 / 20, 5, 3),
+    (QuadraticNumber(Fraction(-1, 2)), QuadraticNumber(1), QuadraticNumber(Fraction(1, 4)), 4, 10),
+    (QuadraticNumber(-7), QuadraticNumber(-2), THETA_GOLDEN / 7, 8, 4),
+    (QuadraticNumber(40), QuadraticNumber(50), THETA_GOLDEN / 7, 8, 4),
+    (SQRT5 - 3, SQRT5 + 1, QuadraticNumber(Fraction(1, 6)), 6, 2),
+]
+
+
+@pytest.mark.parametrize("case", _BRACKET_EDGES)
+def test_closed_form_count_on_edge_grids(case):
+    assert _bracketed_cells(*case) == _row_loop_cells(*case)
+
+
+def test_edge_grids_cover_every_kind_of_count():
+    counts = [_row_loop_cells(*case) for case in _BRACKET_EDGES]
+    assert {0, 1} <= set(counts) and max(counts) > 1
+    assert any(rows == 1 for *_, rows, _ in _BRACKET_EDGES)
+
+
+_q5 = st.builds(lambda a, b: a + b * SQRT5, st.fractions(-4, 34, max_denominator=8),
+                st.fractions(-2, 2, max_denominator=8) | st.just(Fraction(0)))
+
+
+@st.composite
+def bracket_grids(draw):
+    """Synthetic Fraction(sqrt(5)) inputs whose total rise lies in (0, 1)."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    lo0 = draw(_q5) - 2
+    hi0 = lo0 + draw(_q5) / draw(st.sampled_from([1, 4, 16]))
+    total = draw(_q5)
+    total -= total.floor()
+    if total == 0:
+        total = QuadraticNumber(Fraction(1, 2))
+    return lo0, hi0, total / max(rows - 1, 1), rows, cols
+
+
+@given(case=bracket_grids())
+@settings(max_examples=400, deadline=None)
+def test_closed_form_count_matches_the_row_loop(case):
+    assert _bracketed_cells(*case) == _row_loop_cells(*case)
+
+
+def test_closed_form_count_refuses_a_rise_outside_its_proof():
+    lo0, hi0 = QuadraticNumber(Fraction(-1, 2)), QuadraticNumber(3)
+    for rise, rows in ((QuadraticNumber(Fraction(1, 4)), 5), (QuadraticNumber(Fraction(1, 3)), 5),
+                       (SQRT5 / 4, 3), (QuadraticNumber(0), 2), (-THETA_GOLDEN, 1)):
+        with pytest.raises(VerificationError):
+            _bracketed_cells(lo0, hi0, rise, rows, 4)
+
+
+def test_crossing_cell_past_the_listed_stages():
+    f = [0, 1]
+    while len(f) < 4 * 40 + 2:
+        f.append(f[-1] + f[-2])
+    for n in range(11, 41):
+        c = crossing_cell(n)  # raises unless exactly one cell is counted
+        assert c.candidate_low == f[4 * n + 1] - f[2 * n + 1] - 1, n
+        assert c.j == f[2 * n - 2], n
 
 
 def test_lower_bound_witness_frozen():

@@ -64,6 +64,11 @@ def test_bench_rows_all_exit_zero(tmp_path):
     assert report["python"] == sys.version.split()[0]
     rows = [*report["cli"], report["process"]]
     assert {row["argv"].split()[0] for row in report["cli"]} == set(cli._COMMANDS)
+    witness = [row["argv"] for row in report["cli"] if row["argv"].startswith("witness")]
+    assert witness == [f"witness --n {n}" for n in range(2, 7)]
     for row in rows:
         assert row["exit_codes"] == [0], row
+    crossing = report["crossing_unique"]
+    assert [row["n"] for row in crossing] == [5, 8, 10, 20, 40]
+    for row in rows + crossing:
         assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]

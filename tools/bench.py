@@ -3,14 +3,16 @@
 Usage: python tools/bench.py --out BENCH.json [--repeats K]
 
 For one fixed argv per subcommand (the README's examples, with
-`verify --cases 4`) it runs K in-process `cli.main` calls after one
-untimed warm-up call, and records the median and quartiles of their wall
-time. It also times K process starts of `badapprox fb --b 2`, from
-interpreter start to exit. Beside the times it records the git commit, the
-Python version and the machine speed relative to perfbench's reference,
-from perfbench's own calibration (a speed of 0.7 means times here are
-about 1/0.7 of what the reference machine takes). At the default K the
-whole run takes well under a minute.
+`verify --cases 4`), and for `witness` at every stage from 2 to 6, it runs
+K in-process `cli.main` calls after one untimed warm-up call, and records
+the median and quartiles of their wall time. The same statistics cover K
+in-process `crossing_unique(n)` calls at n = 5, 8, 10, 20 and 40, the
+witness's exact uniqueness count alone. It also times K process starts of
+`badapprox fb --b 2`, from interpreter start to exit. Beside the times it
+records the git commit, the Python version and the machine speed relative
+to perfbench's reference, from perfbench's own calibration (a speed of 0.7
+means times here are about 1/0.7 of what the reference machine takes). At
+the default K the whole run takes well under a minute.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import calibrate, speed  # noqa: E402
 
 from badapprox import cli  # noqa: E402
+from badapprox.sturmian import crossing_unique  # noqa: E402
 
 CALLS = (
     ("gaps", "--theta", "golden", "--n", "3"),
@@ -43,11 +46,12 @@ CALLS = (
     ("kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4"),
     ("sturmian", "--theta", "golden", "--n", "32"),
     ("diversity", "--theta", "golden", "--b", "1", "--rmax", "10"),
-    ("witness", "--n", "2"),
+    *(("witness", "--n", str(n)) for n in range(2, 7)),
     ("arrays", "--n", "2"),
     ("verify", "--cases", "4"),
 )
 PROCESS_CALL = ("fb", "--b", "2")
+CROSSING_STAGES = (5, 8, 10, 20, 40)
 CALIBRATION_SAMPLES = 20
 
 
@@ -65,6 +69,13 @@ def time_call(argv) -> tuple[int, float]:
         start = time.perf_counter()
         code = cli.main(list(argv))
         return code, (time.perf_counter() - start) * 1e3
+
+
+def time_crossing(n: int) -> float:
+    """Wall ms of one in-process crossing_unique(n)."""
+    start = time.perf_counter()
+    crossing_unique(n)
+    return (time.perf_counter() - start) * 1e3
 
 
 def time_process(argv) -> tuple[int, float]:
@@ -110,6 +121,9 @@ def main(argv=None) -> int:
         "speed": speed(CALIBRATION_SAMPLES, cal_ns),
         "repeats": args.repeats,
         "cli": rows,
+        "crossing_unique": [
+            {"n": n, **summary([time_crossing(n) for _ in range(args.repeats)])} for n in CROSSING_STAGES
+        ],
         "process": row(PROCESS_CALL, args.repeats, time_process),
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
