@@ -161,14 +161,15 @@ def _refuse_unprintable(bound: int, stage: int) -> None:
 
     For theta = [0; (B, 1)], q_{2j} = q_{2j-1} + q_{2j-2} >= (B + 1)*q_{2j-2},
     so q_{2n} >= (B + 1)^n. For B >= 2, N = q_{2n-1} + ((B + 2)//2)*q_{2n} - 2
-    >= q_{2n}, as q_{2n-1} >= q_1 = B. So N > B^n >= 10^(n*(len(str(B)) - 1))
-    has more than n*(len(str(B)) - 1) digits, and str() refuses it once that
-    product reaches the limit (0: no limit). Stages past MAX_STAGE are left
-    to extremal_witness's own refusal.
+    >= ((B + 2)//2)*q_{2n}, as q_{2n-1} >= q_1 = B, and (B + 2)//2 >= (B +
+    1)/2. So N >= (B + 1)^(n+1)/2 > 10^(k*(n+1))/2 with k = len(str(B)) - 1,
+    and N has at least k*(n+1) digits, which str() refuses once that product
+    passes the limit (0: no limit). Stages past MAX_STAGE are left to
+    extremal_witness's own refusal.
     """
     # Pythons before 3.10.7 have no limit and no getter for it.
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if bound >= 2 and limit and stage <= MAX_STAGE and stage * (len(str(bound)) - 1) >= limit:
+    if bound >= 2 and limit and stage <= MAX_STAGE and (stage + 1) * (len(str(bound)) - 1) > limit:
         raise DomainError(_TOO_LONG)
 
 

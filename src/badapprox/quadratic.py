@@ -254,6 +254,11 @@ class QuadraticNumber:
     def sign(self) -> int:
         return _sign(self._x, self._y, self._d)
 
+    def __bool__(self) -> bool:
+        """False exactly for zero, as for int and Fraction; in normal form
+        zero is the one value with x = y = 0."""
+        return bool(self._x or self._y)
+
     def _cmp(self, other) -> int:
         """Sign of self - other, or NotImplemented."""
         pq = self._quads(other)

@@ -18,6 +18,7 @@ between calls.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,9 +28,8 @@ from .errors import DomainError, SequenceLengthError, VerificationError
 from .quadratic import QuadraticNumber
 
 THETA_GOLDEN = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
-ALPHA = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)  # golden ratio
-BETA = ALPHA.conjugate()  # (1 - sqrt(5))/2 = -THETA_GOLDEN
 SQRT5 = QuadraticNumber.sqrt(5)
+_ONE_PLUS_SQRT5 = 1 + SQRT5  # 2*phi, whose powers have integer coordinates
 # Most bits one call returns (one byte each, so 512 MiB); a request past it
 # raises DomainError before anything is allocated.
 MAX_BITS = 2**29
@@ -149,11 +149,11 @@ def diversity_scan(cf: CFSpec, B: int, r_max: int) -> list[DiversityRow]:
         bound = 2 * (B + 2) ** 2 * r * r
         max_k = bound + 1
         while True:
-            cols = sorted(
-                int.from_bytes(word[a : r * length : r], "big") for a in range(r)
-            )
+            end = r * length
+            cols = [int.from_bytes(word[a:end:r], "big") for a in range(r)]
+            cols.sort()
             # 0 when some pair of neighbours agrees on the whole prefix.
-            low = min(u ^ v for u, v in zip(cols, cols[1:]))
+            low = min(map(operator.xor, cols, cols[1:]))
             if low or length == max_k:
                 break
             length = min(2 * length, max_k)
@@ -176,9 +176,26 @@ class FibLucasPair:
 def fib_lucas(n: int) -> FibLucasPair:
     """Fibonacci and Lucas numbers, re-verified against exact power sums.
 
-    Checks F_n = (alpha^n - beta^n)/sqrt(5), L_n = alpha^n + beta^n, and
-    for n >= 1 the shifted forms F_n*theta = F_{n-1} - beta^n and
-    L_n*theta = L_{n-1} + sqrt(5)*beta^n, all in exact arithmetic.
+    The four identities, with alpha = (1 + sqrt(5))/2, beta = (1 -
+    sqrt(5))/2 = -theta and theta = (sqrt(5) - 1)/2, are F_n*sqrt(5) =
+    alpha^n - beta^n, L_n = alpha^n + beta^n, and for n >= 1 F_n*theta =
+    F_{n-1} - beta^n and L_n*theta = L_{n-1} + sqrt(5)*beta^n. They are
+    checked on one power x + y*sqrt(5) = (1 + sqrt(5))^n, with x and y
+    integers: alpha^n = (x + y*sqrt(5))/2^n, and beta^n, its conjugate, is
+    (x - y*sqrt(5))/2^n. Comparing coordinates in the basis 1, sqrt(5):
+
+    - F_n*sqrt(5) = alpha^n - beta^n is 2y = 2^n*F_n (its rational
+      coordinates are both 0);
+    - L_n = alpha^n + beta^n is 2x = 2^n*L_n (both sqrt(5) coordinates
+      are 0);
+    - F_n*theta = F_{n-1} - beta^n has rational coordinate x = 2^n*F_{n-1}
+      + 2^(n-1)*F_n, and its sqrt(5) coordinate is 2y = 2^n*F_n again;
+    - L_n*theta = L_{n-1} + sqrt(5)*beta^n has rational coordinate 5y =
+      2^n*L_{n-1} + 2^(n-1)*L_n, and its sqrt(5) coordinate is 2x =
+      2^n*L_n again.
+
+    So the four integer equalities hold exactly when the four identities
+    do, and each failure raises its own VerificationError.
     """
     if n < 0:
         raise DomainError("indexed from 0")
@@ -187,18 +204,24 @@ def fib_lucas(n: int) -> FibLucasPair:
     for _ in range(n):
         f_prev, f = f, f + f_prev
         l_prev, l = l, l + l_prev
-    an = ALPHA**n
-    bn = BETA**n
-    if f * SQRT5 != an - bn:
+    _check_fib_lucas(n, f_prev, f, l_prev, l)
+    return FibLucasPair(n=n, fib=f, lucas=l)
+
+
+def _check_fib_lucas(n: int, f_prev: int, f: int, l_prev: int, l: int) -> None:
+    """fib_lucas's four identities for F_{n-1}, F_n, L_{n-1}, L_n as the
+    integer equalities its docstring derives, in the same order."""
+    power = _ONE_PLUS_SQRT5**n  # x + y*sqrt(5), over z = 1
+    x, y = power.a.numerator, power.b.numerator
+    if 2 * y != f << n:
         raise VerificationError(f"Fibonacci {n} fails its power-sum form")
-    if an + bn != l:
+    if 2 * x != l << n:
         raise VerificationError(f"Lucas {n} fails its power-sum form")
     if n >= 1:
-        if f * THETA_GOLDEN != f_prev - bn:
+        if x != (f_prev << n) + (f << (n - 1)):
             raise VerificationError(f"Fibonacci {n} fails its shift identity")
-        if l * THETA_GOLDEN != l_prev + SQRT5 * bn:
+        if 5 * y != (l_prev << n) + (l << (n - 1)):
             raise VerificationError(f"Lucas {n} fails its shift identity")
-    return FibLucasPair(n=n, fib=f, lucas=l)
 
 
 class _FibLucasTable(dict):
@@ -566,6 +589,14 @@ class RatioReport:
 
 
 def witness_ratio_report(n_lo: int = 2, n_hi: int = 8) -> RatioReport:
+    """The ratio F_{4n+1} / L_{2n}^2 at the witness stages n_lo..n_hi.
+
+    Each row is (n, F_{4n+1}/L_{2n}^2) as an exact Fraction, with both
+    numbers taken from fib_lucas, so their identities are checked. The
+    candidates are the limits (5 + sqrt(5))/10 and (10 + sqrt(5))/10, and
+    `approached` is the index of the one nearer the last row's ratio, as
+    decided by an exact comparison of the two distances.
+    """
     if not 1 <= n_lo <= n_hi:
         raise DomainError("need 1 <= n_lo <= n_hi")
     rows = []

@@ -383,13 +383,16 @@ def test_integers_past_the_print_limit_are_domain_errors(capsys):
 
 
 def test_unprintable_witnesses_are_refused_before_any_work(capsys, monkeypatch):
-    # N >= B^stage, so stage*(digits(B) - 1) >= the str() limit can never
-    # print: exit 1 at once, with the message a late refusal prints.
+    # N > 10^((stage + 1)*(digits(B) - 1))/2, so a product past the str()
+    # limit can never print: exit 1 at once, with the message a late
+    # refusal prints.
     built = []
     real = cli.extremal_witness
     monkeypatch.setattr(cli, "extremal_witness", lambda b, n: built.append(n) or real(b, n))
     for argv in (("extremal", "--b", "9" * 700, "--n", "7"),
                  ("extremal", "--b", "9" * 400, "--n", "40"),
+                 ("extremal", "--b", "9" * 1434, "--n", "3"),
+                 ("extremal", "--b", "9" * 2150, "--n", "2"),
                  ("convergence", "--b", "9" * 400, "--nmax", "20")):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -397,14 +400,14 @@ def test_unprintable_witnesses_are_refused_before_any_work(capsys, monkeypatch):
         assert (code, out, built) == (1, "", []), argv
         assert err == "error: the report holds an integer too long for Python to print\n"
     # Just inside the limit the witness is built as before. Under the lowest
-    # limit, 640 digits: 1*639, 2*319 and 3*213 are built (their N still
-    # cannot print), 2*320 and 3*214 are refused unbuilt.
+    # limit, 640 digits: 2*320, 3*213 and 4*160 are built (their N still
+    # cannot print), 2*321, 3*214 and 4*161 are refused unbuilt.
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         for sub, flag in (("extremal", "--n"), ("convergence", "--nmax")):
-            for digits, stage, builds in ((640, 1, True), (320, 2, True), (321, 2, False),
-                                          (214, 3, True), (215, 3, False)):
+            for digits, stage, builds in ((321, 1, True), (322, 1, False), (214, 2, True),
+                                          (215, 2, False), (161, 3, True), (162, 3, False)):
                 built.clear()
                 code, out, err = run(capsys, sub, "--b", "9" * digits, flag, str(stage))
                 assert (code, out) == (1, "") and "too long" in err

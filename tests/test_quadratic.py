@@ -474,6 +474,18 @@ def test_pow_edges():
     assert _triple(QuadraticNumber.sqrt(8) ** 3) == (0, 16, 1, 2)
 
 
+def test_truthiness_is_nonzero():
+    root5 = QuadraticNumber.sqrt(5)
+    assert not QuadraticNumber(0)
+    assert not root5 - root5
+    assert not QuadraticNumber(0, 0, 7)
+    assert QuadraticNumber(0, 1, 5) and GOLDEN_CONJ and -root5
+    assert QuadraticNumber(Fraction(1, 3)) and QuadraticNumber(1) - root5
+    # `or` takes its default only for zero, as it does for Fraction.
+    assert (root5 - root5 or QuadraticNumber(Fraction(1, 2))) == Fraction(1, 2)
+    assert (GOLDEN_CONJ or QuadraticNumber(1)) is GOLDEN_CONJ
+
+
 def test_zero_radicand_edges():
     with pytest.raises(ValueError):
         squarefree_decompose(0)

@@ -33,6 +33,7 @@ from badapprox.sturmian import (
     SQRT5,
     THETA_GOLDEN,
     _bracketed_cells,
+    _check_fib_lucas,
     _first_mismatch,
     _grids,
     frac_golden_multiple,
@@ -362,14 +363,84 @@ def test_diversity_scan_validation():
 # ---- exact golden machinery ------------------------------------------------
 
 
+# fib_lucas's four identities in QuadraticNumber arithmetic, with beta^n a
+# power of its own: the reference its integer equalities are judged against.
+_ALPHA = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)
+_BETA = _ALPHA.conjugate()
+_FIB_LUCAS_MESSAGES = (
+    "Fibonacci {} fails its power-sum form",
+    "Lucas {} fails its power-sum form",
+    "Fibonacci {} fails its shift identity",
+    "Lucas {} fails its shift identity",
+)
+
+
+def _reference_identities(n, f_prev, f, l_prev, l):
+    """Whether each identity holds, in fib_lucas's order (the shift
+    identities hold vacuously at n = 0)."""
+    an, bn = _ALPHA**n, _BETA**n
+    return (
+        f * SQRT5 == an - bn,
+        an + bn == l,
+        n == 0 or f * THETA_GOLDEN == f_prev - bn,
+        n == 0 or l * THETA_GOLDEN == l_prev + SQRT5 * bn,
+    )
+
+
+def _recurrence(n):
+    """(F_{n-1}, F_n, L_{n-1}, L_n) by the plain recurrences."""
+    f_prev, f, l_prev, l = 1, 0, -1, 2
+    for _ in range(n):
+        f_prev, f, l_prev, l = f, f + f_prev, l, l + l_prev
+    return f_prev, f, l_prev, l
+
+
 def test_fib_lucas_values():
     assert (fib_lucas(0).fib, fib_lucas(0).lucas) == (0, 2)
     assert (fib_lucas(1).fib, fib_lucas(1).lucas) == (1, 1)
     assert (fib_lucas(10).fib, fib_lucas(10).lucas) == (55, 123)
-    for n in range(51):
-        fib_lucas(n)  # every identity re-verified internally
+    for n in range(201):  # fib_lucas re-verifies every identity internally
+        f_prev, f, l_prev, l = _recurrence(n)
+        assert all(_reference_identities(n, f_prev, f, l_prev, l)), n
+        assert (fib_lucas(n).fib, fib_lucas(n).lucas) == (f, l), n
     with pytest.raises(DomainError):
         fib_lucas(-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 40, 200])
+@pytest.mark.parametrize("which", range(4))
+def test_each_wrong_fib_lucas_input_raises_its_own_message(n, which):
+    # A wrong F_n, L_n, F_{n-1} or L_{n-1} breaks exactly the identity that
+    # reads it first; at n = 0 the shift identities are not checked.
+    order = (1, 3, 0, 2)  # index of F_n, L_n, F_{n-1}, L_{n-1} in _recurrence
+    right = _recurrence(n)
+    for delta in (1, -1, 2**n):
+        wrong = list(right)
+        wrong[order[which]] += delta
+        if n == 0 and which >= 2:
+            assert all(_reference_identities(n, *wrong))
+            _check_fib_lucas(n, *wrong)
+            continue
+        assert _reference_identities(n, *wrong).index(False) == which
+        with pytest.raises(VerificationError) as caught:
+            _check_fib_lucas(n, *wrong)
+        assert str(caught.value) == _FIB_LUCAS_MESSAGES[which].format(n)
+    _check_fib_lucas(n, *right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 60), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_fib_lucas_check_agrees_with_the_reference(n, deltas):
+    # The integer check fails exactly when an identity fails, and with the
+    # message of the first failing one.
+    args = [v + d for v, d in zip(_recurrence(n), deltas)]
+    held = _reference_identities(n, *args)
+    if all(held):
+        _check_fib_lucas(n, *args)
+        return
+    with pytest.raises(VerificationError) as caught:
+        _check_fib_lucas(n, *args)
+    assert str(caught.value) == _FIB_LUCAS_MESSAGES[held.index(False)].format(n)
 
 
 def test_frac_golden_multiple():

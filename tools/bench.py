@@ -3,7 +3,8 @@
 Usage: python tools/bench.py --out BENCH.json [--repeats K]
 
 For one fixed argv per subcommand (the README's examples, with
-`verify --cases 4`), and for `witness` at every stage from 2 to 6, it runs
+`verify --cases 4`), for `witness` at every stage from 2 to 6, and for
+`diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, it runs
 K in-process `cli.main` calls after one untimed warm-up call, and records
 the median and quartiles of their wall time. The same statistics cover K
 in-process `crossing_unique(n)` calls at n = 5, 8, 10, 20 and 40, the
@@ -45,7 +46,7 @@ CALLS = (
     ("convergence", "--b", "1", "--nmax", "6"),
     ("kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4"),
     ("sturmian", "--theta", "golden", "--n", "32"),
-    ("diversity", "--theta", "golden", "--b", "1", "--rmax", "10"),
+    *(("diversity", "--theta", "golden", "--b", "1", "--rmax", str(r)) for r in (10, 25, 50, 100)),
     *(("witness", "--n", str(n)) for n in range(2, 7)),
     ("arrays", "--n", "2"),
     ("verify", "--cases", "4"),
