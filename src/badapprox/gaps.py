@@ -23,7 +23,6 @@ those add up to exactly one, this certifies the order.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -79,7 +78,9 @@ class GapSet:
         of the smallest positive point and b that of the largest, the
         right neighbour of n is n + a, else n - b, else n + a - b (Sos
         1958). The walk must visit each multiple once and its steps must
-        give back gap_nums exactly, which certifies it.
+        give back gap_nums exactly, which certifies it. The same walk adds
+        up the point numerators, and stores them as nums once both checks
+        pass.
         """
         N, p, q = self.count, self.numerator, self.denominator
         if N > MAX_POINTS:
@@ -87,27 +88,50 @@ class GapSet:
         a = min_affine_mod(N, q, p, p)[1] + 1
         # (q - 1 - n*p) mod q is least where n*p mod q is largest.
         b = min_affine_mod(N, q, -p, -p - 1)[1] + 1
-        n, orders = 0, [0]
+        # Neighbours n and n' are {(n' - n)*theta} apart.
+        up, down, both = a * p % q, -b * p % q, (a - b) * p % q
+        n = v = ups = downs = 0
+        orders, nums = [0], [0]
         for _ in range(N + 1):
-            n += a if n + a <= N else -b if n >= b else a - b
+            if n + a <= N:
+                n += a
+                v += up
+                ups += 1
+            elif n >= b:
+                n -= b
+                v += down
+                downs += 1
+            else:
+                n += a - b
+                v += both
             orders.append(n)
+            nums.append(v)
+        orders = tuple(orders)
         if orders[-1] or len(set(orders)) != N + 1 or not 0 <= min(orders) <= max(orders) <= N:
             raise VerificationError("the successor walk does not visit each multiple once")
-        # Neighbours n and n' are {(n' - n)*theta} apart.
-        steps = Counter(map(operator.sub, orders[1:], orders))
-        lengths = _merged((d * p % q, c) for d, c in steps.items())
+        lengths = _merged(((up, ups), (down, downs), (both, N + 1 - ups - downs)))
         # A cyclic tour's forward distances add up to q times its windings,
         # and gap_nums adds up to q, so this also rules out a tour out of
         # order under p/q.
         if lengths != self.gap_nums:
             raise VerificationError("the successor walk disagrees with the three-distance gaps")
-        return tuple(orders)
+        self.__dict__["nums"] = tuple(nums)
+        return orders
 
     @cached_property
     def nums(self) -> tuple[int, ...]:
-        """Point numerators over denominator, ascending, with 0 and denominator."""
-        p, q = self.numerator, self.denominator
-        return (0, *(n * p % q for n in self.orders[1:-1]), q)
+        """Point numerators over denominator, ascending, with 0 and denominator.
+
+        orders' walk builds them as running sums of its steps' gap
+        lengths, with no n*p mod q per point. They are the residues: a
+        step from n to n' adds (n' - n)*p mod q, so each sum is n'*p mod q
+        plus a multiple of q. Once the walk's counts equal gap_nums, every
+        length added is a positive one of gap_nums and they add up to q,
+        so the sums rise strictly from 0 to q, and each one in between
+        lies in (0, q) and is exactly n'*p mod q.
+        """
+        self.orders  # the walk stores nums as it certifies
+        return self.__dict__["nums"]
 
     @cached_property
     def points(self) -> list[Fraction]:

@@ -8,6 +8,13 @@ One core, _ratios_str(nums, d, sig), renders integers over one denominator
 a decade at a time: what a decade needs (exponent, bounds, rounding factor,
 leading zeros) is worked out when a value enters it and reused while the
 next values stay in it. A single value is a one-element run.
+
+No value costs a division. Each decade works out one reciprocal k of its
+divisor, rounded up, with 32 guard bits (Granlund and Montgomery 1994);
+a value's quotient and guard bits are then one product and a shift,
+exact for every value in the decade, and only guard bits of exactly one
+half need the exact product to tell a tie, rounded half to even, from a
+value just above it. The proof is in _ratios_str's docstring.
 """
 
 from __future__ import annotations
@@ -15,6 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 DEFAULT_SIG_DIGITS = 10
+# Guard bits below the rounded quotient in _ratios_str's multiply-shift.
+_GUARD = 32
+_GUARD_MASK = (1 << _GUARD) - 1
+_HALF = 1 << (_GUARD - 1)
 
 
 def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
@@ -53,6 +64,18 @@ def _ratios_str(nums, d: int, sig: int) -> list[str]:
     decade about log10(N) times. A positive value with -8 <= e < 0 whose
     rounding does not carry is the leading string and its digits; every
     other value goes through _digits_str, the one formatting tail.
+
+    Each value is rounded with one multiplication and shifts, not a
+    division: entering a decade sets s = hi.bit_length() +
+    div.bit_length() and k = ceil(mul*2**(32+s)/div). For 0 < m < hi,
+    f = m*k >> s equals floor(m*mul*2**32/div) exactly: k's excess over
+    mul*2**(32+s)/div is below one, so m*k/2**s exceeds m*mul*2**32/div by
+    less than m/2**s < 1/div, and that value, an integer over div, is at
+    least 1/div below the next integer. So f >> 32 is floor(m*mul/div),
+    and the guard bits g = f mod 2**32 are floor(2**32*r/div) for the
+    remainder r: g > 2**31 means r/div > 1/2 and g < 2**31 means r/div <
+    1/2. Only at g = 2**31 can r/div be a tie or up to 2**-32 above one,
+    and f*div == m*mul*2**32 holds exactly at the tie.
     """
     top = 10**sig
     out = []
@@ -68,9 +91,15 @@ def _ratios_str(nums, d: int, sig: int) -> list[str]:
             # rounded half to even (the same convention as round()).
             shift = sig - 1 - e
             mul, div = (10**shift, d) if shift >= 0 else (1, d * 10**-shift)
+            # m*k >> s is floor(m*mul*2**_GUARD/div) for every m < hi.
+            s = hi.bit_length() + div.bit_length()
+            k = -(-(mul << (_GUARD + s)) // div)
             lead = "0." + "0" * (-e - 1) if -8 <= e < 0 else None
-        q, r = divmod(m * mul, div)
-        if 2 * r > div or (2 * r == div and q & 1):
+        f = m * k >> s
+        q, g = f >> _GUARD, f & _GUARD_MASK
+        # The guard bits decide the rounding unless they are exactly one
+        # half, where only the exact test tells a tie from just above one.
+        if g > _HALF or (g == _HALF and (q & 1 or f * div != m * mul << _GUARD)):
             q += 1
         if lead is not None and n > 0 and q < top:
             out.append((lead + str(q)).rstrip("0"))

@@ -97,6 +97,22 @@ def test_regime_sweep_is_pinned(capsys):
     assert md5.hexdigest() == "a98c2b05a21aea21f4a2c857efb6d1a4"
 
 
+def test_listing_sweep_is_pinned(capsys):
+    # md5 of the concatenated exit codes and stdout of gaps JSON listings,
+    # as printed when each point numerator was n*p mod q and each point was
+    # rounded with its own divmod.
+    thetas = ["golden", "sqrt2", "extremal:3", '{"a0": 0, "prefix": [1, 2], "period": [2]}']
+    md5 = hashlib.md5()
+    for theta in thetas:
+        for n in (1, 2, 3, 50, 89, 100, 862, 2000):
+            for digits in ("3", "10", "40"):
+                code, out, _ = run(capsys, "gaps", "--theta", theta, "--n", str(n),
+                                   "--precision-digits", digits)
+                assert code == 0, (theta, n, digits)
+                md5.update(f"{code}\n{out}".encode())
+    assert md5.hexdigest() == "b4f0a9de87ac695d67a27f4fce7270e2"
+
+
 def test_kron_json(capsys):
     code, out, _ = run(capsys, "kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4")
     assert code == 0

@@ -280,6 +280,33 @@ def test_rationals_at_full_cycle_split_evenly():
         _assert_matches_reference(gs, *_surrogate(cf, q - 1))
 
 
+def _steps(gs):
+    return {b - a for a, b in zip(gs.orders, gs.orders[1:])}
+
+
+def test_walk_edge_cases_match_the_reference():
+    # N + 1 = q_k + q_{k-1} leaves two lengths, and the walk never takes
+    # its a - b step: that count is zero and drops out of the merge.
+    for cf in (GOLDEN, SQRT2_MINUS_1, CFSpec(0, (2,), (1, 4))):
+        convs = convergents(cf, 8)
+        for c_km1, c_k in zip(convs, convs[1:]):
+            N = c_k.q + c_km1.q - 1
+            gs = gap_set(cf, N, min_radius=DISPLAY)
+            _assert_matches_reference(gs, *_surrogate(cf, N, DISPLAY))
+            assert len(gs.gap_nums) == 2
+            steps = _steps(gs)
+            assert len(steps) == 2 and min(steps) < 0 < max(steps), (cf, N, steps)
+    # N = 1: one step out to {theta}, one back to the endpoint.
+    for cf in (GOLDEN, SQRT2_MINUS_1, CFSpec(0, (7,), (1,)), CFSpec(0, (2,), ())):
+        _assert_matches_reference(gap_set(cf, 1), *_surrogate(cf, 1))
+    # 3/7 at N = 6: the steps +5 and -2 both have length 1/7, so the
+    # walk's counts merge into one.
+    gs = gap_set(CFSpec(0, (2, 3), ()), 6)
+    _assert_matches_reference(gs, 3, 7)
+    assert _steps(gs) == {5, -2}
+    assert gs.gap_nums == ((1, 7),)
+
+
 def _record_gap_sets(monkeypatch, module):
     made = []
     real = gaps_module.gap_set
@@ -330,7 +357,9 @@ def test_perturbed_walk_step_is_caught(monkeypatch):
             monkeypatch.setattr(gaps_module, "min_affine_mod", off_by_one)
             with pytest.raises(VerificationError):
                 gs.orders
+            # A failed walk publishes neither the order nor the numerators.
             assert "orders" not in gs.__dict__
+            assert "nums" not in gs.__dict__
             monkeypatch.setattr(gaps_module, "min_affine_mod", real)
             assert gs.orders[0] == 0
 

@@ -48,6 +48,26 @@ def test_halfway_rounding_is_deterministic():
     assert _ratio_str(-35, 1000, 1) == "-0.04"
 
 
+def test_guard_bits_of_one_half_take_the_exact_test():
+    # Over d = 2**40 at one digit, n/d = 1/4 + x is 2.5 + 10*x tenths, so
+    # the guard bits below the quotient 2 read exactly one half while
+    # 0 <= 10*x < 2**-32: a tie at x = 0, and just above one at
+    # n = 2**38 + 1, where x = 2**-40.
+    d = 2**40
+    cases = [
+        (2**38 - 1, "0.2"),  # just below the tie
+        (2**38, "0.2"),  # an exact tie: q = 2 is even
+        (2**38 + 1, "0.3"),  # guard bits exactly half, not a tie
+        (-(2**38 + 1), "-0.3"),
+        (3 * 2**38, "0.8"),  # an exact tie at 7.5 tenths: q = 7 is odd
+        (3 * 2**38 + 1, "0.8"),
+    ]
+    for n, want in cases:
+        assert _ratio_str(n, d, 1) == _reference(n, d, 1) == want, n
+    nums = [n for n, _ in cases]
+    assert _ratios_str(nums, d, 1) == [want for _, want in cases]
+
+
 def test_rounding_carries_into_the_next_decade():
     assert _ratio_str(9995, 1000, 3) == "10"
     assert _ratio_str(-9995, 1000, 3) == "-10"
@@ -124,6 +144,23 @@ def _reference(n: int, d: int, sig: int) -> str:
 _magnitudes = st.integers(0, 60).flatmap(lambda k: st.integers(1, 10**k))
 
 
+def _near_halves(d: int, sig: int):
+    """Numerators n with n/d within 2**-33 of a last digit of a half-way
+    point at sig digits, on either side: there the guard bits alone cannot
+    decide the rounding."""
+    # The least power of ten whose last-digit unit spans 2**34 steps of 1/d.
+    u0 = -len(str(d))
+    while Fraction(10) ** u0 * d < 2**34:
+        u0 += 1
+
+    def place(t, w, delta):
+        half = Fraction(2 * t + 1, 2) * Fraction(10) ** (u0 + w) * d
+        return half.numerator // half.denominator + delta
+
+    return st.builds(place, st.integers(10 ** (sig - 1), 10**sig - 1), st.integers(0, 20),
+                     st.integers(-1, 1))
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.booleans(),
@@ -170,6 +207,7 @@ def _runs(draw):
         # Far below and far above one: both scientific ends.
         st.integers(1, 10**9).map(lambda n: n * d // 10**30),
         st.integers(1, 10**9).map(lambda n: n * d * 10**21),
+        _near_halves(d, sig),
     )
     nums = draw(st.lists(values, max_size=40))
     if draw(st.booleans()):

@@ -68,6 +68,8 @@ def test_bench_rows_all_exit_zero(tmp_path):
     assert witness == [f"witness --n {n}" for n in range(2, 7)]
     diversity = [row["argv"] for row in report["cli"] if row["argv"].startswith("diversity")]
     assert diversity == [f"diversity --theta golden --b 1 --rmax {r}" for r in (10, 25, 50, 100)]
+    listings = [row["argv"] for row in report["cli"] if row["argv"].startswith("gaps --theta sqrt2")]
+    assert listings == [f"gaps --theta sqrt2 --n {10**k}" for k in (3, 4, 5)]
     for row in rows:
         assert row["exit_codes"] == [0], row
     crossing = report["crossing_unique"]

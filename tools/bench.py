@@ -3,8 +3,9 @@
 Usage: python tools/bench.py --out BENCH.json [--repeats K]
 
 For one fixed argv per subcommand (the README's examples, with
-`verify --cases 4`), for `witness` at every stage from 2 to 6, and for
-`diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, it runs
+`verify --cases 4`), for `witness` at every stage from 2 to 6, for
+`diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, and for
+the JSON listing `gaps --theta sqrt2` at N = 10^3, 10^4 and 10^5, it runs
 K in-process `cli.main` calls after one untimed warm-up call, and records
 the median and quartiles of their wall time. The same statistics cover K
 in-process `crossing_unique(n)` calls at n = 5, 8, 10, 20 and 40, the
@@ -40,6 +41,7 @@ from badapprox.sturmian import crossing_unique  # noqa: E402
 
 CALLS = (
     ("gaps", "--theta", "golden", "--n", "3"),
+    *(("gaps", "--theta", "sqrt2", "--n", str(10**k)) for k in (3, 4, 5)),
     ("regime", "--theta", "sqrt2", "--n", "7"),
     ("fb", "--b", "2"),
     ("extremal", "--b", "1", "--n", "10"),
