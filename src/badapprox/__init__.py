@@ -3,11 +3,10 @@
 Gap structure of the multiples of theta modulo one, the sharp constant
 governing N times the largest gap, best inhomogeneous approximation
 with explicit error bounds, and the diversity of characteristic bit
-sequences, all with certified rational arithmetic.
+sequences, all in exact arithmetic.
 """
 
 from .cf import (
-    CertifiedValue,
     CFSpec,
     Convergent,
     GOLDEN,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CFSpec",
-    "CertifiedValue",
     "CoincidentPointsError",
     "Convergent",
     "CrossingCell",

@@ -1,28 +1,29 @@
-"""Continued fractions with certified evaluation.
+"""Continued fractions and their exact values.
 
 A CFSpec describes a real number theta = [a0; a1, a2, ...] by its integer
 part, a finite run of partial quotients, and an optional repeating block.
 Empty period means theta is rational and the expansion is finite.
 
-Everything numeric that leaves this module is either an exact Fraction or a
-CertifiedValue, a rational center with a rational radius that provably
-contains the true real. Downstream code decides every comparison inside
-those guarantees, so no conclusion ever rests on floating point.
+Every value that leaves this module is exact: a Fraction for a rational,
+and a QuadraticNumber for an eventually periodic expansion, which is a
+quadratic irrational (Lagrange). Convergents p_K/q_K still stand in for
+theta where points are sorted; the one enclosure left is GapSet.radius,
+which bounds |theta - p_K/q_K| for the surrogate a gap set is read under.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import DomainError, VerificationError
-from .quadratic import QuadraticNumber
+from .quadratic import QuadraticNumber, _quotient, squarefree_decompose
 
-DEFAULT_EPS = Fraction(1, 10**30)
 CERT_ROUNDS = 10  # surrogates certify tries before it gives up
 
 
@@ -202,65 +203,6 @@ def convergents(cf: CFSpec, count: int) -> list[Convergent]:
     return list(itertools.islice(convergent_pairs(cf), count))
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
-    """A real known to lie in [center - radius, center + radius]."""
-
-    center: Fraction
-    radius: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    @property
-    def lo(self) -> Fraction:
-        return self.center - self.radius
-
-    @property
-    def hi(self) -> Fraction:
-        return self.center + self.radius
-
-    def contains(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def agrees_with(self, other: "CertifiedValue", slack=Fraction(0)) -> bool:
-        """Whether the two intervals could describe the same real."""
-        return abs(self.center - other.center) <= self.radius + other.radius + slack
-
-    def __add__(self, other):
-        if isinstance(other, CertifiedValue):
-            return CertifiedValue(self.center + other.center, self.radius + other.radius)
-        return CertifiedValue(self.center + Fraction(other), self.radius)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CertifiedValue(-self.center, self.radius)
-
-    def __sub__(self, other):
-        if isinstance(other, CertifiedValue):
-            return self + (-other)
-        return CertifiedValue(self.center - Fraction(other), self.radius)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scale(self, factor) -> "CertifiedValue":
-        f = Fraction(factor)
-        return CertifiedValue(self.center * f, self.radius * abs(f))
-
-    def reciprocal(self) -> "CertifiedValue":
-        """1/x for an interval strictly above zero."""
-        if self.lo <= 0:
-            raise DomainError("reciprocal needs a strictly positive interval")
-        lo, hi = 1 / self.hi, 1 / self.lo
-        return CertifiedValue((lo + hi) / 2, (hi - lo) / 2)
-
-    def __repr__(self):
-        return f"CertifiedValue({self.center} +- {self.radius})"
-
-
 def choose_surrogate(
     cf: CFSpec, N: int, min_radius: Fraction | None = None
 ) -> tuple[Convergent, Convergent]:
@@ -365,37 +307,49 @@ def min_affine_mod(n: int, m: int, a: int, b: int) -> tuple[int, int]:
     return best, x
 
 
-def eval_theta(cf: CFSpec, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
-    """Certified value of the number: center p_k/q_k, radius <= eps.
+def eval_theta(cf: CFSpec) -> Fraction | QuadraticNumber:
+    """Exact value of the number: a Fraction for a finite expansion, else
+    the quadratic irrational of its eventually periodic one.
 
-    For irrational cf the radius is the classical bound 1/(q_k*q_{k+1});
-    rationals come back exact with radius 0.
+    Write theta = [a0; prefix, Y] with Y = [period, Y] the purely periodic
+    tail. With p/q and p_/q_ the last two convergents of the period read
+    as [P1; P2, ..., PL], Y = (p*Y + p_)/(q*Y + q_), so Y is the root above
+    1 of q*Y^2 + (q_ - p)*Y - p_ = 0, which is (p - q_ + sqrt(D))/(2q) with
+    D = (p - q_)^2 + 4*q*p_. The other root is negative, since p_ >= 1.
+    Then theta = (P*Y + P_)/(Q*Y + Q_) with P/Q and P_/Q_ the last two
+    convergents of [a0; prefix]. D is never a square: the infinite
+    expansion [P1; P2, ...] equals [P1; ..., PL, itself], so its value is
+    the positive root, and the value of an infinite expansion is
+    irrational. So squarefree_decompose leaves a radicand d > 1, and the
+    denominator Q*Y + Q_ > 0 has a nonzero norm.
     """
-    least = _least_product(eps)
     if cf.is_rational:
-        return CertifiedValue(cf.value(), Fraction(0))
-    prev, cur = _pair_past(cf, least)
-    return CertifiedValue(prev.value, Fraction(1, prev.q * cur.q))
+        return cf.value()
+    p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
+    P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
+    s, d = squarefree_decompose((p - q_) ** 2 + 4 * q * p_)
+    u, w = p - q_, 2 * q  # Y = (u + s*sqrt(d))/w
+    return _quotient((P * u + P_ * w, P * s, 1, d), (Q * u + Q_ * w, Q * s, 1, d))
 
 
-def dist_to_int(cf: CFSpec, n: int, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
-    """Certified distance from n*theta to the nearest integer."""
-    n = operator.index(n)
-    if n < 0:
-        n = -n
-    if n == 0:
-        return CertifiedValue(Fraction(0), Fraction(0))
-    if cf.is_rational:
-        f = (n * cf.value()) % 1
-        return CertifiedValue(min(f, 1 - f), Fraction(0))
-    ev = eval_theta(cf, eps / n)
-    f = (n * ev.center) % 1
-    # distance-to-nearest-integer is 1-Lipschitz, so the radius transfers.
-    return CertifiedValue(min(f, 1 - f), n * ev.radius)
+def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:
+    """p_m, p_(m-1), q_m and q_(m-1) of [c0; c1, ..., cm], with p_(-1) = 1
+    and q_(-1) = 0."""
+    p, p_, q, q_ = c0, 1, 1, 0
+    for a in quotients:
+        p, p_, q, q_ = a * p + p_, p, a * q + q_, q
+    return p, p_, q, q_
 
 
-def convergent_residual(cf: CFSpec, k: int, eps: Fraction = DEFAULT_EPS) -> CertifiedValue:
-    """Certified |q_k*theta - p_k|.
+def dist_to_int(cf: CFSpec, n: int) -> Fraction | QuadraticNumber:
+    """Exact distance from n*theta to the nearest integer."""
+    x = operator.index(n) * eval_theta(cf)
+    f = x - math.floor(x)
+    return min(f, 1 - f)
+
+
+def convergent_residual(cf: CFSpec, k: int) -> Fraction | QuadraticNumber:
+    """Exact |q_k*theta - p_k|.
 
     For k >= 1 this equals the distance from q_k*theta to the nearest
     integer; at k = 0 it is the fractional part of theta, which the gap
@@ -407,27 +361,19 @@ def convergent_residual(cf: CFSpec, k: int, eps: Fraction = DEFAULT_EPS) -> Cert
     if len(conv) <= k:
         raise DomainError(f"expansion has no convergent of index {k}")
     c = conv[k]
-    if cf.is_rational:
-        return CertifiedValue(abs(c.q * cf.value() - c.p), Fraction(0))
-    ev = eval_theta(cf, eps / c.q)
-    return CertifiedValue(abs(c.q * ev.center - c.p), c.q * ev.radius)
+    return abs(c.q * eval_theta(cf) - c.p)
 
 
-def tail_and_reversal(
-    cf: CFSpec, k: int, eps: Fraction = DEFAULT_EPS
-) -> tuple[CertifiedValue, Fraction]:
-    """The tail [0; a_k, a_{k+1}, ...] certified, and the exact reversal.
+def tail_and_reversal(cf: CFSpec, k: int) -> tuple[Fraction | QuadraticNumber, Fraction]:
+    """The exact tail [0; a_k, a_{k+1}, ...] and the exact reversal.
 
-    The reversal [0; a_k, ..., a_1] always equals q_{k-1}/q_k, so it comes
-    back as an exact Fraction rather than an interval.
+    The reversal [0; a_k, ..., a_1] always equals q_{k-1}/q_k.
     """
     if k < 1:
         raise DomainError("tail and reversal are indexed from 1")
     tail_cf = cf.tail(k)  # raises DomainError when a rational runs out
-    theta_k = eval_theta(tail_cf, eps)
     conv = convergents(cf, k + 1)
-    phi_k = Fraction(conv[k - 1].q, conv[k].q)
-    return theta_k, phi_k
+    return eval_theta(tail_cf), Fraction(conv[k - 1].q, conv[k].q)
 
 
 def reversal_identity_check(cf: CFSpec, k: int) -> bool:
@@ -466,9 +412,8 @@ def bounded_quotient_extrema(bound: int) -> tuple[QuadraticNumber, QuadraticNumb
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
     b = bound
-    root = QuadraticNumber.sqrt(b * b + 4 * b)
-    mn = (root - b) / (2 * b)
-    mx = (root + b) / 2
+    mn = eval_theta(CFSpec(0, (), (b, 1)))
+    mx = eval_theta(CFSpec(b, (), (1, b)))
     # mn solves b*x^2 + b*x - 1 = 0, mx solves x^2 - b*x - b = 0.
     if b * mn * mn + b * mn - 1 != 0:
         raise VerificationError("minimum fails its defining quadratic")

@@ -217,7 +217,7 @@ def cmd_regime(args) -> tuple[str, bool]:
         "l": tag.l,
         "case": tag.case,
         "gaps": gs.length_strs(sig),
-        "predicted": [decimal_str(p.center, sig) for p in predicted],
+        "predicted": [decimal_str(p, sig) for p in predicted],
         "matches": ok,
     }
     return _json(obj), not ok

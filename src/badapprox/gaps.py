@@ -28,7 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .cf import (
-    CertifiedValue,
     CFSpec,
     Convergent,
     certify,
@@ -356,48 +355,32 @@ def _bracket(cf: CFSpec, tag: RegimeTag) -> tuple[Convergent, Convergent]:
     return convs[-2], convs[-1]
 
 
-def _staircase(bracket: tuple[Convergent, Convergent], l: int, p: int, q: int,
-               radius: Fraction) -> tuple[list[int], list[CertifiedValue]]:
-    """The predicted gaps as numerators over q, and as certified values,
-    read under p/q: a convergent p_K/q_K of theta within radius of it, or
-    theta itself with radius zero.
+def _staircase(bracket: tuple[Convergent, Convergent], l: int, p, q: int) -> list:
+    """The predicted gaps as numerators over q, read under p/q: a
+    convergent p_K/q_K of theta, or theta itself over q = 1.
 
     With (c_{k-1}, c_k) the bracket and eta_j = |q_j*p - p_j*q|, the
     numerators are eta_k, eta_{k-1} - l*eta_k and eta_{k-1} - (l - 1)*eta_k
     (Sos 1958); at l = 0 the last two are eta_{k-1} and eta_{k-1} + eta_k.
-    eta_j/q is within q_j*radius of r_j = |q_j*theta - p_j|, so x*eta_k +
-    y*eta_{k-1} is within (|x|*q_k + |y|*q_{k-1})*radius of its value for
-    theta.
     """
     c_km1, c_k = bracket
     eta_k, eta_km1 = (abs(c.q * p - c.p * q) for c in (c_k, c_km1))
-    mix = ((1, 0), (-l, 1), (1 - l, 1))
-    nums = [x * eta_k + y * eta_km1 for x, y in mix]
-    values = [
-        CertifiedValue(Fraction(n, q), (abs(x) * c_k.q + abs(y) * c_km1.q) * radius)
-        for n, (x, y) in zip(nums, mix)
-    ]
-    return nums, values
+    return [eta_k, eta_km1 - l * eta_k, eta_km1 - (l - 1) * eta_k]
 
 
-def predicted_gap_values(
-    cf: CFSpec, tag: RegimeTag, eps: Fraction
-) -> list[CertifiedValue]:
-    """Certified gap lengths the classification predicts may occur, read
-    under the first convergent that keeps every radius within eps."""
-    c_km1, c_k = bracket = _bracket(cf, tag)
-    # The widest radius factor of the staircase is max(l, 1)*q_k + q_{k-1}.
-    theta = eval_theta(cf, Fraction(eps) / (max(tag.l, 1) * c_k.q + c_km1.q))
-    p, q = theta.center.numerator, theta.center.denominator
-    return _staircase(bracket, tag.l, p, q, theta.radius)[1]
+def predicted_gap_values(cf: CFSpec, tag: RegimeTag) -> list[Fraction | QuadraticNumber]:
+    """The exact gap lengths the classification predicts may occur for
+    theta itself: r_k, r_{k-1} - l*r_k and r_{k-1} - (l - 1)*r_k with
+    r_j = |q_j*theta - p_j|."""
+    return _staircase(_bracket(cf, tag), tag.l, eval_theta(cf), 1)
 
 
 def verify_regime(
     cf: CFSpec, N: int, *, min_radius: Fraction | None = None
-) -> tuple[RegimeTag, GapSet, list[CertifiedValue], bool]:
+) -> tuple[RegimeTag, GapSet, list[Fraction], bool]:
     """Classify N and check the observed gaps against the prediction.
 
-    Returns (tag, gap set, predicted values, all-observed-are-predicted).
+    Returns (tag, gap set, predicted lengths, all-observed-are-predicted).
     The prediction is read under the gap set's own p_K/q_K, so each
     observed numerator must be one of the predicted ones exactly. min_radius
     deepens the surrogate past the policy minimum, as in gap_set.
@@ -406,9 +389,9 @@ def verify_regime(
     gs = gap_set(cf, N, min_radius=min_radius)
     # gs.numerator is reduced modulo q; the convergents carry a0.
     p, q = gs.numerator + cf.a0 * gs.denominator, gs.denominator
-    nums, predicted = _staircase(_bracket(cf, tag), tag.l, p, q, gs.radius)
+    nums = _staircase(_bracket(cf, tag), tag.l, p, q)
     ok = all(g in nums for g, _ in gs.gap_nums)
-    return tag, gs, predicted, ok
+    return tag, gs, [Fraction(n, q) for n in nums], ok
 
 
 # ---- the sharp constant ----------------------------------------------
@@ -547,9 +530,9 @@ def extremal_witness(
         raise DomainError(f"stage {n} gives an empty witness for bound {bound}")
     coeff = (bound - 2) // 2
     constant = gap_constant(bound)
-    # theta = [0; (bound, 1)] is the positive root of bound*x^2 + bound*x - 1,
-    # in the field of the constant, so the true largest gap is exact.
-    theta = (QuadraticNumber.sqrt(bound * bound + 4 * bound) - bound) / (2 * bound)
+    # theta = [0; (bound, 1)] lies in Q(sqrt(bound^2 + 4*bound)), the field
+    # of the constant, so the true largest gap is exact.
+    theta = eval_theta(cf)
     h = (c_odd.p - c_odd.q * theta) - coeff * (c_even.q * theta - c_even.p)
     gs = _witness_gap_set(cf, n, N, (c_odd, c_even), h, constant, min_radius)
     return ExtremalWitness(

@@ -62,9 +62,9 @@ def high_precision_value(cf: CFSpec):
     This is the one place the oracles lean on the package: the value is
     p_K / q_K for the first convergent pair with q_K * q_(K+1) >=
     10**(ORACLE_DPS + 5), read off cf._pair_past, so within
-    10**-(ORACLE_DPS + 5) of theta. It is the centre `cf.eval_theta` would
-    certify at that radius, and the exact side reads its surrogates off
-    the same convergent recurrence (a rational comes from CFSpec.value).
+    10**-(ORACLE_DPS + 5) of theta. The exact side reads its surrogates
+    off the same convergent recurrence (a rational comes from
+    CFSpec.value).
     A wrong expansion or recurrence would therefore mislead both sides
     alike; the oracles check what is computed from theta, not theta
     itself.

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cf import GOLDEN, CFSpec
+from .cf import GOLDEN, CFSpec, eval_theta
 from .errors import DomainError, SequenceLengthError, VerificationError
 from .quadratic import QuadraticNumber
 
-THETA_GOLDEN = QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 5)
+THETA_GOLDEN = eval_theta(GOLDEN)
 SQRT5 = QuadraticNumber.sqrt(5)
 _ONE_PLUS_SQRT5 = 1 + SQRT5  # 2*phi, whose powers have integer coordinates
 # Most bits one call returns (one byte each, so 512 MiB); a request past it

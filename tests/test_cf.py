@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
-    CertifiedValue,
     CFSpec,
     Convergent,
     DomainError,
@@ -30,8 +30,7 @@ from badapprox import (
 )
 from badapprox.cf import _pair_past, convergent_pairs, min_affine_mod
 from badapprox.oracle import random_cf
-
-DEEP = Fraction(1, 10**40)
+from badapprox.sturmian import THETA_GOLDEN
 
 
 @st.composite
@@ -147,71 +146,62 @@ def test_rational_expansion_runs_out_short():
     assert conv[-1].value == Fraction(3, 7)
 
 
-# ---- certified evaluation --------------------------------------------------
+# ---- exact evaluation ------------------------------------------------------
 
 
 def test_eval_theta_matches_high_precision():
     with mp.workdps(60):
         golden = (mp.sqrt(5) - 1) / 2
-        for eps in (Fraction(1, 10**6), Fraction(1, 10**30)):
-            ev = eval_theta(GOLDEN, eps)
-            assert ev.radius <= eps
-            assert abs(mp.mpf(ev.center.numerator) / ev.center.denominator - golden) < float(
-                2 * ev.radius
-            )
+        approx = eval_theta(GOLDEN).as_fraction_approx(55)
+        assert abs(mp.mpf(approx.numerator) / approx.denominator - golden) < mp.mpf(10) ** -54
 
 
 def test_eval_theta_rational_is_exact():
     ev = eval_theta(CFSpec(0, (2, 3), ()))
-    assert ev == CertifiedValue(Fraction(3, 7), Fraction(0))
-    with pytest.raises(DomainError):
-        eval_theta(GOLDEN, Fraction(0))
+    assert type(ev) is Fraction and ev == Fraction(3, 7)
 
 
-def _eval_theta_by_fractions(cf, eps):
-    """eval_theta as it was written with one Fraction per convergent."""
-    pairs = convergent_pairs(cf)
-    prev = next(pairs)
-    for cur in pairs:
-        radius = Fraction(1, prev.q * cur.q)
-        if radius <= eps:
-            return CertifiedValue(prev.value, radius)
-        prev = cur
+def test_eval_theta_expands_to_its_quotients():
+    rng = random.Random(20261020)
+    bounds = [2] * 600 + [10] * 600 + [1000] * 300
+    for bound in bounds:
+        drawn = random_cf(rng, bound)
+        cf = CFSpec(rng.choice([-5, -1, 1, 3, 5]), drawn.prefix, drawn.period)
+        theta = eval_theta(cf)
+        assert type(theta) is QuadraticNumber and theta.d > 1, cf
+        want = [cf.a0] + [cf.quotient(k) for k in range(1, 25)]
+        assert expand_quadratic(theta, 25) == want, cf
+        rational = CFSpec(cf.a0, cf.prefix + cf.period, ())
+        assert eval_theta(rational) == rational.value(), rational
 
 
-def test_eval_theta_integer_stop_matches_fraction_stop():
-    rng = random.Random(20261018)
-    cfs = [GOLDEN, SQRT2_MINUS_1] + [random_cf(rng) for _ in range(20)]
-    for cf in cfs:
-        conv = convergents(cf, 12)
-        boundaries = [Fraction(1, a.q * b.q) for a, b in zip(conv, conv[1:])]
-        tiny = Fraction(1, 10**80)
-        for eps in [Fraction(1, 10**30), Fraction(1, 10**55)] + [
-            e + d for e in boundaries for d in (-tiny, 0, tiny)
-        ]:
-            assert eval_theta(cf, eps) == _eval_theta_by_fractions(cf, eps), (cf, eps)
-        # at eps = 1/(q_k*q_{k+1}) exactly, p_k/q_k is returned with that radius
-        for k, eps in enumerate(boundaries):
-            assert eval_theta(cf, eps) == CertifiedValue(conv[k].value, eps), (cf, k)
-    # a float eps still compares exactly
-    for eps in (1e-10, 2.0**-70, float(boundaries[3])):
-        assert eval_theta(GOLDEN, eps) == _eval_theta_by_fractions(GOLDEN, eps), eps
+def test_eval_theta_equals_the_closed_forms_it_replaced():
+    golden = (QuadraticNumber.sqrt(5) - 1) / 2
+    assert eval_theta(GOLDEN) == golden == THETA_GOLDEN
+    for b in range(1, 51):
+        root = QuadraticNumber.sqrt(b * b + 4 * b)
+        mn, mx = (root - b) / (2 * b), (root + b) / 2
+        assert eval_theta(CFSpec(0, (), (b, 1))) == mn, b
+        assert eval_theta(CFSpec(b, (), (1, b))) == mx, b
+        assert bounded_quotient_extrema(b) == (mn, mx), b
 
 
 def test_dist_to_int_frozen_golden():
-    d3 = dist_to_int(GOLDEN, 3, DEEP)
-    d5 = dist_to_int(GOLDEN, 5, DEEP)
-    assert abs(d3.center - Fraction("0.1458980338")) < Fraction(1, 10**9)
-    assert abs(d5.center - Fraction("0.09016994375")) < Fraction(1, 10**9)
-    assert dist_to_int(GOLDEN, 0) == CertifiedValue(Fraction(0))
-    assert dist_to_int(GOLDEN, -3, DEEP).center == d3.center
+    d3 = dist_to_int(GOLDEN, 3)
+    d5 = dist_to_int(GOLDEN, 5)
+    assert d3 == QuadraticNumber(Fraction(7, 2), Fraction(-3, 2), 5)
+    assert d5 == QuadraticNumber(Fraction(-11, 2), Fraction(5, 2), 5)
+    assert abs(d3 - Fraction("0.1458980338")) < Fraction(1, 10**9)
+    assert abs(d5 - Fraction("0.09016994375")) < Fraction(1, 10**9)
+    assert dist_to_int(GOLDEN, 0) == 0
+    assert dist_to_int(GOLDEN, -3) == d3
 
 
 def test_residual_at_zero_is_fractional_part():
-    r0 = convergent_residual(GOLDEN, 0, DEEP)
-    theta = eval_theta(GOLDEN, DEEP)
-    assert r0.agrees_with(theta)
-    assert r0.center > Fraction(1, 2)  # not folded to the nearest integer
+    r0 = convergent_residual(GOLDEN, 0)
+    assert r0 == eval_theta(GOLDEN)
+    assert r0 > Fraction(1, 2)  # not folded to the nearest integer
+    assert convergent_residual(CFSpec(2, (), (1,)), 0) == eval_theta(GOLDEN)
     with pytest.raises(DomainError):
         convergent_residual(CFSpec(0, (2, 3), ()), 5)
 
@@ -230,32 +220,27 @@ def test_reversal_identity():
 def test_residual_identities_certified():
     """q_k |q_k t - p_k| = 1/(a_{k+1} + t_{k+2} + q_{k-1}/q_k) and
     q_k |q_{k-1} t - p_{k-1}| = 1/(1 + t_{k+1} q_{k-1}/q_k), checked as
-    overlapping certified intervals of width < 1e-25."""
+    exact equalities in the field of t."""
     for cf in CORPUS:
         conv = convergents(cf, 22)
         for k in range(1, 21):
-            _, phi = tail_and_reversal(cf, k, DEEP)
+            _, phi = tail_and_reversal(cf, k)
             assert phi == Fraction(conv[k - 1].q, conv[k].q)
-            r_k = convergent_residual(cf, k, DEEP).scale(conv[k].q)
-            denom = tail_and_reversal(cf, k + 2, DEEP)[0] + cf.quotient(k + 1) + phi
-            rhs = denom.reciprocal()
-            assert max(r_k.radius, rhs.radius) < Fraction(1, 10**25)
-            assert r_k.agrees_with(rhs)
-
-            r_prev = convergent_residual(cf, k - 1, DEEP).scale(conv[k].q)
-            denom2 = 1 + tail_and_reversal(cf, k + 1, DEEP)[0].scale(phi)
-            rhs2 = denom2.reciprocal()
-            assert max(r_prev.radius, rhs2.radius) < Fraction(1, 10**25)
-            assert r_prev.agrees_with(rhs2)
+            r_k = conv[k].q * convergent_residual(cf, k)
+            assert r_k == 1 / (tail_and_reversal(cf, k + 2)[0] + cf.quotient(k + 1) + phi)
+            r_prev = conv[k].q * convergent_residual(cf, k - 1)
+            assert r_prev == 1 / (1 + tail_and_reversal(cf, k + 1)[0] * phi)
 
 
 def test_residual_identity_frozen_sqrt2():
     conv = convergents(SQRT2_MINUS_1, 4)
     assert (conv[2].p, conv[2].q) == (2, 5)
-    lhs = convergent_residual(SQRT2_MINUS_1, 2, DEEP).scale(5)
-    assert abs(lhs.center - Fraction("0.355339059327376")) < Fraction(1, 10**12)
-    lhs_prev = convergent_residual(SQRT2_MINUS_1, 1, DEEP).scale(5)
-    assert abs(lhs_prev.center - Fraction("0.85786437626905")) < Fraction(1, 10**12)
+    lhs = 5 * convergent_residual(SQRT2_MINUS_1, 2)
+    assert lhs == QuadraticNumber(-35, 25, 2)
+    assert abs(lhs - Fraction("0.355339059327376")) < Fraction(1, 10**12)
+    lhs_prev = 5 * convergent_residual(SQRT2_MINUS_1, 1)
+    assert lhs_prev == QuadraticNumber(15, -10, 2)
+    assert abs(lhs_prev - Fraction("0.85786437626905")) < Fraction(1, 10**12)
 
 
 # ---- surrogate substitution ------------------------------------------------
@@ -278,11 +263,12 @@ def test_choose_surrogate_honors_min_radius(cf, N):
     assert c.q * c_next.q >= 10**12
 
 
-def test_surrogate_radius_is_read_like_eval_theta_eps():
-    # A float radius is read exactly, as eval_theta reads a float eps.
+def test_surrogate_float_radius_is_read_exactly():
+    # A float radius is read as its exact Fraction: the first pair past it.
     gs = gap_set(GOLDEN, 100, min_radius=1e-20)
     assert gs.radius <= Fraction(1e-20) < 3 * gs.radius
-    assert gs.radius == eval_theta(GOLDEN, 1e-20).radius
+    c, c_next = _pair_past_reference(GOLDEN, math.ceil(1 / Fraction(1e-20)))
+    assert gs.radius == Fraction(1, c.q * c_next.q)
     # A radius <= 0 can never be reached by deepening: refused up front.
     with pytest.raises(DomainError):
         gap_set(GOLDEN, 10, min_radius=Fraction(0))
@@ -424,17 +410,10 @@ def test_min_affine_mod_runs_long_expansions_without_recursion():
 def test_refusals_and_edge_values():
     with pytest.raises(DomainError):
         convergents(GOLDEN, 0)
-    with pytest.raises(ValueError):
-        CertifiedValue(1, -1)
-    half = CertifiedValue(Fraction(1, 2), Fraction(1, 10))
-    assert half - Fraction(1, 4) == CertifiedValue(Fraction(1, 4), Fraction(1, 10))
-    assert 1 - half == half
-    with pytest.raises(DomainError):
-        CertifiedValue(0, 1).reciprocal()
     rational = CFSpec(0, (2, 3), ())  # 3/7
     with pytest.raises(DomainError):
         choose_surrogate(rational, 5)
-    assert dist_to_int(rational, 2) == CertifiedValue(Fraction(1, 7), 0)
+    assert dist_to_int(rational, 2) == Fraction(1, 7)
     for call in (
         lambda: GOLDEN.tail(0),
         lambda: convergent_residual(GOLDEN, -1),

@@ -396,28 +396,27 @@ def test_regime_errors():
 
 
 def test_predicted_values_shape():
-    eps = Fraction(1, 10**12)
     tag = classify_regime(GOLDEN, 3)
-    vals = predicted_gap_values(GOLDEN, tag, eps)
+    vals = predicted_gap_values(GOLDEN, tag)
     assert len(vals) == 3
-    assert vals[2].agrees_with(vals[0] + vals[1])  # interval-1: third is the sum
+    assert vals[2] == vals[0] + vals[1]  # interval-1: third is the sum
 
 
-def _reference_predicted(cf, tag, eps):
-    """The predicted gaps as CertifiedValue arithmetic on two
-    convergent_residual calls, the formula the integer one replaced."""
-    part = Fraction(eps, 2 * tag.l + 3)
-    r_k = convergent_residual(cf, tag.k, part)
-    r_km1 = convergent_residual(cf, tag.k - 1, part)
-    if tag.l == 0:
-        return [r_k, r_km1, r_k + r_km1]
-    return [r_k, r_km1 - r_k.scale(tag.l), r_km1 - r_k.scale(tag.l - 1)]
+def _reference_predicted(cf, tag):
+    """The exact predicted gaps from two convergent_residual calls, and
+    the factor (|x|*q_k + |y|*q_{k-1}) of each gap x*r_k + y*r_{k-1}."""
+    r_k, r_km1 = convergent_residual(cf, tag.k), convergent_residual(cf, tag.k - 1)
+    c_km1, c_k = convergents(cf, tag.k + 1)[-2:]
+    mix = ((1, 0), (-tag.l, 1), (1 - tag.l, 1))
+    return ([x * r_k + y * r_km1 for x, y in mix],
+            [abs(x) * c_k.q + abs(y) * c_km1.q for x, y in mix])
 
 
-def _reference_matches(gs, predicted, N):
-    slack = N * gs.radius
+def _reference_matches(gs, reference, widths):
+    slack = gs.count * gs.radius
     return all(
-        any(abs(g - p.center) <= p.radius + slack for p in predicted) for g, _ in gs.gaps
+        any(abs(g - r) <= w * gs.radius + slack for r, w in zip(reference, widths))
+        for g, _ in gs.gaps
     )
 
 
@@ -459,22 +458,17 @@ def test_integer_regime_match_is_the_certified_formula(case):
 
     with mock.patch.object(gaps_module, "gap_set", shifted):
         tag, gs, predicted, ok = verify_regime(cf, N, min_radius=min_radius)
-    eps = Fraction(1, 16 * (cf.bound() + 2) * N * N)
-    if min_radius is not None:
-        eps = min(eps, min_radius)
-    reference = _reference_predicted(cf, tag, eps)
-    assert all(p.agrees_with(r) for p, r in zip(predicted, reference, strict=True))
-    assert ok == _reference_matches(gs, predicted, N)
+    reference, widths = _reference_predicted(cf, tag)
+    assert predicted_gap_values(cf, tag) == reference
+    # eta_j/q is within q_j*radius of r_j, so each prediction under the
+    # surrogate is within its width times the radius of the exact one.
+    for p, r, w in zip(predicted, reference, widths, strict=True):
+        assert abs(p - r) <= w * gs.radius
+    assert ok == _reference_matches(gs, reference, widths)
     if not shift:
         assert ok
-        # Read under the gap set's own surrogate, each length is a centre.
-        centres = {p.center for p in predicted}
-        assert all(g in centres for g, _ in gs.gaps)
-    for tiny in (Fraction(1, 3), Fraction(7, 10**20)):
-        values = predicted_gap_values(cf, tag, tiny)
-        assert all(v.radius <= tiny for v in values)
-        reference = _reference_predicted(cf, tag, tiny)
-        assert all(v.agrees_with(r) for v, r in zip(values, reference, strict=True))
+        # Read under the gap set's own surrogate, each length is predicted.
+        assert all(g in predicted for g, _ in gs.gaps)
 
 
 @given(irrational_cfs(), st.integers(min_value=1, max_value=250))
@@ -496,7 +490,6 @@ def test_float_radius_reads_as_its_exact_fraction():
     assert (tag, predicted, ok) == (want_tag, want_predicted, want_ok)
     assert (gs.denominator, gs.radius, gs.gap_nums) == (
         want_gs.denominator, want_gs.radius, want_gs.gap_nums)
-    assert predicted_gap_values(GOLDEN, tag, 1e-20) == predicted_gap_values(GOLDEN, tag, exact)
 
 
 def test_regime_prints_each_length_once(capsys):

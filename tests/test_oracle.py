@@ -17,6 +17,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp
 
 import badapprox
 from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, eval_theta, oracle, run_suite
+from badapprox.cf import _pair_past
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
     _COMPARE_TOL,
@@ -42,10 +43,11 @@ def test_high_precision_value():
     assert abs(float(rational) - 3 / 7) < 1e-15
 
 
-def _eval_theta_mpf(cf):
-    """high_precision_value as it read the centre off cf.eval_theta."""
+def _centre_mpf(cf):
+    """high_precision_value's centre: the exact value of a rational, else
+    p_K/q_K read straight off cf._pair_past."""
     with mp.workdps(ORACLE_DPS + 10):
-        c = eval_theta(cf, Fraction(1, 10 ** (ORACLE_DPS + 5))).center
+        c = eval_theta(cf) if cf.is_rational else _pair_past(cf, 10 ** (ORACLE_DPS + 5))[0].value
         return mp.mpf(c.numerator) / c.denominator
 
 
@@ -55,7 +57,17 @@ def test_high_precision_value_is_the_eval_theta_centre():
     cfs += [CFSpec(a0, cf.prefix, cf.period) for a0, cf in zip((-4, 1, 7), cfs)]
     cfs += [CFSpec(a0, prefix, ()) for a0 in (-2, 0, 3) for prefix in ((), (2,), (2, 3), (5, 7, 3))]
     for cf in cfs:
-        assert high_precision_value(cf)._mpf_ == _eval_theta_mpf(cf)._mpf_, cf
+        assert high_precision_value(cf)._mpf_ == _centre_mpf(cf)._mpf_, cf
+
+
+def test_high_precision_value_is_within_its_radius_of_eval_theta():
+    rng = random.Random(20261021)
+    for _ in range(200):
+        cf = random_cf(rng, rng.choice([2, 10, 1000]))
+        man, exp = high_precision_value(cf).man_exp
+        # The mpf's exact binary value against the exact theta.
+        error = abs(eval_theta(cf) - man * Fraction(2) ** exp)
+        assert error < Fraction(1, 10 ** (ORACLE_DPS + 5)), cf
 
 
 def test_brute_gap_points_golden():

@@ -70,9 +70,13 @@ def test_bench_rows_all_exit_zero(tmp_path):
     assert diversity == [f"diversity --theta golden --b 1 --rmax {r}" for r in (10, 25, 50, 100)]
     listings = [row["argv"] for row in report["cli"] if row["argv"].startswith("gaps --theta sqrt2")]
     assert listings == [f"gaps --theta sqrt2 --n {10**k}" for k in (3, 4, 5)]
+    for head in ("kron --theta sqrt2 --beta 1/3", "regime --theta sqrt2"):
+        sweep = [row["argv"] for row in report["cli"] if row["argv"].startswith(f"{head} --n 1")]
+        assert sweep == [f"{head} --n {10**k}" for k in (3, 6, 9)]
     for row in rows:
         assert row["exit_codes"] == [0], row
     crossing = report["crossing_unique"]
     assert [row["n"] for row in crossing] == [5, 8, 10, 20, 40]
     for row in rows + crossing:
         assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
+        assert row["speed"] > 0, row

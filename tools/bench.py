@@ -4,17 +4,21 @@ Usage: python tools/bench.py --out BENCH.json [--repeats K]
 
 For one fixed argv per subcommand (the README's examples, with
 `verify --cases 4`), for `witness` at every stage from 2 to 6, for
-`diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, and for
-the JSON listing `gaps --theta sqrt2` at N = 10^3, 10^4 and 10^5, it runs
-K in-process `cli.main` calls after one untimed warm-up call, and records
-the median and quartiles of their wall time. The same statistics cover K
-in-process `crossing_unique(n)` calls at n = 5, 8, 10, 20 and 40, the
-witness's exact uniqueness count alone. It also times K process starts of
-`badapprox fb --b 2`, from interpreter start to exit. Beside the times it
-records the git commit, the Python version and the machine speed relative
-to perfbench's reference, from perfbench's own calibration (a speed of 0.7
-means times here are about 1/0.7 of what the reference machine takes). At
-the default K the whole run takes well under a minute.
+`diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, for
+the JSON listing `gaps --theta sqrt2` at N = 10^3, 10^4 and 10^5, and
+for `kron --theta sqrt2 --beta 1/3` and `regime --theta sqrt2` at N =
+10^3, 10^6 and 10^9, it runs K in-process `cli.main` calls after one
+untimed warm-up call, and records the median and quartiles of their wall
+time. The same statistics cover K in-process `crossing_unique(n)` calls
+at n = 5, 8, 10, 20 and 40, the witness's exact uniqueness count alone.
+It also times K process starts of `badapprox fb --b 2`, from interpreter
+start to exit. Beside the times it records the git commit, the Python
+version and the machine speed relative to perfbench's reference, from
+perfbench's own calibration (a speed of 0.7 means times here are about
+1/0.7 of what the reference machine takes): once before all rows, and
+again just before each row's timed calls, beside that row, since the
+speed of a shared machine drifts. At the default K the whole run takes
+well under a minute.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ CALLS = (
     ("extremal", "--b", "1", "--n", "10"),
     ("convergence", "--b", "1", "--nmax", "6"),
     ("kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4"),
+    *(("kron", "--theta", "sqrt2", "--beta", "1/3", "--n", str(10**k)) for k in (3, 6, 9)),
+    *(("regime", "--theta", "sqrt2", "--n", str(10**k)) for k in (3, 6, 9)),
     ("sturmian", "--theta", "golden", "--n", "32"),
     *(("diversity", "--theta", "golden", "--b", "1", "--rmax", str(r)) for r in (10, 25, 50, 100)),
     *(("witness", "--n", str(n)) for n in range(2, 7)),
@@ -89,10 +95,17 @@ def time_process(argv) -> tuple[int, float]:
     return done.returncode, (time.perf_counter() - start) * 1e3
 
 
+def measured_speed() -> float:
+    """Machine speed relative to perfbench's reference, measured now."""
+    return speed(CALIBRATION_SAMPLES, sum(calibrate() for _ in range(CALIBRATION_SAMPLES)))
+
+
 def row(argv, repeats: int, timer) -> dict:
+    now = measured_speed()
     results = [timer(argv) for _ in range(repeats)]
     codes = sorted({code for code, _ in results})
-    return {"argv": " ".join(argv), "exit_codes": codes, **summary([ms for _, ms in results])}
+    return {"argv": " ".join(argv), "speed": now, "exit_codes": codes,
+            **summary([ms for _, ms in results])}
 
 
 def git(*args) -> str:
@@ -112,7 +125,7 @@ def main(argv=None) -> int:
         ap.error("--repeats must be at least 1")
 
     calibrate()  # its first call also imports numpy
-    cal_ns = sum(calibrate() for _ in range(CALIBRATION_SAMPLES))
+    whole_run = measured_speed()
     rows = []
     for call in CALLS:
         time_call(call)  # warm-up: imports and first-call caches
@@ -121,11 +134,13 @@ def main(argv=None) -> int:
         "git_sha": git("rev-parse", "HEAD") or "unknown",
         "git_dirty": bool(git("status", "--porcelain", "--", "src", "tools")),
         "python": sys.version.split()[0],
-        "speed": speed(CALIBRATION_SAMPLES, cal_ns),
+        "speed": whole_run,
         "repeats": args.repeats,
         "cli": rows,
         "crossing_unique": [
-            {"n": n, **summary([time_crossing(n) for _ in range(args.repeats)])} for n in CROSSING_STAGES
+            {"n": n, "speed": measured_speed(),
+             **summary([time_crossing(n) for _ in range(args.repeats)])}
+            for n in CROSSING_STAGES
         ],
         "process": row(PROCESS_CALL, args.repeats, time_process),
     }
