@@ -45,7 +45,7 @@ from .gaps import (
 from .kronecker import solve
 from .oracle import run_suite
 from .quadratic import QuadraticNumber
-from .render import DEFAULT_SIG_DIGITS, decimal_str
+from .render import DEFAULT_SIG_DIGITS, _json_str, decimal_str
 from .sturmian import (
     characteristic_bits,
     diversity_scan,
@@ -180,7 +180,7 @@ def _csv(rows) -> str:
 
 
 def _json(obj) -> str:
-    return _printed(json.dumps, obj, indent=2) + "\n"
+    return _printed(_json_str, obj) + "\n"
 
 
 def _flat(obj: dict, fmt: str) -> str:

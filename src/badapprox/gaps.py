@@ -87,10 +87,15 @@ class GapSet:
         a = min_affine_mod(N, q, p, p)[1] + 1
         # (q - 1 - n*p) mod q is least where n*p mod q is largest.
         b = min_affine_mod(N, q, -p, -p - 1)[1] + 1
+        if not (0 < a <= N and 0 < b <= N):
+            raise VerificationError("the successor walk's steps are out of range")
         # Neighbours n and n' are {(n' - n)*theta} apart.
         up, down, both = a * p % q, -b * p % q, (a - b) * p % q
         n = v = ups = downs = 0
         orders, nums = [0], [0]
+        # With 0 < a, b <= N every step lands in [0, N]: the third one,
+        # taken when n + a > N and n < b, gives n + a - b in (N - b, a).
+        seen = bytearray(N + 1)
         for _ in range(N + 1):
             if n + a <= N:
                 n += a
@@ -103,11 +108,13 @@ class GapSet:
             else:
                 n += a - b
                 v += both
+            seen[n] = 1
             orders.append(n)
             nums.append(v)
-        orders = tuple(orders)
-        if orders[-1] or len(set(orders)) != N + 1 or not 0 <= min(orders) <= max(orders) <= N:
+        # N + 1 steps mark all N + 1 multiples only if none comes twice.
+        if orders[-1] or seen.count(0):
             raise VerificationError("the successor walk does not visit each multiple once")
+        orders = tuple(orders)
         lengths = _merged(((up, ups), (down, downs), (both, N + 1 - ups - downs)))
         # A cyclic tour's forward distances add up to q times its windings,
         # and gap_nums adds up to q, so this also rules out a tour out of

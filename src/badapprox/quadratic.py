@@ -299,14 +299,7 @@ class QuadraticNumber:
 
     def floor(self) -> int:
         """Exact floor via integer square roots, no floating point."""
-        x, y, z = self._x, self._y, self._z
-        if y == 0:
-            return x // z
-        t = isqrt(y * y * self._d)
-        if y > 0:
-            # y*sqrt(d) lies strictly between t and t+1
-            return (x + t) // z
-        return (x - t - 1) // z
+        return _floor(self._x, self._y, self._z, self._d)
 
     # ---- rendering ----------------------------------------------------
 
@@ -344,6 +337,18 @@ def _make(x: int, y: int, z: int, d: int) -> QuadraticNumber:
     q._z = z
     q._d = d
     return q
+
+
+def _floor(x: int, y: int, z: int, d: int) -> int:
+    """floor((x + y*sqrt(d))/z) for integers, z > 0 and d not a perfect
+    square when y != 0."""
+    if y == 0:
+        return x // z
+    t = isqrt(y * y * d)
+    if y > 0:
+        # y*sqrt(d) lies strictly between t and t+1
+        return (x + t) // z
+    return (x - t - 1) // z
 
 
 def _one_field(p, q):

@@ -398,6 +398,24 @@ def test_integers_past_the_print_limit_are_domain_errors(capsys):
             render([[10**5000]])
 
 
+def test_an_integer_one_digit_past_the_print_limit_exits_1(capsys, monkeypatch):
+    # The JSON writer prints ints with int.__repr__, which raises past
+    # Python's digit limit; _printed makes that exit 1, not a traceback.
+    # A report one digit shorter prints.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this Python has no digit limit for str()")
+    for digits, want in ((limit, 0), (limit + 1, 1)):
+        row = badapprox.DiversityRow(r=2, max_agreement=10 ** (digits - 1), bound=1, passed=True)
+        monkeypatch.setattr(cli, "diversity_scan", lambda cf, b, rmax: [row])
+        code, out, err = run(capsys, "diversity", "--theta", "golden", "--b", "1", "--rmax", "2", "--format", "json")
+        assert code == want, digits
+        if want:
+            assert out == "" and err == f"error: {cli._TOO_LONG}\n"
+        else:
+            assert json.loads(out)["rows"][0]["max_agreement"] == 10 ** (digits - 1)
+
+
 def test_unprintable_witnesses_are_refused_before_any_work(capsys, monkeypatch):
     # N > 10^((stage + 1)*(digits(B) - 1))/2, so a product past the str()
     # limit can never print: exit 1 at once, with the message a late

@@ -346,6 +346,7 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
 
 def test_perturbed_walk_step_is_caught(monkeypatch):
     real = gaps_module.min_affine_mod
+    messages = set()
     for cf, N in ((GOLDEN, 200), (SQRT2_MINUS_1, 1000), (CFSpec(0, (2,), (1, 4)), 77)):
         for shift in (1, -1):
             gs = gap_set(cf, N, min_radius=DISPLAY)
@@ -355,13 +356,49 @@ def test_perturbed_walk_step_is_caught(monkeypatch):
                 return value, x + shift
 
             monkeypatch.setattr(gaps_module, "min_affine_mod", off_by_one)
-            with pytest.raises(VerificationError):
+            with pytest.raises(VerificationError) as caught:
                 gs.orders
+            messages.add(str(caught.value))
             # A failed walk publishes neither the order nor the numerators.
             assert "orders" not in gs.__dict__
             assert "nums" not in gs.__dict__
             monkeypatch.setattr(gaps_module, "min_affine_mod", real)
             assert gs.orders[0] == 0
+    # Both kinds of check fire: the golden and [0; 2, (1, 4)] walks are not
+    # back at 0 after N + 1 steps, and sqrt2's come back with steps of the
+    # wrong lengths.
+    assert messages == {
+        "the successor walk does not visit each multiple once",
+        "the successor walk disagrees with the three-distance gaps",
+    }
+
+
+def test_walk_step_range_and_visit_checks_each_fire(monkeypatch):
+    N = 201
+    gs = gap_set(GOLDEN, N, min_radius=DISPLAY)
+    out_of_range = "the successor walk's steps are out of range"
+    cases = (
+        # A step outside [1, N] would index seen[] past its end or wrap
+        # round from a negative n.
+        ((0, 5), out_of_range),
+        ((N + 1, 5), out_of_range),
+        ((5, 0), out_of_range),
+        ((5, N + 1), out_of_range),
+        ((-3, 5), out_of_range),
+        ((N + 1, N + 1), out_of_range),
+        # Steps +N and -N walk 0, N, 0, N, ...: back at 0 after the N + 1
+        # (even) steps, having seen two multiples.
+        ((N, N), "the successor walk does not visit each multiple once"),
+    )
+    for steps, message in cases:
+        argmins = iter(step - 1 for step in steps)
+        monkeypatch.setattr(gaps_module, "min_affine_mod", lambda *args: (0, next(argmins)))
+        with pytest.raises(VerificationError) as caught:
+            gs.orders
+        assert str(caught.value) == message, steps
+        assert "orders" not in gs.__dict__
+    monkeypatch.undo()
+    assert gs.orders[0] == 0
 
 
 def test_deep_extremal_stages_finish_fast():

@@ -1,11 +1,15 @@
+import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from badapprox.cf import SQRT2_MINUS_1, convergents
 from badapprox.quadratic import QuadraticNumber
-from badapprox.render import _floor_log10, _ratio_str, _ratios_str, decimal_str
+from badapprox.render import _decade, _json_str, _ratio_str, _ratios_str, decimal_str
 
 
 def test_integers_and_exact_decimals():
@@ -85,10 +89,10 @@ def test_exact_powers_of_ten():
     assert _ratio_str(7 * 10**30, 7 * 10**10, 3) == "100000000000000000000"
     for k in range(-60, 61):
         n, d = (10**k, 1) if k >= 0 else (1, 10**-k)
-        assert _floor_log10(n, d) == k
-        assert _floor_log10(n * 3, d * 3) == k
-        assert _floor_log10(n * 10 - 1, d) == k
-        assert _floor_log10(n, d * 10 - 1) == k - 1
+        assert _decade(n, d)[0] == k
+        assert _decade(n * 3, d * 3)[0] == k
+        assert _decade(n * 10 - 1, d)[0] == k
+        assert _decade(n, d * 10 - 1)[0] == k - 1
 
 
 def test_values_just_past_a_power_of_ten():
@@ -123,7 +127,12 @@ def _reference(n: int, d: int, sig: int) -> str:
         e += 1
     while x < _pow10(e):
         e -= 1
-    q = round(x * _pow10(sig - 1 - e))
+    return _formatted(round(x * _pow10(sig - 1 - e)), e, neg, sig)
+
+
+def _formatted(q: int, e: int, neg: bool, sig: int) -> str:
+    """The reference's text for q, sig significant digits of a value at
+    decimal exponent e, rounded."""
     if q >= 10**sig:
         q //= 10
         e += 1
@@ -249,3 +258,99 @@ def test_small_quadratic_keeps_every_digit():
 def test_zero_digits_are_refused():
     with pytest.raises(ValueError):
         decimal_str(Fraction(1, 3), 0)
+
+
+def test_quadratic_digits_are_correctly_rounded():
+    # x = 1/8 + (sqrt(2) - 1 - p/q) for the first convergent of sqrt2 with
+    # q >= 33461 is 0.1250000003...: an approximation within 10**-7 of it
+    # can be exactly 1/8, a tie that rounds half to even to 0.12.
+    p, q = next((c.p, c.q) for c in convergents(SQRT2_MINUS_1, 30) if c.q >= 33461)
+    x = Fraction(1, 8) + (QuadraticNumber.sqrt(2) - 1 - Fraction(p, q))
+    assert decimal_str(x, 2) == _quadratic_reference(x, 2) == "0.13"
+    assert decimal_str(-x, 2) == "-0.13"
+
+
+def _quadratic_reference(x: QuadraticNumber, sig: int) -> str:
+    """decimal_str of an irrational x from its exact comparisons with
+    powers of ten and one exact floor, floor(|x|*10**s + 1/2)."""
+    neg = x < 0
+    x = abs(x)
+    e = 0
+    while x >= _pow10(e + 1):
+        e += 1
+    while x < _pow10(e):
+        e -= 1
+    return _formatted(math.floor(x * _pow10(sig - 1 - e) + Fraction(1, 2)), e, neg, sig)
+
+
+_RADICANDS = st.sampled_from([2, 3, 5, 6, 7, 10, 13, 19, 41, 10**6 + 3])
+
+
+def _tail(d: int, k: int) -> QuadraticNumber:
+    """sqrt(d) less its first k decimals: irrational, in (0, 10**-k)."""
+    return QuadraticNumber.sqrt(d) - Fraction(math.isqrt(d * 10 ** (2 * k)), 10**k)
+
+
+@st.composite
+def _irrationals(draw):
+    """(x, sig): an irrational x and a digit count, drawn near half-way
+    points, as tiny differences of large coefficients, or at random."""
+    sig = draw(st.integers(1, 60))
+    d = draw(_RADICANDS)
+    kind = draw(st.sampled_from(["half", "cancel", "random"]))
+    if kind == "half":
+        # Within 10**-40 of a half-way point of the last digit, either side.
+        t = draw(st.integers(10 ** (sig - 1), 10**sig - 1))
+        half = Fraction(2 * t + 1, 2) * _pow10(draw(st.integers(-30, 10)) - sig)
+        tail = _tail(d, draw(st.integers(40, 90)))
+        x = half + tail if draw(st.booleans()) else half - tail
+    elif kind == "cancel":
+        # (sqrt(d) - isqrt(d))**j: coefficients that grow with j and cancel
+        # down to a value that shrinks with j (1.65e-565 at j = 200, d = 10**6 + 3).
+        j = draw(st.integers(1, 200))
+        x = (QuadraticNumber.sqrt(d) - math.isqrt(d)) ** j / draw(st.integers(1, 10**30))
+    else:
+        a = Fraction(draw(st.integers(-(10**40), 10**40)), draw(st.integers(1, 10**40)))
+        b = Fraction(draw(st.integers(1, 10**40)), draw(st.integers(1, 10**40)))
+        x = QuadraticNumber(a, b, d)
+    if draw(st.booleans()):
+        x = -x
+    return x, sig
+
+
+@settings(max_examples=500, deadline=None)
+@given(_irrationals())
+def test_quadratic_digits_match_the_exact_floor(case):
+    x, sig = case
+    assert decimal_str(x, sig) == _quadratic_reference(x, sig)
+
+
+def test_deep_cancellation_renders_quickly():
+    # The norm, not the coefficients, says how small such a value is: a
+    # value near 10**-383 with 383-digit coefficients costs a floor or two.
+    x = (QuadraticNumber.sqrt(2) - 1) ** 1000
+    start = time.perf_counter()
+    text = decimal_str(x, 10)
+    assert time.perf_counter() - start < 0.05
+    assert text == _quadratic_reference(x, 10) == "1.676156873e-383"
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308])
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.text(), min_size=1)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_str_matches_json_dumps(obj):
+    assert _json_str(obj) == json.dumps(obj, indent=2)

@@ -1,15 +1,25 @@
 import importlib.util
 import json
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import badapprox.cli as cli
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "count_code_lines.py"
-_SPEC = importlib.util.spec_from_file_location("count_code_lines", _PATH)
-count_code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(count_code_lines)
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_PATH = _TOOLS / "count_code_lines.py"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+count_code_lines = _load(_PATH)
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -52,6 +62,17 @@ def test_cli_prints_each_file_and_the_total(tmp_path, capsys):
     assert lines[-1].split()[1] == "total"
 
 
+def test_bench_kills_a_process_past_its_timeout(monkeypatch):
+    bench = _load(_TOOLS / "bench.py")
+    monkeypatch.setattr(bench, "PROCESS_TIMEOUT", 0.05)
+    start = time.perf_counter()
+    code, ms, peak_rss_mb = bench.time_process(bench.LISTING_CALL)
+    # The listing takes seconds; the run is killed long before that.
+    assert code == -signal.SIGKILL
+    assert ms < 1000 and time.perf_counter() - start < 1
+    assert peak_rss_mb > 0
+
+
 def test_bench_rows_all_exit_zero(tmp_path):
     out = tmp_path / "bench.json"
     done = subprocess.run(
@@ -62,7 +83,16 @@ def test_bench_rows_all_exit_zero(tmp_path):
     report = json.loads(out.read_text())
     assert report["repeats"] == 1 and report["speed"] > 0
     assert report["python"] == sys.version.split()[0]
-    rows = [*report["cli"], report["process"]]
+    assert len(report["git_diff_sha256"]) == 64
+    int(report["git_diff_sha256"], 16)
+    listing = report["listing"]
+    assert listing["argv"] == "gaps --theta sqrt2 --n 1048576 --precision-digits 40"
+    # The listing's own peak: its 2^20 points take more than the bench
+    # process it was spawned from (the floor of a child's peak on Linux),
+    # and far less than the whole machine.
+    assert 50 < report["bench_peak_rss_mb"] < listing["peak_rss_mb"] < 4096
+    assert report["process"]["peak_rss_mb"] > 0
+    rows = [*report["cli"], report["process"], listing]
     assert {row["argv"].split()[0] for row in report["cli"]} == set(cli._COMMANDS)
     witness = [row["argv"] for row in report["cli"] if row["argv"].startswith("witness")]
     assert witness == [f"witness --n {n}" for n in range(2, 7)]

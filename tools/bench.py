@@ -12,7 +12,14 @@ untimed warm-up call, and records the median and quartiles of their wall
 time. The same statistics cover K in-process `crossing_unique(n)` calls
 at n = 5, 8, 10, 20 and 40, the witness's exact uniqueness count alone.
 It also times K process starts of `badapprox fb --b 2`, from interpreter
-start to exit. Beside the times it records the git commit, the Python
+start to exit, and up to three process runs of the largest listing,
+`gaps --theta sqrt2 --n 1048576 --precision-digits 40`; both process rows
+record the largest peak RSS of one run, read with os.wait4, and a run is
+killed after 60 s. A child's peak on Linux counts from the RSS of this
+tool when it spawned the child, so the report also gives this tool's own
+peak, the floor under those figures. Beside the times it records the git commit,
+whether src/ or tools/ differ from it and the sha256 of that difference
+(`git diff HEAD -- src tools | sha256sum`), the Python
 version and the machine speed relative to perfbench's reference, from
 perfbench's own calibration (a speed of 0.7 means times here are about
 1/0.7 of what the reference machine takes): once before all rows, and
@@ -25,12 +32,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -60,6 +70,9 @@ CALLS = (
     ("verify", "--cases", "4"),
 )
 PROCESS_CALL = ("fb", "--b", "2")
+LISTING_CALL = ("gaps", "--theta", "sqrt2", "--n", "1048576", "--precision-digits", "40")
+LISTING_REPEATS = 3
+PROCESS_TIMEOUT = 60
 CROSSING_STAGES = (5, 8, 10, 20, 40)
 CALIBRATION_SAMPLES = 20
 
@@ -87,12 +100,28 @@ def time_crossing(n: int) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def time_process(argv) -> tuple[int, float]:
+def time_process(argv) -> tuple[int, float, float]:
+    """(exit code, wall ms, peak RSS in MB) of one process run, its output
+    discarded; a run still going after PROCESS_TIMEOUT seconds is killed.
+    os.wait4 reads this child's peak, where getrusage's RUSAGE_CHILDREN
+    would give the largest of all children so far. On Linux that peak
+    starts from this process's RSS at the spawn, which the child's exec
+    replaced, so only a peak above the report's bench_peak_rss_mb is
+    surely the child's own."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "badapprox.cli", *argv],
-                          capture_output=True, env=env, timeout=60)
-    return done.returncode, (time.perf_counter() - start) * 1e3
+    proc = subprocess.Popen([sys.executable, "-m", "badapprox.cli", *argv], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    killer = threading.Timer(PROCESS_TIMEOUT, proc.kill)
+    killer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        killer.cancel()
+    ms = (time.perf_counter() - start) * 1e3
+    # Reaped here, so Popen must not wait for it again.
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, ms, usage.ru_maxrss / 1024
 
 
 def measured_speed() -> float:
@@ -101,19 +130,25 @@ def measured_speed() -> float:
 
 
 def row(argv, repeats: int, timer) -> dict:
+    """Exit codes and wall-time statistics of `repeats` timed runs, and the
+    largest peak RSS when the timer reads one."""
     now = measured_speed()
     results = [timer(argv) for _ in range(repeats)]
-    codes = sorted({code for code, _ in results})
-    return {"argv": " ".join(argv), "speed": now, "exit_codes": codes,
-            **summary([ms for _, ms in results])}
+    out = {"argv": " ".join(argv), "speed": now,
+           "exit_codes": sorted({result[0] for result in results}),
+           **summary([result[1] for result in results])}
+    if len(results[0]) > 2:
+        out["peak_rss_mb"] = max(result[2] for result in results)
+    return out
 
 
-def git(*args) -> str:
+def git(*args) -> bytes:
+    """stdout of one git command in the repo, or nothing if it fails."""
     try:
-        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, timeout=10)
+        done = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, timeout=10)
     except OSError:
-        return ""
-    return done.stdout.strip() if done.returncode == 0 else ""
+        return b""
+    return done.stdout if done.returncode == 0 else b""
 
 
 def main(argv=None) -> int:
@@ -131,8 +166,10 @@ def main(argv=None) -> int:
         time_call(call)  # warm-up: imports and first-call caches
         rows.append(row(call, args.repeats, time_call))
     report = {
-        "git_sha": git("rev-parse", "HEAD") or "unknown",
-        "git_dirty": bool(git("status", "--porcelain", "--", "src", "tools")),
+        "git_sha": git("rev-parse", "HEAD").decode().strip() or "unknown",
+        "git_dirty": bool(git("status", "--porcelain", "--", "src", "tools").strip()),
+        # The tree timed is git_sha with this diff applied.
+        "git_diff_sha256": hashlib.sha256(git("diff", "HEAD", "--", "src", "tools")).hexdigest(),
         "python": sys.version.split()[0],
         "speed": whole_run,
         "repeats": args.repeats,
@@ -143,6 +180,9 @@ def main(argv=None) -> int:
             for n in CROSSING_STAGES
         ],
         "process": row(PROCESS_CALL, args.repeats, time_process),
+        "listing": row(LISTING_CALL, min(args.repeats, LISTING_REPEATS), time_process),
+        # The floor under every process row's peak_rss_mb, read after them.
+        "bench_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 0
