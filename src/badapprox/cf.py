@@ -6,9 +6,13 @@ Empty period means theta is rational and the expansion is finite.
 
 Every value that leaves this module is exact: a Fraction for a rational,
 and a QuadraticNumber for an eventually periodic expansion, which is a
-quadratic irrational (Lagrange). Convergents p_K/q_K still stand in for
-theta where points are sorted; the one enclosure left is GapSet.radius,
-which bounds |theta - p_K/q_K| for the surrogate a gap set is read under.
+quadratic irrational (Lagrange). eval_theta builds that irrational over
+the discriminant of its period as it stands, with no square factor taken
+out: QuadraticNumber needs a radicand only to be 1 or not a square, and
+treats two radicands whose product is a square as one field. Convergents
+p_K/q_K still stand in for theta where points are sorted or a target is
+bracketed; the one enclosure left is GapSet.radius, which bounds
+|theta - p_K/q_K| for the surrogate a gap set is read under.
 """
 
 from __future__ import annotations
@@ -19,12 +23,10 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, VerificationError
-from .quadratic import QuadraticNumber, _quotient, squarefree_decompose
-
-CERT_ROUNDS = 10  # surrogates certify tries before it gives up
+from .quadratic import QuadraticNumber, _quotient
 
 
 @dataclass(frozen=True)
@@ -246,23 +248,6 @@ def _pair_past(cf: CFSpec, least: int) -> tuple[Convergent, Convergent]:
     raise DomainError(f"rational expansion runs out before q_K*q_(K+1) >= {least}")
 
 
-def certify(attempt: Callable, min_radius: Fraction | None, what: str, **inputs):
-    """Deepen the surrogate until a strict comparison is decidable.
-
-    attempt(radius) works under a surrogate of at most that radius (None:
-    the policy depth) and returns the radius used and its result, None
-    while undecided. Each retry asks for 2**-40 of the last radius used.
-    """
-    radius = min_radius
-    for _ in range(CERT_ROUNDS):
-        radius, result = attempt(radius)
-        if result is not None:
-            return result
-        radius /= 2**40
-    given = ", ".join(f"{name} = {value}" for name, value in inputs.items())
-    raise VerificationError(f"could not certify {what} in {CERT_ROUNDS} rounds ({given})")
-
-
 def min_affine_mod(n: int, m: int, a: int, b: int) -> tuple[int, int]:
     """Minimum of (a*x + b) mod m over 0 <= x < n and the smallest x
     attaining it, in O(log m) integer steps.
@@ -320,16 +305,17 @@ def eval_theta(cf: CFSpec) -> Fraction | QuadraticNumber:
     convergents of [a0; prefix]. D is never a square: the infinite
     expansion [P1; P2, ...] equals [P1; ..., PL, itself], so its value is
     the positive root, and the value of an infinite expansion is
-    irrational. So squarefree_decompose leaves a radicand d > 1, and the
-    denominator Q*Y + Q_ > 0 has a nonzero norm.
+    irrational. That is all the arithmetic needs, so theta is built over
+    D itself, unreduced, and the denominator Q*Y + Q_ > 0 has a nonzero
+    norm.
     """
     if cf.is_rational:
         return cf.value()
     p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
     P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
-    s, d = squarefree_decompose((p - q_) ** 2 + 4 * q * p_)
-    u, w = p - q_, 2 * q  # Y = (u + s*sqrt(d))/w
-    return _quotient((P * u + P_ * w, P * s, 1, d), (Q * u + Q_ * w, Q * s, 1, d))
+    D = (p - q_) ** 2 + 4 * q * p_
+    u, w = p - q_, 2 * q  # Y = (u + sqrt(D))/w
+    return _quotient((P * u + P_ * w, P, 1, D), (Q * u + Q_ * w, Q, 1, D))
 
 
 def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:

@@ -258,7 +258,7 @@ def cmd_kron(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     beta = _parse_beta(args.beta)
     sig = args.precision_digits
-    sol = solve(cf, beta, args.n, min_radius=_display_radius(sig, args.n))
+    sol = solve(cf, beta, args.n)
     obj = {
         "n": sol.n,
         "p": sol.p,

@@ -30,7 +30,6 @@ from functools import cached_property
 from .cf import (
     CFSpec,
     Convergent,
-    certify,
     choose_surrogate,
     convergents,
     eval_theta,
@@ -48,6 +47,8 @@ MAX_POINTS = 2**20
 # 8:119, 9:111, 10:110, 11:101, 12:101. Every deeper stage up to 1000
 # gives up (VerificationError) in well under a second.
 MAX_STAGE = 1000
+# Surrogates the witness certification tries before it gives up.
+CERT_ROUNDS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +245,27 @@ def _merged(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(lengths.items()))
 
 
+def _surrogate(cf: CFSpec, N: int, min_radius: Fraction | None = None):
+    """(p mod q, q, depth, radius) of the fraction p/q that theta is read as
+    for N multiples.
+
+    A rational theta is its own p/q, at radius 0, and needs N < q, or
+    points coincide. An irrational one is the convergent p_K/q_K that
+    choose_surrogate picks for N (and min_radius), within radius
+    1/(q_K*q_(K+1)) of theta.
+    """
+    if cf.is_rational:
+        v = cf.value()
+        q = v.denominator
+        if N >= q:
+            raise CoincidentPointsError(
+                f"rational input with denominator {q} supports only N < {q}"
+            )
+        return v.numerator % q, q, len(cf.prefix), Fraction(0)
+    ck, ck1 = choose_surrogate(cf, N, min_radius)
+    return ck.p % ck.q, ck.q, ck.k, Fraction(1, ck.q * ck1.q)
+
+
 def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet:
     """Exact gap set of the first N multiples of theta modulo one.
 
@@ -261,22 +283,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         raise DomainError("need at least one multiple")
     if cf.is_integer:
         raise DomainError("integer input has every multiple at zero")
-    if cf.is_rational:
-        v = cf.value()
-        q = v.denominator
-        if N >= q:
-            raise CoincidentPointsError(
-                f"rational input with denominator {q} supports only N < {q}"
-            )
-        p = v.numerator % q
-        depth = len(cf.prefix)
-        radius = Fraction(0)
-    else:
-        ck, ck1 = choose_surrogate(cf, N, min_radius)
-        p, q = ck.p % ck.q, ck.q
-        depth = ck.k
-        radius = Fraction(1, ck.q * ck1.q)
-
+    p, q, depth, radius = _surrogate(cf, N, min_radius)
     gap_nums = _three_distance(cf, p, q, N + 1)
 
     if gap_nums[0][0] == 0:
@@ -472,17 +479,18 @@ class ExtremalWitness:
 
 def _witness_gap_set(cf, n, N, pair, h, constant, min_radius) -> GapSet:
     """The certified gap set of the witness at stage n of cf = [0; (bound,
-    1)]: cf.certify deepens the surrogate from min_radius until N*H < f is
-    decidable, or raises a VerificationError naming the bound and the
-    stage. Under every surrogate tried, H must be the predicted
-    combination of the residuals of pair exactly, and under the last one
-    the exact h must lie within N times its radius of H.
+    1)]: the surrogate deepens from min_radius (None: the policy depth),
+    each retry asking for 2**-40 of the last radius used, until N*H < f is
+    decidable, or after CERT_ROUNDS surrogates a VerificationError names
+    the bound and the stage. Under every surrogate tried, H must be the
+    predicted combination of the residuals of pair exactly, and under the
+    last one the exact h must lie within N times its radius of H.
     """
     bound = cf.period[0]
     coeff = (bound - 2) // 2
     c_odd, c_even = pair
-
-    def attempt(radius):
+    radius = min_radius
+    for _ in range(CERT_ROUNDS):
         gs = gap_set(cf, N, min_radius=radius)
         q, g = gs.denominator, gs.gap_nums[-1][0]
         # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
@@ -496,12 +504,15 @@ def _witness_gap_set(cf, n, N, pair, h, constant, min_radius) -> GapSet:
         u, v = gs.radius.numerator, gs.radius.denominator
         room, slack = constant * (q * v) - N * g * v, N * N * u * q
         if (room - slack).sign() > 0:
-            return gs.radius, gs
+            break
         if (room + slack).sign() < 0:
             raise VerificationError("witness product exceeds the sharp constant")
-        return gs.radius, None
-
-    gs = certify(attempt, min_radius, "the witness product", bound=bound, stage=n)
+        radius = gs.radius / 2**40
+    else:
+        raise VerificationError(
+            f"could not certify the witness product in {CERT_ROUNDS} rounds "
+            f"(bound = {bound}, stage = {n})"
+        )
     # h - H = (q_odd + coeff*q_even)*(p_K/q_K - theta), and that factor is
     # at most N in size.
     if abs(h - gs.largest) > N * gs.radius:

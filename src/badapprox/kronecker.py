@@ -5,98 +5,105 @@ admits integers 0 <= n <= N and |p| <= N with error below C(B)/(2N),
 where C(B) is the same sharp constant that governs the largest gap. The
 solver is the constructive argument behind that statement: take the
 nearest multiple of theta on either side of beta, each the minimum of an
-affine sequence modulo one, keep the nearer, and read (n, p) off it. The classical pigeonhole route only
+affine sequence modulo one, keep the nearer, and read (n, p) off it. The
+two sides are found under the fraction a gap set of N multiples reads
+theta as; which is nearer, the error and its comparison with C(B)/(2N)
+are decided on the exact theta. The classical pigeonhole route only
 promises a useful error once N reaches (B+2) times the square of the
 target resolution, which is kept around for comparison.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, certify, min_affine_mod
+from .cf import CFSpec, eval_theta, min_affine_mod
 from .errors import DomainError
-from .gaps import GapSet, gap_constant, gap_set
+from .gaps import _surrogate, gap_constant
 from .quadratic import QuadraticNumber
 
 
 @dataclass(frozen=True)
 class KroneckerSolution:
-    """One certified solution of the approximation problem."""
+    """One exact solution of the approximation problem."""
 
     n: int
     p: int
-    achieved: Fraction  # |n*theta - p - beta| under the exact surrogate
+    achieved: Fraction | QuadraticNumber  # |n*theta - p - beta| for theta itself
     bound: QuadraticNumber  # C(B) / (2N)
     legacy_bound: int  # (B+2) * N^2, the pigeonhole point count
     within_bound: bool
-    depth: int
 
 
-def solve(
-    cf: CFSpec,
-    beta: Fraction,
-    N: int,
-    *,
-    min_radius: Fraction | None = None,
-) -> KroneckerSolution:
-    """Best bracketing solution of |n*theta - p - beta| for 0 <= n <= N.
+def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
+    """The nearest point to beta among {n*theta}, 0 <= n <= N, and the
+    endpoint 1, with its error |n*theta - p - beta|.
 
-    theta must lie in (0, 1). Ties between the two bracketing points go to
-    the left one. When beta falls in the final gap and the nearer endpoint
-    is 1, the solution is (n, p) = (0, -1). cf.certify deepens the
-    surrogate from min_radius until the error compares strictly with
-    C(B)/(2N), or raises a VerificationError naming cf, N and beta.
+    theta must lie in (0, 1). Ties go to the left point. When the nearest
+    point is the endpoint 1, the solution is (n, p) = (0, -1).
+
+    theta is read as the p_K/q_K that gaps._surrogate picks for N (theta
+    itself when rational), and two min_affine_mod queries give the
+    multiples L and R whose points lie nearest to beta under it, on its
+    left and on its right, with p = floor(n*p_K/q_K) (-1 for the endpoint
+    1). Each error is then computed from the exact theta, the smaller one
+    kept, and within_bound is one exact comparison with C(B)/(2N).
+
+    The nearest point for theta itself is always L's or R's. The
+    substitution moves each point by at most delta = N/(q_K*q_(K+1)), below
+    1/(16(B+2)N). No two of the points 0, {theta}, ..., {N*theta}, 1 lie
+    closer than g = min ||m*theta|| over 1 <= m <= N, and g > 1/((B+2)N)
+    since ||m*theta|| >= ||q_k*theta|| > 1/((a_(k+1) + 2)*q_k) for
+    q_k <= m < q_(k+1). So delta < g/16: the points keep their order, and
+    L and R stay neighbours. The floors keep too: for 1 <= n <= N < q_K,
+    n*p_K/q_K lies at least 1/q_K from an integer, and
+    |n*theta - n*p_K/q_K| < 1/q_(K+1). If beta lies between the true points of L and R, they are
+    its true neighbours. Otherwise it lies within delta of one of them,
+    and every other point lies at least g - delta > delta from beta.
     """
     beta = Fraction(beta)
     if not 0 <= beta < 1:
         raise DomainError("target must lie in [0, 1)")
+    N = operator.index(N)
     if N < 1:
         raise DomainError("need at least one multiple")
     if cf.a0 != 0 or cf.is_integer:
         raise DomainError("theta must lie strictly between 0 and 1")
     B = cf.bound()
     bound = gap_constant(B) / (2 * N)
-
-    def attempt(radius):
-        gs = gap_set(cf, N, min_radius=radius)
-        n, p, achieved = _nearest_endpoint(gs, beta)
-        slack = N * gs.radius
-        # A genuine violation of the sharp bound is reported rather than
-        # hidden, so a caller (or the acceptance suite) can see it.
-        within = achieved + slack <= bound
-        if not within and achieved - slack <= bound:
-            return gs.radius, None
-        return gs.radius, KroneckerSolution(
-            n=n,
-            p=p,
-            achieved=achieved,
-            bound=bound,
-            legacy_bound=legacy_bound(B, N),
-            within_bound=within,
-            depth=gs.depth,
-        )
-
-    return certify(attempt, min_radius, "the error against C(B)/(2N)", cf=cf, N=N, beta=beta)
+    num, q, _, _ = _surrogate(cf, N)
+    theta = eval_theta(cf)
+    errors = [(abs(n * theta - p - beta), n, p) for n, p in _neighbours(num, q, N, beta)]
+    # min keeps the first of equal errors: the left one.
+    achieved, n, p = min(errors, key=lambda e: e[0])
+    return KroneckerSolution(
+        n=n,
+        p=p,
+        achieved=achieved,
+        bound=bound,
+        legacy_bound=legacy_bound(B, N),
+        within_bound=achieved < bound,
+    )
 
 
-def _nearest_endpoint(gs: GapSet, beta: Fraction) -> tuple[int, int, Fraction]:
-    q, num = gs.denominator, gs.numerator
+def _neighbours(num: int, q: int, N: int, beta: Fraction) -> list[tuple[int, int]]:
+    """(n, p) of the nearest point to beta under theta = num/q on its left,
+    then on its right, with p = floor(n*num/q); the endpoint 1 is (0, -1)."""
     u, d = beta.numerator, beta.denominator
     # Over q*d, the point of n lies (n*num*d - u*q) mod q*d to the right
     # of beta and (u*q - n*num*d) mod q*d to its left; n = 0 stands for the
     # point 0 on the left and for the point 1 on the right. A residue fixes
     # its n, since N < q.
-    d_right, n_right = min_affine_mod(gs.count + 1, q * d, num * d, -u * q)
-    d_left, n_left = min_affine_mod(gs.count + 1, q * d, -num * d, u * q)
-    if d_left <= d_right:
-        n, value, err = n_left, (u * q - d_left) // d, d_left
-    else:
-        n, value, err = n_right, (u * q + d_right) // d, d_right
-    # p = floor(n * theta*) from the exact residue value/q; the endpoint 1
-    # gives (n, p) = (0, -1).
-    return n, (n * num - value) // q, Fraction(err, q * d)
+    d_left, n_left = min_affine_mod(N + 1, q * d, -num * d, u * q)
+    d_right, n_right = min_affine_mod(N + 1, q * d, num * d, -u * q)
+    # The point's numerator over q is value = (u*q -+ distance)/d, and
+    # p = (n*num - value) // q; the endpoint 1 has value q.
+    return [
+        (n_left, (n_left * num - (u * q - d_left) // d) // q),
+        (n_right, (n_right * num - (u * q + d_right) // d) // q),
+    ]
 
 
 def legacy_bound(bound: int, N: int) -> int:

@@ -293,25 +293,10 @@ class OracleReport:
         return not self.failures
 
 
-def _close(num: int, den: int, approx) -> bool:
-    """Whether |num/den - approx| < _COMPARE_TOL for an mpf approx.
-
-    A non-finite approx (mantissa 0, nonzero exponent) is never close. A
-    positive exponent moves into the mantissa, which leaves the exp <= 0
-    that _all_close_dyadic takes.
-    """
-    sign, man, exp, _ = approx._mpf_
-    if not man and exp:
-        return False
-    if exp > 0:
-        man, exp = man << exp, 0
-    return _all_close_dyadic([num], den, [-man if sign else man], exp)
-
-
 def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
     """Whether |num/den - man * 2**exp| < _COMPARE_TOL for every pair of
     nums and mans, which must be of one length, at an exp <= 0 such as
-    _gap_keys' low or that of the Kronecker error in _close.
+    _gap_keys' low.
 
     Clearing den, 2**-exp and the tolerance's denominator leaves one
     integer comparison per pair, x * td < bound with x >= 0, which holds
@@ -366,13 +351,14 @@ def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
         N = rng.randint(1, 400)
         beta = random_beta(rng)
         tag = f"kron {cf.prefix}+{cf.period} N={N} beta={beta}"
-        sol = solve(cf, beta, N, min_radius=_DEEP_RADIUS)
+        sol = solve(cf, beta, N)
         theta = high_precision_value(cf)
         n, p, err = brute_kronecker(theta, beta, N)
         if (sol.n, sol.p) != (n, p):
             failures.append(f"{tag}: minimizer ({sol.n},{sol.p}) vs oracle ({n},{p})")
             continue
-        if not _close(sol.achieved.numerator, sol.achieved.denominator, err):
+        man, exp = _signed_man_exp(err)
+        if not abs(sol.achieved - man * Fraction(2) ** exp) < _COMPARE_TOL:
             failures.append(f"{tag}: achieved error drifts past tolerance")
             continue
         kron_done += 1

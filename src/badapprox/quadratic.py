@@ -5,10 +5,12 @@ gcd(x, y, z) = 1, the usual integral form of an element of Q(sqrt(d)).
 Every operation works on these integers and normalises its result with
 one gcd; `a` = x/z and `b` = y/z are read as Fractions on demand.
 
-Radicands are reduced by `squarefree_decompose` only where they enter:
-the public constructor and `QuadraticNumber.sqrt`. Trial division stops
-at a fixed limit, so d is squarefree as far as that limit and a final
-square test can tell, and it is 1 or not a perfect square. Two radicands
+Radicands are reduced by `squarefree_decompose` only where they enter
+through the public constructor and `QuadraticNumber.sqrt`. Trial division
+stops at a fixed limit, so d is squarefree as far as that limit and a
+final square test can tell. `cf.eval_theta` skips the reduction and
+builds theta over its discriminant as it stands. Either way d is 1 or
+not a perfect square, which is all the arithmetic needs. Two radicands
 whose product is a square name the same field; arithmetic, comparison and
 hashing treat them as one.
 
@@ -319,7 +321,7 @@ class QuadraticNumber:
 
 
 def _make(x: int, y: int, z: int, d: int) -> QuadraticNumber:
-    """(x + y*sqrt(d))/z in normal form; d is already reduced."""
+    """(x + y*sqrt(d))/z in normal form; d is 1 or not a perfect square."""
     if y == 0 or d == 1:
         x += y
         y = 0

@@ -22,10 +22,10 @@ from badapprox import (
     dist_to_int,
     eval_theta,
     expand_quadratic,
+    gap_constant,
     gap_set,
     preset,
     reversal_identity_check,
-    solve,
     tail_and_reversal,
 )
 from badapprox.cf import _pair_past, convergent_pairs, min_affine_mod
@@ -186,6 +186,29 @@ def test_eval_theta_equals_the_closed_forms_it_replaced():
         assert bounded_quotient_extrema(b) == (mn, mx), b
 
 
+def test_eval_theta_keeps_its_discriminant_and_equals_the_reduced_value():
+    # theta is built over its period's discriminant as it stands; the public
+    # constructor takes the square factors out. Both are one value.
+    rng = random.Random(32)
+    for bound in [2] * 100 + [10] * 100 + [1000] * 100:
+        cf = random_cf(rng, bound)
+        theta = eval_theta(cf)
+        reduced = QuadraticNumber(theta.a, theta.b, theta.d)
+        square = theta.d // reduced.d
+        assert square * reduced.d == theta.d and math.isqrt(square) ** 2 == square, cf
+        assert theta == reduced and hash(theta) == hash(reduced), cf
+        assert theta - reduced == 0 and theta * theta == reduced * reduced, cf
+    for b in range(1, 51):
+        theta = eval_theta(CFSpec(0, (), (b, 1)))
+        assert theta.d == b * b + 4 * b
+        reduced = QuadraticNumber(theta.a, theta.b, theta.d)
+        f = gap_constant(b)  # in the same field, over its own radicand
+        for got, want in ((f - theta, f - reduced), (theta * f, reduced * f),
+                          (theta / f, reduced / f)):
+            assert got == want and hash(got) == hash(want), b
+        assert theta < f
+
+
 def test_dist_to_int_frozen_golden():
     d3 = dist_to_int(GOLDEN, 3)
     d5 = dist_to_int(GOLDEN, 5)
@@ -273,7 +296,7 @@ def test_surrogate_float_radius_is_read_exactly():
     with pytest.raises(DomainError):
         gap_set(GOLDEN, 10, min_radius=Fraction(0))
     with pytest.raises(DomainError):
-        solve(GOLDEN, Fraction(1, 3), 10, min_radius=Fraction(-1, 10))
+        gap_set(GOLDEN, 10, min_radius=Fraction(-1, 10))
 
 
 def _pair_past_reference(cf, least):

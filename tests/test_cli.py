@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -113,6 +114,44 @@ def test_listing_sweep_is_pinned(capsys):
     assert md5.hexdigest() == "b4f0a9de87ac695d67a27f4fce7270e2"
 
 
+def _kron_sweep():
+    """argv of about 300 kron calls: four targets where the default
+    surrogate once misled the library, then random theta (bounds 2, 10 and
+    1000, and a few rationals) and targets, N up to 10^9, 1 to 40 digits."""
+    calls = [
+        ('{"a0": 0, "prefix": [4], "period": [2, 1]}', "57/500", 1),
+        ('{"a0": 0, "prefix": [1, 1], "period": [1, 1, 1, 1]}', "33/50", 240),
+        ('{"a0": 0, "prefix": [1, 1], "period": [1, 1, 1]}', "49/250", 235),
+        ('{"a0": 0, "prefix": [], "period": [1, 1, 1, 1, 1]}', "291/500", 96),
+    ]
+    rng = random.Random(32)
+    for i in range(296):
+        if i % 37 == 0:
+            cf = CFSpec(0, tuple(rng.randint(1, 9) for _ in range(rng.randint(2, 12))), ())
+            if cf.is_integer:
+                continue
+        else:
+            cf = random_cf(rng, rng.choice((2, 10, 1000)))
+        den = rng.randint(1, 1000)
+        calls.append((cf.to_json(), f"{rng.randrange(den)}/{den}", int(10 ** rng.uniform(0, 9))))
+    for i, (theta, beta, n) in enumerate(calls):
+        yield ["kron", "--theta", theta, "--beta", beta, "--n", str(n),
+               "--precision-digits", str(1 + i % 40)]
+
+
+def test_kron_sweep_is_pinned(capsys):
+    # md5 of the concatenated exit codes and stdout, as printed when each
+    # error was read under a surrogate deepened to the display radius.
+    md5, codes = hashlib.md5(), Counter()
+    for argv in _kron_sweep():
+        code, out, _ = run(capsys, *argv)
+        codes[code] += 1
+        md5.update(f"{code}\n{out}".encode())
+    # Rationals with N at or past their denominator exit 1.
+    assert codes == {0: 294, 1: 6}
+    assert md5.hexdigest() == "c46d9ef765f0ae04e6cf992e2e3071e4"
+
+
 def test_kron_json(capsys):
     code, out, _ = run(capsys, "kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4")
     assert code == 0
@@ -122,6 +161,18 @@ def test_kron_json(capsys):
     assert obj["bound"] == 0.2693375673
     assert obj["legacy_bound"] == 64
     assert obj["within_bound"] is True
+
+
+def test_kron_error_digits_are_theta_s_own(capsys):
+    # The error is 9.07991985146...e-12 (mpmath, 80 digits); read under a
+    # surrogate at the display radius it printed 9.0799198e-12.
+    theta = '{"a0": 0, "prefix": [], "period": [2, 1, 1, 2]}'
+    code, out, _ = run(capsys, "kron", "--theta", theta, "--beta", "319/687",
+                       "--n", "999565353", "--precision-digits", "8")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["n"], obj["p"]) == (888370466, 343450129)
+    assert obj["error"] == 9.0799199e-12
 
 
 def test_sturmian_bits(capsys):

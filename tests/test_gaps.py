@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import random
 import time
 from collections import Counter
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 import badapprox.cli as cli
 import badapprox.gaps as gaps_module
-import badapprox.kronecker as kronecker_module
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -29,6 +29,7 @@ from badapprox import (
     convergents,
     decimal_str,
     dist_to_int,
+    eval_theta,
     extremal_witness,
     gap_constant,
     gap_constant_bounds,
@@ -38,7 +39,7 @@ from badapprox import (
     solve,
     verify_regime,
 )
-from badapprox.cf import CERT_ROUNDS
+from badapprox.gaps import CERT_ROUNDS
 from badapprox.cli import _display_radius
 from badapprox.oracle import random_beta, random_cf
 
@@ -199,7 +200,28 @@ def test_rational_gap_set_matches_sorted_residues():
         _assert_matches_reference(gap_set(cf, N), *_surrogate(cf, N))
 
 
+def _exact_nearest(cf, beta, N):
+    """(n, p) of the nearest point to beta, left on ties, by bisection over
+    the exact points {n*theta} in a gap set's walk order."""
+    theta, gs = eval_theta(cf), gap_set(cf, N)
+
+    def point(i):
+        n = gs.orders[i]
+        p = math.floor(n * theta) if i <= N else -1  # the last is the endpoint 1
+        return n * theta - p, n, p
+
+    lo, hi = 0, N + 1  # point(lo) <= beta < point(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if point(mid)[0] <= beta else (lo, mid)
+    (x, *left), (y, *right) = point(lo), point(hi)
+    return tuple(left if beta - x <= y - beta else right)
+
+
 def test_solve_matches_residue_scan_at_40_digits():
+    # The residue scan under the 40-digit display surrogate and an exact
+    # bisection agree on random targets and on the points themselves; at
+    # the surrogate's midpoint of a gap only the exact theta decides.
     rng = random.Random(7)
     for _ in range(40):
         cf = random_cf(rng)
@@ -208,16 +230,17 @@ def test_solve_matches_residue_scan_at_40_digits():
         gs = gap_set(cf, N, min_radius=radius)
         i = rng.randrange(N + 1)
         lo, hi = gs.nums[i], gs.nums[i + 1]
-        # random targets, a point itself and a tie between two neighbours
-        for beta in (
-            random_beta(rng),
-            Fraction(lo, gs.denominator),
-            Fraction(lo + hi, 2 * gs.denominator),
+        theta = eval_theta(cf)
+        for beta, scanned in (
+            (random_beta(rng), True),
+            (Fraction(lo, gs.denominator), True),
+            (Fraction(lo + hi, 2 * gs.denominator), False),
         ):
-            sol = solve(cf, beta, N, min_radius=radius)
-            c = convergents(cf, sol.depth + 1)[sol.depth]
-            want = _scan_solve(c.p % c.q, c.q, N, beta)
-            assert (sol.n, sol.p, sol.achieved) == want
+            sol = solve(cf, beta, N)
+            assert (sol.n, sol.p) == _exact_nearest(cf, beta, N)
+            if scanned:
+                assert (sol.n, sol.p) == _scan_solve(gs.numerator, gs.denominator, N, beta)[:2]
+            assert sol.achieved == abs(sol.n * theta - sol.p - beta)
 
 
 def test_exotic_inputs_run_on_python_ints():
@@ -324,7 +347,6 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
     extremal_witness(2, 6, min_radius=DISPLAY)
     made += _record_gap_sets(monkeypatch, cli)
-    made += _record_gap_sets(monkeypatch, kronecker_module)
     for argv in (
         ["gaps", "--theta", "golden", "--n", "3000", "--format", "csv"],
         ["kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "300000"],

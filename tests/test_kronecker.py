@@ -1,33 +1,33 @@
+import math
 import random
 import time
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import badapprox.kronecker as kronecker_module
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
     CFSpec,
     DomainError,
-    VerificationError,
     decimal_str,
+    eval_theta,
     extremal_witness,
     gap_constant,
     gap_set,
     legacy_bound,
     solve,
 )
-from badapprox.cf import CERT_ROUNDS
-from badapprox.cli import _display_radius
-from badapprox.oracle import high_precision_value
+from badapprox.oracle import high_precision_value, random_beta, random_cf
 
 DEEP = Fraction(1, 10**30)
 
 
 def test_frozen_golden_half():
-    sol = solve(GOLDEN, Fraction(1, 2), 3, min_radius=DEEP)
+    sol = solve(GOLDEN, Fraction(1, 2), 3)
     assert (sol.n, sol.p) == (1, 0)
     assert decimal_str(sol.achieved) == "0.1180339887"
     assert decimal_str(sol.bound) == "0.3157378652"
@@ -36,7 +36,7 @@ def test_frozen_golden_half():
 
 
 def test_frozen_sqrt2():
-    sol = solve(SQRT2_MINUS_1, Fraction(9, 10), 4, min_radius=DEEP)
+    sol = solve(SQRT2_MINUS_1, Fraction(9, 10), 4)
     assert (sol.n, sol.p) == (2, 0)
     assert decimal_str(sol.achieved) == "0.07157287525"
     assert decimal_str(sol.bound) == "0.2693375673"
@@ -53,23 +53,51 @@ def test_edge_targets():
     assert near_one.achieved == Fraction(1, 100)
 
 
+def _error(cf, sol, beta):
+    """|n*theta - p - beta| for the exact theta."""
+    return abs(sol.n * eval_theta(cf) - sol.p - beta)
+
+
 def test_exact_hit_recovers_the_multiple():
+    # On a rational theta every point is exact, so a point hits.
+    cf = CFSpec(0, (1, 2, 3, 4, 5), ())
+    gs = gap_set(cf, 100)
+    num = int(gs.nums[37])
+    sol = solve(cf, Fraction(num, gs.denominator), 100)
+    assert sol.achieved == 0
+    assert sol.n == gs.order_of(num)
+    assert sol.n * gs.numerator - sol.p * gs.denominator == num
+    # A deep surrogate's point lies within 20*DEEP of golden's, far nearer
+    # than any other point, so it recovers the same multiple.
     gs = gap_set(GOLDEN, 20, min_radius=DEEP)
     num = int(gs.nums[5])
-    n0 = gs.order_of(num)
-    sol = solve(GOLDEN, Fraction(num, gs.denominator), 20, min_radius=DEEP)
-    assert sol.achieved == 0
-    assert sol.n == n0
-    # n*theta - p lands exactly on the target
+    beta = Fraction(num, gs.denominator)
+    sol = solve(GOLDEN, beta, 20)
+    assert sol.n == gs.order_of(num)
     assert sol.n * gs.numerator - sol.p * gs.denominator == num
+    assert sol.achieved == _error(GOLDEN, sol, beta) != 0
 
 
 def test_midpoint_of_largest_gap_is_worst_case():
-    for cf, N in ((GOLDEN, 30), (SQRT2_MINUS_1, 45), (CFSpec(0, (), (3, 1)), 60)):
+    w = extremal_witness(3, 8)
+    cases = ((GOLDEN, 30), (SQRT2_MINUS_1, 45), (CFSpec(0, (), (3, 1)), 60),
+             (CFSpec(0, (1, 2, 3, 4, 5), ()), 150), (w.theta, w.count))
+    for cf, N in cases:
         gs = gap_set(cf, N, min_radius=DEEP)
         lo, hi = gs.largest_gap_span()
-        sol = solve(cf, (lo + hi) / 2, N, min_radius=DEEP)
-        assert sol.achieved == gs.largest / 2
+        beta = (lo + hi) / 2
+        sol = solve(cf, beta, N)
+        if cf.is_rational:
+            assert sol.achieved == gs.largest / 2
+        else:
+            # The exact error at whichever end of the gap is nearer.
+            ends = [gs.order_of(v) for v in (lo * gs.denominator, hi * gs.denominator)]
+            theta = eval_theta(cf)
+            points = [n * theta - math.floor(n * theta) for n in ends]
+            points[1] += hi == 1  # the endpoint 1 belongs to n = 0
+            errors = [abs(x - beta) for x in points]
+            assert sol.n in ends
+            assert sol.achieved == min(errors) == _error(cf, sol, beta)
         assert sol.within_bound  # even the worst target stays under C(B)/(2N)
 
 
@@ -131,39 +159,65 @@ def test_long_rational_at_a_full_cycle():
 
 def test_solve_at_a_billion_points_builds_none():
     N = 10**9
+    beta = Fraction(1, 3)
     start = time.perf_counter()
-    sol = solve(GOLDEN, Fraction(1, 3), N, min_radius=_display_radius(40, N))
+    sol = solve(GOLDEN, beta, N)
     assert time.perf_counter() - start < 1.0
     assert sol.within_bound and 0 <= sol.n <= N
+    assert sol.achieved == _error(GOLDEN, sol, beta)
     theta = high_precision_value(GOLDEN)
     with mpmath.workdps(80):
         err = abs(sol.n * theta - sol.p - mpmath.mpf(1) / 3)
-        assert abs(err - mpmath.mpf(sol.achieved.numerator) / sol.achieved.denominator) < mpmath.mpf(10) ** -45
-    assert sol.achieved < 1 / N
+        exact = sol.achieved.as_fraction_approx(60)
+        assert abs(err - mpmath.mpf(exact.numerator) / exact.denominator) < mpmath.mpf(10) ** -45
+    assert sol.achieved < Fraction(1, N)
 
 
-def test_solve_gives_up_when_the_surrogate_never_deepens(monkeypatch):
-    # Beta in the middle of the extremal witness's largest gap leaves the
-    # error within the policy surrogate's slack of C(B)/(2N).
-    w = extremal_witness(3, 8)
-    lo, hi = gap_set(w.theta, w.count).largest_gap_span()
-    beta = (lo + hi) / 2
-    real = kronecker_module.gap_set
-    radii = []
+def _brute_nearest(cf, beta, N):
+    """(n, p, error) of the nearest point to beta, by an exact scan of every
+    0 <= n <= N with p the integer nearest n*theta - beta; the first
+    strict improvement is kept."""
+    theta = eval_theta(cf)
+    best = None
+    for n in range(N + 1):
+        x = n * theta - beta
+        p = math.floor(x + Fraction(1, 2))
+        err = abs(x - p)
+        if best is None or err < best[2]:
+            best = n, p, err
+    return best
 
-    def never_deeper(cf, N, min_radius=None):
-        radii.append(min_radius)
-        return real(cf, N)
 
-    monkeypatch.setattr(kronecker_module, "gap_set", never_deeper)
-    with pytest.raises(VerificationError) as err:
-        solve(w.theta, beta, w.count)
-    # Each retry asks for 2**-40 of the radius the last attempt used.
-    used = real(w.theta, w.count).radius
-    assert radii == [None] + [used / 2**40] * (CERT_ROUNDS - 1)
-    message = str(err.value)
-    assert message.startswith("could not certify the error against C(B)/(2N)")
-    assert f"cf = {w.theta}, N = {w.count}, beta = {beta}" in message
-    # Deepening for real decides it, inside the bound.
-    monkeypatch.undo()
-    assert solve(w.theta, beta, w.count).within_bound
+# At its default surrogate, the solver once returned a multiple that is
+# not the nearest on each of these: the surrogate's error decided.
+@pytest.mark.parametrize(
+    "cf, beta, N, want",
+    [
+        (CFSpec(0, (4,), (2, 1)), Fraction(57, 500), 1, (0, 0)),
+        (CFSpec(0, (1, 1), (1, 1, 1, 1)), Fraction(33, 50), 240, (103, 63)),
+        (CFSpec(0, (1, 1), (1, 1, 1)), Fraction(49, 250), 235, (44, 27)),
+        (CFSpec(0, (), (1, 1, 1, 1, 1)), Fraction(291, 500), 96, (43, 26)),
+    ],
+)
+def test_solve_returns_the_nearest_multiple_where_the_surrogate_misled(cf, beta, N, want):
+    sol = solve(cf, beta, N)
+    assert (sol.n, sol.p) == want
+    assert (sol.n, sol.p, sol.achieved) == _brute_nearest(cf, beta, N)
+    assert sol.achieved == _error(cf, sol, beta)
+    if want == (0, 0):
+        assert sol.achieved == Fraction(57, 500)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    bound=st.sampled_from([2, 10, 1000]),
+    N=st.integers(1, 300),
+)
+def test_solve_is_the_exact_brute_force_nearest(seed, bound, N):
+    rng = random.Random(seed)
+    cf = random_cf(rng, bound)
+    beta = random_beta(rng)
+    sol = solve(cf, beta, N)
+    assert (sol.n, sol.p, sol.achieved) == _brute_nearest(cf, beta, N)
+    assert sol.within_bound == (sol.achieved < gap_constant(cf.bound()) / (2 * N))
