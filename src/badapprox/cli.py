@@ -45,7 +45,7 @@ from .gaps import (
 from .kronecker import solve
 from .oracle import run_suite
 from .quadratic import QuadraticNumber
-from .render import DEFAULT_SIG_DIGITS, _json_str, decimal_str
+from .render import DEFAULT_SIG_DIGITS, _json_str, _ratios_str, decimal_str
 from .sturmian import (
     characteristic_bits,
     diversity_scan,
@@ -211,13 +211,16 @@ def cmd_regime(args) -> tuple[str, bool]:
     if args.format == "csv":
         rows = [("n", "k", "l", "case", "matches"), (args.n, tag.k, tag.l, tag.case, ok)]
         return _csv(rows), not ok
+    # Each prediction is a numerator over the gap set's q in lowest terms,
+    # so all three render in one run over q, as the lengths do.
+    q = gs.denominator
     obj = {
         "n": args.n,
         "k": tag.k,
         "l": tag.l,
         "case": tag.case,
         "gaps": gs.length_strs(sig),
-        "predicted": [decimal_str(p, sig) for p in predicted],
+        "predicted": _ratios_str([p.numerator * (q // p.denominator) for p in predicted], q, sig),
         "matches": ok,
     }
     return _json(obj), not ok

@@ -18,6 +18,12 @@ multiple to its right neighbour using only the multiples of the
 smallest and the largest point. The walk must visit every multiple once
 and its steps must give back the theorem's lengths exactly, and since
 those add up to exactly one, this certifies the order.
+
+The extremal witness builds no GapSet. One walk of the convergents of
+theta = [0; (B, 1)], as plain ints, gives its pair, its N, its
+three-distance bracket and the surrogate of every certification round;
+each round runs gap_set's checks on the lengths under p_K/q_K and
+decides N*H < f(B) as one exact sign on f's integers.
 """
 
 from __future__ import annotations
@@ -25,18 +31,19 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .cf import (
     CFSpec,
     Convergent,
+    _least_product,
     choose_surrogate,
     convergents,
     eval_theta,
     min_affine_mod,
 )
 from .errors import CoincidentPointsError, DomainError, VerificationError
-from .quadratic import QuadraticNumber
+from .quadratic import QuadraticNumber, _sign
 
 # Most multiples a listing puts in order; reading GapSet.orders (or the
 # points built on it) past this raises DomainError before the walk runs.
@@ -222,6 +229,13 @@ def _three_distance(cf: CFSpec, p: int, q: int, n: int) -> tuple[tuple[int, int]
         if n < q_next + q_k:
             break
         p_km1, q_km1, p_k, q_k = p_k, q_k, p_next, q_next
+    return _distances((p_km1, q_km1, p_k, q_k), p, q, n)
+
+
+def _distances(bracket, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
+    """_three_distance's lengths from its bracket (p_(k-1), q_(k-1), p_k,
+    q_k), which depends on n alone, read under p/q."""
+    p_km1, q_km1, p_k, q_k = bracket
     m, r = divmod(n - q_km1, q_k)
     eta_k = abs(q_k * p - p_k * q)
     eta_km1 = abs(q_km1 * p - p_km1 * q)
@@ -284,13 +298,26 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
     if cf.is_integer:
         raise DomainError("integer input has every multiple at zero")
     p, q, depth, radius = _surrogate(cf, N, min_radius)
-    gap_nums = _three_distance(cf, p, q, N + 1)
-
-    if gap_nums[0][0] == 0:
-        raise CoincidentPointsError("coincident points in the multiple set")
     # A rational theta can split the interval evenly (one gap length);
     # an irrational one always produces two or three.
-    fewest = 1 if cf.is_rational else 2
+    gap_nums = _checked(_three_distance(cf, p, q, N + 1), q, N, 1 if cf.is_rational else 2)
+    return GapSet(
+        count=N,
+        numerator=p,
+        denominator=q,
+        depth=depth,
+        radius=radius,
+        gap_nums=gap_nums,
+    )
+
+
+def _checked(gap_nums, q: int, N: int, fewest: int = 2) -> tuple[tuple[int, int], ...]:
+    """gap_nums, the N + 1 gaps of N multiples under p/q, once the
+    three-distance facts hold exactly: no coincident points, fewest to
+    three lengths, with three the largest the sum of the other two, the
+    lengths adding up to q and the multiplicities to N + 1."""
+    if gap_nums[0][0] == 0:
+        raise CoincidentPointsError("coincident points in the multiple set")
     if not fewest <= len(gap_nums) <= 3:
         raise VerificationError(
             f"{len(gap_nums)} distinct gap lengths; two or three must occur"
@@ -301,15 +328,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
         raise VerificationError("gaps do not cover the unit interval")
     if sum(m for _, m in gap_nums) != N + 1:
         raise VerificationError("gap multiplicities do not count N + 1 gaps")
-
-    return GapSet(
-        count=N,
-        numerator=p,
-        denominator=q,
-        depth=depth,
-        radius=radius,
-        gap_nums=gap_nums,
-    )
+    return gap_nums
 
 
 # ---- regime classification -------------------------------------------
@@ -449,7 +468,8 @@ class ExtremalWitness:
     pair holds c_{2n-1} and c_{2n}, whose residuals make up the largest
     gap; h is that gap for theta itself and gap_to_f the exact f - N*h,
     both in the constant's own field. largest and product are read under
-    the surrogate p_K/q_K (depth K, within radius of theta).
+    the surrogate p_K/q_K that certified N*H < f: depth K, within radius
+    1/(q_K*q_(K+1)) of theta.
     """
 
     bound: int
@@ -467,57 +487,124 @@ class ExtremalWitness:
 
     def at_radius(self, radius: Fraction) -> ExtremalWitness:
         """This witness read under a surrogate within radius of theta: itself
-        when it already is, else with only the gap-set certification rerun
-        from radius; N, f, h and gap_to_f carry over."""
+        when it already is, else with only the certification rounds rerun
+        from radius; N, the pair, f, h and gap_to_f carry over."""
         if self.radius <= radius:
             return self
-        gs = _witness_gap_set(self.theta, self.n, self.count, self.pair, self.h,
-                              self.constant, radius)
-        return replace(self, largest=gs.largest, product=gs.product, depth=gs.depth,
-                       radius=gs.radius)
+        return replace(self, **_certified(_Walk(self.bound), self.count, self.pair, self.h,
+                                          self.constant, radius))
 
 
-def _witness_gap_set(cf, n, N, pair, h, constant, min_radius) -> GapSet:
-    """The certified gap set of the witness at stage n of cf = [0; (bound,
-    1)]: the surrogate deepens from min_radius (None: the policy depth),
-    each retry asking for 2**-40 of the last radius used, until N*H < f is
+class _Walk:
+    """p_k and q_k, k = 0, 1, ..., of theta = [0; (bound, 1)] as two lists
+    of ints, grown on demand. One walk gives the witness its pair, its
+    three-distance bracket and every surrogate its certification tries."""
+
+    __slots__ = ("bound", "ps", "qs")
+
+    def __init__(self, bound: int):
+        self.bound, self.ps, self.qs = bound, [0, 1], [1, bound]
+
+    def grow(self, k: int, least: int = 0) -> None:
+        """Grow the lists through index k and until their last two q's
+        multiply to least or more.
+
+        They grow two steps at a time, a_j = 1 at even j and bound at odd
+        j, so they always end at an odd index."""
+        b, ps, qs = self.bound, self.ps, self.qs
+        p_, p, q_, q = ps[-2], ps[-1], qs[-2], qs[-1]
+        while len(qs) <= k or q_ * q < least:
+            p_, p, q_, q = p, p + p_, q, q + q_
+            ps.append(p)
+            qs.append(q)
+            p_, p, q_, q = p, b * p + p_, q, b * q + q_
+            ps.append(p)
+            qs.append(q)
+
+
+def _next_surrogate(walk: _Walk, K: int, least: int) -> int:
+    """The first depth K' >= K with q_K'*q_(K'+1) >= least: the surrogate
+    choose_surrogate picks for least when no pair below K reaches it."""
+    walk.grow(K + 1, least)
+    qs = walk.qs
+    while qs[K] * qs[K + 1] < least:
+        K += 1
+    return K
+
+
+def _certified(walk: _Walk, N: int, pair, h: QuadraticNumber, constant: QuadraticNumber,
+               min_radius) -> dict:
+    """largest, product, depth and radius of the witness for N multiples
+    of walk's theta, with pair = (c_{2n-1}, c_{2n}).
+
+    Rounds try the surrogates gap_set would read: the first from
+    min_radius (None: the policy depth q_K*q_(K+1) > 16*(B+2)*N^2), each
+    retry asking for 2**-40 of the last radius used, until N*H < f is
     decidable, or after CERT_ROUNDS surrogates a VerificationError names
-    the bound and the stage. Under every surrogate tried, H must be the
-    predicted combination of the residuals of pair exactly, and under the
-    last one the exact h must lie within N times its radius of H.
+    the bound and the stage. The least product a round asks for only
+    grows, so each round goes on from the last depth. Under every
+    surrogate tried, the three-distance lengths must pass gap_set's checks
+    and H must be the predicted combination of the residuals of pair
+    exactly; under the last one the exact h must lie within N times its
+    radius of H. Every step is integer arithmetic and exact signs.
     """
-    bound = cf.period[0]
+    bound, ps, qs = walk.bound, walk.ps, walk.qs
     coeff = (bound - 2) // 2
     c_odd, c_even = pair
-    radius = min_radius
+    # The three-distance bracket of the N + 1 gaps depends on N alone. Two
+    # q's that multiply to (N + 1)^2 or more add up to more than N + 1, so
+    # the scan stops inside the walk; N >= B = q_1 takes it past k = 0.
+    walk.grow(1, (N + 1) ** 2)
+    k = 0
+    while qs[k + 1] + qs[k] <= N + 1:
+        k += 1
+    bracket = (ps[k - 1], qs[k - 1], ps[k], qs[k])
+    least = 16 * (bound + 2) * N * N + 1
+    if min_radius is not None:
+        least = max(least, _least_product(min_radius))
+    fx, fy, fz, fd = constant._x, constant._y, constant._z, constant._d
+    K = 0
     for _ in range(CERT_ROUNDS):
-        gs = gap_set(cf, N, min_radius=radius)
-        q, g = gs.denominator, gs.gap_nums[-1][0]
+        K = _next_surrogate(walk, K, least)
+        q, v = qs[K], qs[K] * qs[K + 1]
+        p = ps[K] % q
+        g = _checked(_distances(bracket, p, q, N + 1), q, N)[-1][0]
         # Exact residuals |q_j * p_K - p_j * q_K| under the same surrogate.
-        res_odd, res_even = (abs(c.q * gs.numerator - c.p * q) for c in (c_odd, c_even))
+        res_odd, res_even = (abs(c.q * p - c.p * q) for c in (c_odd, c_even))
         if res_odd - coeff * res_even != g:
             raise VerificationError(
                 "predicted largest gap disagrees with the computed one"
             )
-        # N*H = N*g/q and its slack N^2*radius = N^2*u/v, all over q*v:
-        # each comparison with f is one exact sign in f's field.
-        u, v = gs.radius.numerator, gs.radius.denominator
-        room, slack = constant * (q * v) - N * g * v, N * N * u * q
-        if (room - slack).sign() > 0:
+        # N*H = N*g/q and its slack N^2*radius = N^2/v, all over q*v: each
+        # comparison with f is the exact sign of f*q*v - N*g*v -+ N^2*q.
+        room, slack, root = fx * q * v - fz * N * g * v, fz * N * N * q, fy * q * v
+        if _sign(room - slack, root, fd) > 0:
             break
-        if (room + slack).sign() < 0:
+        if _sign(room + slack, root, fd) < 0:
             raise VerificationError("witness product exceeds the sharp constant")
-        radius = gs.radius / 2**40
+        least = v << 40
     else:
         raise VerificationError(
             f"could not certify the witness product in {CERT_ROUNDS} rounds "
-            f"(bound = {bound}, stage = {n})"
+            f"(bound = {bound}, stage = {c_even.k // 2})"
         )
     # h - H = (q_odd + coeff*q_even)*(p_K/q_K - theta), and that factor is
-    # at most N in size.
-    if abs(h - gs.largest) > N * gs.radius:
+    # at most N in size: (h - H)*q*v must lie in [-N*q, N*q].
+    hx, hy, hz, hd = h._x, h._y, h._z, h._d
+    centre, edge, root = hx * q * v - hz * g * v, hz * N * q, hy * q * v
+    if _sign(centre - edge, root, hd) > 0 or _sign(centre + edge, root, hd) < 0:
         raise VerificationError("the exact largest gap escapes the computed one")
-    return gs
+    return {"largest": Fraction(g, q), "product": Fraction(N * g, q), "depth": K,
+            "radius": Fraction(1, v)}
+
+
+@lru_cache(maxsize=1)
+def _witness_field(bound: int) -> tuple[CFSpec, QuadraticNumber, QuadraticNumber]:
+    """theta = [0; (bound, 1)], the constant f(bound) and theta's exact
+    value, which lies in f's field. A convergence table asks for one bound
+    stage after stage, so the last bound's three are kept."""
+    cf = CFSpec(0, (), (bound, 1))
+    return cf, gap_constant(bound), eval_theta(cf)
 
 
 def extremal_witness(
@@ -529,11 +616,12 @@ def extremal_witness(
     edge. The largest gap is predicted as a signed combination of two
     convergent residuals. theta is a root of bound*x^2 + bound*x - 1, so
     that combination is computed exactly for theta itself, as h in the
-    field of the constant, and gap_to_f = constant - N*h is exact. The
-    computed H must equal the prediction exactly under the surrogate and
-    lie within N times its radius of h, and N*H is certified strictly
-    below the sharp constant, deepening the surrogate from min_radius
-    (see _witness_gap_set).
+    field of the constant, and gap_to_f = constant - N*h is exact and must
+    be positive. One integer walk of theta's convergents gives the pair, N
+    and the surrogates: the computed H must equal the prediction exactly
+    under each surrogate and lie within N times its radius of h, and N*H
+    is certified strictly below the sharp constant, deepening the
+    surrogate from min_radius (see _certified). No GapSet is built.
     """
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
@@ -541,18 +629,23 @@ def extremal_witness(
         raise DomainError("witness stages are indexed from 1")
     if n > MAX_STAGE:
         raise DomainError(f"witness stage {n} is past MAX_STAGE = {MAX_STAGE}")
-    cf = CFSpec(0, (), (bound, 1))
-    *_, c_odd, c_even = convergents(cf, 2 * n + 1)
+    walk = _Walk(bound)
+    walk.grow(2 * n)
+    ps, qs = walk.ps, walk.qs
+    c_odd = Convergent(2 * n - 1, ps[2 * n - 1], qs[2 * n - 1])
+    c_even = Convergent(2 * n, ps[2 * n], qs[2 * n])
     N = c_odd.q + ((bound + 2) // 2) * c_even.q - 2
     if N < 1:
         raise DomainError(f"stage {n} gives an empty witness for bound {bound}")
     coeff = (bound - 2) // 2
-    constant = gap_constant(bound)
-    # theta = [0; (bound, 1)] lies in Q(sqrt(bound^2 + 4*bound)), the field
-    # of the constant, so the true largest gap is exact.
-    theta = eval_theta(cf)
-    h = (c_odd.p - c_odd.q * theta) - coeff * (c_even.q * theta - c_even.p)
-    gs = _witness_gap_set(cf, n, N, (c_odd, c_even), h, constant, min_radius)
+    cf, constant, theta = _witness_field(bound)
+    # theta lies in Q(sqrt(bound^2 + 4*bound)), the field of the constant,
+    # so the true largest gap is exact.
+    h = (c_odd.p + coeff * c_even.p) - (c_odd.q + coeff * c_even.q) * theta
+    fields = _certified(walk, N, (c_odd, c_even), h, constant, min_radius)
+    gap_to_f = constant - N * h
+    if gap_to_f.sign() <= 0:
+        raise VerificationError("the exact witness product reaches the sharp constant")
     return ExtremalWitness(
         bound=bound,
         n=n,
@@ -560,10 +653,7 @@ def extremal_witness(
         count=N,
         pair=(c_odd, c_even),
         h=h,
-        largest=gs.largest,
-        product=gs.product,
         constant=constant,
-        gap_to_f=constant - N * h,
-        depth=gs.depth,
-        radius=gs.radius,
+        gap_to_f=gap_to_f,
+        **fields,
     )

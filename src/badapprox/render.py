@@ -22,7 +22,8 @@ exact floor q = floor(|x|*10**s + 1/2), with s fixed by exact floors
 too. A rational one takes the Fraction path, half to even.
 
 _json_str writes the bytes json.dumps(obj, indent=2) writes, for the
-values reports hold, with each list of strings escaped and joined in C.
+values reports hold, with each list of strings joined in C, and escaped
+one by one only when some string needs it.
 """
 
 from __future__ import annotations
@@ -223,7 +224,8 @@ def _json_str(obj) -> str:
 
     The text is built as chunks and joined once: a big listing is copied
     twice, where chained concatenation would copy it at every level. A
-    list of strings is one chunk, escaped and joined in C. An int goes
+    list of strings is one chunk, joined in C: as it stands when no string
+    needs an escape, else with each one escaped first. An int goes
     through int.__repr__, so one past Python's digit limit raises
     ValueError, as json.dumps does.
     """
@@ -266,12 +268,28 @@ def _json_chunks(obj, nl: str, emit) -> None:
         sep = "," + inner
         emit("[" + inner)
         try:
-            emit(sep.join(map(encode_basestring_ascii, obj)))
+            plain = _plain(obj)
         except TypeError:  # not all strings
             for i, value in enumerate(obj):
                 if i:
                     emit(sep)
                 _json_chunks(value, inner, emit)
+        else:
+            if plain:
+                # Nothing to escape: the strings go out as they are, with no
+                # quoted copy of each one.
+                emit('"')
+                emit(('"' + sep + '"').join(obj))
+                emit('"')
+            else:
+                emit(sep.join(map(encode_basestring_ascii, obj)))
         emit(nl + "]")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _plain(strings) -> bool:
+    """Whether json escapes nothing in any of these strings: printable
+    ASCII with no quote and no backslash. TypeError unless all are str."""
+    text = "".join(strings)
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text

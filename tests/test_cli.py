@@ -670,18 +670,18 @@ def test_gap_lengths_below_the_smallest_float(capsys):
 
 
 def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
-    real = badapprox.gaps.gap_set
+    real = badapprox.gaps._next_surrogate
     calls = []
 
-    def never_deeper(cf, n, min_radius=None):
-        calls.append(min_radius)
-        return real(cf, n)
+    def never_deeper(walk, K, least):
+        calls.append(least)
+        return real(walk, 0, calls[0])
 
-    monkeypatch.setattr(badapprox.gaps, "gap_set", never_deeper)
+    monkeypatch.setattr(badapprox.gaps, "_next_surrogate", never_deeper)
     code, out, err = run(capsys, "extremal", "--b", "3", "--n", "20")
     assert code == 2 and out == ""
     assert "could not certify" in err
-    # Ten deepening rounds, each reading one gap set.
+    # Ten deepening rounds, each picking one surrogate.
     assert len(calls) <= 12
 
 

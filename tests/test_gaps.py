@@ -344,20 +344,35 @@ def _record_gap_sets(monkeypatch, module):
 
 def test_statistics_callers_never_sort(monkeypatch, capsys):
     made = _record_gap_sets(monkeypatch, gaps_module)
-    verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
-    extremal_witness(2, 6, min_radius=DISPLAY)
     made += _record_gap_sets(monkeypatch, cli)
+    rounds = []
+    real_round = gaps_module._next_surrogate
+    monkeypatch.setattr(gaps_module, "_next_surrogate",
+                        lambda *args: rounds.append(args) or real_round(*args))
+    verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
     for argv in (
         ["gaps", "--theta", "golden", "--n", "3000", "--format", "csv"],
         ["kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "300000"],
         ["regime", "--theta", "sqrt2", "--n", "700"],
+    ):
+        assert cli.main(argv) == 0, argv
+    assert len(made) >= 3
+    assert all("orders" not in gs.__dict__ for gs in made)
+    # No witness builds a GapSet: its rounds read the three-distance
+    # lengths off one integer walk.
+    count, built = len(made), []
+    real_gap_set_type = gaps_module.GapSet
+    monkeypatch.setattr(gaps_module, "GapSet",
+                        lambda **fields: built.append(fields) or real_gap_set_type(**fields))
+    extremal_witness(2, 6, min_radius=DISPLAY)
+    for argv in (
         ["extremal", "--b", "3", "--n", "12"],
         ["convergence", "--b", "1", "--nmax", "6"],
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
-    assert len(made) >= 7
-    assert all("orders" not in gs.__dict__ for gs in made)
+    assert len(made) == count and built == []
+    assert len(rounds) >= 1 + 1 + 6
     # Listing the points is what sorts them.
     assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
     capsys.readouterr()
@@ -683,24 +698,105 @@ def test_witness_products_increase():
 
 
 def test_witness_gives_up_when_the_surrogate_never_deepens(monkeypatch):
-    real = gaps_module.gap_set
+    real = gaps_module._next_surrogate
     asked, used = [], set()
 
-    def never_deeper(cf, N, min_radius=None):
-        asked.append(min_radius)
-        gs = real(cf, N)
-        used.add(gs.radius)
-        return gs
+    def never_deeper(walk, K, least):
+        asked.append(least)
+        depth = real(walk, 0, asked[0])
+        used.add(depth)
+        return depth
 
-    monkeypatch.setattr(gaps_module, "gap_set", never_deeper)
+    monkeypatch.setattr(gaps_module, "_next_surrogate", never_deeper)
     # Stage 5 of bound 3 is undecided at the policy depth.
     with pytest.raises(VerificationError) as err:
         extremal_witness(3, 5)
-    # Each retry asks for 2**-40 of the radius the last attempt used.
-    (radius,) = used
-    assert asked == [None] + [radius / 2**40] * (CERT_ROUNDS - 1)
+    (depth,) = used
+    conv = convergents(preset("extremal:3"), max(depth, 10) + 2)
+    N = conv[9].q + 2 * conv[10].q - 2
+    radius = Fraction(1, conv[depth].q * conv[depth + 1].q)
+    # The first round asks for the policy depth, each retry for 2**-40 of
+    # the radius the last attempt used.
+    assert asked[0] == 16 * 5 * N * N + 1
+    assert [Fraction(1, least) for least in asked[1:]] == [radius / 2**40] * (CERT_ROUNDS - 1)
     assert "could not certify the witness product" in str(err.value)
     assert "bound = 3, stage = 5" in str(err.value)
+
+
+def _reference_certification(bound, n, min_radius):
+    """(depth, radius, largest, product) of the witness at stage n, from
+    the certification as it was when every round read a whole gap set,
+    deepening the surrogate from min_radius."""
+    cf = CFSpec(0, (), (bound, 1))
+    *_, c_odd, c_even = convergents(cf, 2 * n + 1)
+    N = c_odd.q + ((bound + 2) // 2) * c_even.q - 2
+    coeff = (bound - 2) // 2
+    constant, theta = gap_constant(bound), eval_theta(cf)
+    h = (c_odd.p - c_odd.q * theta) - coeff * (c_even.q * theta - c_even.p)
+    radius = min_radius
+    for _ in range(CERT_ROUNDS):
+        gs = gap_set(cf, N, min_radius=radius)
+        q, g = gs.denominator, gs.gap_nums[-1][0]
+        res_odd, res_even = (abs(c.q * gs.numerator - c.p * q) for c in (c_odd, c_even))
+        if res_odd - coeff * res_even != g:
+            raise VerificationError("predicted largest gap disagrees with the computed one")
+        u, v = gs.radius.numerator, gs.radius.denominator
+        room, slack = constant * (q * v) - N * g * v, N * N * u * q
+        if (room - slack).sign() > 0:
+            break
+        if (room + slack).sign() < 0:
+            raise VerificationError("witness product exceeds the sharp constant")
+        radius = gs.radius / 2**40
+    else:
+        raise VerificationError(
+            f"could not certify the witness product in {CERT_ROUNDS} rounds "
+            f"(bound = {bound}, stage = {n})"
+        )
+    if abs(h - gs.largest) > N * gs.radius:
+        raise VerificationError("the exact largest gap escapes the computed one")
+    return gs.depth, gs.radius, gs.largest, gs.product
+
+
+def _outcome(call, *args):
+    """call(*args), or the message of the VerificationError it raises."""
+    try:
+        return call(*args)
+    except VerificationError as exc:
+        return str(exc)
+
+
+# The deepest stage whose product certifies, per bound (MAX_STAGE's comment).
+_FRONTIER = {1: 266, 2: 201, 3: 165, 4: 147, 5: 137, 6: 128, 7: 119, 8: 119,
+             9: 111, 10: 110, 11: 101, 12: 101}
+
+
+def _fields(w):
+    return w.depth, w.radius, w.largest, w.product
+
+
+@pytest.mark.parametrize("bound", range(1, 13))
+def test_witness_certification_matches_the_gap_set_rounds(bound):
+    # One integer walk gives what a gap set per round gave: the same depth,
+    # radius, largest gap and product, or the same error, from the policy
+    # depth and from the display radii, and along the CLI's chain, which
+    # reads the witness at the policy depth and then at the display radius.
+    frontier = _FRONTIER[bound]
+    stages = [*range(1, 61), *range(frontier - 5, frontier + 6)]
+    for n in stages:
+        want = _outcome(_reference_certification, bound, n, None)
+        got = _outcome(lambda: _fields(extremal_witness(bound, n)))
+        assert got == want, (bound, n)
+        if n > frontier:
+            assert "could not certify" in got, (bound, n)
+            continue
+        w = extremal_witness(bound, n)
+        for sig in (3, 10, 40):
+            radius = _display_radius(sig, w.count)
+            want = _outcome(_reference_certification, bound, n, radius)
+            got = _outcome(lambda: _fields(extremal_witness(bound, n, min_radius=radius)))
+            assert got == want, (bound, n, sig)
+            chain = _fields(w) if w.radius <= radius else want
+            assert _outcome(lambda: _fields(w.at_radius(radius))) == chain, (bound, n, sig)
 
 
 def test_witness_errors():

@@ -335,6 +335,12 @@ def test_deep_cancellation_renders_quickly():
     assert text == _quadratic_reference(x, 10) == "1.676156873e-383"
 
 
+# Printable ASCII, which a string list writes as it stands, and every kind
+# of character that makes json escape one: a quote, a backslash, control
+# characters, DEL, U+2028 and non-ASCII text.
+_printable = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))
+_escaped = st.text(st.sampled_from(["a", "0", " ", ".", '"', "\\", "\x00", "\n", "\x1f",
+                                    "\x7f", "\u2028", "\u00e9", "\u20ac", "\U0001d11e"]))
 _json_values = st.recursive(
     st.none()
     | st.booleans()
@@ -345,6 +351,8 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner)
     | st.lists(inner).map(tuple)
     | st.lists(st.text(), min_size=1)
+    | st.lists(_printable, min_size=1)
+    | st.lists(_printable | _escaped, min_size=1)
     | st.dictionaries(st.text(), inner),
     max_leaves=30,
 )
@@ -354,3 +362,12 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_json_str_matches_json_dumps(obj):
     assert _json_str(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("ch", ['"', "\\", "\x00", "\t", "\x1f", "\x7f", "\u2028", "\u00e9", "\U0001d11e"])
+def test_json_str_escapes_a_list_with_one_escaped_string(ch):
+    # One string that json escapes sends the whole list down the escaping
+    # path; a list of printable ASCII goes out as it stands.
+    for obj in (["0.5", "a" + ch, "1"], [ch], ("x", ch + ch)):
+        assert _json_str(obj) == json.dumps(obj, indent=2), obj
+    assert _json_str(["0.5", "", "1e-9 ~"]) == json.dumps(["0.5", "", "1e-9 ~"], indent=2)

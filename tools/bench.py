@@ -3,7 +3,9 @@
 Usage: python tools/bench.py --out BENCH.json [--repeats K]
 
 For one fixed argv per subcommand (the README's examples, with
-`verify --cases 4`), for `witness` at every stage from 2 to 6, for
+`verify --cases 4`), for `extremal` at the deepest stages that certify
+at b = 1 (266) and b = 12 (101) and `convergence --b 3 --nmax 40`, for
+`witness` at every stage from 2 to 6, for
 `diversity --theta golden --b 1` at r_max = 10, 25, 50 and 100, for
 the JSON listing `gaps --theta sqrt2` at N = 10^3, 10^4 and 10^5, and
 for `kron --theta sqrt2 --beta 1/3` and `regime --theta sqrt2` at N =
@@ -60,6 +62,11 @@ CALLS = (
     ("fb", "--b", "2"),
     ("extremal", "--b", "1", "--n", "10"),
     ("convergence", "--b", "1", "--nmax", "6"),
+    # The witness chain at depth: the deepest stages that certify at b = 1
+    # and b = 12, and a table of 40 stages.
+    ("extremal", "--b", "1", "--n", "266"),
+    ("extremal", "--b", "12", "--n", "101"),
+    ("convergence", "--b", "3", "--nmax", "40"),
     ("kron", "--theta", "sqrt2", "--beta", "9/10", "--n", "4"),
     *(("kron", "--theta", "sqrt2", "--beta", "1/3", "--n", str(10**k)) for k in (3, 6, 9)),
     *(("regime", "--theta", "sqrt2", "--n", str(10**k)) for k in (3, 6, 9)),
