@@ -84,10 +84,21 @@ class GapSet:
         with the final 0 standing for the endpoint 1. With a the multiple
         of the smallest positive point and b that of the largest, the
         right neighbour of n is n + a, else n - b, else n + a - b (Sos
-        1958). The walk must visit each multiple once and its steps must
-        give back gap_nums exactly, which certifies it. The same walk adds
-        up the point numerators, and stores them as nums once both checks
-        pass.
+        1958). The walk takes N + 1 such steps from 0; its steps must be a
+        certificate of the order, which it checks in three parts.
+
+        - 0 < a, b <= N < a + b. Then the steps move [0, N - a] onto
+          [a, N], [b, N] onto [0, N - b] and the n in between onto
+          (N - b, a): the step rule is a bijection of 0..N.
+        - 0 first comes back after exactly N + 1 steps. Under a bijection
+          0's cycle then holds every multiple, so each is visited once,
+          and each is left by the step its range fixes: the steps n + a,
+          n - b and n + a - b are taken N + 1 - a, N + 1 - b and
+          a + b - N - 1 times, with no counting.
+        - Those lengths and multiplicities equal gap_nums.
+
+        The same walk adds up the point numerators, and stores them as
+        nums once every check passes.
         """
         N, p, q = self.count, self.numerator, self.denominator
         if N > MAX_POINTS:
@@ -95,35 +106,30 @@ class GapSet:
         a = min_affine_mod(N, q, p, p)[1] + 1
         # (q - 1 - n*p) mod q is least where n*p mod q is largest.
         b = min_affine_mod(N, q, -p, -p - 1)[1] + 1
-        if not (0 < a <= N and 0 < b <= N):
+        if not (0 < a <= N and 0 < b <= N < a + b):
             raise VerificationError("the successor walk's steps are out of range")
         # Neighbours n and n' are {(n' - n)*theta} apart.
         up, down, both = a * p % q, -b * p % q, (a - b) * p % q
-        n = v = ups = downs = 0
+        last_up, across = N - a, a - b
+        n = v = 0
         orders, nums = [0], [0]
-        # With 0 < a, b <= N every step lands in [0, N]: the third one,
-        # taken when n + a > N and n < b, gives n + a - b in (N - b, a).
-        seen = bytearray(N + 1)
         for _ in range(N + 1):
-            if n + a <= N:
+            if n <= last_up:
                 n += a
                 v += up
-                ups += 1
             elif n >= b:
                 n -= b
                 v += down
-                downs += 1
             else:
-                n += a - b
+                n += across
                 v += both
-            seen[n] = 1
             orders.append(n)
             nums.append(v)
-        # N + 1 steps mark all N + 1 multiples only if none comes twice.
-        if orders[-1] or seen.count(0):
+        # A bijection brings 0 back within N + 1 steps, so index finds it.
+        if orders.index(0, 1) != N + 1:
             raise VerificationError("the successor walk does not visit each multiple once")
         orders = tuple(orders)
-        lengths = _merged(((up, ups), (down, downs), (both, N + 1 - ups - downs)))
+        lengths = _merged(((up, N + 1 - a), (down, N + 1 - b), (both, a + b - N - 1)))
         # A cyclic tour's forward distances add up to q times its windings,
         # and gap_nums adds up to q, so this also rules out a tour out of
         # order under p/q.

@@ -1,15 +1,19 @@
 """Brute-force oracles for cross-checking the exact paths.
 
-The oracles share one input with the code under test: theta itself. Its
-value is the convergent p_K/q_K of the first pair with q_K*q_(K+1) >=
-10**(ORACLE_DPS + 5), read off the same recurrence (cf._pair_past) the
-exact side takes its surrogates from (CFSpec.value for rationals), so
-mpmath holds it to ORACLE_DPS digits. Everything after that is
-independent of the exact machinery: gap sets come from sorting rounded
-multiples of theta (not the three-distance theorem), best approximations
-from a full scan over n (not min_affine_mod), bit sequences from floors
-of theta's mpf value (not standard words), and agreement indices from a
-naive loop (not the XOR of big-endian integers).
+The oracles share no code with what they check, only the fields of
+CFSpec. theta comes from the expansion itself (high_precision_value): a
+finite one is P/Q, and an infinite one is the fixed point of its
+period's matrix, one square root put through the prefix's matrix, in
+mpmath's correctly rounded libmp operations, within one unit in the last
+place. The exact side reads the same expansion through CFSpec.quotients,
+convergent walks and quadratic arithmetic, so a fault there (a period
+read from the wrong place, say) shows as a disagreement. Everything
+after that is independent of the exact machinery too: gap sets come from
+sorting rounded multiples of theta (not the three-distance theorem),
+best approximations from a full scan over n (not min_affine_mod), bit
+sequences from floors of theta's mpf value (not standard words), and
+agreement indices from a naive loop (not the XOR of big-endian
+integers).
 
 mpmath supplies theta (above) and beta, each as an mpf, and the working
 precision: each gap point and gap length is rounded half to even to
@@ -17,13 +21,14 @@ mpmath's dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS
 digits rounds, by an integer routine (_round_bits) that a test pins
 against mpmath's from_man_exp. The points are rounded a run at a time:
 the multiples k*|man| keep one bit length over a run of k, so the whole
-run drops the same low bits. Rounding to nearest is monotone, so the raw
-gaps sort in the order of their rounded values, and only the lengths the
-merge probes are rounded. The Kronecker and bit scans are exact on the
-integer image of theta's mpf value (man * 2**exp): they build no mpf per
-n. Ordering the points, merging gaps and comparing against exact
-fractions to a tolerance are decided exactly, in integers, on those
-dyadic values, so no decision rounds.
+run drops the same low bits, and a run in which no product can be an
+exact tie is rounded with one add and one mask per point. Rounding to
+nearest is monotone, so the raw gaps sort in the order of their rounded
+values, and only the lengths the merge probes are rounded. The Kronecker
+and bit scans are exact on the integer image of theta's mpf value
+(man * 2**exp): they build no mpf per n. Ordering the points, merging
+gaps and comparing against exact fractions to a tolerance are decided
+exactly, in integers, on those dyadic values, so no decision rounds.
 
 The oracles are meant for irrational theta. A rational theta = p/q has
 an mpf just off p/q, and that dyadic image decides an exact tie in the
@@ -44,8 +49,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate, islice, repeat
+from operator import and_, neg, sub
 
-from .cf import CFSpec, _pair_past
+from .cf import CFSpec
 from .errors import SequenceLengthError
 from .gaps import gap_set
 from .kronecker import solve
@@ -57,26 +64,63 @@ _COMPARE_TOL = Fraction(1, 10**40)
 
 
 def high_precision_value(cf: CFSpec):
-    """The number described by cf as an mpf good to ORACLE_DPS digits.
+    """The number described by cf as an mpf of dps_to_prec(ORACLE_DPS + 10)
+    bits, within one unit in its last place.
 
-    This is the one place the oracles lean on the package: the value is
-    p_K / q_K for the first convergent pair with q_K * q_(K+1) >=
-    10**(ORACLE_DPS + 5), read off cf._pair_past, so within
-    10**-(ORACLE_DPS + 5) of theta. The exact side reads its surrogates
-    off the same convergent recurrence (a rational comes from
-    CFSpec.value).
-    A wrong expansion or recurrence would therefore mislead both sides
-    alike; the oracles check what is computed from theta, not theta
-    itself.
+    It is read off cf's fields alone, in mpmath's correctly rounded libmp
+    operations: no convergent walk, surrogate or quadratic arithmetic of
+    the package is used. A finite expansion [a0; prefix] is P/Q, rounded
+    once. Else the purely periodic tail Y = [period, Y] is the fixed point
+    of the period's matrix: with p/q and p_/q_ the last two convergents of
+    the period read as [P1; P2, ..., PL], Y = (u + sqrt(D))/w with
+    u = p - q_, w = 2q and D = u^2 + 4*q*p_. Then theta = (P*Y + P_) /
+    (Q*Y + Q_) = (A + B*sqrt(D)) / (C + E*sqrt(D)) with the last two
+    convergents P/Q and P_/Q_ of [a0; prefix], A = P*u + P_*w, B = P,
+    C = Q*u + Q_*w and E = Q.
+
+    The terms of each sum share a sign (u >= 0, C and E are never
+    negative, and P, P_ share a sign unless the prefix is empty and
+    a0 < 0), except for A + B*sqrt(D) when A*B < 0, which is taken as
+    (A^2 - B^2*D) / (A - B*sqrt(D)). So no step cancels, and each
+    rounding at prec + 8 bits moves theta by a relative 2**-(prec + 8) at
+    most. There are at most seven such moves (the square root's counts
+    twice when it enters the denominator twice), so theta is off by a
+    relative 2**-(prec + 5) before the last division, which rounds to
+    nearest at prec: within 0.5 + 2**-5 units in the last place.
     """
     from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, mpf_sqrt
+    from mpmath.libmp import round_nearest as rnd
 
-    with mp.workdps(ORACLE_DPS + 10):
-        if cf.is_rational:
-            v = cf.value()
-            return mp.mpf(v.numerator) / v.denominator
-        c, _ = _pair_past(cf, 10 ** (ORACLE_DPS + 5))
-        return mp.mpf(c.p) / c.q
+    prec = dps_to_prec(ORACLE_DPS + 10)
+    P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
+    if not cf.period:
+        return mp.make_mpf(mpf_div(from_int(P), from_int(Q), prec, rnd))
+    p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
+    u, w = p - q_, 2 * q
+    D = u * u + 4 * q * p_
+    A, B, C, E = P * u + P_ * w, P, Q * u + Q_ * w, Q
+    wp = prec + 8
+    s = mpf_sqrt(from_int(D), wp, rnd)
+    den = mpf_add(from_int(C), mpf_mul(from_int(E), s, wp, rnd), wp, rnd)
+    if A * B < 0:
+        conj = mpf_add(from_int(A), mpf_mul(from_int(-B), s, wp, rnd), wp, rnd)
+        num, den = from_int(A * A - B * B * D), mpf_mul(den, conj, wp, rnd)
+    else:
+        num = mpf_add(from_int(A), mpf_mul(from_int(B), s, wp, rnd), wp, rnd)
+    return mp.make_mpf(mpf_div(num, den, prec, rnd))
+
+
+def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:
+    """p_m, p_(m-1), q_m and q_(m-1) of [c0; c1, ..., cm], with p_(-1) = 1
+    and q_(-1) = 0.
+
+    cf has the same recurrence; the oracle keeps its own copy, so that a
+    fault there cannot reach both sides of a check."""
+    p, p_, q, q_ = c0, 1, 1, 0
+    for a in quotients:
+        p, p_, q, q_ = a * p + p_, p, a * q + q_, q
+    return p, p_, q, q_
 
 
 def brute_gap_points(theta, N: int):
@@ -114,7 +158,10 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     theta negates the fractional parts modulo 1 afterwards. The products
     keep one bit length L for a run of k, up to (2**L - 1) // |man|, so
     each run drops the same number of low bits and is rounded in one pass
-    with that drop and its half.
+    with that drop and its half. A product is a tie only if its 2-adic
+    valuation is the drop less one, and when the run's last k is too
+    small for that, the run is rounded half up: one add and one mask
+    per point. Otherwise it breaks ties to even.
 
     Gaps that differ by at most 1e-25 are merged into the first length of
     the run. Rounding to nearest onto a binary grid is monotone, so the
@@ -130,31 +177,37 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     unit = 1 << -low
     mask = unit - 1
     mag = abs(man)
+    twos = (mag & -mag).bit_length() - 1  # v2(mag)
     pts = []
     k = 1
     while k <= N:
         top = (k * mag).bit_length()
         last = min(N, ((1 << top) - 1) // mag) if mag else N
-        drop = top - prec
-        if drop > 0:
+        drop = max(top - prec, 0)
+        half = (1 << drop) >> 1  # 0 when no bit drops
+        keep = mask & -(1 << drop)
+        run = repeat(mag, last - k)  # steps from k*mag up to last*mag
+        # A product j*mag is a tie only if v2(j*mag) = drop - 1, so only
+        # if 2**tie divides j: when last is below 2**tie, none is.
+        tie = drop - 1 - twos
+        if drop and tie >= 0 and last >> tie:
             # v + half - 1 carries into the kept bits exactly when the
             # dropped bits pass half; adding the kept low bit makes a tie
-            # carry when that bit is odd, so ties go to even. One mask
-            # then clears the dropped bits and takes the fractional part.
-            bias = (1 << (drop - 1)) - 1
-            keep = mask & -(1 << drop)
+            # carry when that bit is odd, so ties go to even.
             pts += [
-                (v + bias + (v >> drop & 1)) & keep
-                for v in range(k * mag, (last + 1) * mag, mag)
+                (v + half - 1 + (v >> drop & 1)) & keep
+                for v in accumulate(run, initial=k * mag)
             ]
         else:
-            pts += [j * mag & mask for j in range(k, last + 1)]
+            # Adding half rounds each product to nearest, and one mask
+            # clears the dropped bits and takes the fractional part.
+            pts += map(and_, accumulate(run, initial=k * mag + half), repeat(keep))
         k = last + 1
     if man < 0:
-        pts = [-p & mask for p in pts]
+        pts = list(map(and_, map(neg, pts), repeat(mask)))
     pts.sort()
     pts = [0] + pts + [unit]
-    gaps = sorted(b - a for a, b in zip(pts, pts[1:]))
+    gaps = sorted(map(sub, islice(pts, 1, None), pts))
     # (g - first) * 10**25 > unit holds exactly when g - first > unit // 10**25
     within = unit // 10 ** (ORACLE_DPS // 2)
     rounded = partial(_round_bits, prec=prec)
@@ -187,31 +240,44 @@ def _round_bits(v: int, prec: int) -> int:
 def brute_kronecker(theta, beta: Fraction, N: int):
     """Best (n, p) minimizing |n*theta - beta - p| over 0 <= n <= N.
 
-    beta is taken as its ORACLE_DPS-digit mpf. Every n is scanned on the
-    exact dyadic values: x = n*theta - beta is an integer over 2**s, with
-    s the larger of the two binary scales, p is the nearest integer
-    (x + 1/2 shifted down) and the error |x - p| an integer over 2**s.
+    beta is taken as its ORACLE_DPS-digit mpf (_beta_mpf). Every n is
+    scanned on the exact dyadic values: x = n*theta - beta is an integer
+    over 2**s, with s the larger of the two binary scales, p is the
+    nearest integer (x + 1/2 shifted down) and the error |x - p| an
+    integer over 2**s.
     The first strict improvement is kept, so the smallest optimal n wins,
     matching the exact solver's preference. The error comes back as an
     mpf rounded to ORACLE_DPS digits.
     """
     from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
-    with mp.workdps(ORACLE_DPS):
-        beta_f = mp.mpf(beta.numerator) / beta.denominator
-        (tm, te), (bm, be) = _signed_man_exp(theta), _signed_man_exp(beta_f)
-        s = max(0, -te, -be)
-        step = tm << (te + s)
-        half = (1 << s) >> 1
-        mask = (1 << s) - 1
-        y = half - (bm << (be + s))  # x + 1/2 at n = 0, scaled by 2**s
-        best_n, best_err, best_y = 0, half + 1, y
-        for n in range(N + 1):
-            err = abs((y & mask) - half)
-            if err < best_err:
-                best_n, best_err, best_y = n, err, y
-            y += step
-        return best_n, best_y >> s, mp.mpf((best_err, -s))
+    (tm, te), (bm, be) = _signed_man_exp(theta), _signed_man_exp(_beta_mpf(beta))
+    s = max(0, -te, -be)
+    step = tm << (te + s)
+    half = (1 << s) >> 1
+    mask = (1 << s) - 1
+    y = half - (bm << (be + s))  # x + 1/2 at n = 0, scaled by 2**s
+    best_n, best_err, best_y = 0, half + 1, y
+    for n in range(N + 1):
+        err = abs((y & mask) - half)
+        if err < best_err:
+            best_n, best_err, best_y = n, err, y
+        y += step
+    err = from_man_exp(best_err, -s, dps_to_prec(ORACLE_DPS), round_nearest)
+    return best_n, best_y >> s, mp.make_mpf(err)
+
+
+def _beta_mpf(beta: Fraction):
+    """mp.mpf(beta.numerator) / beta.denominator at ORACLE_DPS digits, bit
+    for bit: the numerator rounds to the precision first, then the
+    quotient. libmp builds it with no context to enter and leave."""
+    from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
+
+    prec = dps_to_prec(ORACLE_DPS)
+    num = from_int(beta.numerator, prec, round_nearest)
+    return mp.make_mpf(mpf_div(num, from_int(beta.denominator), prec, round_nearest))
 
 
 def brute_bits(theta, length: int) -> list[int]:

@@ -438,6 +438,23 @@ def test_walk_step_range_and_visit_checks_each_fire(monkeypatch):
     assert gs.orders[0] == 0
 
 
+def test_walk_steps_short_of_the_multiples_are_refused(monkeypatch):
+    # With a + b <= N the step rule is no bijection of 0..N, and the walk
+    # may never come back to 0: steps +2 and -3 at N = 201 climb to 200
+    # and then cycle through 197, 199, 201, 198, 200.
+    N = 201
+    gs = gap_set(GOLDEN, N, min_radius=DISPLAY)
+    for steps in ((2, 3), (1, 1), (100, 101), (1, N - 1), (N - 1, 1)):
+        argmins = iter(step - 1 for step in steps)
+        monkeypatch.setattr(gaps_module, "min_affine_mod", lambda *args: (0, next(argmins)))
+        with pytest.raises(VerificationError) as caught:
+            gs.orders
+        assert str(caught.value) == "the successor walk's steps are out of range", steps
+        assert "orders" not in gs.__dict__ and "nums" not in gs.__dict__
+    monkeypatch.undo()
+    assert gs.orders[0] == 0
+
+
 def test_deep_extremal_stages_finish_fast():
     f = gap_constant(3)
     for stage in (20, 40):

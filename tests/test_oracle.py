@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import os
 import random
 import re
@@ -17,7 +18,6 @@ from mpmath.libmp import dps_to_prec, from_man_exp
 
 import badapprox
 from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, eval_theta, oracle, run_suite
-from badapprox.cf import _pair_past
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
     ORACLE_DPS,
@@ -41,21 +41,28 @@ def test_high_precision_value():
     assert abs(float(rational) - 3 / 7) < 1e-15
 
 
-def _centre_mpf(cf):
-    """high_precision_value's centre: the exact value of a rational, else
-    p_K/q_K read straight off cf._pair_past."""
-    with mp.workdps(ORACLE_DPS + 10):
-        c = eval_theta(cf) if cf.is_rational else _pair_past(cf, 10 ** (ORACLE_DPS + 5))[0].value
-        return mp.mpf(c.numerator) / c.denominator
+def _ulps_off(x, exact) -> Fraction:
+    """|exact - x| in units of the last place of x's prec-bit binade."""
+    sign, man, exp, bc = x._mpf_
+    prec = dps_to_prec(ORACLE_DPS + 10)
+    value = (-1 if sign else 1) * man * Fraction(2) ** exp
+    return abs(exact - value) / Fraction(2) ** (exp + bc - prec)
 
 
-def test_high_precision_value_is_the_eval_theta_centre():
+def test_high_precision_value_is_within_one_ulp_of_eval_theta():
     rng = random.Random(20261020)
     cfs = [random_cf(rng, rng.choice([2, 10, 1000])) for _ in range(300)]
     cfs += [CFSpec(a0, cf.prefix, cf.period) for a0, cf in zip((-4, 1, 7), cfs)]
     cfs += [CFSpec(a0, prefix, ()) for a0 in (-2, 0, 3) for prefix in ((), (2,), (2, 3), (5, 7, 3))]
+    # a0 < 0 with an empty prefix: theta = a0 + 1/Y, where a0 = -1 and a
+    # period (1, m, ...) cancel about log2(m) bits unless the fixed point
+    # takes the conjugate.
+    cfs += [CFSpec(-1, (), (1, m)) for m in (1, 2, 1000, 10**6)]
+    cfs += [CFSpec(a0, (), (1, 10**6, 3)) for a0 in (-1, -2, -10**9)]
+    # One quotient past 2**203, and a rational with more than 203 bits.
+    cfs += [CFSpec(0, (2,), (3, 2**210 + 1)), CFSpec(0, tuple(range(1, 80)), ())]
     for cf in cfs:
-        assert high_precision_value(cf)._mpf_ == _centre_mpf(cf)._mpf_, cf
+        assert _ulps_off(high_precision_value(cf), eval_theta(cf)) < 1, cf
 
 
 def test_high_precision_value_is_within_its_radius_of_eval_theta():
@@ -333,6 +340,42 @@ def test_gap_keys_match_per_value_rounding_on_edge_values():
         assert _gap_keys(theta, N) == _gap_keys_per_value(theta, N), (theta, N)
 
 
+def _ties(theta, N: int) -> int:
+    """How many of the products k*|man|, 1 <= k <= N, lie exactly halfway
+    between two values of dps_to_prec(ORACLE_DPS) bits."""
+    prec = dps_to_prec(ORACLE_DPS)
+    mag = theta._mpf_[1]
+    count = 0
+    for v in range(mag, (N + 1) * mag, mag):
+        drop = v.bit_length() - prec
+        count += drop > 0 and v & ((1 << drop) - 1) == 1 << (drop - 1)
+    return count
+
+
+@pytest.mark.parametrize("extra", [-4, -1, 0, 1, 2, 5])
+def test_gap_keys_match_per_value_rounding_near_prec_bits(extra):
+    # An odd mantissa of prec + extra bits. With extra <= 0 the first runs
+    # drop no bits and later ones drop a few, so some k with v2(k) one
+    # below the drop make exact ties; with extra = 1 every power of two k
+    # does. Those runs break ties to even. From extra = 2 on, v2(k) stays
+    # below the drop less one for every k, and every run is rounded half
+    # up with one add and one mask.
+    prec = dps_to_prec(ORACLE_DPS)
+    bits = prec + extra
+    rng = random.Random(extra)
+    ties = 0
+    for _ in range(4):
+        man = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        for scale in (0, 3, -2):  # theta near 1, 1/8 and 4
+            with mp.workprec(2 * bits):
+                theta = mp.mpf((man, scale - bits))
+            for t in (theta, -theta):
+                N = rng.randint(1, 1500)
+                ties += _ties(t, N)
+                assert _gap_keys(t, N) == _gap_keys_per_value(t, N), (extra, t, N)
+    assert (ties > 0) is (extra <= 1)
+
+
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_gap_keys_merge_at_exactly_1e_25(delta):
     # theta = m / 2**E with 3m = 2**E + s puts the points 0 < s < m < 2m
@@ -402,6 +445,60 @@ def test_brute_kronecker_breaks_exact_ties_toward_the_smallest_n():
     # rounded the two residuals differently and kept n = 5
     assert brute_kronecker(quarter, Fraction(1, 3), 12)[:2] == (1, 0)
     assert _mpf_kronecker(quarter, Fraction(1, 3), 12)[:2] == (5, 1)
+
+
+def _kronecker_in_context(theta, beta, N):
+    """brute_kronecker's scan inside mp.workdps: beta as
+    mp.mpf(numerator) / denominator, the error as mp.mpf((err, -s))."""
+    with mp.workdps(ORACLE_DPS):
+        beta_f = mp.mpf(beta.numerator) / beta.denominator
+        (tm, te), (bm, be) = oracle._signed_man_exp(theta), oracle._signed_man_exp(beta_f)
+        s = max(0, -te, -be)
+        step = tm << (te + s)
+        half = (1 << s) >> 1
+        mask = (1 << s) - 1
+        y = half - (bm << (be + s))
+        best_n, best_err, best_y = 0, half + 1, y
+        for n in range(N + 1):
+            err = abs((y & mask) - half)
+            if err < best_err:
+                best_n, best_err, best_y = n, err, y
+            y += step
+        return best_n, best_y >> s, mp.mpf((best_err, -s))
+
+
+def _kronecker_betas(rng):
+    yield from (random_beta(rng, 1000) for _ in range(3))
+    yield random_beta(rng, 10**6)
+    # numerators past the precision, negative values and zero
+    yield Fraction(10**60 + 1, 10**61 + 3)
+    yield Fraction(-(2**300) - 1, 2**301 + 7)
+    yield Fraction(-1, 3)
+    yield Fraction(0)
+
+
+def test_brute_kronecker_matches_the_context_loop_bit_for_bit():
+    rng = random.Random(20261021)
+    with mp.workdps(ORACLE_DPS):
+        thetas = [mp.mpf(0), mp.mpf(2), -mp.mpf(5) / 4, -mp.sqrt(3)]
+    thetas += [high_precision_value(random_cf(rng, rng.choice([2, 10, 1000]))) for _ in range(40)]
+    for theta in thetas:
+        for beta in _kronecker_betas(rng):
+            N = rng.randint(1, 400)
+            n, p, err = brute_kronecker(theta, beta, N)
+            rn, rp, rerr = _kronecker_in_context(theta, beta, N)
+            assert (n, p, err._mpf_) == (rn, rp, rerr._mpf_), (theta, beta, N)
+            assert type(err) is type(rerr)
+
+
+def test_beta_mpf_is_the_context_quotient():
+    rng = random.Random(20261022)
+    betas = [b for _ in range(50) for b in _kronecker_betas(rng)]
+    betas += [Fraction(rng.getrandbits(400) - 2**399, rng.getrandbits(300) | 1) for _ in range(200)]
+    for beta in betas:
+        with mp.workdps(ORACLE_DPS):
+            want = mp.mpf(beta.numerator) / beta.denominator
+        assert oracle._beta_mpf(beta)._mpf_ == want._mpf_, beta
 
 
 def _mpf_bits(theta, length):
@@ -549,3 +646,17 @@ def test_suite_catches_a_wrong_agreement_index(monkeypatch):
     want = brute_agreement(bits, r, a, b, max_k)
     assert got != want
     assert (str(got), str(want)) == (m[7], m[8])
+
+
+def test_suite_catches_a_rotated_period_in_every_family(monkeypatch):
+    # The exact side reads the expansion through CFSpec.quotients (gap
+    # sets, words) or the period itself (eval_theta); the oracle reads the
+    # fields. A quotients() that starts the period one place late is a
+    # different number wherever the period is not constant.
+    def rotated(self):
+        return itertools.chain(self.prefix, itertools.cycle(self.period[1:] + self.period[:1]))
+
+    monkeypatch.setattr(CFSpec, "quotients", rotated)
+    rep = run_suite()
+    for family in ("gaps ", "kron ", "agree "):
+        assert any(f.startswith(family) for f in rep.failures), family

@@ -107,6 +107,8 @@ def test_bench_rows_all_exit_zero(tmp_path):
         assert row["exit_codes"] == [0], row
     crossing = report["crossing_unique"]
     assert [row["n"] for row in crossing] == [5, 8, 10, 20, 40]
-    for row in rows + crossing:
+    oracle = report["oracle"]
+    assert [row["call"] for row in oracle] == ["high_precision_value x200", "run_suite(cases=50)"]
+    for row in rows + crossing + oracle:
         assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert row["speed"] > 0, row

@@ -12,7 +12,10 @@ for `kron --theta sqrt2 --beta 1/3` and `regime --theta sqrt2` at N =
 10^3, 10^6 and 10^9, it runs K in-process `cli.main` calls after one
 untimed warm-up call, and records the median and quartiles of their wall
 time. The same statistics cover K in-process `crossing_unique(n)` calls
-at n = 5, 8, 10, 20 and 40, the witness's exact uniqueness count alone.
+at n = 5, 8, 10, 20 and 40, the witness's exact uniqueness count alone,
+and the oracle layer on its own: `high_precision_value` over 200 fixed
+`random_cf` expansions (one sample is the whole batch) and
+`run_suite(cases=50)`.
 It also times K process starts of `badapprox fb --b 2`, from interpreter
 start to exit, and up to three process runs of the largest listing,
 `gaps --theta sqrt2 --n 1048576 --precision-digits 40`; both process rows
@@ -38,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import resource
 import statistics
 import subprocess
@@ -53,6 +57,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from worker import calibrate, speed  # noqa: E402
 
 from badapprox import cli  # noqa: E402
+from badapprox.oracle import high_precision_value, random_cf, run_suite  # noqa: E402
 from badapprox.sturmian import crossing_unique  # noqa: E402
 
 CALLS = (
@@ -81,6 +86,9 @@ LISTING_CALL = ("gaps", "--theta", "sqrt2", "--n", "1048576", "--precision-digit
 LISTING_REPEATS = 3
 PROCESS_TIMEOUT = 60
 CROSSING_STAGES = (5, 8, 10, 20, 40)
+ORACLE_EXPANSIONS = 200
+ORACLE_SEED = 20261020
+SUITE_CASES = 50
 CALIBRATION_SAMPLES = 20
 
 
@@ -104,6 +112,21 @@ def time_crossing(n: int) -> float:
     """Wall ms of one in-process crossing_unique(n)."""
     start = time.perf_counter()
     crossing_unique(n)
+    return (time.perf_counter() - start) * 1e3
+
+
+def time_oracle_values(cfs) -> float:
+    """Wall ms of high_precision_value over every expansion in cfs."""
+    start = time.perf_counter()
+    for cf in cfs:
+        high_precision_value(cf)
+    return (time.perf_counter() - start) * 1e3
+
+
+def time_suite(cases: int) -> float:
+    """Wall ms of one in-process run_suite(cases=cases) at its default seed."""
+    start = time.perf_counter()
+    run_suite(cases=cases)
     return (time.perf_counter() - start) * 1e3
 
 
@@ -168,6 +191,9 @@ def main(argv=None) -> int:
 
     calibrate()  # its first call also imports numpy
     whole_run = measured_speed()
+    rng = random.Random(ORACLE_SEED)
+    cfs = [random_cf(rng) for _ in range(ORACLE_EXPANSIONS)]
+    time_oracle_values(cfs)  # warm-up: the first call imports mpmath's libmp
     rows = []
     for call in CALLS:
         time_call(call)  # warm-up: imports and first-call caches
@@ -185,6 +211,12 @@ def main(argv=None) -> int:
             {"n": n, "speed": measured_speed(),
              **summary([time_crossing(n) for _ in range(args.repeats)])}
             for n in CROSSING_STAGES
+        ],
+        "oracle": [
+            {"call": f"high_precision_value x{len(cfs)}", "speed": measured_speed(),
+             **summary([time_oracle_values(cfs) for _ in range(args.repeats)])},
+            {"call": f"run_suite(cases={SUITE_CASES})", "speed": measured_speed(),
+             **summary([time_suite(SUITE_CASES) for _ in range(args.repeats)])},
         ],
         "process": row(PROCESS_CALL, args.repeats, time_process),
         "listing": row(LISTING_CALL, min(args.repeats, LISTING_REPEATS), time_process),
