@@ -43,7 +43,7 @@ from .cf import (
     min_affine_mod,
 )
 from .errors import CoincidentPointsError, DomainError, VerificationError
-from .quadratic import QuadraticNumber, _sign
+from .quadratic import QuadraticNumber, _make, _sign, squarefree_decompose
 
 # Most multiples a listing puts in order; reading GapSet.orders (or the
 # points built on it) past this raises DomainError before the walk runs.
@@ -439,17 +439,24 @@ def verify_regime(
 def gap_constant(bound: int) -> QuadraticNumber:
     """Exact supremum of N*H(theta, N) over theta with quotients <= bound.
 
-    Closed form, split by parity of the bound.
+    Closed form, split by parity of the bound: 1 + c/(k*sqrt(m)) with
+    c = (a+1)^2, k = 2 and m = a^2 + 2a for bound = 2a, and c = a^2 + 3a + 2,
+    k = 1 and m = 4a^2 + 12a + 5 for bound = 2a + 1. With m = s*s*d from
+    squarefree_decompose that is (k*m + c*s*sqrt(d))/(k*m), put in normal
+    form once.
     """
     if bound < 1:
         raise DomainError("quotient bound must be >= 1")
     if bound % 2 == 0:
         a = bound // 2
-        return 1 + Fraction((a + 1) ** 2) / (2 * QuadraticNumber.sqrt(a * a + 2 * a))
-    a = (bound - 1) // 2
-    return 1 + Fraction(a * a + 3 * a + 2) / QuadraticNumber.sqrt(
-        4 * a * a + 12 * a + 5
-    )
+        c, m = (a + 1) ** 2, a * a + 2 * a
+        z = 2 * m
+    else:
+        a = (bound - 1) // 2
+        c, m = a * a + 3 * a + 2, 4 * a * a + 12 * a + 5
+        z = m
+    s, d = squarefree_decompose(m)
+    return _make(z, c * s, z, d)
 
 
 def gap_constant_bounds(bound: int) -> tuple[Fraction, QuadraticNumber]:

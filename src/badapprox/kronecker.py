@@ -7,8 +7,9 @@ solver is the constructive argument behind that statement: take the
 nearest multiple of theta on either side of beta, each the minimum of an
 affine sequence modulo one, keep the nearer, and read (n, p) off it. The
 two sides are found under the fraction a gap set of N multiples reads
-theta as; which is nearer, the error and its comparison with C(B)/(2N)
-are decided on the exact theta. The classical pigeonhole route only
+theta as; which is nearer is decided on the exact theta, on the integer
+numerators of the two errors, and the error is then compared with
+C(B)/(2N). The classical pigeonhole route only
 promises a useful error once N reaches (B+2) times the square of the
 target resolution, which is kept around for comparison.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 from .cf import CFSpec, eval_theta, min_affine_mod
 from .errors import DomainError
 from .gaps import _surrogate, gap_constant
-from .quadratic import QuadraticNumber
+from .quadratic import QuadraticNumber, _make, _sign
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,11 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
     itself when rational), and two min_affine_mod queries give the
     multiples L and R whose points lie nearest to beta under it, on its
     left and on its right, with p = floor(n*p_K/q_K) (-1 for the endpoint
-    1). Each error is then computed from the exact theta, the smaller one
+    1). With theta = (x + y*sqrt(d))/z exactly, as eval_theta gives it, and
+    beta = u/v, each error n*theta - p - beta is (X + Y*sqrt(d))/(z*v) for
+    integers X and Y, negated when negative so that it stands for the
+    absolute error. One quadratic._sign of the difference of the two
+    numerators picks the nearer, the error is built once from the one
     kept, and within_bound is one exact comparison with C(B)/(2N).
 
     The nearest point for theta itself is always L's or R's. The
@@ -75,9 +80,25 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
     bound = gap_constant(B) / (2 * N)
     num, q, _, _ = _surrogate(cf, N)
     theta = eval_theta(cf)
-    errors = [(abs(n * theta - p - beta), n, p) for n, p in _neighbours(num, q, N, beta)]
-    # min keeps the first of equal errors: the left one.
-    achieved, n, p = min(errors, key=lambda e: e[0])
+    if isinstance(theta, Fraction):
+        x, y, z, d = theta.numerator, 0, theta.denominator, 1
+    else:
+        x, y, z, d = theta._x, theta._y, theta._z, theta._d
+    u, v = beta.numerator, beta.denominator
+    # Over z*v > 0, n*theta - p - beta has numerator X + Y*sqrt(d) with
+    # X = v*(n*x - p*z) - u*z and Y = v*n*y; negated when negative, it is
+    # the numerator of the absolute error.
+    (n, p), (n_right, p_right) = _neighbours(num, q, N, beta)
+    X, Y = v * (n * x - p * z) - u * z, v * n * y
+    X_right, Y_right = v * (n_right * x - p_right * z) - u * z, v * n_right * y
+    if _sign(X, Y, d) < 0:
+        X, Y = -X, -Y
+    if _sign(X_right, Y_right, d) < 0:
+        X_right, Y_right = -X_right, -Y_right
+    # Ties go to the left point.
+    if _sign(X_right - X, Y_right - Y, d) < 0:
+        n, p, X, Y = n_right, p_right, X_right, Y_right
+    achieved = Fraction(X, z * v) if y == 0 else _make(X, Y, z * v, d)
     return KroneckerSolution(
         n=n,
         p=p,

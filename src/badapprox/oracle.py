@@ -38,8 +38,9 @@ The suite runner draws a random corpus and compares the exact
 implementations against these oracles to a fixed tolerance. It backs the
 `verify` subcommand and the final acceptance criterion.
 
-mpmath is imported inside the functions that use it, so importing the
-package for its exact paths never loads it.
+mpmath is imported by _mpmath on the first oracle call, which binds the
+context and libmp names the oracles use once: importing the package for
+its exact paths never loads it, and no later call runs an import.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, islice, repeat
 from operator import and_, neg, sub
+from types import SimpleNamespace
 
 from .cf import CFSpec
 from .errors import SequenceLengthError
@@ -61,6 +63,30 @@ from .sturmian import agreement, characteristic_bits
 ORACLE_DPS = 50
 _DEEP_RADIUS = Fraction(1, 10**45)
 _COMPARE_TOL = Fraction(1, 10**40)
+
+
+@cache
+def _mpmath() -> SimpleNamespace:
+    """The mpmath names the oracles use, bound on the first call.
+
+    prec is dps_to_prec(ORACLE_DPS), the working precision, and theta_prec
+    that of high_precision_value's result. make_mpf is the global
+    context's, which reads no precision.
+    """
+    from mpmath import libmp, mp
+
+    return SimpleNamespace(
+        make_mpf=mp.make_mpf,
+        prec=libmp.dps_to_prec(ORACLE_DPS),
+        theta_prec=libmp.dps_to_prec(ORACLE_DPS + 10),
+        from_int=libmp.from_int,
+        from_man_exp=libmp.from_man_exp,
+        mpf_add=libmp.mpf_add,
+        mpf_div=libmp.mpf_div,
+        mpf_mul=libmp.mpf_mul,
+        mpf_sqrt=libmp.mpf_sqrt,
+        round_nearest=libmp.round_nearest,
+    )
 
 
 def high_precision_value(cf: CFSpec):
@@ -88,27 +114,25 @@ def high_precision_value(cf: CFSpec):
     relative 2**-(prec + 5) before the last division, which rounds to
     nearest at prec: within 0.5 + 2**-5 units in the last place.
     """
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_int, mpf_add, mpf_div, mpf_mul, mpf_sqrt
-    from mpmath.libmp import round_nearest as rnd
-
-    prec = dps_to_prec(ORACLE_DPS + 10)
+    m = _mpmath()
+    from_int, mpf_add, mpf_mul, rnd = m.from_int, m.mpf_add, m.mpf_mul, m.round_nearest
+    prec = m.theta_prec
     P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
     if not cf.period:
-        return mp.make_mpf(mpf_div(from_int(P), from_int(Q), prec, rnd))
+        return m.make_mpf(m.mpf_div(from_int(P), from_int(Q), prec, rnd))
     p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
     u, w = p - q_, 2 * q
     D = u * u + 4 * q * p_
     A, B, C, E = P * u + P_ * w, P, Q * u + Q_ * w, Q
     wp = prec + 8
-    s = mpf_sqrt(from_int(D), wp, rnd)
+    s = m.mpf_sqrt(from_int(D), wp, rnd)
     den = mpf_add(from_int(C), mpf_mul(from_int(E), s, wp, rnd), wp, rnd)
     if A * B < 0:
         conj = mpf_add(from_int(A), mpf_mul(from_int(-B), s, wp, rnd), wp, rnd)
         num, den = from_int(A * A - B * B * D), mpf_mul(den, conj, wp, rnd)
     else:
         num = mpf_add(from_int(A), mpf_mul(from_int(B), s, wp, rnd), wp, rnd)
-    return mp.make_mpf(mpf_div(num, den, prec, rnd))
+    return m.make_mpf(m.mpf_div(num, den, prec, rnd))
 
 
 def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:
@@ -132,13 +156,11 @@ def brute_gap_points(theta, N: int):
     that differ by at most 1e-25 into one length are done exactly on
     integer keys (see _gap_keys); mpmath builds the mpf values returned.
     """
-    from mpmath import mp
-    from mpmath.libmp import from_man_exp
-
+    m = _mpmath()
     pts, distinct, low = _gap_keys(theta, N)
     return (
-        [mp.make_mpf(from_man_exp(k, low)) for k in pts],
-        [mp.make_mpf(from_man_exp(k, low)) for k in distinct],
+        [m.make_mpf(m.from_man_exp(k, low)) for k in pts],
+        [m.make_mpf(m.from_man_exp(k, low)) for k in distinct],
     )
 
 
@@ -168,10 +190,9 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     raw gaps sort in the order of their rounded values, and each merged
     run ends where a bisection over the raw gaps, keyed by _round_bits,
     first passes its first length plus 1e-25: only the probes are rounded.
+    The merge reads values only, so only the distinct raw gaps are sorted.
     """
-    from mpmath.libmp import dps_to_prec
-
-    prec = dps_to_prec(ORACLE_DPS)
+    prec = _mpmath().prec
     man, exp = _signed_man_exp(theta)
     low = min(exp, 0)
     unit = 1 << -low
@@ -207,7 +228,7 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
         pts = list(map(and_, map(neg, pts), repeat(mask)))
     pts.sort()
     pts = [0] + pts + [unit]
-    gaps = sorted(map(sub, islice(pts, 1, None), pts))
+    gaps = sorted(set(map(sub, islice(pts, 1, None), pts)))
     # (g - first) * 10**25 > unit holds exactly when g - first > unit // 10**25
     within = unit // 10 ** (ORACLE_DPS // 2)
     rounded = partial(_round_bits, prec=prec)
@@ -249,9 +270,7 @@ def brute_kronecker(theta, beta: Fraction, N: int):
     matching the exact solver's preference. The error comes back as an
     mpf rounded to ORACLE_DPS digits.
     """
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-
+    m = _mpmath()
     (tm, te), (bm, be) = _signed_man_exp(theta), _signed_man_exp(_beta_mpf(beta))
     s = max(0, -te, -be)
     step = tm << (te + s)
@@ -264,20 +283,18 @@ def brute_kronecker(theta, beta: Fraction, N: int):
         if err < best_err:
             best_n, best_err, best_y = n, err, y
         y += step
-    err = from_man_exp(best_err, -s, dps_to_prec(ORACLE_DPS), round_nearest)
-    return best_n, best_y >> s, mp.make_mpf(err)
+    err = m.from_man_exp(best_err, -s, m.prec, m.round_nearest)
+    return best_n, best_y >> s, m.make_mpf(err)
 
 
 def _beta_mpf(beta: Fraction):
     """mp.mpf(beta.numerator) / beta.denominator at ORACLE_DPS digits, bit
     for bit: the numerator rounds to the precision first, then the
     quotient. libmp builds it with no context to enter and leave."""
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_int, mpf_div, round_nearest
-
-    prec = dps_to_prec(ORACLE_DPS)
-    num = from_int(beta.numerator, prec, round_nearest)
-    return mp.make_mpf(mpf_div(num, from_int(beta.denominator), prec, round_nearest))
+    m = _mpmath()
+    prec, rnd = m.prec, m.round_nearest
+    num = m.from_int(beta.numerator, prec, rnd)
+    return m.make_mpf(m.mpf_div(num, m.from_int(beta.denominator), prec, rnd))
 
 
 def brute_bits(theta, length: int) -> list[int]:

@@ -415,8 +415,8 @@ def test_walk_step_range_and_visit_checks_each_fire(monkeypatch):
     gs = gap_set(GOLDEN, N, min_radius=DISPLAY)
     out_of_range = "the successor walk's steps are out of range"
     cases = (
-        # A step outside [1, N] would index seen[] past its end or wrap
-        # round from a negative n.
+        # A step outside [1, N] fails the check 0 < a, b <= N < a + b,
+        # which refuses it before the walk runs.
         ((0, 5), out_of_range),
         ((N + 1, 5), out_of_range),
         ((5, 0), out_of_range),
@@ -633,6 +633,24 @@ def test_gap_constant_closed_forms_exact():
     assert gap_constant(2) == 1 + Fraction(2) / QuadraticNumber.sqrt(3)
     assert gap_constant(3) == 1 + Fraction(6) / QuadraticNumber.sqrt(21)
     assert gap_constant(4) == 1 + Fraction(9) / (2 * QuadraticNumber.sqrt(8))
+
+
+def _chained_gap_constant(bound):
+    """f(B) as five chained Fraction and QuadraticNumber operations, the
+    form gap_constant had before it normalised once."""
+    if bound % 2 == 0:
+        a = bound // 2
+        return 1 + Fraction((a + 1) ** 2) / (2 * QuadraticNumber.sqrt(a * a + 2 * a))
+    a = (bound - 1) // 2
+    return 1 + Fraction(a * a + 3 * a + 2) / QuadraticNumber.sqrt(4 * a * a + 12 * a + 5)
+
+
+@pytest.mark.parametrize("bounds", [range(1, 3001), [10**25, 2**61 + 1]], ids=["1-3000", "past-trial-limit"])
+def test_gap_constant_is_the_chained_formulas_normal_form(bounds):
+    for b in bounds:
+        got, want = gap_constant(b), _chained_gap_constant(b)
+        assert (got._x, got._y, got._z, got._d) == (want._x, want._y, want._z, want._d), b
+        assert hash(got) == hash(want)
 
 
 def test_gap_constant_envelope():

@@ -21,7 +21,10 @@ from badapprox import (
     legacy_bound,
     solve,
 )
+from badapprox.gaps import _surrogate
+from badapprox.kronecker import _neighbours
 from badapprox.oracle import high_precision_value, random_beta, random_cf
+from badapprox.quadratic import QuadraticNumber
 
 DEEP = Fraction(1, 10**30)
 
@@ -221,3 +224,61 @@ def test_solve_is_the_exact_brute_force_nearest(seed, bound, N):
     sol = solve(cf, beta, N)
     assert (sol.n, sol.p, sol.achieved) == _brute_nearest(cf, beta, N)
     assert sol.within_bound == (sol.achieved < gap_constant(cf.bound()) / (2 * N))
+
+
+def _min_abs_selection(cf, beta, N):
+    """(n, p, achieved, within_bound) chosen as solve chose them before it
+    decided on integer numerators: the smaller of the two neighbours'
+    abs(n*theta - p - beta), the left one on a tie."""
+    num, q, _, _ = _surrogate(cf, N)
+    theta = eval_theta(cf)
+    errors = [(abs(n * theta - p - beta), n, p) for n, p in _neighbours(num, q, N, beta)]
+    achieved, n, p = min(errors, key=lambda e: e[0])
+    return n, p, achieved, achieved < gap_constant(cf.bound()) / (2 * N)
+
+
+def _normal_form(v):
+    """The type of an exact value and the integers that store it."""
+    if isinstance(v, QuadraticNumber):
+        return QuadraticNumber, (v._x, v._y, v._z, v._d)
+    return type(v), (v.numerator, v.denominator)
+
+
+def _tie_cases(rng):
+    """Rational theta with beta at the midpoint of two neighbouring points,
+    where both neighbours are equally near."""
+    cases = []
+    for _ in range(150):
+        quotients = [rng.randint(2, 9)] + [rng.randint(1, 9) for _ in range(rng.randint(0, 3))]
+        cf = CFSpec(0, tuple(quotients), ())
+        theta = cf.value()
+        N = rng.randint(1, theta.denominator - 1)
+        pts = sorted({n * theta % 1 for n in range(N + 1)} | {Fraction(1)})
+        i = rng.randrange(len(pts) - 1)
+        cases.append((cf, (pts[i] + pts[i + 1]) / 2, N))
+    return cases
+
+
+def test_solve_selection_matches_the_min_over_absolute_errors():
+    rng = random.Random(35)
+    cases = []
+    for bound in (2, 10, 1000):
+        for _ in range(700):
+            cf = random_cf(rng, bound)
+            N = rng.randint(1, 2000)
+            beta = Fraction(0) if rng.random() < 0.05 else random_beta(rng)
+            cases.append((cf, beta, N))
+    cases += [(GOLDEN, Fraction(99, 100), 1), (SQRT2_MINUS_1, Fraction(0), 7)]
+    cases += _tie_cases(rng)
+    cases += [(CFSpec(0, (2, 3), ()), beta, N) for beta in (Fraction(0), Fraction(13, 14)) for N in (1, 6)]
+    seen = {"endpoint": 0, "zero": 0, "rational": 0}
+    for cf, beta, N in cases:
+        sol = solve(cf, beta, N)
+        n, p, achieved, within = _min_abs_selection(cf, beta, N)
+        assert (sol.n, sol.p, sol.within_bound) == (n, p, within), (cf, beta, N)
+        assert _normal_form(sol.achieved) == _normal_form(achieved), (cf, beta, N)
+        seen["endpoint"] += (n, p) == (0, -1)
+        seen["zero"] += beta == 0
+        seen["rational"] += cf.is_rational
+    assert len(cases) >= 2000
+    assert all(seen.values()), seen

@@ -108,7 +108,13 @@ def test_bench_rows_all_exit_zero(tmp_path):
     crossing = report["crossing_unique"]
     assert [row["n"] for row in crossing] == [5, 8, 10, 20, 40]
     oracle = report["oracle"]
-    assert [row["call"] for row in oracle] == ["high_precision_value x200", "run_suite(cases=50)"]
+    assert [row["call"] for row in oracle] == [
+        "high_precision_value x200",
+        "run_suite(cases=50)",
+        "solve x200",
+        "gap_constant(B) for B = 1..50",
+        *(f"solve(sqrt2, 1/3, {10**k})" for k in (3, 6, 9)),
+    ]
     for row in rows + crossing + oracle:
         assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert row["speed"] > 0, row

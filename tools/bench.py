@@ -13,9 +13,11 @@ for `kron --theta sqrt2 --beta 1/3` and `regime --theta sqrt2` at N =
 untimed warm-up call, and records the median and quartiles of their wall
 time. The same statistics cover K in-process `crossing_unique(n)` calls
 at n = 5, 8, 10, 20 and 40, the witness's exact uniqueness count alone,
-and the oracle layer on its own: `high_precision_value` over 200 fixed
-`random_cf` expansions (one sample is the whole batch) and
-`run_suite(cases=50)`.
+and the oracle layer on its own, one sample per batch:
+`high_precision_value` over 200 fixed `random_cf` expansions,
+`run_suite(cases=50)`, `solve` over 200 fixed cases drawn as
+`run_suite` draws its Kronecker family, `gap_constant(B)` for B = 1..50,
+and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9.
 It also times K process starts of `badapprox fb --b 2`, from interpreter
 start to exit, and up to three process runs of the largest listing,
 `gaps --theta sqrt2 --n 1048576 --precision-digits 40`; both process rows
@@ -48,6 +50,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,8 +59,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from worker import calibrate, speed  # noqa: E402
 
-from badapprox import cli  # noqa: E402
-from badapprox.oracle import high_precision_value, random_cf, run_suite  # noqa: E402
+from badapprox import cli, gap_constant, preset, solve  # noqa: E402
+from badapprox.oracle import high_precision_value, random_beta, random_cf, run_suite  # noqa: E402
 from badapprox.sturmian import crossing_unique  # noqa: E402
 
 CALLS = (
@@ -87,6 +90,9 @@ LISTING_REPEATS = 3
 PROCESS_TIMEOUT = 60
 CROSSING_STAGES = (5, 8, 10, 20, 40)
 ORACLE_EXPANSIONS = 200
+KRONECKER_CASES = 200
+CONSTANT_BOUNDS = range(1, 51)
+SOLVE_SIZES = (10**3, 10**6, 10**9)
 ORACLE_SEED = 20261020
 SUITE_CASES = 50
 CALIBRATION_SAMPLES = 20
@@ -115,19 +121,35 @@ def time_crossing(n: int) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
-def time_oracle_values(cfs) -> float:
-    """Wall ms of high_precision_value over every expansion in cfs."""
+def time_batch(fn, batch) -> float:
+    """Wall ms of fn(*args) for every args in batch."""
     start = time.perf_counter()
-    for cf in cfs:
-        high_precision_value(cf)
+    for args in batch:
+        fn(*args)
     return (time.perf_counter() - start) * 1e3
 
 
-def time_suite(cases: int) -> float:
-    """Wall ms of one in-process run_suite(cases=cases) at its default seed."""
-    start = time.perf_counter()
-    run_suite(cases=cases)
-    return (time.perf_counter() - start) * 1e3
+def oracle_batches() -> list[tuple[str, object, list[tuple]]]:
+    """(name, function, argument tuples) of each oracle-section row, on
+    fixed corpora: the expansions and the Kronecker cases come from one
+    random.Random(ORACLE_SEED), each case drawn as run_suite draws its
+    own (theta, then N, then beta)."""
+    rng = random.Random(ORACLE_SEED)
+    cfs = [(random_cf(rng),) for _ in range(ORACLE_EXPANSIONS)]
+    cases = []
+    for _ in range(KRONECKER_CASES):
+        cf, N = random_cf(rng), rng.randint(1, 400)
+        cases.append((cf, random_beta(rng), N))
+    sqrt2, third = preset("sqrt2"), Fraction(1, 3)
+    return [
+        (f"high_precision_value x{len(cfs)}", high_precision_value, cfs),
+        # run_suite at its default seed
+        (f"run_suite(cases={SUITE_CASES})", run_suite, [(SUITE_CASES,)]),
+        (f"solve x{len(cases)}", solve, cases),
+        (f"gap_constant(B) for B = {CONSTANT_BOUNDS[0]}..{CONSTANT_BOUNDS[-1]}", gap_constant,
+         [(b,) for b in CONSTANT_BOUNDS]),
+        *((f"solve(sqrt2, 1/3, {N})", solve, [(sqrt2, third, N)]) for N in SOLVE_SIZES),
+    ]
 
 
 def time_process(argv) -> tuple[int, float, float]:
@@ -191,9 +213,9 @@ def main(argv=None) -> int:
 
     calibrate()  # its first call also imports numpy
     whole_run = measured_speed()
-    rng = random.Random(ORACLE_SEED)
-    cfs = [random_cf(rng) for _ in range(ORACLE_EXPANSIONS)]
-    time_oracle_values(cfs)  # warm-up: the first call imports mpmath's libmp
+    batches = oracle_batches()
+    for _, fn, batch in batches:
+        time_batch(fn, batch)  # warm-up: the first oracle call imports mpmath's libmp
     rows = []
     for call in CALLS:
         time_call(call)  # warm-up: imports and first-call caches
@@ -213,10 +235,9 @@ def main(argv=None) -> int:
             for n in CROSSING_STAGES
         ],
         "oracle": [
-            {"call": f"high_precision_value x{len(cfs)}", "speed": measured_speed(),
-             **summary([time_oracle_values(cfs) for _ in range(args.repeats)])},
-            {"call": f"run_suite(cases={SUITE_CASES})", "speed": measured_speed(),
-             **summary([time_suite(SUITE_CASES) for _ in range(args.repeats)])},
+            {"call": name, "speed": measured_speed(),
+             **summary([time_batch(fn, batch) for _ in range(args.repeats)])}
+            for name, fn, batch in batches
         ],
         "process": row(PROCESS_CALL, args.repeats, time_process),
         "listing": row(LISTING_CALL, min(args.repeats, LISTING_REPEATS), time_process),
