@@ -4,119 +4,89 @@ Gap structure of the multiples of theta modulo one, the sharp constant
 governing N times the largest gap, best inhomogeneous approximation
 with explicit error bounds, and the diversity of characteristic bit
 sequences, all in exact arithmetic.
+
+Each submodule, and each public name with its submodule, is imported
+on first access (PEP 562), so `import badapprox` loads no submodule and
+a program pays only for the modules it uses.
 """
 
-from .cf import (
-    CFSpec,
-    Convergent,
-    GOLDEN,
-    SQRT2_MINUS_1,
-    bounded_quotient_extrema,
-    choose_surrogate,
-    convergent_pairs,
-    convergent_residual,
-    convergents,
-    dist_to_int,
-    eval_theta,
-    expand_quadratic,
-    preset,
-    reversal_identity_check,
-    tail_and_reversal,
-)
-from .errors import (
-    CoincidentPointsError,
-    DomainError,
-    SequenceLengthError,
-    VerificationError,
-)
-from .gaps import (
-    ExtremalWitness,
-    GapSet,
-    RegimeTag,
-    classify_regime,
-    extremal_witness,
-    gap_constant,
-    gap_constant_bounds,
-    gap_set,
-    predicted_gap_values,
-    verify_regime,
-)
-from .kronecker import KroneckerSolution, legacy_bound, solve
-from .oracle import OracleReport, run_suite
-from .quadratic import QuadraticNumber
-from .render import decimal_str
-from .sturmian import (
-    CrossingCell,
-    DiversityRow,
-    DiversityWitness,
-    FibLucasPair,
-    FractionalGrids,
-    RatioReport,
-    WitnessReport,
-    agreement,
-    characteristic_bits,
-    crossing_cell,
-    crossing_unique,
-    diversity_scan,
-    fib_lucas,
-    fractional_grids,
-    lower_bound_witness,
-    witness_ratio_report,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CFSpec",
-    "CoincidentPointsError",
-    "Convergent",
-    "CrossingCell",
-    "DiversityRow",
-    "DiversityWitness",
-    "DomainError",
-    "ExtremalWitness",
-    "FibLucasPair",
-    "FractionalGrids",
-    "GOLDEN",
-    "GapSet",
-    "KroneckerSolution",
-    "OracleReport",
-    "QuadraticNumber",
-    "RatioReport",
-    "RegimeTag",
-    "SQRT2_MINUS_1",
-    "SequenceLengthError",
-    "VerificationError",
-    "WitnessReport",
-    "agreement",
-    "bounded_quotient_extrema",
-    "characteristic_bits",
-    "choose_surrogate",
-    "classify_regime",
-    "crossing_cell",
-    "crossing_unique",
-    "convergent_pairs",
-    "convergent_residual",
-    "convergents",
-    "decimal_str",
-    "dist_to_int",
-    "diversity_scan",
-    "eval_theta",
-    "expand_quadratic",
-    "extremal_witness",
-    "fib_lucas",
-    "fractional_grids",
-    "gap_constant",
-    "gap_constant_bounds",
-    "gap_set",
-    "legacy_bound",
-    "lower_bound_witness",
-    "predicted_gap_values",
-    "preset",
-    "reversal_identity_check",
-    "run_suite",
-    "solve",
-    "tail_and_reversal",
-    "verify_regime",
-    "witness_ratio_report",
-]
+# Submodule -> the public names it defines.
+_NAMES = {
+    "cf": (
+        "CFSpec",
+        "Convergent",
+        "GOLDEN",
+        "SQRT2_MINUS_1",
+        "bounded_quotient_extrema",
+        "choose_surrogate",
+        "convergent_pairs",
+        "convergent_residual",
+        "convergents",
+        "dist_to_int",
+        "eval_theta",
+        "expand_quadratic",
+        "preset",
+        "reversal_identity_check",
+        "tail_and_reversal",
+    ),
+    "errors": ("CoincidentPointsError", "DomainError", "SequenceLengthError", "VerificationError"),
+    "gaps": (
+        "ExtremalWitness",
+        "GapSet",
+        "RegimeTag",
+        "classify_regime",
+        "extremal_witness",
+        "gap_constant",
+        "gap_constant_bounds",
+        "gap_set",
+        "predicted_gap_values",
+        "verify_regime",
+    ),
+    "kronecker": ("KroneckerSolution", "legacy_bound", "solve"),
+    "oracle": ("OracleReport", "run_suite"),
+    "quadratic": ("QuadraticNumber",),
+    "render": ("decimal_str",),
+    "sturmian": (
+        "CrossingCell",
+        "DiversityRow",
+        "DiversityWitness",
+        "FibLucasPair",
+        "FractionalGrids",
+        "RatioReport",
+        "WitnessReport",
+        "agreement",
+        "characteristic_bits",
+        "crossing_cell",
+        "crossing_unique",
+        "diversity_scan",
+        "fib_lucas",
+        "fractional_grids",
+        "lower_bound_witness",
+        "witness_ratio_report",
+    ),
+}
+_SOURCE = {name: module for module, names in _NAMES.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import a submodule, or a public name's submodule, and bind it here
+    for later reads."""
+    if name in _NAMES:
+        # import_module binds the submodule as an attribute of this package.
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

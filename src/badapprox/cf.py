@@ -134,6 +134,11 @@ class CFSpec:
     def from_json_dict(cls, obj: dict) -> "CFSpec":
         try:
             a0 = obj["a0"]
+            # A misspelled key would otherwise drop its quotients unnoticed.
+            unknown = obj.keys() - {"a0", "prefix", "period"}
+            if unknown:
+                raise DomainError(f"malformed expansion object: unknown key {', '.join(sorted(map(repr, unknown)))}"
+                                  "; the keys are a0, prefix and period")
             prefix, period = tuple(obj.get("prefix", ())), tuple(obj.get("period", ()))
             # JSON true and false would pass operator.index as 1 and 0.
             if any(isinstance(a, bool) for a in (a0, *prefix, *period)):

@@ -32,27 +32,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
+import badapprox
+
 from .cf import CFSpec, preset
 from .errors import DomainError, VerificationError
-from .gaps import (
-    MAX_STAGE,
-    extremal_witness,
-    gap_constant,
-    gap_constant_bounds,
-    gap_set,
-    verify_regime,
-)
-from .kronecker import solve
-from .oracle import run_suite
 from .quadratic import QuadraticNumber
 from .render import DEFAULT_SIG_DIGITS, _json_str, _ratios_str, decimal_str
-from .sturmian import (
-    characteristic_bits,
-    diversity_scan,
-    fractional_grids,
-    lower_bound_witness,
-    witness_ratio_report,
-)
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -169,7 +154,8 @@ def _refuse_unprintable(bound: int, stage: int) -> None:
     """
     # Pythons before 3.10.7 have no limit and no getter for it.
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if bound >= 2 and limit and stage <= MAX_STAGE and (stage + 1) * (len(str(bound)) - 1) > limit:
+    if (bound >= 2 and limit and stage <= badapprox.gaps.MAX_STAGE
+            and (stage + 1) * (len(str(bound)) - 1) > limit):
         raise DomainError(_TOO_LONG)
 
 
@@ -189,12 +175,17 @@ def _flat(obj: dict, fmt: str) -> str:
 
 
 # ---- subcommand handlers ----------------------------------------------
+#
+# Each handler reads the modules it runs as attributes of the package,
+# which imports a submodule on its first access, so a process loads only
+# what its subcommand needs (`fb` never compiles sturmian or the oracle)
+# and later calls pay one attribute read, not an import statement.
 
 
 def cmd_gaps(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     sig = args.precision_digits
-    gs = gap_set(cf, args.n, min_radius=_display_radius(sig, args.n))
+    gs = badapprox.gaps.gap_set(cf, args.n, min_radius=_display_radius(sig, args.n))
     if args.format == "csv":
         rows = [("gap", "multiplicity")]
         rows += [(s, m) for s, (_, m) in zip(gs.length_strs(sig), gs.gap_nums)]
@@ -205,7 +196,7 @@ def cmd_gaps(args) -> tuple[str, bool]:
 def cmd_regime(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     sig = args.precision_digits
-    tag, gs, predicted, ok = verify_regime(
+    tag, gs, predicted, ok = badapprox.gaps.verify_regime(
         cf, args.n, min_radius=_display_radius(sig, args.n)
     )
     if args.format == "csv":
@@ -227,8 +218,8 @@ def cmd_regime(args) -> tuple[str, bool]:
 
 
 def cmd_fb(args) -> tuple[str, bool]:
-    f = gap_constant(args.b)
-    lower, upper = gap_constant_bounds(args.b)
+    f = badapprox.gaps.gap_constant(args.b)
+    lower, upper = badapprox.gaps.gap_constant_bounds(args.b)
     sig = args.precision_digits
     obj = {
         "f": _printed(_symbolic, f),
@@ -242,7 +233,7 @@ def cmd_fb(args) -> tuple[str, bool]:
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
     _refuse_unprintable(args.b, args.n)
-    w = extremal_witness(args.b, args.n)
+    w = badapprox.gaps.extremal_witness(args.b, args.n)
     w = w.at_radius(_display_radius(sig, w.count))
     obj = {
         "b": w.bound,
@@ -261,7 +252,7 @@ def cmd_kron(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     beta = _parse_beta(args.beta)
     sig = args.precision_digits
-    sol = solve(cf, beta, args.n)
+    sol = badapprox.kronecker.solve(cf, beta, args.n)
     obj = {
         "n": sol.n,
         "p": sol.p,
@@ -278,7 +269,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def cmd_sturmian(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
-    bits = characteristic_bits(cf, args.n)
+    bits = badapprox.sturmian.characteristic_bits(cf, args.n)
     if args.format == "csv":
         rows = [("i", "bit"), *enumerate(bits)]
         return _csv(rows), False
@@ -288,7 +279,7 @@ def cmd_sturmian(args) -> tuple[str, bool]:
 
 def cmd_diversity(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
-    rows = diversity_scan(cf, args.b, args.rmax)
+    rows = badapprox.sturmian.diversity_scan(cf, args.b, args.rmax)
     failed = any(not row.passed for row in rows)
     if args.format == "json":
         obj = {
@@ -311,7 +302,7 @@ def cmd_diversity(args) -> tuple[str, bool]:
 
 
 def cmd_witness(args) -> tuple[str, bool]:
-    rep = lower_bound_witness(args.n)
+    rep = badapprox.sturmian.lower_bound_witness(args.n)
     sig = args.precision_digits
     w = rep.witness
     if args.format == "csv":
@@ -320,7 +311,7 @@ def cmd_witness(args) -> tuple[str, bool]:
             (args.n, w.r, w.a, w.b, w.first_mismatch, w.bound, rep.matches),
         ]
         return _csv(rows), False
-    ratio = witness_ratio_report()
+    ratio = badapprox.sturmian.witness_ratio_report()
     approached = ratio.candidates[ratio.approached]
     other = ratio.candidates[1 - ratio.approached]
     obj = {
@@ -352,7 +343,7 @@ def cmd_witness(args) -> tuple[str, bool]:
 
 
 def cmd_arrays(args) -> tuple[str, bool]:
-    g = fractional_grids(args.n)
+    g = badapprox.sturmian.fractional_grids(args.n)
     sig = args.precision_digits
     if args.format == "csv":
         rows = [("i", "j", "lower", "upper")]
@@ -378,7 +369,7 @@ def cmd_arrays(args) -> tuple[str, bool]:
 
 
 def cmd_verify(args) -> tuple[str, bool]:
-    rep = run_suite(cases=args.cases, seed=args.seed)
+    rep = badapprox.oracle.run_suite(cases=args.cases, seed=args.seed)
     lines = [
         json.dumps({"oracle": "gap_set", "cases": rep.gap_cases, "ok": rep.gap_cases == args.cases}),
         json.dumps({"oracle": "kronecker", "cases": rep.kronecker_cases, "ok": rep.kronecker_cases == args.cases}),
@@ -392,12 +383,12 @@ def cmd_convergence(args) -> tuple[str, bool]:
     sig = args.precision_digits
     if args.nmax < 1:
         raise DomainError("witness stages are indexed from 1")
-    if args.nmax > MAX_STAGE:
-        raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {MAX_STAGE}")
+    if args.nmax > badapprox.gaps.MAX_STAGE:
+        raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {badapprox.gaps.MAX_STAGE}")
     _refuse_unprintable(args.b, args.nmax)
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
-        w = extremal_witness(args.b, stage)
+        w = badapprox.gaps.extremal_witness(args.b, stage)
         w = w.at_radius(_display_radius(sig, w.count))
         shown = (decimal_str(v, sig) for v in (w.product, w.constant, w.gap_to_f))
         table.append((stage, w.count, *shown))

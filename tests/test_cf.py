@@ -117,6 +117,19 @@ def test_json_round_trip():
         CFSpec.from_json('{"a0": 0, "period": [1.5]}')
 
 
+def test_json_keys_are_a0_prefix_and_period():
+    # All three keys, and each optional one left out, read as before.
+    assert CFSpec.from_json('{"a0": 1, "prefix": [2], "period": [3]}') == CFSpec(1, (2,), (3,))
+    assert CFSpec.from_json('{"a0": 0, "period": [3]}') == CFSpec(0, (), (3,))
+    assert CFSpec.from_json('{"a0": 0, "prefix": [2]}') == CFSpec(0, (2,), ())
+    # A misspelled key used to drop its quotients: [0; 2] read as 1/2.
+    for text, key in (('{"a0": 0, "prefix": [2], "peroid": [3]}', "'peroid'"),
+                      ('{"a0": 0, "prefx": [2], "period": [3]}', "'prefx'"),
+                      ('{"a0": 0, "period": [3], "note": "x"}', "'note'")):
+        with pytest.raises(DomainError, match=f"malformed expansion object: unknown key {key}"):
+            CFSpec.from_json(text)
+
+
 # ---- convergents -----------------------------------------------------------
 
 

@@ -250,7 +250,7 @@ def test_verify_lines(capsys):
 
 def test_verify_failure_exit(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "run_suite", lambda cases, seed: OracleReport(0, 0, 0, ("synthetic",))
+        badapprox.oracle, "run_suite", lambda cases, seed: OracleReport(0, 0, 0, ("synthetic",))
     )
     code, out, _ = run(capsys, "verify", "--cases", "1")
     assert code == 2
@@ -267,12 +267,19 @@ def test_verify_cases_are_capped_at_parse_time(capsys, monkeypatch):
         asked.append(cases)
         return OracleReport(cases, cases, cases, ())
 
-    monkeypatch.setattr(cli, "run_suite", fake)
+    monkeypatch.setattr(badapprox.oracle, "run_suite", fake)
     assert run(capsys, "verify", "--cases", "100000")[0] == 0
     for text in ("100001", "99999999999999999999"):
         code, out, err = run(capsys, "verify", "--cases", text)
         assert code == 64 and out == "" and "must be <= 100000" in err
     assert asked == [100000]
+
+
+def test_misspelled_expansion_key_is_a_usage_error(capsys):
+    theta = '{"a0": 0, "prefix": [2], "peroid": [3]}'
+    code, out, err = run(capsys, "gaps", "--theta", theta, "--n", "1", "--format", "csv")
+    assert (code, out) == (64, "")
+    assert err.startswith("usage error: malformed expansion object: unknown key 'peroid'")
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -458,7 +465,7 @@ def test_an_integer_one_digit_past_the_print_limit_exits_1(capsys, monkeypatch):
         pytest.skip("this Python has no digit limit for str()")
     for digits, want in ((limit, 0), (limit + 1, 1)):
         row = badapprox.DiversityRow(r=2, max_agreement=10 ** (digits - 1), bound=1, passed=True)
-        monkeypatch.setattr(cli, "diversity_scan", lambda cf, b, rmax: [row])
+        monkeypatch.setattr(badapprox.sturmian, "diversity_scan", lambda cf, b, rmax: [row])
         code, out, err = run(capsys, "diversity", "--theta", "golden", "--b", "1", "--rmax", "2", "--format", "json")
         assert code == want, digits
         if want:
@@ -472,8 +479,8 @@ def test_unprintable_witnesses_are_refused_before_any_work(capsys, monkeypatch):
     # limit can never print: exit 1 at once, with the message a late
     # refusal prints.
     built = []
-    real = cli.extremal_witness
-    monkeypatch.setattr(cli, "extremal_witness", lambda b, n: built.append(n) or real(b, n))
+    real = badapprox.gaps.extremal_witness
+    monkeypatch.setattr(badapprox.gaps, "extremal_witness", lambda b, n: built.append(n) or real(b, n))
     for argv in (("extremal", "--b", "9" * 700, "--n", "7"),
                  ("extremal", "--b", "9" * 400, "--n", "40"),
                  ("extremal", "--b", "9" * 1434, "--n", "3"),
@@ -690,7 +697,7 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
     # its gap-set certification reruns at the display radius; f - N*H comes
     # exact on it, so no gap set is read for its digits.
     built, read = [], []
-    real_witness, real_gap_set = cli.extremal_witness, cli.gap_set
+    real_witness, real_gap_set = badapprox.gaps.extremal_witness, badapprox.gaps.gap_set
 
     def witness(*args, **kwargs):
         built.append(args)
@@ -700,8 +707,8 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
         read.append(args)
         return real_gap_set(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "extremal_witness", witness)
-    monkeypatch.setattr(cli, "gap_set", gap_set)
+    monkeypatch.setattr(badapprox.gaps, "extremal_witness", witness)
+    monkeypatch.setattr(badapprox.gaps, "gap_set", gap_set)
     for digits in ("10", "40"):
         code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10",
                            "--precision-digits", digits)
@@ -758,6 +765,70 @@ def test_cli_runs_without_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
+
+
+# One call per subcommand, with the submodules past cli's own (cf, errors,
+# quadratic, render) that it must load; verify comes last, as it loads mpmath.
+_FOOTPRINT_CALLS = (
+    (("-h",), set()),
+    (("fb", "--b", "2"), {"gaps"}),
+    (("gaps", "--theta", "golden", "--n", "5"), {"gaps"}),
+    (("regime", "--theta", "golden", "--n", "5"), {"gaps"}),
+    (("extremal", "--b", "2", "--n", "3"), {"gaps"}),
+    (("convergence", "--b", "2", "--nmax", "3"), {"gaps"}),
+    (("kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "10"), {"gaps", "kronecker"}),
+    (("sturmian", "--theta", "golden", "--n", "8"), {"sturmian"}),
+    (("diversity", "--theta", "golden", "--b", "1", "--rmax", "3"), {"sturmian"}),
+    (("witness", "--n", "2"), {"sturmian"}),
+    (("arrays", "--n", "2"), {"sturmian"}),
+    (("verify", "--cases", "1"), {"gaps", "kronecker", "oracle", "sturmian"}),
+)
+
+# Prints what `import badapprox` loads and lists, then, for each call, the
+# submodules one cli.main call loads into a package imported afresh.
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import badapprox
+
+def loaded():
+    return sorted(name for name in sys.modules if name.startswith("badapprox."))
+
+report = {"import": loaded(), "mpmath": "mpmath" in sys.modules,
+          "not_in_dir": sorted(set(badapprox.__all__) - set(dir(badapprox))), "calls": []}
+for argv in json.loads(sys.argv[1]):
+    for name in [name for name in sys.modules if name.split(".")[0] == "badapprox"]:
+        del sys.modules[name]
+    from badapprox import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report["calls"].append((code, loaded(), "mpmath" in sys.modules))
+print(json.dumps(report))
+"""
+
+
+def test_each_process_loads_only_what_it_runs():
+    argvs = [list(argv) for argv, _ in _FOOTPRINT_CALLS]
+    assert {argv[0] for argv in argvs[1:]} == set(cli._COMMANDS)
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(done.stdout)
+    # The package alone loads no submodule and no mpmath, yet lists every
+    # public name.
+    assert (report["import"], report["mpmath"], report["not_in_dir"]) == ([], False, [])
+    base = {"cf", "cli", "errors", "quadratic", "render"}
+    for (argv, extra), (code, modules, mpmath_loaded) in zip(_FOOTPRINT_CALLS, report["calls"]):
+        assert code == 0, argv
+        assert modules == sorted(f"badapprox.{name}" for name in base | extra), argv
+        assert mpmath_loaded == (argv[0] == "verify"), argv
+    # Each public name is the object its module defines, and a star import
+    # binds them all.
+    for name in badapprox.__all__:
+        value = getattr(badapprox, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    star = {}
+    exec("from badapprox import *", star)
+    assert all(star[name] is getattr(badapprox, name) for name in badapprox.__all__)
 
 
 def test_fb_digits_for_small_bounds_are_pinned(capsys):
@@ -853,7 +924,7 @@ def test_arrays_json_builds_no_entry(capsys, monkeypatch):
         grids.append(badapprox.fractional_grids(n))
         return grids[-1]
 
-    monkeypatch.setattr(cli, "fractional_grids", recorded)
+    monkeypatch.setattr(badapprox.sturmian, "fractional_grids", recorded)
     code, out, _ = run(capsys, "arrays", "--n", "6")
     assert code == 0 and json.loads(out)["verified"] is True
     assert "lower" not in vars(grids[0]) and "upper" not in vars(grids[0])

@@ -344,7 +344,6 @@ def _record_gap_sets(monkeypatch, module):
 
 def test_statistics_callers_never_sort(monkeypatch, capsys):
     made = _record_gap_sets(monkeypatch, gaps_module)
-    made += _record_gap_sets(monkeypatch, cli)
     rounds = []
     real_round = gaps_module._next_surrogate
     monkeypatch.setattr(gaps_module, "_next_surrogate",

@@ -86,13 +86,19 @@ def test_bench_rows_all_exit_zero(tmp_path):
     assert len(report["git_diff_sha256"]) == 64
     int(report["git_diff_sha256"], 16)
     listing = report["listing"]
-    assert listing["argv"] == "gaps --theta sqrt2 --n 1048576 --precision-digits 40"
+    assert listing["argv"] == "-m badapprox.cli gaps --theta sqrt2 --n 1048576 --precision-digits 40"
     # The listing's own peak: its 2^20 points take more than the bench
     # process it was spawned from (the floor of a child's peak on Linux),
     # and far less than the whole machine.
     assert 50 < report["bench_peak_rss_mb"] < listing["peak_rss_mb"] < 4096
-    assert report["process"]["peak_rss_mb"] > 0
-    rows = [*report["cli"], report["process"], listing]
+    assert report["dont_write_bytecode"] == bool(sys.flags.dont_write_bytecode)
+    assert [row["argv"] for row in report["process"]] == [
+        "-c import badapprox",
+        "-m badapprox.cli fb --b 2",
+        "-m badapprox.cli kron --theta sqrt2 --beta 1/3 --n 1000",
+    ]
+    assert all(row["peak_rss_mb"] > 0 for row in report["process"])
+    rows = [*report["cli"], *report["process"], listing]
     assert {row["argv"].split()[0] for row in report["cli"]} == set(cli._COMMANDS)
     witness = [row["argv"] for row in report["cli"] if row["argv"].startswith("witness")]
     assert witness == [f"witness --n {n}" for n in range(2, 7)]

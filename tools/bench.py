@@ -18,11 +18,16 @@ and the oracle layer on its own, one sample per batch:
 `run_suite(cases=50)`, `solve` over 200 fixed cases drawn as
 `run_suite` draws its Kronecker family, `gap_constant(B)` for B = 1..50,
 and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9.
-It also times K process starts of `badapprox fb --b 2`, from interpreter
-start to exit, and up to three process runs of the largest listing,
-`gaps --theta sqrt2 --n 1048576 --precision-digits 40`; both process rows
-record the largest peak RSS of one run, read with os.wait4, and a run is
-killed after 60 s. A child's peak on Linux counts from the RSS of this
+It also times K process runs, from interpreter start to exit, of
+`python -c "import badapprox"` and of `python -m badapprox.cli` with
+`fb --b 2` and with `kron --theta sqrt2 --beta 1/3 --n 1000`, and up to
+three process runs of the largest listing,
+`gaps --theta sqrt2 --n 1048576 --precision-digits 40`; every process row
+records the largest peak RSS of one run, read with os.wait4, and a run is
+killed after 60 s. A process run's time includes compiling the modules it
+imports unless their bytecode is cached, so the report records whether
+this interpreter writes bytecode (`sys.flags.dont_write_bytecode`, set by
+-B or PYTHONDONTWRITEBYTECODE, which the children inherit). A child's peak on Linux counts from the RSS of this
 tool when it spawned the child, so the report also gives this tool's own
 peak, the floor under those figures. Beside the times it records the git commit,
 whether src/ or tools/ differ from it and the sha256 of that difference
@@ -84,8 +89,13 @@ CALLS = (
     ("arrays", "--n", "2"),
     ("verify", "--cases", "4"),
 )
-PROCESS_CALL = ("fb", "--b", "2")
-LISTING_CALL = ("gaps", "--theta", "sqrt2", "--n", "1048576", "--precision-digits", "40")
+# Process rows: the interpreter's arguments.
+PROCESS_CALLS = (
+    ("-c", "import badapprox"),
+    ("-m", "badapprox.cli", "fb", "--b", "2"),
+    ("-m", "badapprox.cli", "kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "1000"),
+)
+LISTING_CALL = ("-m", "badapprox.cli", "gaps", "--theta", "sqrt2", "--n", "1048576", "--precision-digits", "40")
 LISTING_REPEATS = 3
 PROCESS_TIMEOUT = 60
 CROSSING_STAGES = (5, 8, 10, 20, 40)
@@ -153,8 +163,9 @@ def oracle_batches() -> list[tuple[str, object, list[tuple]]]:
 
 
 def time_process(argv) -> tuple[int, float, float]:
-    """(exit code, wall ms, peak RSS in MB) of one process run, its output
-    discarded; a run still going after PROCESS_TIMEOUT seconds is killed.
+    """(exit code, wall ms, peak RSS in MB) of one run of this interpreter
+    with the arguments argv, its output discarded; a run still going after
+    PROCESS_TIMEOUT seconds is killed.
     os.wait4 reads this child's peak, where getrusage's RUSAGE_CHILDREN
     would give the largest of all children so far. On Linux that peak
     starts from this process's RSS at the spawn, which the child's exec
@@ -162,7 +173,7 @@ def time_process(argv) -> tuple[int, float, float]:
     surely the child's own."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "badapprox.cli", *argv], env=env,
+    proc = subprocess.Popen([sys.executable, *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     killer = threading.Timer(PROCESS_TIMEOUT, proc.kill)
     killer.start()
@@ -226,6 +237,7 @@ def main(argv=None) -> int:
         # The tree timed is git_sha with this diff applied.
         "git_diff_sha256": hashlib.sha256(git("diff", "HEAD", "--", "src", "tools")).hexdigest(),
         "python": sys.version.split()[0],
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "speed": whole_run,
         "repeats": args.repeats,
         "cli": rows,
@@ -239,7 +251,7 @@ def main(argv=None) -> int:
              **summary([time_batch(fn, batch) for _ in range(args.repeats)])}
             for name, fn, batch in batches
         ],
-        "process": row(PROCESS_CALL, args.repeats, time_process),
+        "process": [row(call, args.repeats, time_process) for call in PROCESS_CALLS],
         "listing": row(LISTING_CALL, min(args.repeats, LISTING_REPEATS), time_process),
         # The floor under every process row's peak_rss_mb, read after them.
         "bench_peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
