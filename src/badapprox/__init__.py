@@ -5,12 +5,16 @@ governing N times the largest gap, best inhomogeneous approximation
 with explicit error bounds, and the diversity of characteristic bit
 sequences, all in exact arithmetic.
 
-Each submodule, and each public name with its submodule, is imported
-on first access (PEP 562), so `import badapprox` loads no submodule and
-a program pays only for the modules it uses.
+`import badapprox` registers each library submodule (all but `cli`) in
+`sys.modules` through `importlib.util.LazyLoader` and runs none: a
+submodule's code runs on its first attribute access, and each public name
+is looked up in its submodule on first access (PEP 562). A program pays
+only for the modules it uses, while code that looks modules up in
+`sys.modules`, such as perfbench's tracer, finds every one.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -74,17 +78,27 @@ _SOURCE = {name: module for module, names in _NAMES.items() for name in names}
 __all__ = sorted(_SOURCE)
 
 
+def _register(module: str):
+    """A module object for submodule `module`, in `sys.modules`, whose code
+    runs on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    loader = spec.loader = importlib.util.LazyLoader(spec.loader)
+    sys.modules[spec.name] = lazy = importlib.util.module_from_spec(spec)
+    loader.exec_module(lazy)
+    return lazy
+
+
+globals().update({module: _register(module) for module in _NAMES})
+
+
 def __getattr__(name: str):
-    """Import a submodule, or a public name's submodule, and bind it here
-    for later reads."""
-    if name in _NAMES:
-        # import_module binds the submodule as an attribute of this package.
-        return importlib.import_module(f"{__name__}.{name}")
+    """Look a public name up in its submodule and bind it here for later
+    reads."""
     try:
         module = _SOURCE[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

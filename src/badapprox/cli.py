@@ -32,8 +32,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import badapprox
-
+from . import gaps, kronecker, oracle, sturmian
 from .cf import CFSpec, preset
 from .errors import DomainError, VerificationError
 from .quadratic import QuadraticNumber
@@ -154,8 +153,7 @@ def _refuse_unprintable(bound: int, stage: int) -> None:
     """
     # Pythons before 3.10.7 have no limit and no getter for it.
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if (bound >= 2 and limit and stage <= badapprox.gaps.MAX_STAGE
-            and (stage + 1) * (len(str(bound)) - 1) > limit):
+    if bound >= 2 and limit and stage <= gaps.MAX_STAGE and (stage + 1) * (len(str(bound)) - 1) > limit:
         raise DomainError(_TOO_LONG)
 
 
@@ -176,16 +174,16 @@ def _flat(obj: dict, fmt: str) -> str:
 
 # ---- subcommand handlers ----------------------------------------------
 #
-# Each handler reads the modules it runs as attributes of the package,
-# which imports a submodule on its first access, so a process loads only
-# what its subcommand needs (`fb` never compiles sturmian or the oracle)
-# and later calls pay one attribute read, not an import statement.
+# `gaps`, `kronecker`, `oracle` and `sturmian` are the package's lazy
+# module objects: each runs its code on the first call that reads a name
+# from it, so a process loads only what its subcommand needs (`fb` never
+# compiles sturmian or the oracle).
 
 
 def cmd_gaps(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     sig = args.precision_digits
-    gs = badapprox.gaps.gap_set(cf, args.n, min_radius=_display_radius(sig, args.n))
+    gs = gaps.gap_set(cf, args.n, min_radius=_display_radius(sig, args.n))
     if args.format == "csv":
         rows = [("gap", "multiplicity")]
         rows += [(s, m) for s, (_, m) in zip(gs.length_strs(sig), gs.gap_nums)]
@@ -196,7 +194,7 @@ def cmd_gaps(args) -> tuple[str, bool]:
 def cmd_regime(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     sig = args.precision_digits
-    tag, gs, predicted, ok = badapprox.gaps.verify_regime(
+    tag, gs, predicted, ok = gaps.verify_regime(
         cf, args.n, min_radius=_display_radius(sig, args.n)
     )
     if args.format == "csv":
@@ -218,8 +216,8 @@ def cmd_regime(args) -> tuple[str, bool]:
 
 
 def cmd_fb(args) -> tuple[str, bool]:
-    f = badapprox.gaps.gap_constant(args.b)
-    lower, upper = badapprox.gaps.gap_constant_bounds(args.b)
+    f = gaps.gap_constant(args.b)
+    lower, upper = gaps.gap_constant_bounds(args.b)
     sig = args.precision_digits
     obj = {
         "f": _printed(_symbolic, f),
@@ -233,7 +231,7 @@ def cmd_fb(args) -> tuple[str, bool]:
 def cmd_extremal(args) -> tuple[str, bool]:
     sig = args.precision_digits
     _refuse_unprintable(args.b, args.n)
-    w = badapprox.gaps.extremal_witness(args.b, args.n)
+    w = gaps.extremal_witness(args.b, args.n)
     w = w.at_radius(_display_radius(sig, w.count))
     obj = {
         "b": w.bound,
@@ -252,7 +250,7 @@ def cmd_kron(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     beta = _parse_beta(args.beta)
     sig = args.precision_digits
-    sol = badapprox.kronecker.solve(cf, beta, args.n)
+    sol = kronecker.solve(cf, beta, args.n)
     obj = {
         "n": sol.n,
         "p": sol.p,
@@ -269,7 +267,7 @@ _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 def cmd_sturmian(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
-    bits = badapprox.sturmian.characteristic_bits(cf, args.n)
+    bits = sturmian.characteristic_bits(cf, args.n)
     if args.format == "csv":
         rows = [("i", "bit"), *enumerate(bits)]
         return _csv(rows), False
@@ -279,7 +277,7 @@ def cmd_sturmian(args) -> tuple[str, bool]:
 
 def cmd_diversity(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
-    rows = badapprox.sturmian.diversity_scan(cf, args.b, args.rmax)
+    rows = sturmian.diversity_scan(cf, args.b, args.rmax)
     failed = any(not row.passed for row in rows)
     if args.format == "json":
         obj = {
@@ -302,7 +300,7 @@ def cmd_diversity(args) -> tuple[str, bool]:
 
 
 def cmd_witness(args) -> tuple[str, bool]:
-    rep = badapprox.sturmian.lower_bound_witness(args.n)
+    rep = sturmian.lower_bound_witness(args.n)
     sig = args.precision_digits
     w = rep.witness
     if args.format == "csv":
@@ -311,7 +309,7 @@ def cmd_witness(args) -> tuple[str, bool]:
             (args.n, w.r, w.a, w.b, w.first_mismatch, w.bound, rep.matches),
         ]
         return _csv(rows), False
-    ratio = badapprox.sturmian.witness_ratio_report()
+    ratio = sturmian.witness_ratio_report()
     approached = ratio.candidates[ratio.approached]
     other = ratio.candidates[1 - ratio.approached]
     obj = {
@@ -343,7 +341,7 @@ def cmd_witness(args) -> tuple[str, bool]:
 
 
 def cmd_arrays(args) -> tuple[str, bool]:
-    g = badapprox.sturmian.fractional_grids(args.n)
+    g = sturmian.fractional_grids(args.n)
     sig = args.precision_digits
     if args.format == "csv":
         rows = [("i", "j", "lower", "upper")]
@@ -369,7 +367,7 @@ def cmd_arrays(args) -> tuple[str, bool]:
 
 
 def cmd_verify(args) -> tuple[str, bool]:
-    rep = badapprox.oracle.run_suite(cases=args.cases, seed=args.seed)
+    rep = oracle.run_suite(cases=args.cases, seed=args.seed)
     lines = [
         json.dumps({"oracle": "gap_set", "cases": rep.gap_cases, "ok": rep.gap_cases == args.cases}),
         json.dumps({"oracle": "kronecker", "cases": rep.kronecker_cases, "ok": rep.kronecker_cases == args.cases}),
@@ -383,12 +381,12 @@ def cmd_convergence(args) -> tuple[str, bool]:
     sig = args.precision_digits
     if args.nmax < 1:
         raise DomainError("witness stages are indexed from 1")
-    if args.nmax > badapprox.gaps.MAX_STAGE:
-        raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {badapprox.gaps.MAX_STAGE}")
+    if args.nmax > gaps.MAX_STAGE:
+        raise DomainError(f"--nmax {args.nmax} is past MAX_STAGE = {gaps.MAX_STAGE}")
     _refuse_unprintable(args.b, args.nmax)
     table = [("n", "big_n", "product_nh", "f", "gap")]
     for stage in range(1, args.nmax + 1):
-        w = badapprox.gaps.extremal_witness(args.b, stage)
+        w = gaps.extremal_witness(args.b, stage)
         w = w.at_radius(_display_radius(sig, w.count))
         shown = (decimal_str(v, sig) for v in (w.product, w.constant, w.gap_to_f))
         table.append((stage, w.count, *shown))

@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from . import render
 from .cf import (
     CFSpec,
     Convergent,
@@ -195,25 +196,21 @@ class GapSet:
     def length_strs(self, sig: int = 10) -> list[str]:
         """The ascending gap lengths as decimal strings, rendered in one run
         over the shared denominator."""
-        from .render import _ratios_str
-
-        return _ratios_str([g for g, _ in self.gap_nums], self.denominator, sig)
+        return render._ratios_str([g for g, _ in self.gap_nums], self.denominator, sig)
 
     def to_json_dict(self, sig: int = 10) -> dict:
-        from .render import _ratios_str, decimal_str
-
         lengths = self.length_strs(sig)
         return {
             "n": self.count,
             "k_surrogate": self.depth,
-            "points": _ratios_str(self.nums, self.denominator, sig),
+            "points": render._ratios_str(self.nums, self.denominator, sig),
             "gaps": [
                 {"length": s, "multiplicity": m}
                 for s, (_, m) in zip(lengths, self.gap_nums)
             ],
             # The largest gap is the last length: the same value, so the same string.
             "h": lengths[-1],
-            "product_nh": decimal_str(self.product, sig),
+            "product_nh": render.decimal_str(self.product, sig),
         }
 
 

@@ -785,15 +785,19 @@ _FOOTPRINT_CALLS = (
 )
 
 # Prints what `import badapprox` loads and lists, then, for each call, the
-# submodules one cli.main call loads into a package imported afresh.
+# submodules one cli.main call loads into a package imported afresh. Every
+# submodule is in sys.modules; one whose code has not run yet is still a
+# LazyLoader module, whose class is a subclass of ModuleType.
 _FOOTPRINT = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import badapprox
 
 def loaded():
-    return sorted(name for name in sys.modules if name.startswith("badapprox."))
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("badapprox.") and type(module) is types.ModuleType)
 
 report = {"import": loaded(), "mpmath": "mpmath" in sys.modules,
+          "registered": sorted(name for name in sys.modules if name.startswith("badapprox.")),
           "not_in_dir": sorted(set(badapprox.__all__) - set(dir(badapprox))), "calls": []}
 for argv in json.loads(sys.argv[1]):
     for name in [name for name in sys.modules if name.split(".")[0] == "badapprox"]:
@@ -814,8 +818,10 @@ def test_each_process_loads_only_what_it_runs():
                           capture_output=True, text=True, env=env, check=True)
     report = json.loads(done.stdout)
     # The package alone loads no submodule and no mpmath, yet lists every
-    # public name.
+    # public name and puts every submodule but cli in sys.modules, where
+    # perfbench's tracer looks its layers up.
     assert (report["import"], report["mpmath"], report["not_in_dir"]) == ([], False, [])
+    assert report["registered"] == sorted(f"badapprox.{name}" for name in badapprox._NAMES)
     base = {"cf", "cli", "errors", "quadratic", "render"}
     for (argv, extra), (code, modules, mpmath_loaded) in zip(_FOOTPRINT_CALLS, report["calls"]):
         assert code == 0, argv
