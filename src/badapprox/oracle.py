@@ -4,43 +4,55 @@ The oracles share no code with what they check, only the fields of
 CFSpec. theta comes from the expansion itself (high_precision_value): a
 finite one is P/Q, and an infinite one is the fixed point of its
 period's matrix, one square root put through the prefix's matrix, in
-mpmath's correctly rounded libmp operations, within one unit in the last
-place. The exact side reads the same expansion through CFSpec.quotients,
-convergent walks and quadratic arithmetic, so a fault there (a period
-read from the wrong place, say) shows as a disagreement. Everything
-after that is independent of the exact machinery too: gap sets come from
-sorting rounded multiples of theta (not the three-distance theorem),
-best approximations from a full scan over n (not min_affine_mod), bit
-sequences from floors of theta's mpf value (not standard words), and
-agreement indices from a naive loop (not the XOR of big-endian
-integers).
+correctly rounded integer arithmetic (below), within one unit in the
+last place. The exact side reads the same expansion through
+CFSpec.quotients, convergent walks and quadratic arithmetic, so a fault
+there (a period read from the wrong place, say) shows as a disagreement.
+Everything after that is independent of the exact machinery too: gap
+sets come from sorting rounded multiples of theta (not the
+three-distance theorem), best approximations from a full scan over n
+(not min_affine_mod), bit sequences from floors of theta's dyadic value
+(not standard words), and agreement indices from a naive loop (not the
+XOR of big-endian integers).
 
-mpmath supplies theta (above) and beta, each as an mpf, and the working
-precision: each gap point and gap length is rounded half to even to
-mpmath's dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS
-digits rounds, by an integer routine (_round_bits) that a test pins
-against mpmath's from_man_exp. The points are rounded a run at a time:
-the multiples k*|man| keep one bit length over a run of k, so the whole
-run drops the same low bits, and a run in which no product can be an
-exact tie is rounded with one add and one mask per point. Rounding to
-nearest is monotone, so the raw gaps sort in the order of their rounded
-values, and only the lengths the merge probes are rounded. The Kronecker
-and bit scans are exact on the integer image of theta's mpf value
-(man * 2**exp): they build no mpf per n. Ordering the points, merging
-gaps and comparing against exact fractions to a tolerance are decided
-exactly, in integers, on those dyadic values, so no decision rounds.
+The arithmetic is the oracle's own, on dyadic pairs (man, exp) that
+stand for man * 2**exp. One core (_shift_even) rounds half to even; on
+it sit exact add and multiply, division by divmod and square root by
+isqrt, each rounded once, the last two with a sticky bit. Each gives the
+pair that mpmath's libmp gives at round_nearest, bit for bit, and tests
+pin every operation, theta, beta and the Kronecker error against libmp.
+(libmp's mpf_add rounds far-apart operands by a shortcut that is not
+exact rounding; every sum here adds terms of like size, which never take
+it, and a test checks that on its corpus.) The working precision is
+_PREC = dps_to_prec(ORACLE_DPS) bits: beta, the Kronecker error and each
+gap point and gap length are rounded as mpf arithmetic at ORACLE_DPS
+digits rounds them, the points and lengths by _round_bits at their own
+scale. The points are rounded a run at a time: the multiples k*|man|
+keep one bit length over a run of k, so the whole run drops the same low
+bits, and a run in which no product can be an exact tie is rounded with
+one add and one mask per point. Rounding to nearest is monotone, so the
+raw gaps sort in the order of their rounded values, and only the lengths
+the merge probes are rounded. The Kronecker and bit scans are exact on
+theta's pair: they round nothing per n. Ordering the points, merging
+gaps and comparing against the exact side to a tolerance are decided
+exactly, in integers, on those dyadic values, so no decision rounds;
+solve's error a + b*sqrt(d) is compared by two integer signs of the
+oracle's own (_close_to_dyadic), not by the package's quadratic
+arithmetic.
 
 The oracles are meant for irrational theta. A rational theta = p/q has
-an mpf just off p/q, and that dyadic image decides an exact tie in the
+a dyadic value just off p/q, and that value decides an exact tie in the
 Kronecker scan (n against n + q) and the floors at multiples of q.
 
 The suite runner draws a random corpus and compares the exact
 implementations against these oracles to a fixed tolerance. It backs the
-`verify` subcommand and the final acceptance criterion.
+`verify` subcommand and the final acceptance criterion. It works on the
+pairs from start to end and never loads mpmath.
 
-mpmath is imported by _mpmath on the first oracle call, which binds the
-context and libmp names the oracles use once: importing the package for
-its exact paths never loads it, and no later call runs an import.
+The public functions take and return mpmath mpf values, which wrap the
+same pairs: mpmath is imported by _mpmath on the first call of one that
+builds an mpf, so importing the package, or running the suite, never
+loads it.
 """
 
 from __future__ import annotations
@@ -51,8 +63,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import accumulate, islice, repeat
+from math import isqrt
 from operator import and_, neg, sub
-from types import SimpleNamespace
 
 from .cf import CFSpec
 from .errors import SequenceLengthError
@@ -61,41 +73,125 @@ from .kronecker import solve
 from .sturmian import agreement, characteristic_bits
 
 ORACLE_DPS = 50
+# mpmath's dps_to_prec(ORACLE_DPS) and dps_to_prec(ORACLE_DPS + 10): the
+# bits of mpf arithmetic at ORACLE_DPS digits, and of theta.
+_PREC = 169
+_THETA_PREC = 203
 _DEEP_RADIUS = Fraction(1, 10**45)
 _COMPARE_TOL = Fraction(1, 10**40)
 
 
 @cache
-def _mpmath() -> SimpleNamespace:
-    """The mpmath names the oracles use, bound on the first call.
-
-    prec is dps_to_prec(ORACLE_DPS), the working precision, and theta_prec
-    that of high_precision_value's result. make_mpf is the global
-    context's, which reads no precision.
-    """
+def _mpmath():
+    """mpmath's make_mpf and from_man_exp, bound on the first call."""
     from mpmath import libmp, mp
 
-    return SimpleNamespace(
-        make_mpf=mp.make_mpf,
-        prec=libmp.dps_to_prec(ORACLE_DPS),
-        theta_prec=libmp.dps_to_prec(ORACLE_DPS + 10),
-        from_int=libmp.from_int,
-        from_man_exp=libmp.from_man_exp,
-        mpf_add=libmp.mpf_add,
-        mpf_div=libmp.mpf_div,
-        mpf_mul=libmp.mpf_mul,
-        mpf_sqrt=libmp.mpf_sqrt,
-        round_nearest=libmp.round_nearest,
-    )
+    return mp.make_mpf, libmp.from_man_exp
+
+
+def _mpf(x: tuple[int, int]):
+    """The pair (man, exp) as the mpf man * 2**exp, exactly."""
+    make_mpf, from_man_exp = _mpmath()
+    return make_mpf(from_man_exp(*x))
+
+
+# ---- correctly rounded dyadic arithmetic ------------------------------
+
+
+def _shift_even(v: int, drop: int) -> int:
+    """v >= 0 shifted right by drop >= 1 bits, rounded half to even."""
+    kept = v >> drop
+    rest = v - (kept << drop)
+    half = 1 << (drop - 1)
+    if rest > half or (rest == half and kept & 1):
+        kept += 1
+    return kept
+
+
+def _round_bits(v: int, prec: int) -> int:
+    """v >= 0 rounded half to even to prec significant bits, at v's scale.
+
+    The same value mpmath's from_man_exp(v, 0, prec, "n") gives; the
+    low bits that are dropped come back as zeros.
+    """
+    drop = v.bit_length() - prec
+    return v if drop <= 0 else _shift_even(v, drop) << drop
+
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man * 2**exp rounded half to even to prec significant bits, as the
+    pair libmp's from_man_exp(man, exp, prec, "n") holds: an odd man, or
+    (0, 0). Rounding is symmetric, so it runs on |man|."""
+    mag = abs(man)
+    drop = mag.bit_length() - prec
+    if drop > 0:
+        mag, exp = _shift_even(mag, drop), exp + drop
+    if not mag:
+        return 0, 0
+    zeros = (mag & -mag).bit_length() - 1
+    mag >>= zeros
+    return (-mag if man < 0 else mag), exp + zeros
+
+
+def _add(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """x + y, exact and then rounded: libmp's mpf_add, except where it
+    takes its shortcut for operands far apart (see the module docstring)."""
+    (xm, xe), (ym, ye) = x, y
+    e = min(xe, ye)
+    return _round((xm << (xe - e)) + (ym << (ye - e)), e, prec)
+
+
+def _mul(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """x * y, exact and then rounded: libmp's mpf_mul."""
+    return _round(x[0] * y[0], x[1] + y[1], prec)
+
+
+def _div(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """x / y for y != 0, correctly rounded: libmp's mpf_div.
+
+    The quotient is taken to at least prec + 2 bits, so at least two bits
+    drop; setting its last bit when the remainder is not zero (a sticky
+    bit) then rounds it as the exact quotient rounds.
+    """
+    (xm, xe), (ym, ye) = x, y
+    xa, ya = abs(xm), abs(ym)
+    shift = max(prec + 2 - xa.bit_length() + ya.bit_length(), 0)
+    q, r = divmod(xa << shift, ya)
+    q |= r > 0
+    return _round(-q if (xm < 0) != (ym < 0) else q, xe - ye - shift, prec)
+
+
+def _sqrt(x: tuple[int, int], prec: int) -> tuple[int, int]:
+    """The square root of x >= 0, correctly rounded: libmp's mpf_sqrt.
+
+    An even exponent halves exactly; the root is taken to at least
+    prec + 2 bits with a sticky bit, as in _div.
+    """
+    man, exp = x
+    if exp & 1:
+        man, exp = man << 1, exp - 1
+    shift = max(2 * prec + 4 - man.bit_length(), 0)
+    shift += shift & 1
+    v = man << shift
+    root = isqrt(v)
+    return _round(root | (root * root < v), (exp - shift) // 2, prec)
+
+
+# ---- theta, beta and the brute-force scans ------------------------------
 
 
 def high_precision_value(cf: CFSpec):
     """The number described by cf as an mpf of dps_to_prec(ORACLE_DPS + 10)
-    bits, within one unit in its last place.
+    bits, within one unit in its last place (_theta)."""
+    return _mpf(_theta(cf))
 
-    It is read off cf's fields alone, in mpmath's correctly rounded libmp
-    operations: no convergent walk, surrogate or quadratic arithmetic of
-    the package is used. A finite expansion [a0; prefix] is P/Q, rounded
+
+def _theta(cf: CFSpec) -> tuple[int, int]:
+    """The number described by cf, rounded to _THETA_PREC bits, as a pair.
+
+    It is read off cf's fields alone, in the correctly rounded operations
+    above: no convergent walk, surrogate or quadratic arithmetic of the
+    package is used. A finite expansion [a0; prefix] is P/Q, rounded
     once. Else the purely periodic tail Y = [period, Y] is the fixed point
     of the period's matrix: with p/q and p_/q_ the last two convergents of
     the period read as [P1; P2, ..., PL], Y = (u + sqrt(D))/w with
@@ -112,27 +208,26 @@ def high_precision_value(cf: CFSpec):
     most. There are at most seven such moves (the square root's counts
     twice when it enters the denominator twice), so theta is off by a
     relative 2**-(prec + 5) before the last division, which rounds to
-    nearest at prec: within 0.5 + 2**-5 units in the last place.
+    nearest at prec: within 0.5 + 2**-5 units in the last place. Terms of
+    like size are also why no sum is one that libmp's mpf_add would round
+    by its far-apart shortcut.
     """
-    m = _mpmath()
-    from_int, mpf_add, mpf_mul, rnd = m.from_int, m.mpf_add, m.mpf_mul, m.round_nearest
-    prec = m.theta_prec
     P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
     if not cf.period:
-        return m.make_mpf(m.mpf_div(from_int(P), from_int(Q), prec, rnd))
+        return _div((P, 0), (Q, 0), _THETA_PREC)
     p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
     u, w = p - q_, 2 * q
     D = u * u + 4 * q * p_
     A, B, C, E = P * u + P_ * w, P, Q * u + Q_ * w, Q
-    wp = prec + 8
-    s = m.mpf_sqrt(from_int(D), wp, rnd)
-    den = mpf_add(from_int(C), mpf_mul(from_int(E), s, wp, rnd), wp, rnd)
+    wp = _THETA_PREC + 8
+    s = _sqrt((D, 0), wp)
+    den = _add((C, 0), _mul((E, 0), s, wp), wp)
     if A * B < 0:
-        conj = mpf_add(from_int(A), mpf_mul(from_int(-B), s, wp, rnd), wp, rnd)
-        num, den = from_int(A * A - B * B * D), mpf_mul(den, conj, wp, rnd)
+        conj = _add((A, 0), _mul((-B, 0), s, wp), wp)
+        num, den = (A * A - B * B * D, 0), _mul(den, conj, wp)
     else:
-        num = mpf_add(from_int(A), mpf_mul(from_int(B), s, wp, rnd), wp, rnd)
-    return m.make_mpf(m.mpf_div(num, den, prec, rnd))
+        num = _add((A, 0), _mul((B, 0), s, wp), wp)
+    return _div(num, den, _THETA_PREC)
 
 
 def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:
@@ -156,17 +251,18 @@ def brute_gap_points(theta, N: int):
     that differ by at most 1e-25 into one length are done exactly on
     integer keys (see _gap_keys); mpmath builds the mpf values returned.
     """
-    m = _mpmath()
-    pts, distinct, low = _gap_keys(theta, N)
+    make_mpf, from_man_exp = _mpmath()
+    pts, distinct, low = _gap_keys(_signed_man_exp(theta), N)
     return (
-        [m.make_mpf(m.from_man_exp(k, low)) for k in pts],
-        [m.make_mpf(m.from_man_exp(k, low)) for k in distinct],
+        [make_mpf(from_man_exp(k, low)) for k in pts],
+        [make_mpf(from_man_exp(k, low)) for k in distinct],
     )
 
 
-def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
+def _gap_keys(theta: tuple[int, int], N: int) -> tuple[list[int], list[int], int]:
     """Sorted integer keys of the points and of the distinct gap lengths,
-    and their common exponent low: each value is key * 2**low.
+    and their common exponent low: each value is key * 2**low. theta is
+    the pair (man, exp).
 
     Each point k*theta and each gap b - a is rounded half to even to
     dps_to_prec(ORACLE_DPS) bits, as mpf arithmetic at ORACLE_DPS digits
@@ -192,8 +288,8 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     first passes its first length plus 1e-25: only the probes are rounded.
     The merge reads values only, so only the distinct raw gaps are sorted.
     """
-    prec = _mpmath().prec
-    man, exp = _signed_man_exp(theta)
+    prec = _PREC
+    man, exp = theta
     low = min(exp, 0)
     unit = 1 << -low
     mask = unit - 1
@@ -241,23 +337,6 @@ def _gap_keys(theta, N: int) -> tuple[list[int], list[int], int]:
     return pts, distinct, low
 
 
-def _round_bits(v: int, prec: int) -> int:
-    """v >= 0 rounded half to even to prec significant bits, at v's scale.
-
-    The same value mpmath's from_man_exp(v, 0, prec, "n") gives; the
-    low bits that are dropped come back as zeros.
-    """
-    drop = v.bit_length() - prec
-    if drop <= 0:
-        return v
-    kept = v >> drop
-    rest = v - (kept << drop)
-    half = 1 << (drop - 1)
-    if rest > half or (rest == half and kept & 1):
-        kept += 1
-    return kept << drop
-
-
 def brute_kronecker(theta, beta: Fraction, N: int):
     """Best (n, p) minimizing |n*theta - beta - p| over 0 <= n <= N.
 
@@ -270,8 +349,13 @@ def brute_kronecker(theta, beta: Fraction, N: int):
     matching the exact solver's preference. The error comes back as an
     mpf rounded to ORACLE_DPS digits.
     """
-    m = _mpmath()
-    (tm, te), (bm, be) = _signed_man_exp(theta), _signed_man_exp(_beta_mpf(beta))
+    n, p, err = _kronecker(_signed_man_exp(theta), beta, N)
+    return n, p, _mpf(err)
+
+
+def _kronecker(theta: tuple[int, int], beta: Fraction, N: int) -> tuple[int, int, tuple[int, int]]:
+    """brute_kronecker on theta's pair, with the error as a pair."""
+    (tm, te), (bm, be) = theta, _beta(beta)
     s = max(0, -te, -be)
     step = tm << (te + s)
     half = (1 << s) >> 1
@@ -283,28 +367,35 @@ def brute_kronecker(theta, beta: Fraction, N: int):
         if err < best_err:
             best_n, best_err, best_y = n, err, y
         y += step
-    err = m.from_man_exp(best_err, -s, m.prec, m.round_nearest)
-    return best_n, best_y >> s, m.make_mpf(err)
+    return best_n, best_y >> s, _round(best_err, -s, _PREC)
 
 
 def _beta_mpf(beta: Fraction):
     """mp.mpf(beta.numerator) / beta.denominator at ORACLE_DPS digits, bit
-    for bit: the numerator rounds to the precision first, then the
-    quotient. libmp builds it with no context to enter and leave."""
-    m = _mpmath()
-    prec, rnd = m.prec, m.round_nearest
-    num = m.from_int(beta.numerator, prec, rnd)
-    return m.make_mpf(m.mpf_div(num, m.from_int(beta.denominator), prec, rnd))
+    for bit (_beta)."""
+    return _mpf(_beta(beta))
+
+
+def _beta(beta: Fraction) -> tuple[int, int]:
+    """beta as mpf arithmetic at ORACLE_DPS digits reads it, as a pair:
+    the numerator rounds to the precision first, then the quotient."""
+    return _div(_round(beta.numerator, 0, _PREC), (beta.denominator, 0), _PREC)
 
 
 def brute_bits(theta, length: int) -> list[int]:
-    """Characteristic bits floor((i+2)t) - floor((i+1)t) of the mpf theta.
+    """Characteristic bits floor((i+2)t) - floor((i+1)t) of the mpf theta
+    (_bits)."""
+    return _bits(_signed_man_exp(theta), length)
+
+
+def _bits(theta: tuple[int, int], length: int) -> list[int]:
+    """brute_bits on theta's pair (man, exp).
 
     theta is exactly man * 2**exp, so m*theta is the integer m*man over
     2**-exp and each floor is one shift of a running sum, exact for the
-    mpf value.
+    dyadic value.
     """
-    man, exp = _signed_man_exp(theta)
+    man, exp = theta
     if exp > 0:
         man, exp = man << exp, 0
     acc = man
@@ -393,6 +484,40 @@ def _all_close_dyadic(nums, den: int, mans, exp: int) -> bool:
     return all(abs((num << shift) - man * den) <= limit for num, man in pairs)
 
 
+def _close_to_dyadic(x, man: int, exp: int) -> bool:
+    """Whether |x - man * 2**exp| < _COMPARE_TOL for x = a + b*sqrt(d),
+    read off x.a, x.b and x.d.
+
+    Over den = a.denominator * b.denominator * 2**s with s = max(0, -exp),
+    x - man * 2**exp is (R + Y*sqrt(d)) / den for integers R and Y. With
+    the tolerance tn/td it lies within exactly when R*td + Y*td*sqrt(d)
+    lies strictly between -tn*den and tn*den: two exact signs.
+    """
+    a, b, d = x.a, x.b, x.d
+    ad, bd = a.denominator, b.denominator
+    s = max(0, -exp)
+    tn, td = _COMPARE_TOL.numerator, _COMPARE_TOL.denominator
+    R = (((a.numerator * bd) << s) - (man << (exp + s)) * ad * bd) * td
+    Y = ((b.numerator * ad) << s) * td
+    t = (tn * ad * bd) << s
+    return _surd_sign(R - t, Y, d) < 0 < _surd_sign(R + t, Y, d)
+
+
+def _surd_sign(x: int, y: int, d: int) -> int:
+    """The sign of x + y*sqrt(d) for integers, d > 0.
+
+    With x and y of opposite signs it is x's where x^2 > y^2*d, y's where
+    x^2 < y^2*d, and 0 where they are equal (only for a square d).
+    """
+    sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+    if sx == sy or not sy:
+        return sx
+    if not sx:
+        return sy
+    c = x * x - y * y * d
+    return sx * ((c > 0) - (c < 0))
+
+
 def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
     """Compare the exact paths against the oracles over a random corpus.
 
@@ -410,7 +535,7 @@ def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
         N = rng.randint(1, 400)
         tag = f"gaps {cf.prefix}+{cf.period} N={N}"
         gs = gap_set(cf, N, min_radius=_DEEP_RADIUS)
-        pts, distinct, low = _gap_keys(high_precision_value(cf), N)
+        pts, distinct, low = _gap_keys(_theta(cf), N)
         q = gs.denominator
         if len(pts) != len(gs.nums):
             failures.append(f"{tag}: point count {len(gs.nums)} vs {len(pts)}")
@@ -435,13 +560,11 @@ def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
         beta = random_beta(rng)
         tag = f"kron {cf.prefix}+{cf.period} N={N} beta={beta}"
         sol = solve(cf, beta, N)
-        theta = high_precision_value(cf)
-        n, p, err = brute_kronecker(theta, beta, N)
+        n, p, (man, exp) = _kronecker(_theta(cf), beta, N)
         if (sol.n, sol.p) != (n, p):
             failures.append(f"{tag}: minimizer ({sol.n},{sol.p}) vs oracle ({n},{p})")
             continue
-        man, exp = _signed_man_exp(err)
-        if not abs(sol.achieved - man * Fraction(2) ** exp) < _COMPARE_TOL:
+        if not _close_to_dyadic(sol.achieved, man, exp):
             failures.append(f"{tag}: achieved error drifts past tolerance")
             continue
         kron_done += 1
@@ -457,8 +580,7 @@ def run_suite(cases: int = 200, seed: int = 20260822) -> OracleReport:
         length = r * max_k
         arr = characteristic_bits(cf, length)
         check_len = min(length, 256)
-        theta = high_precision_value(cf)
-        if list(arr[:check_len]) != brute_bits(theta, check_len):
+        if list(arr[:check_len]) != _bits(_theta(cf), check_len):
             failures.append(f"{tag}: bit prefix disagrees with mpf floors")
             continue
         got = agreement(arr, r, a, b, max_k)

@@ -7,17 +7,18 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 from mpmath.libmp import dps_to_prec, from_man_exp
 
 import badapprox
-from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, eval_theta, oracle, run_suite
+from badapprox import GOLDEN, SQRT2_MINUS_1, CFSpec, OracleReport, eval_theta, oracle, run_suite, solve
 from badapprox.errors import SequenceLengthError
 from badapprox.oracle import (
     ORACLE_DPS,
@@ -32,6 +33,7 @@ from badapprox.oracle import (
     random_beta,
     random_cf,
 )
+from badapprox.quadratic import QuadraticNumber
 
 
 def test_high_precision_value():
@@ -154,6 +156,17 @@ def _mpf_sorted_gap_points(theta, N):
 
 def _same(xs, ys) -> bool:
     return [x._mpf_ for x in xs] == [y._mpf_ for y in ys]
+
+
+def _unpack(t) -> tuple[int, int]:
+    """A finite libmp value as the oracle's pair (man, exp): man * 2**exp."""
+    sign, man, exp, _ = t
+    return (-man if sign else man), exp
+
+
+def _pair(x) -> tuple[int, int]:
+    """A finite mpf as the oracle's pair."""
+    return _unpack(x._mpf_)
 
 
 # ---- integer rounding, pinned against mpmath's -----------------------------
@@ -289,6 +302,254 @@ def test_brute_gap_points_rounds_long_gaps():
             assert _same(pts, ref_pts) and _same(distinct, ref_distinct), (cf, N)
 
 
+# ---- dyadic arithmetic, pinned bit for bit against libmp ------------------
+# Each operation is checked at the oracle's precision, at theta's, and at
+# theta's working precision, against libmp at round_nearest.
+
+_PIN_PRECS = st.sampled_from([dps_to_prec(ORACLE_DPS), dps_to_prec(ORACLE_DPS + 10),
+                              dps_to_prec(ORACLE_DPS + 10) + 8])
+_MANS = st.one_of(
+    st.just(0),
+    st.integers(-(2**80), 2**80),
+    st.integers(-(2**1100), 2**1100),  # past 2**1000
+    st.builds(lambda k, neg: -(1 << k) if neg else 1 << k, st.integers(0, 1100), st.booleans()),
+)
+_EXPS = st.integers(-1200, 1200)
+_VALUES = st.tuples(_MANS, _EXPS)
+
+
+def test_precisions_are_mpmaths():
+    assert oracle._PREC == dps_to_prec(ORACLE_DPS)
+    assert oracle._THETA_PREC == dps_to_prec(ORACLE_DPS + 10)
+
+
+def _tie(draw, prec: int) -> int:
+    """A positive integer exactly halfway between two prec-bit values."""
+    kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    drop = draw(st.integers(1, 300))
+    return (kept << drop) | (1 << (drop - 1))
+
+
+def _signed(draw, man: int) -> int:
+    return -man if draw(st.booleans()) else man
+
+
+def _far_apart(s, t, prec: int) -> bool:
+    """Whether libmp's mpf_add(s, t, prec) takes its shortcut for operands
+    far apart, by the test it makes: exponents over 100 apart and the
+    larger operand more than prec + 4 bits above the smaller."""
+    return any(x[1] and y[1] and x[2] - y[2] > 100 and x[3] + x[2] - y[3] - y[2] > prec + 4
+               for x, y in ((s, t), (t, s)))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prec=_PIN_PRECS, data=st.data())
+def test_round_matches_from_man_exp(prec, data):
+    draw = data.draw
+    man, exp = draw(st.one_of(_VALUES, st.builds(lambda m, e: (m, e), st.just(None), _EXPS)))
+    if man is None:
+        man = _signed(draw, _tie(draw, prec))
+    assert oracle._round(man, exp, prec) == _unpack(from_man_exp(man, exp, prec, "n"))
+
+
+def test_round_breaks_ties_to_even_at_every_pinned_precision():
+    for prec in (169, 203, 211):
+        for kept in (1 << (prec - 1), (1 << (prec - 1)) + 1, (1 << prec) - 1):
+            tie = (kept << 3) | 4
+            want = kept + (kept & 1)
+            zeros = (want & -want).bit_length() - 1
+            assert oracle._round(tie, -7, prec) == (want >> zeros, -4 + zeros)
+            assert oracle._round(-tie, -7, prec) == (-(want >> zeros), -4 + zeros)
+    assert oracle._round(0, 55, 169) == (0, 0)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prec=_PIN_PRECS, data=st.data())
+def test_add_matches_mpf_add(prec, data):
+    draw = data.draw
+    kind = draw(st.sampled_from(["any", "near", "cancel", "tie"]))
+    x = draw(_VALUES)
+    if kind == "any":
+        y = draw(_VALUES)
+    elif kind == "near":
+        y = (draw(_MANS), x[1] + draw(st.integers(-300, 300)))
+    elif kind == "cancel":
+        y = (-x[0] + draw(st.integers(-(2**20), 2**20)), x[1])
+    else:
+        # 2*kept and 1, or 2*kept + 2 and -1, at one exponent, sum to a tie
+        kept, k = draw(st.integers(1 << (prec - 1), (1 << prec) - 1)), draw(st.integers(0, 50))
+        up, e = draw(st.booleans()), x[1]
+        x, y = ((2 * kept + 2 * up) << k, e), ((-1 if up else 1) << k, e)
+    s, t = from_man_exp(*x), from_man_exp(*y)
+    if _far_apart(s, t, prec):
+        # The shortcut is not exact rounding; the oracle rounds the exact sum.
+        want = from_man_exp(*_unpack(libmp.mpf_add(s, t)), prec, "n")
+    else:
+        want = libmp.mpf_add(s, t, prec, "n")
+    assert oracle._add(x, y, prec) == _unpack(want)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prec=_PIN_PRECS, data=st.data())
+def test_mul_matches_mpf_mul(prec, data):
+    draw = data.draw
+    x, y = draw(_VALUES), draw(_VALUES)
+    if draw(st.booleans()):
+        # a tie times a power of two is a tie
+        x = (_signed(draw, _tie(draw, prec)), x[1])
+        y = (_signed(draw, 1 << draw(st.integers(0, 40))), y[1])
+    want = libmp.mpf_mul(from_man_exp(*x), from_man_exp(*y), prec, "n")
+    assert oracle._mul(x, y, prec) == _unpack(want)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prec=_PIN_PRECS, data=st.data())
+def test_div_matches_mpf_div(prec, data):
+    draw = data.draw
+    x, y = draw(_VALUES), draw(_VALUES.filter(lambda v: v[0]))
+    kind = draw(st.sampled_from(["any", "tie", "exact"]))
+    if kind == "tie":
+        x = (_signed(draw, _tie(draw, prec)) * y[0], x[1])
+    elif kind == "exact":
+        x = (draw(_MANS) * y[0], x[1])
+    want = libmp.mpf_div(from_man_exp(*x), from_man_exp(*y), prec, "n")
+    assert oracle._div(x, y, prec) == _unpack(want)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(prec=_PIN_PRECS, data=st.data())
+def test_sqrt_matches_mpf_sqrt(prec, data):
+    draw = data.draw
+    man, exp = draw(_VALUES)
+    man = abs(man)
+    kind = draw(st.sampled_from(["any", "square", "near", "tie"]))
+    if kind != "any":
+        k = _tie(draw, prec) if kind == "tie" else man
+        man = k * k + (draw(st.sampled_from([-1, 1])) if kind == "near" and k else 0)
+        exp = draw(st.integers(-600, 600)) * 2 + draw(st.sampled_from([0, 0, 1]))
+    want = libmp.mpf_sqrt(from_man_exp(man, exp), prec, "n")
+    assert oracle._sqrt((man, exp), prec) == _unpack(want)
+
+
+# ---- theta, beta and the Kronecker error, as libmp computed them ----------
+
+
+def _libmp_theta(cf, far: list, conj: list):
+    """high_precision_value's _mpf_ as mpmath's libmp operations computed
+    it. Each sum appends to far whether mpf_add took its far-apart
+    shortcut, and each use of the conjugate appends to conj."""
+    rnd = libmp.round_nearest
+    from_int, mpf_mul = libmp.from_int, libmp.mpf_mul
+    prec = dps_to_prec(ORACLE_DPS + 10)
+
+    def mpf_add(s, t, prec, rnd):
+        far.append(_far_apart(s, t, prec))
+        return libmp.mpf_add(s, t, prec, rnd)
+
+    P, P_, Q, Q_ = oracle._last_two(cf.a0, cf.prefix)
+    if not cf.period:
+        return libmp.mpf_div(from_int(P), from_int(Q), prec, rnd)
+    p, p_, q, q_ = oracle._last_two(cf.period[0], cf.period[1:])
+    u, w = p - q_, 2 * q
+    D = u * u + 4 * q * p_
+    A, B, C, E = P * u + P_ * w, P, Q * u + Q_ * w, Q
+    wp = prec + 8
+    s = libmp.mpf_sqrt(from_int(D), wp, rnd)
+    den = mpf_add(from_int(C), mpf_mul(from_int(E), s, wp, rnd), wp, rnd)
+    if A * B < 0:
+        conj.append(cf)
+        c = mpf_add(from_int(A), mpf_mul(from_int(-B), s, wp, rnd), wp, rnd)
+        num, den = from_int(A * A - B * B * D), mpf_mul(den, c, wp, rnd)
+    else:
+        num = mpf_add(from_int(A), mpf_mul(from_int(B), s, wp, rnd), wp, rnd)
+    return libmp.mpf_div(num, den, prec, rnd)
+
+
+def _libmp_beta(beta: Fraction):
+    """_beta_mpf's _mpf_ as libmp computed it."""
+    prec, rnd = dps_to_prec(ORACLE_DPS), libmp.round_nearest
+    num = libmp.from_int(beta.numerator, prec, rnd)
+    return libmp.mpf_div(num, libmp.from_int(beta.denominator), prec, rnd)
+
+
+def _libmp_kronecker(theta, beta: Fraction, N: int):
+    """brute_kronecker with beta and the error rounded by libmp, the
+    error as its _mpf_."""
+    (tm, te), (bm, be) = _pair(theta), _unpack(_libmp_beta(beta))
+    s = max(0, -te, -be)
+    step = tm << (te + s)
+    half = (1 << s) >> 1
+    mask = (1 << s) - 1
+    y = half - (bm << (be + s))
+    best_n, best_err, best_y = 0, half + 1, y
+    for n in range(N + 1):
+        err = abs((y & mask) - half)
+        if err < best_err:
+            best_n, best_err, best_y = n, err, y
+        y += step
+    err = from_man_exp(best_err, -s, dps_to_prec(ORACLE_DPS), libmp.round_nearest)
+    return best_n, best_y >> s, err
+
+
+def _theta_corpus() -> list[CFSpec]:
+    rng = random.Random(20261023)
+    cfs = [random_cf(rng, bound) for bound in (2, 10, 1000) for _ in range(1000)]
+    # a0 < 0 with an empty prefix, where A*B < 0 takes the conjugate (for
+    # a0 = -1, whenever the period starts with 1)
+    cfs += [CFSpec(-1, (), cf.period) for cf in cfs[::5]]
+    cfs += [CFSpec(rng.randint(-9, -2), (), cf.period) for cf in cfs[2::20]]
+    cfs += [CFSpec(rng.randint(-5, 5), cf.prefix, cf.period) for cf in cfs[1::15]]
+    # rationals and integers, some with more bits than theta's precision
+    cfs += [
+        CFSpec(rng.randint(-5, 5), tuple(rng.randint(1, 1000) for _ in range(rng.randint(0, 60))), ())
+        for _ in range(200)
+    ]
+    # quotients past 2**203
+    for big in (2**203 + 1, 2**210 + 1, 3**200, 2**400 - 1):
+        cfs += [CFSpec(0, (2,), (3, big)), CFSpec(0, (big,), (1, 2)), CFSpec(-1, (), (1, big)),
+                CFSpec(0, (), (big,)), CFSpec(-3, (big, 5), ()), CFSpec(0, (1,), (big, big + 2))]
+    return cfs
+
+
+def test_theta_is_the_libmp_pipeline_bit_for_bit():
+    cfs = _theta_corpus()
+    far, conj = [], []
+    for cf in cfs:
+        assert high_precision_value(cf)._mpf_ == _libmp_theta(cf, far, conj), cf
+    assert len(cfs) >= 3000 and len(conj) >= 100
+    # No sum in the corpus is one that libmp rounds by its shortcut.
+    assert len(far) > 6000 and not any(far)
+
+
+def test_far_apart_flags_the_shortcut():
+    one, big = libmp.from_int(1), libmp.from_int(1 << 300)
+    assert _far_apart(big, one, 203) and _far_apart(one, big, 203)
+    assert not _far_apart(big, libmp.from_int((1 << 300) + 3), 203)
+    assert not _far_apart(big, libmp.fzero, 203)
+
+
+def test_beta_is_the_libmp_quotient_bit_for_bit():
+    rng = random.Random(20261024)
+    betas = [random_beta(rng, rng.choice([1000, 10**6])) for _ in range(700)]
+    betas += [Fraction(rng.getrandbits(400) - 2**399, rng.getrandbits(300) | 1) for _ in range(250)]
+    betas += [Fraction(s * (2**k + e), 2**j + f) for s in (1, -1) for k in (0, 168, 169, 170, 300)
+              for e in (-1, 0, 1) for j in (0, 5) for f in (0, 1)]
+    assert len(betas) >= 1000
+    for beta in betas:
+        assert oracle._beta_mpf(beta)._mpf_ == _libmp_beta(beta), beta
+
+
+def test_kronecker_error_is_the_libmp_rounding_bit_for_bit():
+    rng = random.Random(20261025)
+    cfs = _theta_corpus()
+    for cf in rng.sample(cfs, 300):
+        theta = high_precision_value(cf)
+        for beta in (random_beta(rng), Fraction(rng.getrandbits(300), 2**300 + 1)):
+            N = rng.randint(1, 400)
+            n, p, err = brute_kronecker(theta, beta, N)
+            assert (n, p, err._mpf_) == _libmp_kronecker(theta, beta, N), (cf, beta, N)
+
+
 # ---- _gap_keys against its one-call-per-value formulation -----------------
 
 
@@ -317,7 +578,7 @@ def test_gap_keys_match_per_value_rounding_on_random_corpus():
         cf = random_cf(rng)
         N = rng.randint(1, 2000) if i % 2 else rng.randint(1, 40)
         theta = high_precision_value(cf)
-        assert _gap_keys(theta, N) == _gap_keys_per_value(theta, N), (cf, N)
+        assert _gap_keys(_pair(theta), N) == _gap_keys_per_value(theta, N), (cf, N)
 
 
 def test_gap_keys_match_per_value_rounding_on_edge_values():
@@ -337,7 +598,7 @@ def test_gap_keys_match_per_value_rounding_on_edge_values():
         q = cf.value().denominator
         cases += [(high_precision_value(cf), N) for N in (q, 2 * q + 1)]
     for theta, N in cases:
-        assert _gap_keys(theta, N) == _gap_keys_per_value(theta, N), (theta, N)
+        assert _gap_keys(_pair(theta), N) == _gap_keys_per_value(theta, N), (theta, N)
 
 
 def _ties(theta, N: int) -> int:
@@ -372,7 +633,7 @@ def test_gap_keys_match_per_value_rounding_near_prec_bits(extra):
             for t in (theta, -theta):
                 N = rng.randint(1, 1500)
                 ties += _ties(t, N)
-                assert _gap_keys(t, N) == _gap_keys_per_value(t, N), (extra, t, N)
+                assert _gap_keys(_pair(t), N) == _gap_keys_per_value(t, N), (extra, t, N)
     assert (ties > 0) is (extra <= 1)
 
 
@@ -394,7 +655,7 @@ def test_gap_keys_merge_at_exactly_1e_25(delta):
     with mp.workprec(2 * E):
         theta = mp.mpf((m, -E))
     assert theta._mpf_[1:3] == (m, -E)
-    pts, distinct, low = _gap_keys(theta, 3)
+    pts, distinct, low = _gap_keys(_pair(theta), 3)
     assert (pts, low) == ([0, s, m, 2 * m, 1 << E], -E)
     assert distinct == ([s, m - s, m] if delta > 0 else [s, m - s])
     assert (pts, distinct, low) == _gap_keys_per_value(theta, 3)
@@ -572,6 +833,41 @@ def test_suite_passes_a_point_shifted_inside_tolerance(monkeypatch):
 def test_suite_catches_a_shifted_gap_length(monkeypatch):
     _shifted_gap_set(monkeypatch, Fraction(2, 10**40), "gap")
     _only_failures(run_suite(cases=3, seed=12), "gaps ", "gap values drift")
+
+
+def _achieved_close(achieved, man: int, exp: int) -> bool:
+    """The suite's Kronecker tolerance as it was decided in quadratic
+    arithmetic."""
+    return abs(achieved - man * Fraction(2) ** exp) < oracle._COMPARE_TOL
+
+
+def test_kronecker_tolerance_decides_as_quadratic_arithmetic():
+    # The achieved error of solve, and values placed one unit of 10**-60
+    # inside and outside the tolerance on either side of the oracle's
+    # error: rational, irrational within 10**-70 of those places, and
+    # irrational within 10**-70 of the tolerance itself.
+    rng = random.Random(20261026)
+    tol, unit = oracle._COMPARE_TOL, Fraction(1, 10**60)
+    decided = {True: 0, False: 0}
+    for _ in range(250):
+        cf = random_cf(rng, rng.choice([2, 10, 1000]))
+        beta, N = random_beta(rng), rng.randint(1, 400)
+        achieved = solve(cf, beta, N).achieved
+        _, _, (man, exp) = oracle._kronecker(oracle._theta(cf), beta, N)
+        at = man * Fraction(2) ** exp
+        approx = achieved.a + achieved.b * Fraction(isqrt(achieved.d * 10**140), 10**70)
+        xs = [achieved]
+        for edge in (at - tol, at + tol):
+            xs.append(QuadraticNumber(edge))
+            xs.append(achieved + (edge - approx))
+            for off in (-unit, unit):
+                xs.append(QuadraticNumber(edge + off))
+                xs.append(achieved + (edge + off - approx))
+        for x in xs:
+            got = oracle._close_to_dyadic(x, man, exp)
+            assert got is _achieved_close(x, man, exp), (cf, beta, N, x)
+            decided[got] += 1
+    assert sum(decided.values()) >= 2000 and min(decided.values()) >= 500, decided
 
 
 def test_suite_catches_a_drifting_achieved_error(monkeypatch):

@@ -96,6 +96,7 @@ def test_bench_rows_all_exit_zero(tmp_path):
         "-c import badapprox",
         "-m badapprox.cli fb --b 2",
         "-m badapprox.cli kron --theta sqrt2 --beta 1/3 --n 1000",
+        "-m badapprox.cli verify --cases 4",
     ]
     assert all(row["peak_rss_mb"] > 0 for row in report["process"])
     rows = [*report["cli"], *report["process"], listing]

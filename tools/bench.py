@@ -20,7 +20,8 @@ and the oracle layer on its own, one sample per batch:
 and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9.
 It also times K process runs, from interpreter start to exit, of
 `python -c "import badapprox"` and of `python -m badapprox.cli` with
-`fb --b 2` and with `kron --theta sqrt2 --beta 1/3 --n 1000`, and up to
+`fb --b 2`, with `kron --theta sqrt2 --beta 1/3 --n 1000` and with
+`verify --cases 4`, and up to
 three process runs of the largest listing,
 `gaps --theta sqrt2 --n 1048576 --precision-digits 40`; every process row
 records the largest peak RSS of one run, read with os.wait4, and a run is
@@ -94,6 +95,7 @@ PROCESS_CALLS = (
     ("-c", "import badapprox"),
     ("-m", "badapprox.cli", "fb", "--b", "2"),
     ("-m", "badapprox.cli", "kron", "--theta", "sqrt2", "--beta", "1/3", "--n", "1000"),
+    ("-m", "badapprox.cli", "verify", "--cases", "4"),
 )
 LISTING_CALL = ("-m", "badapprox.cli", "gaps", "--theta", "sqrt2", "--n", "1048576", "--precision-digits", "40")
 LISTING_REPEATS = 3
@@ -226,7 +228,7 @@ def main(argv=None) -> int:
     whole_run = measured_speed()
     batches = oracle_batches()
     for _, fn, batch in batches:
-        time_batch(fn, batch)  # warm-up: the first oracle call imports mpmath's libmp
+        time_batch(fn, batch)  # warm-up: high_precision_value's first call imports mpmath
     rows = []
     for call in CALLS:
         time_call(call)  # warm-up: imports and first-call caches
