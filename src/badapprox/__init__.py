@@ -25,17 +25,11 @@ _NAMES = {
         "Convergent",
         "GOLDEN",
         "SQRT2_MINUS_1",
-        "bounded_quotient_extrema",
+        "Walk",
         "choose_surrogate",
-        "convergent_pairs",
-        "convergent_residual",
         "convergents",
-        "dist_to_int",
         "eval_theta",
-        "expand_quadratic",
         "preset",
-        "reversal_identity_check",
-        "tail_and_reversal",
     ),
     "errors": ("CoincidentPointsError", "DomainError", "SequenceLengthError", "VerificationError"),
     "gaps": (

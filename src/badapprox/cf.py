@@ -4,6 +4,12 @@ A CFSpec describes a real number theta = [a0; a1, a2, ...] by its integer
 part, a finite run of partial quotients, and an optional repeating block.
 Empty period means theta is rational and the expansion is finite.
 
+Every convergent p_k/q_k the package reads comes off one Walk: two int
+lists grown on demand by the recurrence p_k = a_k*p_(k-1) + p_(k-2) (the
+oracle keeps its own, as an independent check). Each public call builds
+at most one walk and shares it among its readers; choose_surrogate's
+policy, the first pair past 16*(B+2)*N^2, is one first_past query on it.
+
 Every value that leaves this module is exact: a Fraction for a rational,
 and a QuadraticNumber for an eventually periodic expansion, which is a
 quadratic irrational (Lagrange). eval_theta builds that irrational over
@@ -19,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, VerificationError
+from .errors import DomainError
 from .quadratic import QuadraticNumber, _quotient
 
 
@@ -191,15 +196,60 @@ class Convergent(NamedTuple):
         return Fraction(self.p, self.q)
 
 
-def convergent_pairs(cf: CFSpec) -> Iterator[Convergent]:
-    """Yield convergents p_k/q_k, k = 0, 1, 2, ... (finite for rationals)."""
-    p_prev, q_prev = 1, 0
-    p, q = cf.a0, 1
-    yield Convergent(0, p, q)
-    for k, a in enumerate(cf.quotients(), start=1):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        yield Convergent(k, p, q)
+class Walk:
+    """Convergents p_k/q_k, k = 0, 1, ..., of cf as two lists of ints, ps
+    and qs, grown on demand (a rational expansion stops at its last).
+
+    One walk serves every reading of one call: a convergent by index, the
+    first pair whose product reaches a bound, and the lists themselves for
+    scans. A walk is never kept past the call that built it, so no preset
+    holds the convergents of the deepest N ever asked for.
+    """
+
+    __slots__ = ("cf", "ps", "qs", "_quotients")
+
+    def __init__(self, cf: CFSpec):
+        self.cf, self.ps, self.qs = cf, [cf.a0], [1]
+        self._quotients = cf.quotients()
+
+    def grow(self, k: int, least: int = 0) -> None:
+        """Grow the lists through index k and until their last two q's
+        multiply to least or more, or until a rational expansion runs out."""
+        ps, qs = self.ps, self.qs
+        p, q = ps[-1], qs[-1]
+        p_, q_ = (ps[-2], qs[-2]) if len(qs) > 1 else (1, 0)
+        if len(qs) > k and q_ * q >= least:
+            return
+        # One loop per request, of two-name swaps; the test comes after
+        # each step, so no quotient is drawn that the walk does not use.
+        for a in self._quotients:
+            p, p_ = a * p + p_, p
+            q, q_ = a * q + q_, q
+            ps.append(p)
+            qs.append(q)
+            if q_ * q >= least and len(qs) > k:
+                return
+
+    def convergent(self, k: int) -> Convergent:
+        """c_k; a rational expansion without one is a DomainError."""
+        self.grow(k)
+        if not 0 <= k < len(self.qs):
+            raise DomainError(f"expansion has no convergent of index {k}")
+        return Convergent(k, self.ps[k], self.qs[k])
+
+    def first_past(self, least: int) -> int:
+        """The first K with q_K*q_(K+1) >= least; a rational expansion
+        that runs out first is a DomainError."""
+        self.grow(1, least)
+        qs = self.qs
+        K = len(qs) - 2
+        if K < 0 or qs[K] * qs[K + 1] < least:
+            raise DomainError(f"rational expansion runs out before q_K*q_(K+1) >= {least}")
+        # The products rise with K, and growth stops at the first to reach
+        # least, so only a walk grown deeper before has any to step back over.
+        while K and qs[K - 1] * qs[K] >= least:
+            K -= 1
+        return K
 
 
 def convergents(cf: CFSpec, count: int) -> list[Convergent]:
@@ -207,7 +257,9 @@ def convergents(cf: CFSpec, count: int) -> list[Convergent]:
     the returned list is then shorter and its length says where."""
     if count < 1:
         raise DomainError("need at least one convergent")
-    return list(itertools.islice(convergent_pairs(cf), count))
+    walk = Walk(cf)
+    walk.grow(count - 1)
+    return [Convergent(k, p, q) for k, (p, q) in enumerate(zip(walk.ps, walk.qs))]
 
 
 def choose_surrogate(
@@ -215,42 +267,33 @@ def choose_surrogate(
 ) -> tuple[Convergent, Convergent]:
     """Minimal-depth convergent pair safe for sorting N multiples.
 
-    The returned (c_K, c_{K+1}) satisfies q_K * q_{K+1} > 16*(B+2)*N^2
-    with B the quotient bound, which keeps the surrogate's shift of every
-    point {n*theta}, n <= N, below one eighth of the smallest possible
-    gap, so every pairwise comparison among the points survives the
-    substitution. An optional min_radius forces the depth further.
+    The returned (c_K, c_{K+1}) is the first pair with q_K*q_{K+1} >
+    16*(B+2)*N^2, B the quotient bound, which keeps the surrogate's shift
+    of every point {n*theta}, n <= N, below one eighth of the smallest
+    possible gap, so every pairwise comparison among the points survives
+    the substitution. An optional min_radius forces the depth further.
+    gap_set, solve and the extremal witness pick the same depth by the
+    same policy (_least), as one first_past query on their own walk.
     """
     N = operator.index(N)
     if cf.is_rational:
         raise DomainError("rational input needs no surrogate")
-    least = 16 * (cf.bound() + 2) * N * N + 1
+    walk = Walk(cf)
+    K = walk.first_past(_least(cf.bound(), N, min_radius))
+    return walk.convergent(K), walk.convergent(K + 1)
+
+
+def _least(bound: int, N: int, min_radius=None) -> int:
+    """Least q_K*q_(K+1) a surrogate for N multiples needs under quotient
+    bound B: past 16*(B+2)*N^2, and 1/(q_K*q_(K+1)) <= min_radius when one
+    is given; floats read exactly."""
+    least = 16 * (bound + 2) * N * N + 1
     if min_radius is not None:
-        least = max(least, _least_product(min_radius))
-    return _pair_past(cf, least)
-
-
-def _least_product(radius) -> int:
-    """Least q_K*q_{K+1} with 1/(q_K*q_{K+1}) <= radius; floats read exactly."""
-    if not 0 < radius < float("inf"):
-        raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    num, den = radius.as_integer_ratio()
-    return -(-den // num)
-
-
-def _pair_past(cf: CFSpec, least: int) -> tuple[Convergent, Convergent]:
-    """First convergent pair (c_K, c_{K+1}) with q_K*q_{K+1} >= least.
-
-    The recurrence runs on plain ints; only the pair returned becomes
-    Convergents. A rational expansion that runs out first is a DomainError.
-    """
-    p_prev, q_prev, p, q = 1, 0, cf.a0, 1
-    for k, a in enumerate(cf.quotients(), start=1):
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
-        if q_prev * q >= least:
-            return Convergent(k - 1, p_prev, q_prev), Convergent(k, p, q)
-    raise DomainError(f"rational expansion runs out before q_K*q_(K+1) >= {least}")
+        if not 0 < min_radius < float("inf"):
+            raise DomainError(f"radius must be positive and finite, got {min_radius!r}")
+        num, den = min_radius.as_integer_ratio()
+        least = max(least, -(-den // num))
+    return least
 
 
 def min_affine_mod(n: int, m: int, a: int, b: int) -> tuple[int, int]:
@@ -314,109 +357,32 @@ def eval_theta(cf: CFSpec) -> Fraction | QuadraticNumber:
     D itself, unreduced, and the denominator Q*Y + Q_ > 0 has a nonzero
     norm.
     """
+    return _exact(Walk(cf))
+
+
+def _exact(walk: Walk) -> Fraction | QuadraticNumber:
+    """eval_theta of walk's number, read off walk.
+
+    With m quotients in the prefix and L in the period, P/Q and P_/Q_ are
+    theta's convergents m and m - 1 (p_(-1) = 1, q_(-1) = 0). The matrix
+    [[p_j, p_(j-1)], [q_j, q_(j-1)]] of convergent j is the product of
+    [[a_i, 1], [1, 0]] over i <= j, so the period's [[p, p_], [q, q_]] is
+    the inverse of convergent m's matrix, s*[[Q_, -P_], [-Q, P]] with
+    determinant s = (-1)^(m+1), times the matrix of convergent m + L.
+    """
+    cf = walk.cf
     if cf.is_rational:
         return cf.value()
-    p, p_, q, q_ = _last_two(cf.period[0], cf.period[1:])
-    P, P_, Q, Q_ = _last_two(cf.a0, cf.prefix)
+    m = len(cf.prefix)
+    top = m + len(cf.period)
+    walk.grow(top)
+    ps, qs = walk.ps, walk.qs
+    P, Q = ps[m], qs[m]
+    P_, Q_ = (ps[m - 1], qs[m - 1]) if m else (1, 0)
+    R, R_, S, S_ = ps[top], ps[top - 1], qs[top], qs[top - 1]
+    s = 1 if m % 2 else -1
+    p, p_ = s * (Q_ * R - P_ * S), s * (Q_ * R_ - P_ * S_)
+    q, q_ = s * (P * S - Q * R), s * (P * S_ - Q * R_)
     D = (p - q_) ** 2 + 4 * q * p_
     u, w = p - q_, 2 * q  # Y = (u + sqrt(D))/w
     return _quotient((P * u + P_ * w, P, 1, D), (Q * u + Q_ * w, Q, 1, D))
-
-
-def _last_two(c0: int, quotients) -> tuple[int, int, int, int]:
-    """p_m, p_(m-1), q_m and q_(m-1) of [c0; c1, ..., cm], with p_(-1) = 1
-    and q_(-1) = 0."""
-    p, p_, q, q_ = c0, 1, 1, 0
-    for a in quotients:
-        p, p_, q, q_ = a * p + p_, p, a * q + q_, q
-    return p, p_, q, q_
-
-
-def dist_to_int(cf: CFSpec, n: int) -> Fraction | QuadraticNumber:
-    """Exact distance from n*theta to the nearest integer."""
-    x = operator.index(n) * eval_theta(cf)
-    f = x - math.floor(x)
-    return min(f, 1 - f)
-
-
-def convergent_residual(cf: CFSpec, k: int) -> Fraction | QuadraticNumber:
-    """Exact |q_k*theta - p_k|.
-
-    For k >= 1 this equals the distance from q_k*theta to the nearest
-    integer; at k = 0 it is the fractional part of theta, which the gap
-    classification below needs even when that part exceeds one half.
-    """
-    if k < 0:
-        raise DomainError("residuals are indexed from 0")
-    conv = convergents(cf, k + 1)
-    if len(conv) <= k:
-        raise DomainError(f"expansion has no convergent of index {k}")
-    c = conv[k]
-    return abs(c.q * eval_theta(cf) - c.p)
-
-
-def tail_and_reversal(cf: CFSpec, k: int) -> tuple[Fraction | QuadraticNumber, Fraction]:
-    """The exact tail [0; a_k, a_{k+1}, ...] and the exact reversal.
-
-    The reversal [0; a_k, ..., a_1] always equals q_{k-1}/q_k.
-    """
-    if k < 1:
-        raise DomainError("tail and reversal are indexed from 1")
-    tail_cf = cf.tail(k)  # raises DomainError when a rational runs out
-    conv = convergents(cf, k + 1)
-    return eval_theta(tail_cf), Fraction(conv[k - 1].q, conv[k].q)
-
-
-def reversal_identity_check(cf: CFSpec, k: int) -> bool:
-    """Confirm [0; a_k, ..., a_1] == q_{k-1}/q_k by direct evaluation."""
-    if k < 1:
-        raise DomainError("reversals are indexed from 1")
-    quots = [cf.quotient(i) for i in range(1, k + 1)]
-    rev = CFSpec(0, tuple(reversed(quots)), ())
-    conv = convergents(cf, k + 1)
-    return rev.value() == Fraction(conv[k - 1].q, conv[k].q)
-
-
-def expand_quadratic(x: QuadraticNumber, count: int) -> list[int]:
-    """First `count` terms a0, a1, ... of the expansion of an exact
-    quadratic number, computed by floor-and-invert with no rounding."""
-    terms = []
-    cur = x
-    for _ in range(count):
-        a = cur.floor()
-        terms.append(a)
-        frac = cur - a
-        if frac.sign() == 0:
-            break
-        cur = frac.inverse()
-    return terms
-
-
-def bounded_quotient_extrema(bound: int) -> tuple[QuadraticNumber, QuadraticNumber]:
-    """Smallest and largest reals whose partial quotients all stay <= bound.
-
-    The minimum is [0; bound, 1, bound, 1, ...] and the maximum is
-    [bound; 1, bound, 1, ...]; both come back as exact quadratic numbers
-    and both are re-verified here, first against their defining quadratic
-    equations and then by expanding them term by term.
-    """
-    if bound < 1:
-        raise DomainError("quotient bound must be >= 1")
-    b = bound
-    mn = eval_theta(CFSpec(0, (), (b, 1)))
-    mx = eval_theta(CFSpec(b, (), (1, b)))
-    # mn solves b*x^2 + b*x - 1 = 0, mx solves x^2 - b*x - b = 0.
-    if b * mn * mn + b * mn - 1 != 0:
-        raise VerificationError("minimum fails its defining quadratic")
-    if mx * mx - b * mx - b != 0:
-        raise VerificationError("maximum fails its defining quadratic")
-    if not (0 < mn < 1 < mx):
-        raise VerificationError("extrema landed outside their expected range")
-    terms = 9
-    want_mn = [0] + [b if i % 2 == 0 else 1 for i in range(terms - 1)]
-    want_mx = [b] + [1 if i % 2 == 0 else b for i in range(terms - 1)]
-    if expand_quadratic(mn, terms) != want_mn:
-        raise VerificationError("minimum does not expand to [0; bound, 1, ...]")
-    if expand_quadratic(mx, terms) != want_mx:
-        raise VerificationError("maximum does not expand to [bound; 1, bound, ...]")
-    return mn, mx

@@ -12,15 +12,18 @@ Exactness policy: an irrational theta is replaced by the convergent
 p_K/q_K the caller's radius asks for (a rational theta is used as it
 is), and the gap lengths and multiplicities are read off its
 convergents by the three-distance theorem, as integers over q_K, in
-O(log N) steps without building any point. Points are built only when
+O(log N) steps without building any point. Each public call reads
+theta's convergents off one cf.Walk, grown on demand: verify_regime's
+class, surrogate, three-distance bracket and staircase bracket all come
+off the same two lists. Points are built only when
 they are listed: the successor walk of Sos (1958) steps from each
 multiple to its right neighbour using only the multiples of the
 smallest and the largest point. The walk must visit every multiple once
 and its steps must give back the theorem's lengths exactly, and since
 those add up to exactly one, this certifies the order.
 
-The extremal witness builds no GapSet. One walk of the convergents of
-theta = [0; (B, 1)], as plain ints, gives its pair, its N, its
+The extremal witness builds no GapSet. One Walk of the convergents of
+theta = [0; (B, 1)] gives its pair, its N, its
 three-distance bracket and the surrogate of every certification round;
 each round runs gap_set's checks on the lengths under p_K/q_K and
 decides N*H < f(B) as one exact sign on f's integers.
@@ -29,20 +32,13 @@ decides N*H < f(B) as one exact sign on f's integers.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import render
-from .cf import (
-    CFSpec,
-    Convergent,
-    _least_product,
-    choose_surrogate,
-    convergents,
-    eval_theta,
-    min_affine_mod,
-)
+from .cf import CFSpec, Convergent, Walk, _exact, _least, eval_theta, min_affine_mod
 from .errors import CoincidentPointsError, DomainError, VerificationError
 from .quadratic import QuadraticNumber, _make, _sign, squarefree_decompose
 
@@ -214,25 +210,35 @@ class GapSet:
         }
 
 
-def _three_distance(cf: CFSpec, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
+def _three_distance(walk: Walk, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
     """(length numerator, multiplicity) of the n points 0, {p/q}, ...,
-    {(n-1)*p/q}, ascending, for n <= q with p/q a convergent of cf (or cf
-    itself).
+    {(n-1)*p/q}, ascending, for n <= q with p/q a convergent of walk's
+    theta (or theta itself) and p reduced mod q.
 
     With q_k + q_{k-1} <= n < q_{k+1} + q_k, n - q_{k-1} = m*q_k + r and
-    eta_j = |q_j*p - p_j*q|, the lengths are eta_k (n - q_k times),
-    eta_{k-1} - m*eta_k (r times) and eta_{k-1} - (m-1)*eta_k (q_k - r
-    times) (Sos 1958; van Ravenstein 1988). Starting from q_{-1} = 0 also
-    covers n <= a_1.
+    eta_j = |q_j*p - p_j*q| for the p_j/q_j of [0; a_1, ...], the lengths
+    are eta_k (n - q_k times), eta_{k-1} - m*eta_k (r times) and eta_{k-1}
+    - (m-1)*eta_k (q_k - r times) (Sos 1958; van Ravenstein 1988). Those
+    p_j are theta's own less a0*q_j, so eta_j reads theta's convergents
+    against p + a0*q.
     """
-    # p_j, q_j of [0; a_1, ...]: p is reduced mod q, so the integer part goes.
-    p_km1, q_km1, p_k, q_k = 1, 0, 0, 1
-    for a in cf.quotients():
-        p_next, q_next = a * p_k + p_km1, a * q_k + q_km1
-        if n < q_next + q_k:
-            break
-        p_km1, q_km1, p_k, q_k = p_k, q_k, p_next, q_next
-    return _distances((p_km1, q_km1, p_k, q_k), p, q, n)
+    return _distances(_distance_bracket(walk, n), p + walk.cf.a0 * q, q, n)
+
+
+def _distance_bracket(walk: Walk, n: int) -> tuple[int, int, int, int]:
+    """(p_(k-1), q_(k-1), p_k, q_k) of walk's theta for the k with q_k +
+    q_(k-1) <= n < q_(k+1) + q_k, or the last k of a rational expansion.
+
+    Starting from p_(-1) = 1 and q_(-1) = 0 also covers n <= a_1. Two q's
+    that multiply to n^2 or more add up to more than n, so the scan stops
+    inside the walk.
+    """
+    walk.grow(1, n * n)
+    ps, qs = walk.ps, walk.qs
+    k, last = 0, len(qs) - 1
+    while k < last and qs[k + 1] + qs[k] <= n:
+        k += 1
+    return (ps[k - 1], qs[k - 1], ps[k], qs[k]) if k else (1, 0, ps[0], qs[0])
 
 
 def _distances(bracket, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -262,15 +268,16 @@ def _merged(pairs) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(lengths.items()))
 
 
-def _surrogate(cf: CFSpec, N: int, min_radius: Fraction | None = None):
-    """(p mod q, q, depth, radius) of the fraction p/q that theta is read as
-    for N multiples.
+def _surrogate(walk: Walk, N: int, min_radius: Fraction | None = None):
+    """(p mod q, q, depth, radius) of the fraction p/q that walk's theta is
+    read as for N multiples.
 
     A rational theta is its own p/q, at radius 0, and needs N < q, or
     points coincide. An irrational one is the convergent p_K/q_K that
     choose_surrogate picks for N (and min_radius), within radius
     1/(q_K*q_(K+1)) of theta.
     """
+    cf = walk.cf
     if cf.is_rational:
         v = cf.value()
         q = v.denominator
@@ -279,8 +286,9 @@ def _surrogate(cf: CFSpec, N: int, min_radius: Fraction | None = None):
                 f"rational input with denominator {q} supports only N < {q}"
             )
         return v.numerator % q, q, len(cf.prefix), Fraction(0)
-    ck, ck1 = choose_surrogate(cf, N, min_radius)
-    return ck.p % ck.q, ck.q, ck.k, Fraction(1, ck.q * ck1.q)
+    K = walk.first_past(_least(cf.bound(), N, min_radius))
+    ps, qs = walk.ps, walk.qs
+    return ps[K] % qs[K], qs[K], K, Fraction(1, qs[K] * qs[K + 1])
 
 
 def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet:
@@ -295,15 +303,21 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
     to one and the multiplicities to N + 1. No point is built here; see
     GapSet.orders.
     """
+    return _gap_set(Walk(cf), N, min_radius)
+
+
+def _gap_set(walk: Walk, N: int, min_radius: Fraction | None) -> GapSet:
+    """gap_set of walk's theta, read off walk."""
     N = operator.index(N)  # rejects 10.5, which would pass every check below
     if N < 1:
         raise DomainError("need at least one multiple")
+    cf = walk.cf
     if cf.is_integer:
         raise DomainError("integer input has every multiple at zero")
-    p, q, depth, radius = _surrogate(cf, N, min_radius)
+    p, q, depth, radius = _surrogate(walk, N, min_radius)
     # A rational theta can split the interval evenly (one gap length);
     # an irrational one always produces two or three.
-    gap_nums = _checked(_three_distance(cf, p, q, N + 1), q, N, 1 if cf.is_rational else 2)
+    gap_nums = _checked(_three_distance(walk, p, q, N + 1), q, N, 1 if cf.is_rational else 2)
     return GapSet(
         count=N,
         numerator=p,
@@ -357,25 +371,27 @@ class RegimeTag:
 
 def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     """Locate N among the denominator brackets of theta's convergents."""
+    return _classify(Walk(cf), N)
+
+
+def _classify(walk: Walk, N: int) -> RegimeTag:
+    """classify_regime of walk's theta, read off walk."""
     N = operator.index(N)
+    cf = walk.cf
     if cf.is_integer:
         raise DomainError("integer input has no convergent brackets")
-    qs = [1]  # q_0, q_1, ... up to the first past N
-    q_prev = 0
-    for a in cf.quotients():
-        q_prev, q = qs[-1], a * qs[-1] + q_prev
-        qs.append(q)
-        if q > N:
-            break
-    else:
+    # Two q's that multiply to (N + 1)^2 or more end on one past N.
+    walk.grow(1, (N + 1) ** 2)
+    qs = walk.qs
+    if qs[-1] <= N:
         # rational expansion exhausted without exceeding N
         raise CoincidentPointsError(
             f"rational input resolves only N < {qs[-1]}"
         )
     if qs[1] > N:
         raise DomainError(f"N must be at least q_1 = {qs[1]}")
-    # Every q_j before the last is at most N.
-    k = len(qs) - 2
+    # q_k is the last at most N.
+    k = bisect_right(qs, N) - 1
     l = (N - qs[k - 1]) // qs[k]
     a_next = cf.quotient(k + 1)
     if not 0 <= l < a_next:
@@ -383,12 +399,14 @@ def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
     return RegimeTag(k=k, l=l)
 
 
-def _bracket(cf: CFSpec, tag: RegimeTag) -> tuple[Convergent, Convergent]:
+def _bracket(walk: Walk, tag: RegimeTag) -> tuple[Convergent, Convergent]:
     """The convergents c_{k-1} and c_k of tag's bracket."""
-    convs = convergents(cf, tag.k + 1)
-    if tag.k < 1 or len(convs) <= tag.k:
-        raise DomainError(f"expansion has no convergents of index {tag.k - 1} and {tag.k}")
-    return convs[-2], convs[-1]
+    k = tag.k
+    walk.grow(k)
+    ps, qs = walk.ps, walk.qs
+    if k < 1 or len(qs) <= k:
+        raise DomainError(f"expansion has no convergents of index {k - 1} and {k}")
+    return Convergent(k - 1, ps[k - 1], qs[k - 1]), Convergent(k, ps[k], qs[k])
 
 
 def _staircase(bracket: tuple[Convergent, Convergent], l: int, p, q: int) -> list:
@@ -408,7 +426,8 @@ def predicted_gap_values(cf: CFSpec, tag: RegimeTag) -> list[Fraction | Quadrati
     """The exact gap lengths the classification predicts may occur for
     theta itself: r_k, r_{k-1} - l*r_k and r_{k-1} - (l - 1)*r_k with
     r_j = |q_j*theta - p_j|."""
-    return _staircase(_bracket(cf, tag), tag.l, eval_theta(cf), 1)
+    walk = Walk(cf)
+    return _staircase(_bracket(walk, tag), tag.l, _exact(walk), 1)
 
 
 def verify_regime(
@@ -419,13 +438,15 @@ def verify_regime(
     Returns (tag, gap set, predicted lengths, all-observed-are-predicted).
     The prediction is read under the gap set's own p_K/q_K, so each
     observed numerator must be one of the predicted ones exactly. min_radius
-    deepens the surrogate past the policy minimum, as in gap_set.
+    deepens the surrogate past the policy minimum, as in gap_set. One walk
+    of theta's convergents gives the class, the surrogate and both brackets.
     """
-    tag = classify_regime(cf, N)
-    gs = gap_set(cf, N, min_radius=min_radius)
+    walk = Walk(cf)
+    tag = _classify(walk, N)
+    gs = _gap_set(walk, N, min_radius)
     # gs.numerator is reduced modulo q; the convergents carry a0.
     p, q = gs.numerator + cf.a0 * gs.denominator, gs.denominator
-    nums = _staircase(_bracket(cf, tag), tag.l, p, q)
+    nums = _staircase(_bracket(walk, tag), tag.l, p, q)
     ok = all(g in nums for g, _ in gs.gap_nums)
     return tag, gs, [Fraction(n, q) for n in nums], ok
 
@@ -501,48 +522,11 @@ class ExtremalWitness:
         from radius; N, the pair, f, h and gap_to_f carry over."""
         if self.radius <= radius:
             return self
-        return replace(self, **_certified(_Walk(self.bound), self.count, self.pair, self.h,
+        return replace(self, **_certified(Walk(self.theta), self.count, self.pair, self.h,
                                           self.constant, radius))
 
 
-class _Walk:
-    """p_k and q_k, k = 0, 1, ..., of theta = [0; (bound, 1)] as two lists
-    of ints, grown on demand. One walk gives the witness its pair, its
-    three-distance bracket and every surrogate its certification tries."""
-
-    __slots__ = ("bound", "ps", "qs")
-
-    def __init__(self, bound: int):
-        self.bound, self.ps, self.qs = bound, [0, 1], [1, bound]
-
-    def grow(self, k: int, least: int = 0) -> None:
-        """Grow the lists through index k and until their last two q's
-        multiply to least or more.
-
-        They grow two steps at a time, a_j = 1 at even j and bound at odd
-        j, so they always end at an odd index."""
-        b, ps, qs = self.bound, self.ps, self.qs
-        p_, p, q_, q = ps[-2], ps[-1], qs[-2], qs[-1]
-        while len(qs) <= k or q_ * q < least:
-            p_, p, q_, q = p, p + p_, q, q + q_
-            ps.append(p)
-            qs.append(q)
-            p_, p, q_, q = p, b * p + p_, q, b * q + q_
-            ps.append(p)
-            qs.append(q)
-
-
-def _next_surrogate(walk: _Walk, K: int, least: int) -> int:
-    """The first depth K' >= K with q_K'*q_(K'+1) >= least: the surrogate
-    choose_surrogate picks for least when no pair below K reaches it."""
-    walk.grow(K + 1, least)
-    qs = walk.qs
-    while qs[K] * qs[K + 1] < least:
-        K += 1
-    return K
-
-
-def _certified(walk: _Walk, N: int, pair, h: QuadraticNumber, constant: QuadraticNumber,
+def _certified(walk: Walk, N: int, pair, h: QuadraticNumber, constant: QuadraticNumber,
                min_radius) -> dict:
     """largest, product, depth and radius of the witness for N multiples
     of walk's theta, with pair = (c_{2n-1}, c_{2n}).
@@ -552,30 +536,22 @@ def _certified(walk: _Walk, N: int, pair, h: QuadraticNumber, constant: Quadrati
     retry asking for 2**-40 of the last radius used, until N*H < f is
     decidable, or after CERT_ROUNDS surrogates a VerificationError names
     the bound and the stage. The least product a round asks for only
-    grows, so each round goes on from the last depth. Under every
-    surrogate tried, the three-distance lengths must pass gap_set's checks
-    and H must be the predicted combination of the residuals of pair
-    exactly; under the last one the exact h must lie within N times its
-    radius of H. Every step is integer arithmetic and exact signs.
+    grows, so each round's first_past grows the walk on from where the
+    last one left it. Under every surrogate tried, the three-distance
+    lengths must pass gap_set's checks and H must be the predicted
+    combination of the residuals of pair exactly; under the last one the
+    exact h must lie within N times its radius of H. Every step is integer
+    arithmetic and exact signs.
     """
-    bound, ps, qs = walk.bound, walk.ps, walk.qs
+    bound, ps, qs = walk.cf.bound(), walk.ps, walk.qs
     coeff = (bound - 2) // 2
     c_odd, c_even = pair
-    # The three-distance bracket of the N + 1 gaps depends on N alone. Two
-    # q's that multiply to (N + 1)^2 or more add up to more than N + 1, so
-    # the scan stops inside the walk; N >= B = q_1 takes it past k = 0.
-    walk.grow(1, (N + 1) ** 2)
-    k = 0
-    while qs[k + 1] + qs[k] <= N + 1:
-        k += 1
-    bracket = (ps[k - 1], qs[k - 1], ps[k], qs[k])
-    least = 16 * (bound + 2) * N * N + 1
-    if min_radius is not None:
-        least = max(least, _least_product(min_radius))
+    # The three-distance bracket of the N + 1 gaps depends on N alone.
+    bracket = _distance_bracket(walk, N + 1)
+    least = _least(bound, N, min_radius)
     fx, fy, fz, fd = constant._x, constant._y, constant._z, constant._d
-    K = 0
     for _ in range(CERT_ROUNDS):
-        K = _next_surrogate(walk, K, least)
+        K = walk.first_past(least)
         q, v = qs[K], qs[K] * qs[K + 1]
         p = ps[K] % q
         g = _checked(_distances(bracket, p, q, N + 1), q, N)[-1][0]
@@ -627,7 +603,7 @@ def extremal_witness(
     convergent residuals. theta is a root of bound*x^2 + bound*x - 1, so
     that combination is computed exactly for theta itself, as h in the
     field of the constant, and gap_to_f = constant - N*h is exact and must
-    be positive. One integer walk of theta's convergents gives the pair, N
+    be positive. One Walk of theta's convergents gives the pair, N
     and the surrogates: the computed H must equal the prediction exactly
     under each surrogate and lie within N times its radius of h, and N*H
     is certified strictly below the sharp constant, deepening the
@@ -639,16 +615,13 @@ def extremal_witness(
         raise DomainError("witness stages are indexed from 1")
     if n > MAX_STAGE:
         raise DomainError(f"witness stage {n} is past MAX_STAGE = {MAX_STAGE}")
-    walk = _Walk(bound)
-    walk.grow(2 * n)
-    ps, qs = walk.ps, walk.qs
-    c_odd = Convergent(2 * n - 1, ps[2 * n - 1], qs[2 * n - 1])
-    c_even = Convergent(2 * n, ps[2 * n], qs[2 * n])
+    cf, constant, theta = _witness_field(bound)
+    walk = Walk(cf)
+    c_odd, c_even = walk.convergent(2 * n - 1), walk.convergent(2 * n)
     N = c_odd.q + ((bound + 2) // 2) * c_even.q - 2
     if N < 1:
         raise DomainError(f"stage {n} gives an empty witness for bound {bound}")
     coeff = (bound - 2) // 2
-    cf, constant, theta = _witness_field(bound)
     # theta lies in Q(sqrt(bound^2 + 4*bound)), the field of the constant,
     # so the true largest gap is exact.
     h = (c_odd.p + coeff * c_even.p) - (c_odd.q + coeff * c_even.q) * theta

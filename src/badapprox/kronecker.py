@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cf import CFSpec, eval_theta, min_affine_mod
+from .cf import CFSpec, Walk, _exact, min_affine_mod
 from .errors import DomainError
 from .gaps import _surrogate, gap_constant
 from .quadratic import QuadraticNumber, _make, _sign
@@ -78,8 +78,9 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
         raise DomainError("theta must lie strictly between 0 and 1")
     B = cf.bound()
     bound = gap_constant(B) / (2 * N)
-    num, q, _, _ = _surrogate(cf, N)
-    theta = eval_theta(cf)
+    walk = Walk(cf)
+    num, q, _, _ = _surrogate(walk, N)
+    theta = _exact(walk)
     if isinstance(theta, Fraction):
         x, y, z, d = theta.numerator, 0, theta.denominator, 1
     else:

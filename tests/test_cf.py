@@ -15,20 +15,15 @@ from badapprox import (
     Convergent,
     DomainError,
     QuadraticNumber,
-    bounded_quotient_extrema,
+    Walk,
     choose_surrogate,
-    convergent_residual,
     convergents,
-    dist_to_int,
     eval_theta,
-    expand_quadratic,
     gap_constant,
     gap_set,
     preset,
-    reversal_identity_check,
-    tail_and_reversal,
 )
-from badapprox.cf import _pair_past, convergent_pairs, min_affine_mod
+from badapprox.cf import min_affine_mod
 from badapprox.oracle import random_cf
 from badapprox.sturmian import THETA_GOLDEN
 
@@ -140,7 +135,8 @@ def test_golden_convergents_are_fibonacci():
 
 @given(irrational_cfs())
 def test_convergent_recurrence_and_coprimality(cf):
-    conv = convergents(cf, 12)
+    walk = Walk(cf)
+    conv = [walk.convergent(k) for k in range(12)]
     quots = [cf.quotient(k) for k in range(1, 12)]
     for k in range(2, 12):
         assert conv[k].p == quots[k - 1] * conv[k - 1].p + conv[k - 2].p
@@ -157,6 +153,66 @@ def test_rational_expansion_runs_out_short():
     conv = convergents(CFSpec(0, (2, 3), ()), 10)
     assert len(conv) == 3
     assert conv[-1].value == Fraction(3, 7)
+
+
+def _convergent_stream(cf):
+    """Convergent(k, p_k, q_k), k = 0, 1, ..., by the recurrence written
+    out here, apart from Walk (finite for rationals)."""
+    p_, q_, p, q = 1, 0, cf.a0, 1
+    yield Convergent(0, p, q)
+    for k, a in enumerate(cf.quotients(), start=1):
+        p_, p, q_, q = p, a * p + p_, q, a * q + q_
+        yield Convergent(k, p, q)
+
+
+def test_walk_answers_requests_in_any_order():
+    # One walk serves a shallow request, then a deep one, then shallow
+    # again, and gives what a fresh walk gives each time.
+    for cf in (GOLDEN, CFSpec(-3, (2,), (1, 4)), CFSpec(5, (1, 7), (3, 1))):
+        want = list(itertools.islice(_convergent_stream(cf), 200))
+        products = [c.q * d.q for c, d in itertools.pairwise(want)]
+        walk = Walk(cf)
+        for k in (3, 150, 0, 40, 198, 1):
+            assert walk.convergent(k) == want[k], (cf, k)
+            K = walk.first_past(products[k])
+            assert K == k == Walk(cf).first_past(products[k]), (cf, k)
+            assert walk.first_past(products[k] + 1) == k + 1
+        # The walk grew only as far as its deepest request, the pair
+        # (c_199, c_200).
+        assert len(walk.qs) == 201
+
+
+def test_walk_on_a_rational_that_runs_out_between_requests():
+    cf = CFSpec(2, (3, 1, 4, 2), ())
+    want = list(_convergent_stream(cf))
+    assert len(want) == 5
+    walk = Walk(cf)
+    assert walk.first_past(want[1].q * want[2].q) == 1
+    # A product the expansion never reaches is refused, and the walk, run
+    # out on the way, still answers every index it has.
+    with pytest.raises(DomainError, match="runs out"):
+        walk.first_past(want[3].q * want[4].q + 1)
+    assert [walk.convergent(k) for k in range(5)] == want
+    assert walk.first_past(want[3].q * want[4].q) == 3
+    with pytest.raises(DomainError, match="no convergent of index 5"):
+        walk.convergent(5)
+    # Every gap set that fits under the denominator is still served.
+    q = cf.value().denominator
+    assert gap_set(cf, q - 1).gap_nums == ((1, q),)
+
+
+def test_eval_theta_on_periods_that_end_in_one():
+    # CFSpec folds a trailing 1 away, so (2, 1) read as the rational
+    # [2; 1] would be 3: the period is walked inside theta instead.
+    cases = {
+        CFSpec(0, (), (2, 1)): (QuadraticNumber.sqrt(12) - 2) / 4,  # 2y^2 + 2y - 1 = 0
+        CFSpec(-1, (), (2, 1)): (QuadraticNumber.sqrt(12) - 6) / 4,
+        CFSpec(3, (5,), (1, 1)): 3 + 1 / (5 + (QuadraticNumber.sqrt(5) - 1) / 2),
+    }
+    for cf, want in cases.items():
+        theta = eval_theta(cf)
+        assert theta == want, cf
+        assert _expand_quadratic(theta, 12) == [cf.a0] + [cf.quotient(k) for k in range(1, 12)]
 
 
 # ---- exact evaluation ------------------------------------------------------
@@ -183,7 +239,7 @@ def test_eval_theta_expands_to_its_quotients():
         theta = eval_theta(cf)
         assert type(theta) is QuadraticNumber and theta.d > 1, cf
         want = [cf.a0] + [cf.quotient(k) for k in range(1, 25)]
-        assert expand_quadratic(theta, 25) == want, cf
+        assert _expand_quadratic(theta, 25) == want, cf
         rational = CFSpec(cf.a0, cf.prefix + cf.period, ())
         assert eval_theta(rational) == rational.value(), rational
 
@@ -196,7 +252,6 @@ def test_eval_theta_equals_the_closed_forms_it_replaced():
         mn, mx = (root - b) / (2 * b), (root + b) / 2
         assert eval_theta(CFSpec(0, (), (b, 1))) == mn, b
         assert eval_theta(CFSpec(b, (), (1, b))) == mx, b
-        assert bounded_quotient_extrema(b) == (mn, mx), b
 
 
 def test_eval_theta_keeps_its_discriminant_and_equals_the_reduced_value():
@@ -222,35 +277,27 @@ def test_eval_theta_keeps_its_discriminant_and_equals_the_reduced_value():
         assert theta < f
 
 
-def test_dist_to_int_frozen_golden():
-    d3 = dist_to_int(GOLDEN, 3)
-    d5 = dist_to_int(GOLDEN, 5)
-    assert d3 == QuadraticNumber(Fraction(7, 2), Fraction(-3, 2), 5)
-    assert d5 == QuadraticNumber(Fraction(-11, 2), Fraction(5, 2), 5)
-    assert abs(d3 - Fraction("0.1458980338")) < Fraction(1, 10**9)
-    assert abs(d5 - Fraction("0.09016994375")) < Fraction(1, 10**9)
-    assert dist_to_int(GOLDEN, 0) == 0
-    assert dist_to_int(GOLDEN, -3) == d3
-
-
-def test_residual_at_zero_is_fractional_part():
-    r0 = convergent_residual(GOLDEN, 0)
-    assert r0 == eval_theta(GOLDEN)
-    assert r0 > Fraction(1, 2)  # not folded to the nearest integer
-    assert convergent_residual(CFSpec(2, (), (1,)), 0) == eval_theta(GOLDEN)
-    with pytest.raises(DomainError):
-        convergent_residual(CFSpec(0, (2, 3), ()), 5)
-
-
 # ---- the reversal and the two residual identities --------------------------
 
 CORPUS = [GOLDEN, SQRT2_MINUS_1, preset("extremal:3"), CFSpec(0, (2, 1, 3), (1, 2))]
 
 
+def _reversal(cf, k):
+    """[0; a_k, ..., a_1], evaluated directly."""
+    return CFSpec(0, tuple(cf.quotient(i) for i in range(k, 0, -1)), ()).value()
+
+
+def _residual(cf, k):
+    """|q_k*theta - p_k|, exact."""
+    c = Walk(cf).convergent(k)
+    return abs(c.q * eval_theta(cf) - c.p)
+
+
 def test_reversal_identity():
     for cf in CORPUS:
+        conv = convergents(cf, 22)
         for k in range(1, 21):
-            assert reversal_identity_check(cf, k)
+            assert _reversal(cf, k) == Fraction(conv[k - 1].q, conv[k].q)
 
 
 def test_residual_identities_certified():
@@ -260,21 +307,20 @@ def test_residual_identities_certified():
     for cf in CORPUS:
         conv = convergents(cf, 22)
         for k in range(1, 21):
-            _, phi = tail_and_reversal(cf, k)
-            assert phi == Fraction(conv[k - 1].q, conv[k].q)
-            r_k = conv[k].q * convergent_residual(cf, k)
-            assert r_k == 1 / (tail_and_reversal(cf, k + 2)[0] + cf.quotient(k + 1) + phi)
-            r_prev = conv[k].q * convergent_residual(cf, k - 1)
-            assert r_prev == 1 / (1 + tail_and_reversal(cf, k + 1)[0] * phi)
+            phi = _reversal(cf, k)
+            r_k = conv[k].q * _residual(cf, k)
+            assert r_k == 1 / (eval_theta(cf.tail(k + 2)) + cf.quotient(k + 1) + phi)
+            r_prev = conv[k].q * _residual(cf, k - 1)
+            assert r_prev == 1 / (1 + eval_theta(cf.tail(k + 1)) * phi)
 
 
 def test_residual_identity_frozen_sqrt2():
     conv = convergents(SQRT2_MINUS_1, 4)
     assert (conv[2].p, conv[2].q) == (2, 5)
-    lhs = 5 * convergent_residual(SQRT2_MINUS_1, 2)
+    lhs = 5 * _residual(SQRT2_MINUS_1, 2)
     assert lhs == QuadraticNumber(-35, 25, 2)
     assert abs(lhs - Fraction("0.355339059327376")) < Fraction(1, 10**12)
-    lhs_prev = 5 * convergent_residual(SQRT2_MINUS_1, 1)
+    lhs_prev = 5 * _residual(SQRT2_MINUS_1, 1)
     assert lhs_prev == QuadraticNumber(15, -10, 2)
     assert abs(lhs_prev - Fraction("0.85786437626905")) < Fraction(1, 10**12)
 
@@ -303,7 +349,7 @@ def test_surrogate_float_radius_is_read_exactly():
     # A float radius is read as its exact Fraction: the first pair past it.
     gs = gap_set(GOLDEN, 100, min_radius=1e-20)
     assert gs.radius <= Fraction(1e-20) < 3 * gs.radius
-    c, c_next = _pair_past_reference(GOLDEN, math.ceil(1 / Fraction(1e-20)))
+    c, c_next = _first_past_reference(GOLDEN, math.ceil(1 / Fraction(1e-20)))
     assert gs.radius == Fraction(1, c.q * c_next.q)
     # A radius <= 0 can never be reached by deepening: refused up front.
     with pytest.raises(DomainError):
@@ -312,9 +358,9 @@ def test_surrogate_float_radius_is_read_exactly():
         gap_set(GOLDEN, 10, min_radius=Fraction(-1, 10))
 
 
-def _pair_past_reference(cf, least):
+def _first_past_reference(cf, least):
     """The first pair past least, read off the Convergent stream."""
-    return next(p for p in itertools.pairwise(convergent_pairs(cf)) if p[0].q * p[1].q >= least)
+    return next(p for p in itertools.pairwise(_convergent_stream(cf)) if p[0].q * p[1].q >= least)
 
 
 def test_pair_past_matches_the_convergent_stream():
@@ -328,8 +374,10 @@ def test_pair_past_matches_the_convergent_stream():
         for c, d in itertools.pairwise(convergents(cf, 12)):
             leasts += [c.q * d.q - 1, c.q * d.q, c.q * d.q + 1]
         for least in leasts:
-            got = _pair_past(cf, least)
-            assert got == _pair_past_reference(cf, least), (cf, least)
+            walk = Walk(cf)
+            K = walk.first_past(least)
+            got = walk.convergent(K), walk.convergent(K + 1)
+            assert got == _first_past_reference(cf, least), (cf, least)
             assert all(type(c) is Convergent for c in got)
 
 
@@ -338,10 +386,10 @@ def test_pair_past_on_a_rational_that_runs_out():
     conv = convergents(cf, 10)
     assert len(conv) == 4
     # Pairs that exist are found as on an irrational expansion.
-    assert _pair_past(cf, conv[2].q * conv[3].q) == (conv[2], conv[3])
+    assert Walk(cf).first_past(conv[2].q * conv[3].q) == 2
     for rational, least in ((cf, conv[2].q * conv[3].q + 1), (CFSpec(7), 1)):
         with pytest.raises(DomainError, match="runs out"):
-            _pair_past(rational, least)
+            Walk(rational).first_past(least)
 
 
 @given(irrational_cfs(), st.integers(min_value=5, max_value=100))
@@ -381,15 +429,31 @@ def test_quotient_bump_parity(qs, k):
 # ---- quadratic expansion and quotient-bound extrema ------------------------
 
 
+def _expand_quadratic(x, count):
+    """First `count` terms a0, a1, ... of the expansion of an exact
+    quadratic number, by floor-and-invert with no rounding."""
+    terms = []
+    for _ in range(count):
+        a = x.floor()
+        terms.append(a)
+        x = x - a
+        if x.sign() == 0:
+            break
+        x = x.inverse()
+    return terms
+
+
 def test_expand_quadratic_known_expansions():
     alpha = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)
-    assert expand_quadratic(alpha, 6) == [1, 1, 1, 1, 1, 1]
-    assert expand_quadratic(alpha - 1, 6) == [0, 1, 1, 1, 1, 1]
-    assert expand_quadratic(QuadraticNumber.sqrt(2), 5) == [1, 2, 2, 2, 2]
-    assert expand_quadratic(QuadraticNumber(Fraction(3, 7)), 5) == [0, 2, 3]
+    assert _expand_quadratic(alpha, 6) == [1, 1, 1, 1, 1, 1]
+    assert _expand_quadratic(alpha - 1, 6) == [0, 1, 1, 1, 1, 1]
+    assert _expand_quadratic(QuadraticNumber.sqrt(2), 5) == [1, 2, 2, 2, 2]
+    assert _expand_quadratic(QuadraticNumber(Fraction(3, 7)), 5) == [0, 2, 3]
 
 
 def test_bounded_quotient_extrema_frozen():
+    # The smallest and largest reals with quotients <= b: [0; (b, 1)] and
+    # [b; (1, b)].
     want = {
         1: (0.61803398875, 1.61803398875),
         2: (0.366025403784, 2.73205080757),
@@ -397,11 +461,11 @@ def test_bounded_quotient_extrema_frozen():
         4: (0.207106781187, 4.82842712475),
     }
     for b, (lo, hi) in want.items():
-        mn, mx = bounded_quotient_extrema(b)
+        mn, mx = eval_theta(CFSpec(0, (), (b, 1))), eval_theta(CFSpec(b, (), (1, b)))
         assert float(mn) == pytest.approx(lo, abs=1e-10)
         assert float(mx) == pytest.approx(hi, abs=1e-10)
     with pytest.raises(DomainError):
-        bounded_quotient_extrema(0)
+        CFSpec(0, (), (0, 1))
 
 
 # ---- minimum of an affine sequence modulo m --------------------------------
@@ -449,12 +513,10 @@ def test_refusals_and_edge_values():
     rational = CFSpec(0, (2, 3), ())  # 3/7
     with pytest.raises(DomainError):
         choose_surrogate(rational, 5)
-    assert dist_to_int(rational, 2) == Fraction(1, 7)
     for call in (
         lambda: GOLDEN.tail(0),
-        lambda: convergent_residual(GOLDEN, -1),
-        lambda: tail_and_reversal(GOLDEN, 0),
-        lambda: reversal_identity_check(GOLDEN, 0),
+        lambda: Walk(GOLDEN).convergent(-1),
+        lambda: Walk(rational).convergent(3),
     ):
         with pytest.raises(DomainError):
             call()

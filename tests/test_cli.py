@@ -114,6 +114,41 @@ def test_listing_sweep_is_pinned(capsys):
     assert md5.hexdigest() == "b4f0a9de87ac695d67a27f4fce7270e2"
 
 
+# theta with a nonzero integer part: prefixes and periods, two periods that
+# end in 1, and two rationals (denominators 32141 and 6791).
+NONZERO_A0 = [
+    '{"a0": -3, "prefix": [2, 5], "period": [1, 3]}',
+    '{"a0": -1, "period": [2, 1]}',
+    '{"a0": 2, "prefix": [1], "period": [3, 1, 1]}',
+    '{"a0": 5, "prefix": [4, 1, 6], "period": [2, 7]}',
+    '{"a0": -3, "prefix": [1, 4, 2, 1, 3, 5, 2, 6, 3, 2]}',
+    '{"a0": 5, "prefix": [2, 2, 9, 1, 4, 3, 8]}',
+]
+
+
+def test_nonzero_integer_parts_are_pinned(capsys):
+    # md5 of the concatenated exit codes, stdout and stderr of regime
+    # reports and gaps JSON listings, as printed when the three-distance
+    # bracket was walked on [0; a_1, ...] and the regime bracket on theta.
+    md5, codes = hashlib.md5(), Counter()
+    for theta in NONZERO_A0:
+        for digits in ("10", "40"):
+            for n in (1, 3, 7, 20, 97, 1000, 4321, 100000, 500000):
+                for fmt in ("json", "csv"):
+                    code, out, err = run(capsys, "regime", "--theta", theta, "--n", str(n),
+                                         "--precision-digits", digits, "--format", fmt)
+                    codes[code] += 1
+                    md5.update(f"{code}\n{out}\n{err}".encode())
+            for n in (1, 2, 3, 50, 89, 862, 2000):
+                code, out, err = run(capsys, "gaps", "--theta", theta, "--n", str(n),
+                                     "--precision-digits", digits)
+                codes[code] += 1
+                md5.update(f"{code}\n{out}\n{err}".encode())
+    # N below q_1 and N past a rational's denominator exit 1.
+    assert codes == {0: 264, 1: 36}
+    assert md5.hexdigest() == "6e36ee5b083436ef2d696157331e8be2"
+
+
 def _kron_sweep():
     """argv of about 300 kron calls: four targets where the default
     surrogate once misled the library, then random theta (bounds 2, 10 and
@@ -677,14 +712,14 @@ def test_gap_lengths_below_the_smallest_float(capsys):
 
 
 def test_gap_to_f_gives_up_after_ten_rounds(capsys, monkeypatch):
-    real = badapprox.gaps._next_surrogate
+    real = badapprox.Walk.first_past
     calls = []
 
-    def never_deeper(walk, K, least):
+    def never_deeper(walk, least):
         calls.append(least)
-        return real(walk, 0, calls[0])
+        return real(walk, calls[0])
 
-    monkeypatch.setattr(badapprox.gaps, "_next_surrogate", never_deeper)
+    monkeypatch.setattr(badapprox.Walk, "first_past", never_deeper)
     code, out, err = run(capsys, "extremal", "--b", "3", "--n", "20")
     assert code == 2 and out == ""
     assert "could not certify" in err
@@ -697,7 +732,7 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
     # its gap-set certification reruns at the display radius; f - N*H comes
     # exact on it, so no gap set is read for its digits.
     built, read = [], []
-    real_witness, real_gap_set = badapprox.gaps.extremal_witness, badapprox.gaps.gap_set
+    real_witness, real_gap_set = badapprox.gaps.extremal_witness, badapprox.gaps._gap_set
 
     def witness(*args, **kwargs):
         built.append(args)
@@ -708,7 +743,7 @@ def test_deeper_digits_build_no_witness(capsys, monkeypatch):
         return real_gap_set(*args, **kwargs)
 
     monkeypatch.setattr(badapprox.gaps, "extremal_witness", witness)
-    monkeypatch.setattr(badapprox.gaps, "gap_set", gap_set)
+    monkeypatch.setattr(badapprox.gaps, "_gap_set", gap_set)
     for digits in ("10", "40"):
         code, out, _ = run(capsys, "extremal", "--b", "1", "--n", "10",
                            "--precision-digits", digits)

@@ -23,12 +23,11 @@ from badapprox import (
     QuadraticNumber,
     RegimeTag,
     VerificationError,
+    Walk,
     choose_surrogate,
     classify_regime,
-    convergent_residual,
     convergents,
     decimal_str,
-    dist_to_int,
     eval_theta,
     extremal_witness,
     gap_constant,
@@ -330,23 +329,24 @@ def test_walk_edge_cases_match_the_reference():
     assert gs.gap_nums == ((1, 7),)
 
 
-def _record_gap_sets(monkeypatch, module):
+def _record_gap_sets(monkeypatch):
+    """Every GapSet built, through gap_set or on a shared walk."""
     made = []
-    real = gaps_module.gap_set
+    real = gaps_module._gap_set
 
     def recording(*args, **kwargs):
         made.append(real(*args, **kwargs))
         return made[-1]
 
-    monkeypatch.setattr(module, "gap_set", recording)
+    monkeypatch.setattr(gaps_module, "_gap_set", recording)
     return made
 
 
 def test_statistics_callers_never_sort(monkeypatch, capsys):
-    made = _record_gap_sets(monkeypatch, gaps_module)
+    made = _record_gap_sets(monkeypatch)
     rounds = []
-    real_round = gaps_module._next_surrogate
-    monkeypatch.setattr(gaps_module, "_next_surrogate",
+    real_round = Walk.first_past
+    monkeypatch.setattr(Walk, "first_past",
                         lambda *args: rounds.append(args) or real_round(*args))
     verify_regime(SQRT2_MINUS_1, 5000, min_radius=DISPLAY)
     for argv in (
@@ -493,10 +493,12 @@ def test_predicted_values_shape():
 
 
 def _reference_predicted(cf, tag):
-    """The exact predicted gaps from two convergent_residual calls, and
-    the factor (|x|*q_k + |y|*q_{k-1}) of each gap x*r_k + y*r_{k-1}."""
-    r_k, r_km1 = convergent_residual(cf, tag.k), convergent_residual(cf, tag.k - 1)
+    """The exact predicted gaps from the two residuals r_j = |q_j*theta -
+    p_j|, and the factor (|x|*q_k + |y|*q_{k-1}) of each gap x*r_k +
+    y*r_{k-1}."""
     c_km1, c_k = convergents(cf, tag.k + 1)[-2:]
+    theta = eval_theta(cf)
+    r_k, r_km1 = abs(c_k.q * theta - c_k.p), abs(c_km1.q * theta - c_km1.p)
     mix = ((1, 0), (-tag.l, 1), (1 - tag.l, 1))
     return ([x * r_k + y * r_km1 for x, y in mix],
             [abs(x) * c_k.q + abs(y) * c_km1.q for x, y in mix])
@@ -539,14 +541,14 @@ def regime_cases(draw):
 @example((CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6), ()), 100, None, -1))
 def test_integer_regime_match_is_the_certified_formula(case):
     cf, N, min_radius, shift = case
-    real = gaps_module.gap_set
+    real = gaps_module._gap_set
 
     def shifted(*args, **kwargs):
         gs = real(*args, **kwargs)
         nums = tuple((g + shift, m) for g, m in gs.gap_nums)
         return dataclasses.replace(gs, gap_nums=nums)
 
-    with mock.patch.object(gaps_module, "gap_set", shifted):
+    with mock.patch.object(gaps_module, "_gap_set", shifted):
         tag, gs, predicted, ok = verify_regime(cf, N, min_radius=min_radius)
     reference, widths = _reference_predicted(cf, tag)
     assert predicted_gap_values(cf, tag) == reference
@@ -592,7 +594,7 @@ def test_regime_prints_each_length_once(capsys):
     assert set(out["gaps"]) <= set(out["predicted"])
 
 
-@pytest.mark.parametrize("call", [gap_set, classify_regime, choose_surrogate, dist_to_int])
+@pytest.mark.parametrize("call", [gap_set, classify_regime, choose_surrogate])
 @pytest.mark.parametrize("count", [10.5, 10.0])
 def test_counts_must_be_integers(call, count):
     with pytest.raises(TypeError):
@@ -732,16 +734,16 @@ def test_witness_products_increase():
 
 
 def test_witness_gives_up_when_the_surrogate_never_deepens(monkeypatch):
-    real = gaps_module._next_surrogate
+    real = Walk.first_past
     asked, used = [], set()
 
-    def never_deeper(walk, K, least):
+    def never_deeper(walk, least):
         asked.append(least)
-        depth = real(walk, 0, asked[0])
+        depth = real(walk, asked[0])
         used.add(depth)
         return depth
 
-    monkeypatch.setattr(gaps_module, "_next_surrogate", never_deeper)
+    monkeypatch.setattr(Walk, "first_past", never_deeper)
     # Stage 5 of bound 3 is undecided at the policy depth.
     with pytest.raises(VerificationError) as err:
         extremal_witness(3, 5)

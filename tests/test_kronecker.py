@@ -13,6 +13,7 @@ from badapprox import (
     SQRT2_MINUS_1,
     CFSpec,
     DomainError,
+    Walk,
     decimal_str,
     eval_theta,
     extremal_witness,
@@ -230,7 +231,7 @@ def _min_abs_selection(cf, beta, N):
     """(n, p, achieved, within_bound) chosen as solve chose them before it
     decided on integer numerators: the smaller of the two neighbours'
     abs(n*theta - p - beta), the left one on a tie."""
-    num, q, _, _ = _surrogate(cf, N)
+    num, q, _, _ = _surrogate(Walk(cf), N)
     theta = eval_theta(cf)
     errors = [(abs(n * theta - p - beta), n, p) for n, p in _neighbours(num, q, N, beta)]
     achieved, n, p = min(errors, key=lambda e: e[0])

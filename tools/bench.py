@@ -17,7 +17,11 @@ and the oracle layer on its own, one sample per batch:
 `high_precision_value` over 200 fixed `random_cf` expansions,
 `run_suite(cases=50)`, `solve` over 200 fixed cases drawn as
 `run_suite` draws its Kronecker family, `gap_constant(B)` for B = 1..50,
-and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9.
+and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9; and the
+convergent walk on its own, over the same 200 expansions:
+`choose_surrogate` at N = 10^3, 10^6 and 10^9 under the 10-digit and
+the 40-digit display radius (`cli._display_radius`), and
+`verify_regime` at N = 10^3 and 10^6 under the 10-digit one.
 It also times K process runs, from interpreter start to exit, of
 `python -c "import badapprox"` and of `python -m badapprox.cli` with
 `fb --b 2`, with `kron --theta sqrt2 --beta 1/3 --n 1000` and with
@@ -65,7 +69,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from worker import calibrate, speed  # noqa: E402
 
-from badapprox import cli, gap_constant, preset, solve  # noqa: E402
+from badapprox import choose_surrogate, cli, gap_constant, preset, solve, verify_regime  # noqa: E402
 from badapprox.oracle import high_precision_value, random_beta, random_cf, run_suite  # noqa: E402
 from badapprox.sturmian import crossing_unique  # noqa: E402
 
@@ -105,6 +109,9 @@ ORACLE_EXPANSIONS = 200
 KRONECKER_CASES = 200
 CONSTANT_BOUNDS = range(1, 51)
 SOLVE_SIZES = (10**3, 10**6, 10**9)
+SURROGATE_SIZES = (10**3, 10**6, 10**9)
+SURROGATE_DIGITS = (10, 40)
+REGIME_SIZES = (10**3, 10**6)
 ORACLE_SEED = 20261020
 SUITE_CASES = 50
 CALIBRATION_SAMPLES = 20
@@ -161,6 +168,26 @@ def oracle_batches() -> list[tuple[str, object, list[tuple]]]:
         (f"gap_constant(B) for B = {CONSTANT_BOUNDS[0]}..{CONSTANT_BOUNDS[-1]}", gap_constant,
          [(b,) for b in CONSTANT_BOUNDS]),
         *((f"solve(sqrt2, 1/3, {N})", solve, [(sqrt2, third, N)]) for N in SOLVE_SIZES),
+    ]
+
+
+def walk_batches() -> list[tuple[str, object, list[tuple]]]:
+    """(name, function, argument tuples) of each walk-section row, on the
+    oracle section's expansions: the first ORACLE_EXPANSIONS draws of
+    random.Random(ORACLE_SEED)."""
+    rng = random.Random(ORACLE_SEED)
+    cfs = [random_cf(rng) for _ in range(ORACLE_EXPANSIONS)]
+
+    def regime(cf, N, radius):
+        return verify_regime(cf, N, min_radius=radius)
+
+    return [
+        *((f"choose_surrogate x{len(cfs)} at N = {N}, {sig} digits", choose_surrogate,
+           [(cf, N, cli._display_radius(sig, N)) for cf in cfs])
+          for N in SURROGATE_SIZES for sig in SURROGATE_DIGITS),
+        *((f"verify_regime x{len(cfs)} at N = {N}, 10 digits", regime,
+           [(cf, N, cli._display_radius(10, N)) for cf in cfs])
+          for N in REGIME_SIZES),
     ]
 
 
@@ -226,8 +253,8 @@ def main(argv=None) -> int:
 
     calibrate()  # its first call also imports numpy
     whole_run = measured_speed()
-    batches = oracle_batches()
-    for _, fn, batch in batches:
+    batches, walks = oracle_batches(), walk_batches()
+    for _, fn, batch in batches + walks:
         time_batch(fn, batch)  # warm-up: high_precision_value's first call imports mpmath
     rows = []
     for call in CALLS:
@@ -252,6 +279,11 @@ def main(argv=None) -> int:
             {"call": name, "speed": measured_speed(),
              **summary([time_batch(fn, batch) for _ in range(args.repeats)])}
             for name, fn, batch in batches
+        ],
+        "walk": [
+            {"call": name, "speed": measured_speed(),
+             **summary([time_batch(fn, batch) for _ in range(args.repeats)])}
+            for name, fn, batch in walks
         ],
         "process": [row(call, args.repeats, time_process) for call in PROCESS_CALLS],
         "listing": row(LISTING_CALL, min(args.repeats, LISTING_REPEATS), time_process),
