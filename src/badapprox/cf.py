@@ -203,32 +203,45 @@ class Walk:
     One walk serves every reading of one call: a convergent by index, the
     first pair whose product reaches a bound, and the lists themselves for
     scans. A walk is never kept past the call that built it, so no preset
-    holds the convergents of the deepest N ever asked for.
+    holds the convergents of the deepest N ever asked for. A caller that
+    from some point on reads only the newest few entries sets window to
+    their number: the walk grows in runs of 64 steps, and after each run
+    sets every entry further behind to None (below _cut all are), so a
+    deep N holds a few dozen ints, not every convergent.
     """
 
-    __slots__ = ("cf", "ps", "qs", "_quotients")
+    __slots__ = ("cf", "ps", "qs", "window", "_cut", "_quotients")
 
     def __init__(self, cf: CFSpec):
-        self.cf, self.ps, self.qs = cf, [cf.a0], [1]
+        self.cf, self.ps, self.qs, self.window, self._cut = cf, [cf.a0], [1], None, 0
         self._quotients = cf.quotients()
 
     def grow(self, k: int, least: int = 0) -> None:
         """Grow the lists through index k and until their last two q's
         multiply to least or more, or until a rational expansion runs out."""
-        ps, qs = self.ps, self.qs
+        ps, qs, window = self.ps, self.qs, self.window
         p, q = ps[-1], qs[-1]
         p_, q_ = (ps[-2], qs[-2]) if len(qs) > 1 else (1, 0)
-        if len(qs) > k and q_ * q >= least:
-            return
-        # One loop per request, of two-name swaps; the test comes after
-        # each step, so no quotient is drawn that the walk does not use.
-        for a in self._quotients:
-            p, p_ = a * p + p_, p
-            q, q_ = a * q + q_, q
-            ps.append(p)
-            qs.append(q)
-            if q_ * q >= least and len(qs) > k:
+        while len(qs) <= k or q_ * q < least:
+            # Runs of 64 steps, each one loop of two-name swaps; the test
+            # comes after each step, so no quotient is drawn that the walk
+            # does not use.
+            run = len(qs)
+            for a in itertools.islice(self._quotients, 64):
+                p, p_ = a * p + p_, p
+                q, q_ = a * q + q_, q
+                ps.append(p)
+                qs.append(q)
+                if q_ * q >= least and len(qs) > k:
+                    return
+            if len(qs) - run < 64:
                 return
+            # After a whole run, a walk with a window sets all but its
+            # newest window entries to None.
+            if window:
+                cut, end = self._cut, len(qs) - window
+                ps[cut:end] = qs[cut:end] = [None] * (end - cut)
+                self._cut = end
 
     def convergent(self, k: int) -> Convergent:
         """c_k; a rational expansion without one is a DomainError."""

@@ -210,40 +210,35 @@ class GapSet:
         }
 
 
-def _three_distance(walk: Walk, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
-    """(length numerator, multiplicity) of the n points 0, {p/q}, ...,
-    {(n-1)*p/q}, ascending, for n <= q with p/q a convergent of walk's
-    theta (or theta itself) and p reduced mod q.
-
-    With q_k + q_{k-1} <= n < q_{k+1} + q_k, n - q_{k-1} = m*q_k + r and
-    eta_j = |q_j*p - p_j*q| for the p_j/q_j of [0; a_1, ...], the lengths
-    are eta_k (n - q_k times), eta_{k-1} - m*eta_k (r times) and eta_{k-1}
-    - (m-1)*eta_k (q_k - r times) (Sos 1958; van Ravenstein 1988). Those
-    p_j are theta's own less a0*q_j, so eta_j reads theta's convergents
-    against p + a0*q.
-    """
-    return _distances(_distance_bracket(walk, n), p + walk.cf.a0 * q, q, n)
-
-
 def _distance_bracket(walk: Walk, n: int) -> tuple[int, int, int, int]:
     """(p_(k-1), q_(k-1), p_k, q_k) of walk's theta for the k with q_k +
     q_(k-1) <= n < q_(k+1) + q_k, or the last k of a rational expansion.
 
     Starting from p_(-1) = 1 and q_(-1) = 0 also covers n <= a_1. Two q's
-    that multiply to n^2 or more add up to more than n, so the scan stops
-    inside the walk.
+    that multiply to n^2 or more add up to more than n, so the walk grown
+    to that product holds k. Grown just that far, its q two places below
+    the end is below n, so k lies at most three places below the end: the
+    scan goes down from there, and a walk with a window of five holds all
+    it reads.
     """
     walk.grow(1, n * n)
     ps, qs = walk.ps, walk.qs
-    k, last = 0, len(qs) - 1
-    while k < last and qs[k + 1] + qs[k] <= n:
-        k += 1
+    k = len(qs) - 1
+    while k and qs[k] + qs[k - 1] > n:
+        k -= 1
     return (ps[k - 1], qs[k - 1], ps[k], qs[k]) if k else (1, 0, ps[0], qs[0])
 
 
 def _distances(bracket, p: int, q: int, n: int) -> tuple[tuple[int, int], ...]:
-    """_three_distance's lengths from its bracket (p_(k-1), q_(k-1), p_k,
-    q_k), which depends on n alone, read under p/q."""
+    """(length numerator, multiplicity) of the n points 0, {p/q}, ...,
+    {(n-1)*p/q}, ascending, for n <= q with p/q a convergent of theta (or
+    theta itself), from _distance_bracket(walk, n) of theta's walk.
+
+    With q_k + q_{k-1} <= n < q_{k+1} + q_k, n - q_{k-1} = m*q_k + r and
+    eta_j = |q_j*p - p_j*q|, the lengths are eta_k (n - q_k times),
+    eta_{k-1} - m*eta_k (r times) and eta_{k-1} - (m-1)*eta_k (q_k - r
+    times) (Sos 1958; van Ravenstein 1988).
+    """
     p_km1, q_km1, p_k, q_k = bracket
     m, r = divmod(n - q_km1, q_k)
     eta_k = abs(q_k * p - p_k * q)
@@ -303,7 +298,10 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
     to one and the multiplicities to N + 1. No point is built here; see
     GapSet.orders.
     """
-    return _gap_set(Walk(cf), N, min_radius)
+    walk = Walk(cf)
+    # _gap_set reads only the newest five entries of a walk of its own.
+    walk.window = 5
+    return _gap_set(walk, N, min_radius)
 
 
 def _gap_set(walk: Walk, N: int, min_radius: Fraction | None) -> GapSet:
@@ -314,10 +312,15 @@ def _gap_set(walk: Walk, N: int, min_radius: Fraction | None) -> GapSet:
     cf = walk.cf
     if cf.is_integer:
         raise DomainError("integer input has every multiple at zero")
+    # The three-distance bracket comes first, near the end of a walk grown
+    # no further than it needs; the surrogate then grows the walk on.
+    bracket = _distance_bracket(walk, N + 1)
     p, q, depth, radius = _surrogate(walk, N, min_radius)
-    # A rational theta can split the interval evenly (one gap length);
-    # an irrational one always produces two or three.
-    gap_nums = _checked(_three_distance(walk, p, q, N + 1), q, N, 1 if cf.is_rational else 2)
+    # The bracket's p_j are theta's own, so they are read against p/q with
+    # a0 added back. A rational theta can split the interval evenly (one
+    # gap length); an irrational one always produces two or three.
+    gap_nums = _checked(_distances(bracket, p + cf.a0 * q, q, N + 1), q, N,
+                        1 if cf.is_rational else 2)
     return GapSet(
         count=N,
         numerator=p,
@@ -402,11 +405,9 @@ def _classify(walk: Walk, N: int) -> RegimeTag:
 def _bracket(walk: Walk, tag: RegimeTag) -> tuple[Convergent, Convergent]:
     """The convergents c_{k-1} and c_k of tag's bracket."""
     k = tag.k
-    walk.grow(k)
-    ps, qs = walk.ps, walk.qs
-    if k < 1 or len(qs) <= k:
+    if k < 1:
         raise DomainError(f"expansion has no convergents of index {k - 1} and {k}")
-    return Convergent(k - 1, ps[k - 1], qs[k - 1]), Convergent(k, ps[k], qs[k])
+    return walk.convergent(k - 1), walk.convergent(k)
 
 
 def _staircase(bracket: tuple[Convergent, Convergent], l: int, p, q: int) -> list:

@@ -79,8 +79,10 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
     B = cf.bound()
     bound = gap_constant(B) / (2 * N)
     walk = Walk(cf)
-    num, q, _, _ = _surrogate(walk, N)
     theta = _exact(walk)
+    # From here on only the surrogate's pair, at the walk's end, is read.
+    walk.window = 5
+    num, q, _, _ = _surrogate(walk, N)
     if isinstance(theta, Fraction):
         x, y, z, d = theta.numerator, 0, theta.denominator, 1
     else:

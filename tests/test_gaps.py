@@ -363,6 +363,8 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     real_gap_set_type = gaps_module.GapSet
     monkeypatch.setattr(gaps_module, "GapSet",
                         lambda **fields: built.append(fields) or real_gap_set_type(**fields))
+    # Gap sets and solve ask first_past too; count the witness rounds alone.
+    rounds.clear()
     extremal_witness(2, 6, min_radius=DISPLAY)
     for argv in (
         ["extremal", "--b", "3", "--n", "12"],
@@ -378,6 +380,27 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     assert "orders" in made[-1].__dict__
     # The listing renders numerators over the shared denominator.
     assert "points" not in made[-1].__dict__
+
+
+def test_deep_gap_sets_and_solve_keep_a_few_convergents(monkeypatch):
+    # gap_set and solve read only the newest entries of their walks, so a
+    # deep N leaves a few dozen ints alive, not every convergent up to it.
+    walks = []
+    real_init = Walk.__init__
+
+    def recording(self, cf):
+        real_init(self, cf)
+        walks.append(self)
+
+    monkeypatch.setattr(Walk, "__init__", recording)
+    N = 10**300
+    for cf in (GOLDEN, SQRT2_MINUS_1, CFSpec(0, (2,), (1, 4))):
+        gap_set(cf, N, min_radius=_display_radius(40, N))
+        solve(cf, Fraction(1, 3), N)
+    assert len(walks) == 6
+    for walk in walks:
+        assert len(walk.qs) > 500
+        assert sum(q is not None for q in walk.qs) <= 5 + 2 * 64
 
 
 def test_perturbed_walk_step_is_caught(monkeypatch):

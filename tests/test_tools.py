@@ -99,11 +99,11 @@ def test_bench_rows_all_exit_zero(tmp_path):
         "-m badapprox.cli verify --cases 4",
     ]
     assert all(row["peak_rss_mb"] > 0 for row in report["process"])
-    # The walk rows: choose_surrogate at three sizes under two radii, then
+    # The walk rows: gap_set at three sizes under two radii, then
     # verify_regime at two sizes.
     walk = [row["call"] for row in report["walk"]]
     assert len(walk) == 8
-    assert walk[0] == "choose_surrogate x200 at N = 1000, 10 digits"
+    assert walk[0] == "gap_set x200 at N = 1000, 10 digits"
     assert walk[-1] == "verify_regime x200 at N = 1000000, 10 digits"
     rows = [*report["cli"], *report["process"], listing]
     assert {row["argv"].split()[0] for row in report["cli"]} == set(cli._COMMANDS)

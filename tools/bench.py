@@ -18,9 +18,9 @@ and the oracle layer on its own, one sample per batch:
 `run_suite(cases=50)`, `solve` over 200 fixed cases drawn as
 `run_suite` draws its Kronecker family, `gap_constant(B)` for B = 1..50,
 and `solve(sqrt2, 1/3, N)` at N = 10^3, 10^6 and 10^9; and the
-convergent walk on its own, over the same 200 expansions:
-`choose_surrogate` at N = 10^3, 10^6 and 10^9 under the 10-digit and
-the 40-digit display radius (`cli._display_radius`), and
+convergent walk and surrogate choice as the library runs them, over the
+same 200 expansions: `gap_set` at N = 10^3, 10^6 and 10^9 under the
+10-digit and the 40-digit display radius (`cli._display_radius`), and
 `verify_regime` at N = 10^3 and 10^6 under the 10-digit one.
 It also times K process runs, from interpreter start to exit, of
 `python -c "import badapprox"` and of `python -m badapprox.cli` with
@@ -69,7 +69,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from worker import calibrate, speed  # noqa: E402
 
-from badapprox import choose_surrogate, cli, gap_constant, preset, solve, verify_regime  # noqa: E402
+from badapprox import cli, gap_constant, gap_set, preset, solve, verify_regime  # noqa: E402
 from badapprox.oracle import high_precision_value, random_beta, random_cf, run_suite  # noqa: E402
 from badapprox.sturmian import crossing_unique  # noqa: E402
 
@@ -109,8 +109,8 @@ ORACLE_EXPANSIONS = 200
 KRONECKER_CASES = 200
 CONSTANT_BOUNDS = range(1, 51)
 SOLVE_SIZES = (10**3, 10**6, 10**9)
-SURROGATE_SIZES = (10**3, 10**6, 10**9)
-SURROGATE_DIGITS = (10, 40)
+GAP_SET_SIZES = (10**3, 10**6, 10**9)
+GAP_SET_DIGITS = (10, 40)
 REGIME_SIZES = (10**3, 10**6)
 ORACLE_SEED = 20261020
 SUITE_CASES = 50
@@ -178,13 +178,16 @@ def walk_batches() -> list[tuple[str, object, list[tuple]]]:
     rng = random.Random(ORACLE_SEED)
     cfs = [random_cf(rng) for _ in range(ORACLE_EXPANSIONS)]
 
+    def gaps(cf, N, radius):
+        return gap_set(cf, N, min_radius=radius)
+
     def regime(cf, N, radius):
         return verify_regime(cf, N, min_radius=radius)
 
     return [
-        *((f"choose_surrogate x{len(cfs)} at N = {N}, {sig} digits", choose_surrogate,
+        *((f"gap_set x{len(cfs)} at N = {N}, {sig} digits", gaps,
            [(cf, N, cli._display_radius(sig, N)) for cf in cfs])
-          for N in SURROGATE_SIZES for sig in SURROGATE_DIGITS),
+          for N in GAP_SET_SIZES for sig in GAP_SET_DIGITS),
         *((f"verify_regime x{len(cfs)} at N = {N}, 10 digits", regime,
            [(cf, N, cli._display_radius(10, N)) for cf in cfs])
           for N in REGIME_SIZES),
