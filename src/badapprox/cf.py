@@ -196,6 +196,10 @@ class Convergent(NamedTuple):
         return Fraction(self.p, self.q)
 
 
+# Steps a walk takes between two looks at its window.
+_RUN = 256
+
+
 class Walk:
     """Convergents p_k/q_k, k = 0, 1, ..., of cf as two lists of ints, ps
     and qs, grown on demand (a rational expansion stops at its last).
@@ -205,9 +209,9 @@ class Walk:
     scans. A walk is never kept past the call that built it, so no preset
     holds the convergents of the deepest N ever asked for. A caller that
     from some point on reads only the newest few entries sets window to
-    their number: the walk grows in runs of 64 steps, and after each run
-    sets every entry further behind to None (below _cut all are), so a
-    deep N holds a few dozen ints, not every convergent.
+    their number: the walk grows in runs of _RUN steps, and after each
+    whole run sets every entry further behind to None (below _cut all
+    are), so a deep N holds a few hundred ints, not every convergent.
     """
 
     __slots__ = ("cf", "ps", "qs", "window", "_cut", "_quotients")
@@ -223,18 +227,18 @@ class Walk:
         p, q = ps[-1], qs[-1]
         p_, q_ = (ps[-2], qs[-2]) if len(qs) > 1 else (1, 0)
         while len(qs) <= k or q_ * q < least:
-            # Runs of 64 steps, each one loop of two-name swaps; the test
+            # Runs of _RUN steps, each one loop of two-name swaps; the test
             # comes after each step, so no quotient is drawn that the walk
             # does not use.
             run = len(qs)
-            for a in itertools.islice(self._quotients, 64):
+            for a in itertools.islice(self._quotients, _RUN):
                 p, p_ = a * p + p_, p
                 q, q_ = a * q + q_, q
                 ps.append(p)
                 qs.append(q)
                 if q_ * q >= least and len(qs) > k:
                     return
-            if len(qs) - run < 64:
+            if len(qs) - run < _RUN:
                 return
             # After a whole run, a walk with a window sets all but its
             # newest window entries to None.

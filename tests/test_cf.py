@@ -184,9 +184,9 @@ def test_walk_answers_requests_in_any_order():
 
 def test_walk_with_a_window_keeps_only_its_newest_entries():
     # A windowed walk answers as a full one from the entries it keeps: a
-    # suffix that holds the newest five and at most a run of 64 steps per
+    # suffix that holds the newest five and at most a run of 256 steps per
     # request besides, across requests and after a rational runs out.
-    for cf in (GOLDEN, CFSpec(-3, (2,), (1, 4)), CFSpec(1, (2, 3) * 150, ())):
+    for cf in (GOLDEN, CFSpec(-3, (2,), (1, 4)), CFSpec(1, (2, 3) * 300, ())):
         full, lean = Walk(cf), Walk(cf)
         lean.window = 5
 
@@ -196,7 +196,7 @@ def test_walk_with_a_window_keeps_only_its_newest_entries():
             assert len(lean.qs) == len(full.qs), (cf, k, least)
             for kept in (lean.ps, lean.qs):
                 live = sum(x is not None for x in kept)
-                assert min(5, len(kept)) <= live <= 5 + 2 * 64
+                assert min(5, len(kept)) <= live <= 5 + 2 * 256
                 assert all(x is None for x in kept[:-live])
             assert lean.ps[-live:] == full.ps[-live:] and lean.qs[-live:] == full.qs[-live:]
 
@@ -204,8 +204,8 @@ def test_walk_with_a_window_keeps_only_its_newest_entries():
             both(k, least)
         # Requests that end one to four steps past a whole run.
         for j in (1, 2, 3, 4):
-            both(len(full.qs) + 64 + j - 1)
-        assert len(full.qs) > 5 + 2 * 64
+            both(len(full.qs) + 256 + j - 1)
+        assert len(full.qs) > 5 + 2 * 256
         if not cf.is_rational:
             least = full.qs[-3] * full.qs[-2] + 1
             assert Walk(cf).first_past(least) == len(full.qs) - 2

@@ -384,7 +384,7 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
 
 def test_deep_gap_sets_and_solve_keep_a_few_convergents(monkeypatch):
     # gap_set and solve read only the newest entries of their walks, so a
-    # deep N leaves a few dozen ints alive, not every convergent up to it.
+    # deep N leaves a few hundred ints alive, not every convergent up to it.
     walks = []
     real_init = Walk.__init__
 
@@ -393,14 +393,14 @@ def test_deep_gap_sets_and_solve_keep_a_few_convergents(monkeypatch):
         walks.append(self)
 
     monkeypatch.setattr(Walk, "__init__", recording)
-    N = 10**300
+    N = 10**1000
     for cf in (GOLDEN, SQRT2_MINUS_1, CFSpec(0, (2,), (1, 4))):
         gap_set(cf, N, min_radius=_display_radius(40, N))
         solve(cf, Fraction(1, 3), N)
     assert len(walks) == 6
     for walk in walks:
-        assert len(walk.qs) > 500
-        assert sum(q is not None for q in walk.qs) <= 5 + 2 * 64
+        assert len(walk.qs) > 2000
+        assert sum(q is not None for q in walk.qs) <= 5 + 2 * 256
 
 
 def test_perturbed_walk_step_is_caught(monkeypatch):
