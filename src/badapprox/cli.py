@@ -250,6 +250,13 @@ def cmd_kron(args) -> tuple[str, bool]:
     cf = _parse_theta(args.theta)
     beta = _parse_beta(args.beta)
     sig = args.precision_digits
+    if args.n.bit_length() > 1000:
+        # The bound C(B)/(2N) is known before solve walks theta, which
+        # takes seconds at such an N. As 1 < C(B) < 2B, it lies between
+        # 2^-1001 and B/N, a normal double, for every N below 2^1000 unless
+        # B is past 2^1000 N, where solve's walk is short. Past that N it
+        # may not print, and then the call is refused at once.
+        _num(kronecker._arguments(cf, beta, args.n)[-1], sig, "bound")
     sol = kronecker.solve(cf, beta, args.n)
     obj = {
         "n": sol.n,

@@ -15,12 +15,16 @@ convergents by the three-distance theorem, as integers over q_K, in
 O(log N) steps without building any point. Each public call reads
 theta's convergents off one cf.Walk, grown on demand: verify_regime's
 class, surrogate, three-distance bracket and staircase bracket all come
-off the same two lists. Points are built only when
-they are listed: the successor walk of Sos (1958) steps from each
+off the same two lists. Points are put in order only
+when they are listed: the successor walk of Sos (1958) steps from each
 multiple to its right neighbour using only the multiples of the
 smallest and the largest point. The walk must visit every multiple once
 and its steps must give back the theorem's lengths exactly, and since
-those add up to exactly one, this certifies the order.
+those add up to exactly one, this certifies the order (GapSet._steps and
+_certify, the one certificate every walk runs). GapSet.orders keeps the
+walk's multiples and numerators; a JSON listing keeps neither, and
+renders each point as the walk steps onto it, by render's exact
+rounding rule carried from step to step.
 
 The extremal witness builds no GapSet. One Walk of the convergents of
 theta = [0; (B, 1)] gives its pair, its N, its
@@ -73,29 +77,33 @@ class GapSet:
     radius: Fraction
     gap_nums: tuple[tuple[int, int], ...]  # ascending (length numerator, multiplicity)
 
-    @cached_property
-    def orders(self) -> tuple[int, ...]:
-        """Multiples 0, n_1, ..., n_N, 0 from left to right (N + 2 entries).
+    def _steps(self) -> tuple[int, int, int, int, int]:
+        """(a, b, up, down, both): the successor walk's two multiples and its
+        three step lengths, once the walk may start.
 
-        The point of n sits at (n*numerator mod denominator)/denominator,
-        with the final 0 standing for the endpoint 1. With a the multiple
-        of the smallest positive point and b that of the largest, the
-        right neighbour of n is n + a, else n - b, else n + a - b (Sos
-        1958). The walk takes N + 1 such steps from 0; its steps must be a
-        certificate of the order, which it checks in three parts.
+        The point of n sits at (n*numerator mod denominator)/denominator.
+        With a the multiple of the smallest positive point and b that of
+        the largest, the right neighbour of n is n + a for n <= N - a, n - b
+        for n >= b, and n + a - b in between (Sos 1958), and a step from n
+        to n' moves right by (n' - n)*numerator mod denominator: up, down
+        and both. A walk takes N steps from 0 by this rule, and _certify
+        then checks that they are a certificate of the order, in three
+        parts.
 
-        - 0 < a, b <= N < a + b. Then the steps move [0, N - a] onto
-          [a, N], [b, N] onto [0, N - b] and the n in between onto
-          (N - b, a): the step rule is a bijection of 0..N.
-        - 0 first comes back after exactly N + 1 steps. Under a bijection
-          0's cycle then holds every multiple, so each is visited once,
-          and each is left by the step its range fixes: the steps n + a,
-          n - b and n + a - b are taken N + 1 - a, N + 1 - b and
-          a + b - N - 1 times, with no counting.
-        - Those lengths and multiplicities equal gap_nums.
-
-        The same walk adds up the point numerators, and stores them as
-        nums once every check passes.
+        - 0 < a, b <= N < a + b, checked here. Then the steps move [0, N - a]
+          onto [a, N], [b, N] onto [0, N - b] and the n in between onto
+          (N - b, a): the step rule is a bijection of 0..N, and only the
+          step from b lands on 0.
+        - 0 first comes back after exactly N + 1 steps, so a walk stops as
+          soon as it reaches b early, and must stand at b after N steps.
+          Under a bijection 0's cycle then holds every multiple, so each is
+          visited once, and each is left by the step its range fixes: the
+          steps n + a, n - b and n + a - b are taken N + 1 - a, N + 1 - b
+          and a + b - N - 1 times, with no counting.
+        - Those lengths and multiplicities equal gap_nums. A cyclic tour's
+          forward distances add up to denominator times its windings, and
+          gap_nums adds up to denominator, so this also rules out a tour
+          out of order under numerator/denominator.
         """
         N, p, q = self.count, self.numerator, self.denominator
         if N > MAX_POINTS:
@@ -106,34 +114,46 @@ class GapSet:
         if not (0 < a <= N and 0 < b <= N < a + b):
             raise VerificationError("the successor walk's steps are out of range")
         # Neighbours n and n' are {(n' - n)*theta} apart.
-        up, down, both = a * p % q, -b * p % q, (a - b) * p % q
-        last_up, across = N - a, a - b
-        n = v = 0
-        orders, nums = [0], [0]
-        for _ in range(N + 1):
+        return a, b, a * p % q, -b * p % q, (a - b) * p % q
+
+    def _certify(self, walked: int, n: int, a, b, up, down, both) -> None:
+        """Raise VerificationError unless a walk by the steps of _steps()
+        that took walked steps and stands at n finished the certificate."""
+        N = self.count
+        if walked != N or n != b:
+            raise VerificationError("the successor walk does not visit each multiple once")
+        if _merged(((up, N + 1 - a), (down, N + 1 - b), (both, a + b - N - 1))) != self.gap_nums:
+            raise VerificationError("the successor walk disagrees with the three-distance gaps")
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """Multiples 0, n_1, ..., n_N, 0 from left to right (N + 2 entries),
+        the final 0 standing for the endpoint 1: the successor walk of
+        _steps, certified by _certify.
+
+        The same walk adds up the point numerators, and stores them as
+        nums once every check passes.
+        """
+        steps = a, b, up, down, both = self._steps()
+        last_up, across = self.count - a, a - b
+        n, v, orders, nums = 0, 0, [0], [0]
+        for _ in range(self.count):
             if n <= last_up:
                 n += a
                 v += up
-            elif n >= b:
+            elif n > b:
                 n -= b
                 v += down
-            else:
+            elif n < b:
                 n += across
                 v += both
+            else:  # n == b: the next step is back at 0, too soon
+                break
             orders.append(n)
             nums.append(v)
-        # A bijection brings 0 back within N + 1 steps, so index finds it.
-        if orders.index(0, 1) != N + 1:
-            raise VerificationError("the successor walk does not visit each multiple once")
-        orders = tuple(orders)
-        lengths = _merged(((up, N + 1 - a), (down, N + 1 - b), (both, a + b - N - 1)))
-        # A cyclic tour's forward distances add up to q times its windings,
-        # and gap_nums adds up to q, so this also rules out a tour out of
-        # order under p/q.
-        if lengths != self.gap_nums:
-            raise VerificationError("the successor walk disagrees with the three-distance gaps")
-        self.__dict__["nums"] = tuple(nums)
-        return orders
+        self._certify(len(orders) - 1, n, *steps)
+        self.__dict__["nums"] = (*nums, v + down)
+        return (*orders, 0)
 
     @cached_property
     def nums(self) -> tuple[int, ...]:
@@ -199,7 +219,7 @@ class GapSet:
         return {
             "n": self.count,
             "k_surrogate": self.depth,
-            "points": render._ratios_str(self.nums, self.denominator, sig),
+            "points": self._point_strs(sig),
             "gaps": [
                 {"length": s, "multiplicity": m}
                 for s, (_, m) in zip(lengths, self.gap_nums)
@@ -208,6 +228,59 @@ class GapSet:
             "h": lengths[-1],
             "product_nh": render.decimal_str(self.product, sig),
         }
+
+    def _point_strs(self, sig: int) -> list[str]:
+        """render._ratios_str(nums, denominator, sig), rendered inside the
+        successor walk of _steps, which builds neither orders nor nums.
+
+        On entering a decade, at the point v = n*numerator mod denominator,
+        the walk sets K, S = divmod(2*v*mul + div, 2*div) by render's exact
+        rule, and each step's own pair divmod(2*g*mul, 2*div) for its
+        length g; a step in the same decade adds its pair to (K, S) with
+        one carry, so K and S stay those of the point it lands on, whose
+        digits are K rounded half to even. Each length is a residue, so the
+        points only rise: a point leaves its decade, 2*v*mul + div >=
+        (2*10**sig + 1)*div, exactly when K > 10**sig, or K = 10**sig and
+        S >= div. Every point lies strictly between 0 and 1, the last one
+        at 1, as _certify vouches before the strings are returned.
+        """
+        N, p, q = self.count, self.numerator, self.denominator
+        steps = a, b, up, down, both = self._steps()
+        last_up, across = N - a, a - b
+        top = 10**sig
+        # K starts past any decade, so the first point enters one.
+        out, n, K, S, two = ["0"], 0, top + 1, 0, 1
+        append = out.append
+        uK = uS = dK = dS = bK = bS = 0
+        for _ in range(N):
+            if n <= last_up:
+                n += a
+                K += uK
+                S += uS
+            elif n > b:
+                n -= b
+                K += dK
+                S += dS
+            elif n < b:
+                n += across
+                K += bK
+                S += bS
+            else:  # n == b: the next step is back at 0, too soon
+                break
+            if S >= two:
+                K, S = K + 1, S - two
+            if K >= top and (K > top or S >= div):
+                v = n * p % q
+                e = render._decade(v, q)[0]
+                mul2, div, two, lead = render._scale(e, q, sig)
+                K, S = divmod(v * mul2 + div, two)
+                (uK, uS), (dK, dS), (bK, bS) = (divmod(g * mul2, two) for g in (up, down, both))
+            d = K - 1 if not S and K & 1 else K
+            append((lead + str(d)).rstrip("0") if lead is not None and d < top
+                   else render._digits_str(d, e, False, sig))
+        self._certify(len(out) - 1, n, *steps)
+        append(render._ratio_str(q, q, sig))
+        return out
 
 
 def _distance_bracket(walk: Walk, n: int) -> tuple[int, int, int, int]:

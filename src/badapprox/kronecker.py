@@ -68,16 +68,7 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
     its true neighbours. Otherwise it lies within delta of one of them,
     and every other point lies at least g - delta > delta from beta.
     """
-    beta = Fraction(beta)
-    if not 0 <= beta < 1:
-        raise DomainError("target must lie in [0, 1)")
-    N = operator.index(N)
-    if N < 1:
-        raise DomainError("need at least one multiple")
-    if cf.a0 != 0 or cf.is_integer:
-        raise DomainError("theta must lie strictly between 0 and 1")
-    B = cf.bound()
-    bound = gap_constant(B) / (2 * N)
+    beta, N, B, bound = _arguments(cf, beta, N)
     walk = Walk(cf)
     theta = _exact(walk)
     # From here on only the surrogate's pair, at the walk's end, is read.
@@ -110,6 +101,21 @@ def solve(cf: CFSpec, beta: Fraction, N: int) -> KroneckerSolution:
         legacy_bound=legacy_bound(B, N),
         within_bound=achieved < bound,
     )
+
+
+def _arguments(cf: CFSpec, beta, N) -> tuple[Fraction, int, int, QuadraticNumber]:
+    """solve's checked arguments (beta, N, B) and its bound C(B)/(2N),
+    before any convergent is walked."""
+    beta = Fraction(beta)
+    if not 0 <= beta < 1:
+        raise DomainError("target must lie in [0, 1)")
+    N = operator.index(N)
+    if N < 1:
+        raise DomainError("need at least one multiple")
+    if cf.a0 != 0 or cf.is_integer:
+        raise DomainError("theta must lie strictly between 0 and 1")
+    B = cf.bound()
+    return beta, N, B, gap_constant(B) / (2 * N)
 
 
 def _neighbours(num: int, q: int, N: int, beta: Fraction) -> list[tuple[int, int]]:

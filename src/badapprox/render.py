@@ -9,13 +9,12 @@ a decade at a time: what a decade needs (exponent, bounds, rounding factor,
 leading zeros) is worked out when a value enters it and reused while the
 next values stay in it. A single value is a one-element run.
 
-No value costs a division. Each decade works out one reciprocal k of its
-divisor, rounded up, with 32 guard bits (Granlund and Montgomery 1994)
-and a bias of one half less one unit in those bits; a value's rounded
-quotient is then one product, one add and one shift, exact for every
-value in the decade, and only guard bits of exactly one half need the
-exact product to tell a tie, rounded half to even, from a value just
-above it. The proof is in _ratios_str's docstring.
+One exact rule rounds every rational to its digits: at the decade's
+factor mul/div, K, S = divmod(2*m*mul + div, 2*div) gives K = the value's
+digits rounded half up, and a tie is S == 0, which goes to the even one,
+K - 1 when K is odd. A gaps listing applies the same rule inside its
+successor walk (gaps.GapSet.to_json_dict), adding each step's own pair to
+(K, S) instead of dividing per point.
 
 An irrational quadratic number is never a tie: its digits are the one
 exact floor q = floor(|x|*10**s + 1/2), with s fixed by exact floors
@@ -36,10 +35,6 @@ from math import isfinite
 from .quadratic import QuadraticNumber, _floor
 
 DEFAULT_SIG_DIGITS = 10
-# Guard bits below the rounded quotient in _ratios_str's multiply-shift.
-_GUARD = 32
-_GUARD_MASK = (1 << _GUARD) - 1
-_BIAS = (1 << (_GUARD - 1)) - 1  # added to the guard bits: one half, less one unit
 
 
 def decimal_str(value, sig: int = DEFAULT_SIG_DIGITS) -> str:
@@ -111,27 +106,17 @@ def _ratios_str(nums, d: int, sig: int) -> list[str]:
 
     The core works a decade at a time: the exponent e, the bounds
     lo <= |n| < hi of the decade 10**e <= |n|/d < 10**(e+1), the rounding
-    multiplier or divisor and the leading "0.000" string are kept while
+    factor mul/div and the leading "0.000" string are kept while
     consecutive values stay in one decade, and recomputed with _decade
-    only when a value leaves it. A sorted listing of N points changes
-    decade about log10(N) times. A positive value with -8 <= e < 0 whose
-    rounding does not carry is the leading string and its digits; every
-    other value goes through _digits_str, the one formatting tail.
+    and _scale only when a value leaves it. A positive value with
+    -8 <= e < 0 whose rounding does not carry is the leading string and
+    its digits; every other value goes through _digits_str, the one
+    formatting tail.
 
-    Each value is rounded with one multiplication, one add and one
-    shift, not a division: entering a decade sets s = hi.bit_length() +
-    div.bit_length() and k = ceil(mul*2**(32+s)/div). For 0 < m < hi,
-    f = m*k >> s equals floor(m*mul*2**32/div) exactly: k's excess over
-    mul*2**(32+s)/div is below one, so m*k/2**s exceeds m*mul*2**32/div by
-    less than m/2**s < 1/div, and that value, an integer over div, is at
-    least 1/div below the next integer. Write f = q0*2**32 + g, so q0 =
-    floor(m*mul/div) and the guard bits g = floor(2**32*r/div) for the
-    remainder r. The loop adds the bias c = 2**31 - 1 at bit s, t = m*k +
-    c*2**s, and floors of floors give t >> (s+32) = (f + c) >> 32 = q0 +
-    [g > 2**31]: rounded, since g > 2**31 means r/div > 1/2 and g < 2**31
-    means r/div < 1/2. Bits s to s+31 of t are (g + c) mod 2**32, all ones
-    exactly at g = 2**31, where r/div is a tie or up to 2**-32 above one;
-    there the tie is (2*q0 + 1)*div == 2*m*mul, exactly.
+    Each value's sig digits are m*mul/div rounded half to even, read off
+    K, S = divmod(2*m*mul + div, 2*div): K is m*mul/div rounded half up,
+    and S == 0 exactly at a tie, where an odd K steps down to the even
+    K - 1.
     """
     top = 10**sig
     out = []
@@ -144,25 +129,26 @@ def _ratios_str(nums, d: int, sig: int) -> list[str]:
                 append("0")
                 continue
             e, lo, hi = _decade(m, d)
-            # Integer holding exactly `sig` significant digits of m/d,
-            # rounded half to even (the same convention as round()).
-            shift = sig - 1 - e
-            mul, div = (10**shift, d) if shift >= 0 else (1, d * 10**-shift)
-            # (m*k + bias) >> s_all is m*mul/div rounded for every m < hi,
-            # except where t & half == half, which the exact test settles.
-            s = hi.bit_length() + div.bit_length()
-            k = -(-(mul << (_GUARD + s)) // div)
-            s_all, bias, half = s + _GUARD, _BIAS << s, _GUARD_MASK << s
-            lead = "0." + "0" * (-e - 1) if -8 <= e < 0 else None
-        t = m * k + bias
-        q = t >> s_all
-        if t & half == half and (q & 1 or (2 * q + 1) * div != 2 * m * mul):
-            q += 1
+            mul2, div, two, lead = _scale(e, d, sig)
+        q, r = divmod(m * mul2 + div, two)
+        if not r and q & 1:
+            q -= 1
         if lead is not None and n > 0 and q < top:
             append((lead + str(q)).rstrip("0"))
         else:
             append(_digits_str(q, e, n < 0, sig))
     return out
+
+
+def _scale(e: int, d: int, sig: int) -> tuple[int, int, int, str | None]:
+    """(2*mul, div, 2*div, lead) for values n/d at decimal exponent e:
+    n*mul/div puts the value's sig significant digits before the point,
+    so divmod(n*2*mul + div, 2*div) rounds them by the exact rule, and
+    lead is the "0.000" the value's fixed notation starts with for
+    -8 <= e < 0, else None."""
+    shift = sig - 1 - e
+    mul, div = (10**shift, d) if shift >= 0 else (1, d * 10**-shift)
+    return 2 * mul, div, 2 * div, "0." + "0" * (-e - 1) if -8 <= e < 0 else None
 
 
 def _digits_str(q: int, e: int, neg: bool, sig: int) -> str:

@@ -459,7 +459,7 @@ def test_help_lists_every_name(capsys, sub, flag):
     "argv, field",
     [
         (("fb", "--b", "1" + "0" * 400), "decimal"),
-        (("kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 330), "error"),
+        (("kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 330), "bound"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -468,6 +468,19 @@ def test_numbers_past_a_double_are_domain_errors(capsys, argv, field, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {field} ") and "double" in err
+
+
+def test_an_unprintable_kron_bound_is_refused_before_solving(capsys):
+    # C(B)/(2N) is known before solve walks theta; at a 4001-digit N the
+    # solve once ran for seconds before its error failed to print.
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 4000)
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bound ") and "double" in err
+    # solve's own argument checks still speak first.
+    code, _, err = run(capsys, "kron", "--theta", "golden", "--beta", "3/2", "--n", "1" + "0" * 4000)
+    assert code == 1 and err == "error: target must lie in [0, 1)\n"
 
 
 def test_numbers_inside_the_double_range_print_as_before(capsys):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import badapprox.cli as cli
 import badapprox.gaps as gaps_module
+import badapprox.render as render
 from badapprox import (
     GOLDEN,
     SQRT2_MINUS_1,
@@ -344,6 +345,12 @@ def _record_gap_sets(monkeypatch):
 
 def test_statistics_callers_never_sort(monkeypatch, capsys):
     made = _record_gap_sets(monkeypatch)
+    # Every successor walk, listing or orders, starts at the certificate's
+    # first part.
+    walked = []
+    real_steps = gaps_module.GapSet._steps
+    monkeypatch.setattr(gaps_module.GapSet, "_steps",
+                        lambda gs: walked.append(gs) or real_steps(gs))
     rounds = []
     real_round = Walk.first_past
     monkeypatch.setattr(Walk, "first_past",
@@ -356,6 +363,7 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     assert len(made) >= 3
+    assert walked == []
     assert all("orders" not in gs.__dict__ for gs in made)
     # No witness builds a GapSet: its rounds read the three-distance
     # lengths off one integer walk.
@@ -374,12 +382,13 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     capsys.readouterr()
     assert len(made) == count and built == []
     assert len(rounds) >= 1 + 1 + 6
-    # Listing the points is what sorts them.
+    assert walked == []
+    # Listing the points is what sorts them: one certified walk, which
+    # renders each point as it steps and keeps neither orders nor nums.
     assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
     capsys.readouterr()
-    assert "orders" in made[-1].__dict__
-    # The listing renders numerators over the shared denominator.
-    assert "points" not in made[-1].__dict__
+    assert walked == [made[-1]]
+    assert not {"orders", "nums", "points"} & made[-1].__dict__.keys()
 
 
 def test_deep_gap_sets_and_solve_keep_a_few_convergents(monkeypatch):
@@ -475,6 +484,84 @@ def test_walk_steps_short_of_the_multiples_are_refused(monkeypatch):
         assert "orders" not in gs.__dict__ and "nums" not in gs.__dict__
     monkeypatch.undo()
     assert gs.orders[0] == 0
+
+
+def _rational(x: Fraction) -> CFSpec:
+    """x's finite expansion."""
+    a0 = math.floor(x)
+    quotients, r = [], x - a0
+    while r:
+        r = 1 / r
+        quotients.append(math.floor(r))
+        r -= quotients[-1]
+    return CFSpec(a0, tuple(quotients), ())
+
+
+def _listing_corpus():
+    """(theta, N, sig) for the listing tests: random expansions with
+    a0 in -3..5, rationals over even denominators, whose points tie at a
+    few digits, and huge first quotients, whose points fall below 10^-8."""
+    rng = random.Random(39)
+    sigs = (1, 2, 3, 10, 17, 40)
+    for _ in range(36):
+        cf = random_cf(rng, rng.choice((2, 10, 1000)))
+        theta = CFSpec(rng.randint(-3, 5), cf.prefix, cf.period)
+        yield theta, rng.choice((1, 2, 3, 7, 50, 333, 1000, 4000)), rng.choice(sigs)
+    for q in (8, 16, 40, 80, 250, 1000, 1024, 2000, 5000, 4096):
+        p = rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1])
+        theta = _rational(Fraction(p, q) + rng.randint(-3, 5))
+        for sig in (1, 2, 3):
+            yield theta, rng.randint(1, min(q - 1, 4000)), sig
+    for first in (10**20, 10**9, 3 * 10**40):
+        for N in (1, 2, 5, 40):
+            yield CFSpec(0, (first,), (3,)), N, rng.choice(sigs)
+
+
+def _is_tie(v: int, q: int, sig: int) -> bool:
+    """Whether v/q lies exactly half-way between two sig-digit decimals."""
+    e = render._decade(v, q)[0]
+    return (Fraction(v, q) * Fraction(10) ** (sig - 1 - e)).denominator == 2
+
+
+def test_listing_renders_the_walk_as_the_batch_core_does():
+    ties = small = 0
+    for theta, N, sig in _listing_corpus():
+        gs = gap_set(theta, N, min_radius=_display_radius(sig, N))
+        points = gs.to_json_dict(sig)["points"]
+        # The listing walks on its own: no order and no numerator is kept.
+        assert not {"orders", "nums", "points"} & gs.__dict__.keys()
+        q = gs.denominator
+        assert points == render._ratios_str(gs.nums, q, sig), (theta, N, sig)
+        ties += sum(_is_tie(v, q, sig) for v in gs.nums[1:-1])
+        small += sum(v * 10**8 < q for v in gs.nums[1:-1])
+    # Half-even ties and scientific notation both occur.
+    assert ties > 100 and small > 20
+
+
+def test_listing_of_a_perturbed_surrogate_is_refused():
+    rng = random.Random(7)
+    for theta, N in ((GOLDEN, 200), (SQRT2_MINUS_1, 1000), (CFSpec(2, (2,), (1, 4)), 77),
+                     (random_cf(rng), 1500), (_rational(Fraction(37, 1000)), 300)):
+        gs = gap_set(theta, N, min_radius=DISPLAY)
+        off = dataclasses.replace(gs, numerator=gs.numerator + 1)
+        with pytest.raises(VerificationError):
+            off.to_json_dict()
+        with pytest.raises(VerificationError):
+            off.orders
+        assert gs.to_json_dict()["points"][-1] == "1"
+
+
+def test_listing_past_max_points_is_refused_before_any_walk(monkeypatch):
+    gs = gap_set(SQRT2_MINUS_1, gaps_module.MAX_POINTS + 1)
+
+    def no_walk(*args):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(gaps_module, "min_affine_mod", no_walk)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="MAX_POINTS"):
+        gs.to_json_dict()
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_deep_extremal_stages_finish_fast():
