@@ -94,8 +94,8 @@ class GapSet:
           onto [a, N], [b, N] onto [0, N - b] and the n in between onto
           (N - b, a): the step rule is a bijection of 0..N, and only the
           step from b lands on 0.
-        - 0 first comes back after exactly N + 1 steps, so a walk stops as
-          soon as it reaches b early, and must stand at b after N steps.
+        - 0 first comes back after exactly N + 1 steps: a walk stops if it
+          stands at b before its N-th step, and must stand at b after it.
           Under a bijection 0's cycle then holds every multiple, so each is
           visited once, and each is left by the step its range fixes: the
           steps n + a, n - b and n + a - b are taken N + 1 - a, N + 1 - b

@@ -471,8 +471,8 @@ def test_numbers_past_a_double_are_domain_errors(capsys, argv, field, fmt):
 
 
 def test_an_unprintable_kron_bound_is_refused_before_solving(capsys):
-    # C(B)/(2N) is known before solve walks theta; at a 4001-digit N the
-    # solve once ran for seconds before its error failed to print.
+    # C(B)/(2N) is known before solve walks theta, which at a 4001-digit
+    # N takes seconds.
     t0 = time.perf_counter()
     code, out, err = run(capsys, "kron", "--theta", "golden", "--beta", "1/3", "--n", "1" + "0" * 4000)
     assert time.perf_counter() - t0 < 1.0

@@ -54,15 +54,15 @@ def test_halfway_rounding_is_deterministic():
 
 def test_guard_bits_of_one_half_take_the_exact_test():
     # Over d = 2**40 at one digit, n/d = 1/4 + x is 2.5 + 10*x tenths: a
-    # tie at x = 0, and just above one at n = 2**38 + 1, where x = 2**-40.
-    # A reciprocal core with 32 guard bits once read both as exactly one
-    # half; the exact rule tells them apart by the remainder of
-    # divmod(2*n*mul + d, 2*d), zero only at the tie.
+    # tie at x = 0, and just above one at n = 2**38 + 1, where x = 2**-40,
+    # within 2**-32 of a last digit of the tie. The exact rule tells them
+    # apart by the remainder of divmod(2*n*mul + d, 2*d), zero only at the
+    # tie.
     d = 2**40
     cases = [
         (2**38 - 1, "0.2"),  # just below the tie
         (2**38, "0.2"),  # an exact tie: q = 2 is even
-        (2**38 + 1, "0.3"),  # 32 guard bits read one half: not a tie
+        (2**38 + 1, "0.3"),  # within 2**-32 of the tie, not a tie
         (-(2**38 + 1), "-0.3"),
         (3 * 2**38, "0.8"),  # an exact tie at 7.5 tenths: q = 7 is odd
         (3 * 2**38 + 1, "0.8"),
@@ -156,8 +156,8 @@ _magnitudes = st.integers(0, 60).flatmap(lambda k: st.integers(1, 10**k))
 
 def _near_halves(d: int, sig: int):
     """Numerators n with n/d within 2**-33 of a last digit of a half-way
-    point at sig digits, on either side: there 32 guard bits of a
-    reciprocal alone could not decide the rounding."""
+    point at sig digits, on either side: there no rounding that reads
+    the value to 32 bits past its last digit can decide."""
     # The least power of ten whose last-digit unit spans 2**34 steps of 1/d.
     u0 = -len(str(d))
     while Fraction(10) ** u0 * d < 2**34:
