@@ -26,8 +26,6 @@ _NAMES = {
         "GOLDEN",
         "SQRT2_MINUS_1",
         "Walk",
-        "choose_surrogate",
-        "convergents",
         "eval_theta",
         "preset",
     ),
@@ -36,7 +34,6 @@ _NAMES = {
         "ExtremalWitness",
         "GapSet",
         "RegimeTag",
-        "classify_regime",
         "extremal_witness",
         "gap_constant",
         "gap_constant_bounds",

@@ -7,8 +7,8 @@ Empty period means theta is rational and the expansion is finite.
 Every convergent p_k/q_k the package reads comes off one Walk: two int
 lists grown on demand by the recurrence p_k = a_k*p_(k-1) + p_(k-2) (the
 oracle keeps its own, as an independent check). Each public call builds
-at most one walk and shares it among its readers; choose_surrogate's
-policy, the first pair past 16*(B+2)*N^2, is one first_past query on it.
+at most one walk and shares it among its readers; the surrogate policy
+(_least), the first pair past 16*(B+2)*N^2, is one first_past query on it.
 
 Every value that leaves this module is exact: a Fraction for a rational,
 and a QuadraticNumber for an eventually periodic expansion, which is a
@@ -78,10 +78,6 @@ class CFSpec:
     def is_integer(self) -> bool:
         return not self.period and not self.prefix
 
-    def expansion_length(self) -> int | None:
-        """Number of partial quotients past a0, or None if infinite."""
-        return len(self.prefix) if self.is_rational else None
-
     def bound(self) -> int:
         """Largest partial quotient past a0. The number lies in the class
         of reals whose quotients never exceed this."""
@@ -128,12 +124,6 @@ class CFSpec:
         return self.a0 + v
 
     # ---- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"a0": self.a0, "prefix": list(self.prefix), "period": list(self.period)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CFSpec":
@@ -190,10 +180,6 @@ class Convergent(NamedTuple):
     k: int
     p: int
     q: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
 
 
 # Steps a walk takes between two looks at its window.
@@ -269,41 +255,17 @@ class Walk:
         return K
 
 
-def convergents(cf: CFSpec, count: int) -> list[Convergent]:
-    """First `count` convergents. A rational expansion may run out early;
-    the returned list is then shorter and its length says where."""
-    if count < 1:
-        raise DomainError("need at least one convergent")
-    walk = Walk(cf)
-    walk.grow(count - 1)
-    return [Convergent(k, p, q) for k, (p, q) in enumerate(zip(walk.ps, walk.qs))]
-
-
-def choose_surrogate(
-    cf: CFSpec, N: int, min_radius: Fraction | None = None
-) -> tuple[Convergent, Convergent]:
-    """Minimal-depth convergent pair safe for sorting N multiples.
-
-    The returned (c_K, c_{K+1}) is the first pair with q_K*q_{K+1} >
-    16*(B+2)*N^2, B the quotient bound, which keeps the surrogate's shift
-    of every point {n*theta}, n <= N, below one eighth of the smallest
-    possible gap, so every pairwise comparison among the points survives
-    the substitution. An optional min_radius forces the depth further.
-    gap_set, solve and the extremal witness pick the same depth by the
-    same policy (_least), as one first_past query on their own walk.
-    """
-    N = operator.index(N)
-    if cf.is_rational:
-        raise DomainError("rational input needs no surrogate")
-    walk = Walk(cf)
-    K = walk.first_past(_least(cf.bound(), N, min_radius))
-    return walk.convergent(K), walk.convergent(K + 1)
-
-
 def _least(bound: int, N: int, min_radius=None) -> int:
     """Least q_K*q_(K+1) a surrogate for N multiples needs under quotient
     bound B: past 16*(B+2)*N^2, and 1/(q_K*q_(K+1)) <= min_radius when one
-    is given; floats read exactly."""
+    is given; floats read exactly.
+
+    The first convergent p_K/q_K past it moves every point {n*theta},
+    n <= N, by less than an eighth of the smallest possible gap, so every
+    comparison among the points survives the substitution. gap_set, solve
+    and the extremal witness read their surrogate this way, as one
+    first_past query on their own walk.
+    """
     least = 16 * (bound + 2) * N * N + 1
     if min_radius is not None:
         if not 0 < min_radius < float("inf"):

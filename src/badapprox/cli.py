@@ -19,7 +19,9 @@ would print it as inf or as a false 0.
 
 Exit codes: 0 success, 1 domain error (bad mathematical input, or an
 input that needs more memory than the process may allocate), 2 a
-verified bound or invariant failed, 64 usage error.
+verified bound or invariant failed, 64 usage error, which includes a
+report that cannot be written to --out or to stdout (one "usage error:
+cannot write ..." line, no traceback).
 """
 
 from __future__ import annotations
@@ -518,15 +520,17 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"usage error: cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            # The flush makes a full or closed stdout fail here, not at exit.
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"usage error: cannot write {'--out' if args.out else 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_VERIFY if failed else EXIT_OK
 
 

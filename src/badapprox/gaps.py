@@ -21,10 +21,10 @@ multiple to its right neighbour using only the multiples of the
 smallest and the largest point. The walk must visit every multiple once
 and its steps must give back the theorem's lengths exactly, and since
 those add up to exactly one, this certifies the order (GapSet._steps and
-_certify, the one certificate every walk runs). GapSet.orders keeps the
-walk's multiples and numerators; a JSON listing keeps neither, and
-renders each point as the walk steps onto it, by render's exact
-rounding rule carried from step to step.
+_certify, the one certificate every walk runs). GapSet.nums keeps the
+walk's numerators; a JSON listing keeps none, and renders each point as
+the walk steps onto it, by render's exact rounding rule carried from
+step to step.
 
 The extremal witness builds no GapSet. One Walk of the convergents of
 theta = [0; (B, 1)] gives its pair, its N, its
@@ -46,8 +46,8 @@ from .cf import CFSpec, Convergent, Walk, _exact, _least, eval_theta, min_affine
 from .errors import CoincidentPointsError, DomainError, VerificationError
 from .quadratic import QuadraticNumber, _make, _sign, squarefree_decompose
 
-# Most multiples a listing puts in order; reading GapSet.orders (or the
-# points built on it) past this raises DomainError before the walk runs.
+# Most multiples a walk puts in order; reading GapSet.nums or a JSON
+# listing past this raises DomainError before the walk runs.
 MAX_POINTS = 2**20
 # Deepest extremal witness stage served; a deeper one raises DomainError
 # before any convergent is built. The deepest stage whose product
@@ -67,7 +67,7 @@ class GapSet:
     are read under (the exact value for rational input); radius bounds
     |theta - p/q| for that surrogate and is zero for rationals. gap_nums
     comes from the three-distance theorem; the points are put in order
-    only when orders (or anything built on it) is first read.
+    only when nums is first read, or a JSON listing is rendered.
     """
 
     count: int
@@ -126,17 +126,22 @@ class GapSet:
             raise VerificationError("the successor walk disagrees with the three-distance gaps")
 
     @cached_property
-    def orders(self) -> tuple[int, ...]:
-        """Multiples 0, n_1, ..., n_N, 0 from left to right (N + 2 entries),
-        the final 0 standing for the endpoint 1: the successor walk of
-        _steps, certified by _certify.
+    def nums(self) -> tuple[int, ...]:
+        """Point numerators over denominator, ascending, with 0 and denominator:
+        the successor walk of _steps, certified by _certify.
 
-        The same walk adds up the point numerators, and stores them as
-        nums once every check passes.
+        The walk builds them as running sums of its steps' gap lengths,
+        with no n*p mod q per point. They are the residues: a step from n
+        to n' adds (n' - n)*p mod q, so each sum is n'*p mod q plus a
+        multiple of q. Once the walk's counts equal gap_nums, every length
+        added is a positive one of gap_nums and they add up to q, so the
+        sums rise strictly from 0 to q, and each one in between lies in
+        (0, q) and is exactly n'*p mod q.
         """
         steps = a, b, up, down, both = self._steps()
         last_up, across = self.count - a, a - b
-        n, v, orders, nums = 0, 0, [0], [0]
+        n, v, nums = 0, 0, [0]
+        append = nums.append
         for _ in range(self.count):
             if n <= last_up:
                 n += a
@@ -149,34 +154,9 @@ class GapSet:
                 v += both
             else:  # n == b: the next step is back at 0, too soon
                 break
-            orders.append(n)
-            nums.append(v)
-        self._certify(len(orders) - 1, n, *steps)
-        self.__dict__["nums"] = (*nums, v + down)
-        return (*orders, 0)
-
-    @cached_property
-    def nums(self) -> tuple[int, ...]:
-        """Point numerators over denominator, ascending, with 0 and denominator.
-
-        orders' walk builds them as running sums of its steps' gap
-        lengths, with no n*p mod q per point. They are the residues: a
-        step from n to n' adds (n' - n)*p mod q, so each sum is n'*p mod q
-        plus a multiple of q. Once the walk's counts equal gap_nums, every
-        length added is a positive one of gap_nums and they add up to q,
-        so the sums rise strictly from 0 to q, and each one in between
-        lies in (0, q) and is exactly n'*p mod q.
-        """
-        self.orders  # the walk stores nums as it certifies
-        return self.__dict__["nums"]
-
-    @cached_property
-    def points(self) -> list[Fraction]:
-        return [Fraction(v, self.denominator) for v in self.nums]
-
-    @cached_property
-    def gaps(self) -> list[tuple[Fraction, int]]:
-        return [(Fraction(g, self.denominator), m) for g, m in self.gap_nums]
+            append(v)
+        self._certify(len(nums) - 1, n, *steps)
+        return (*nums, v + down)
 
     @property
     def largest(self) -> Fraction:
@@ -186,18 +166,6 @@ class GapSet:
     def product(self) -> Fraction:
         """N times the largest gap."""
         return self.count * self.largest
-
-    def order_of(self, num: int) -> int:
-        """Which multiple n has {n*theta} at the point num/denominator.
-
-        The endpoints 0 and 1 both belong to n = 0.
-        """
-        if num == 0 or num == self.denominator:
-            return 0
-        n = (num * pow(self.numerator, -1, self.denominator)) % self.denominator
-        if not 1 <= n <= self.count:
-            raise VerificationError("point does not belong to any multiple")
-        return n
 
     def largest_gap_span(self) -> tuple[Fraction, Fraction]:
         """Endpoints of one gap of maximal length."""
@@ -231,7 +199,7 @@ class GapSet:
 
     def _point_strs(self, sig: int) -> list[str]:
         """render._ratios_str(nums, denominator, sig), rendered inside the
-        successor walk of _steps, which builds neither orders nor nums.
+        successor walk of _steps, which builds no nums.
 
         On entering a decade, at the point v = n*numerator mod denominator,
         the walk sets K, S = divmod(2*v*mul + div, 2*div) by render's exact
@@ -341,9 +309,10 @@ def _surrogate(walk: Walk, N: int, min_radius: Fraction | None = None):
     read as for N multiples.
 
     A rational theta is its own p/q, at radius 0, and needs N < q, or
-    points coincide. An irrational one is the convergent p_K/q_K that
-    choose_surrogate picks for N (and min_radius), within radius
-    1/(q_K*q_(K+1)) of theta.
+    points coincide. An irrational one is the first convergent p_K/q_K
+    with q_K*q_(K+1) past _least's policy for N (and min_radius): it
+    moves no point {n*theta}, n <= N, by an eighth of the smallest
+    possible gap, and lies within radius 1/(q_K*q_(K+1)) of theta.
     """
     cf = walk.cf
     if cf.is_rational:
@@ -369,7 +338,7 @@ def gap_set(cf: CFSpec, N: int, *, min_radius: Fraction | None = None) -> GapSet
     (rationals may split the interval evenly, giving one), with three the
     largest equals the sum of the other two exactly, the lengths add up
     to one and the multiplicities to N + 1. No point is built here; see
-    GapSet.orders.
+    GapSet.nums.
     """
     walk = Walk(cf)
     # _gap_set reads only the newest five entries of a walk of its own.
@@ -445,13 +414,8 @@ class RegimeTag:
         return "interval-1" if self.l == 0 else "interval-2"
 
 
-def classify_regime(cf: CFSpec, N: int) -> RegimeTag:
-    """Locate N among the denominator brackets of theta's convergents."""
-    return _classify(Walk(cf), N)
-
-
 def _classify(walk: Walk, N: int) -> RegimeTag:
-    """classify_regime of walk's theta, read off walk."""
+    """Locate N among the denominator brackets of walk's theta."""
     N = operator.index(N)
     cf = walk.cf
     if cf.is_integer:

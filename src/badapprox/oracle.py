@@ -340,7 +340,7 @@ def _gap_keys(theta: tuple[int, int], N: int) -> tuple[list[int], list[int], int
 def brute_kronecker(theta, beta: Fraction, N: int):
     """Best (n, p) minimizing |n*theta - beta - p| over 0 <= n <= N.
 
-    beta is taken as its ORACLE_DPS-digit mpf (_beta_mpf). Every n is
+    beta is taken as its ORACLE_DPS-digit mpf (_beta). Every n is
     scanned on the exact dyadic values: x = n*theta - beta is an integer
     over 2**s, with s the larger of the two binary scales, p is the
     nearest integer (x + 1/2 shifted down) and the error |x - p| an
@@ -368,12 +368,6 @@ def _kronecker(theta: tuple[int, int], beta: Fraction, N: int) -> tuple[int, int
             best_n, best_err, best_y = n, err, y
         y += step
     return best_n, best_y >> s, _round(best_err, -s, _PREC)
-
-
-def _beta_mpf(beta: Fraction):
-    """mp.mpf(beta.numerator) / beta.denominator at ORACLE_DPS digits, bit
-    for bit (_beta)."""
-    return _mpf(_beta(beta))
 
 
 def _beta(beta: Fraction) -> tuple[int, int]:

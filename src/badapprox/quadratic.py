@@ -156,19 +156,30 @@ class QuadraticNumber:
             raise ValueError(f"{self} is irrational")
         return Fraction(self._x, self._z)
 
-    def as_fraction_approx(self, digits: int = 30) -> Fraction:
-        """Rational approximation with absolute error below 10**-digits."""
-        x, y, z = self._x, self._y, self._z
-        if y == 0:
-            return Fraction(x, z)
-        # The error is |y/z| * (sqrt(d) - t/scale) < |y/z|/scale <= 10**-digits.
-        scale = 10**digits * -(-abs(y) // z)
-        # t <= sqrt(d)*scale < t+1
-        t = isqrt(self._d * scale * scale)
-        return Fraction(x * scale + y * (t if y > 0 else t + 1), z * scale)
-
     def __float__(self) -> float:
-        return float(self.as_fraction_approx(25))
+        """The double nearest the value, correctly rounded.
+
+        A rational value is x/z, which int division rounds correctly. For
+        an irrational one, g = floor(|value|*2**k) is one exact floor, with
+        k set from _bits so that g has 64 bits. |value|*2**k is irrational,
+        so it lies strictly inside (g, g + 1), and no double's rounding
+        boundary does: (2g + 1)/2**(k + 1) rounds to the same double. Past
+        the double range this raises OverflowError, as int division does.
+        """
+        x, y, z, d = self._x, self._y, self._z, self._d
+        if not y:
+            return x / z
+        if _sign(x, y, d) < 0:
+            return -float(-self)
+        k = 64 - _bits(x, y, d) + z.bit_length()
+        while True:
+            g = _floor(x << k, y << k, z, d) if k >= 0 else _floor(x, y, z << -k, d)
+            if g >> 64:
+                k -= 1
+            elif g >> 63:
+                return float(Fraction(2 * g + 1) / Fraction(2) ** (k + 1))
+            else:
+                k += 1
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -244,9 +255,6 @@ class QuadraticNumber:
             if e:
                 x, y = x * x + y * y * d, 2 * x * y
         return _make(rx, ry, self._z**exponent, d)
-
-    def conjugate(self) -> "QuadraticNumber":
-        return _make(self._x, -self._y, self._z, self._d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -351,6 +359,20 @@ def _floor(x: int, y: int, z: int, d: int) -> int:
         # y*sqrt(d) lies strictly between t and t+1
         return (x + t) // z
     return (x - t - 1) // z
+
+
+def _bits(x: int, y: int, d: int) -> int:
+    """The bit length of x + y*sqrt(d) > 0, give or take two, with d not a
+    perfect square when y != 0.
+
+    It is that of the larger of |x| and |y|*sqrt(d), give or take one,
+    unless the two cancel. Then it is read through the norm:
+    |x + y*sqrt(d)| = |x*x - y*y*d| / |x - y*sqrt(d)|, and the conjugate
+    x - y*sqrt(d) does not cancel.
+    """
+    yy = y * y * d
+    big = max(x.bit_length(), (yy.bit_length() + 1) // 2)
+    return big if x >= 0 and y > 0 else (x * x - yy).bit_length() - big
 
 
 def _one_field(p, q):

@@ -32,7 +32,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
-from .quadratic import QuadraticNumber, _floor
+from .quadratic import QuadraticNumber, _bits, _floor
 
 DEFAULT_SIG_DIGITS = 10
 
@@ -62,21 +62,15 @@ def _quadratic_str(value: QuadraticNumber, sig: int) -> str:
     fixes the decade: 10**e <= |x| < 10**(e+1) exactly when
     2*10**(sig-1) <= g < 2*10**sig, as floor(|x|*10**s) = g >> 1. And it
     gives the digits: (g + 1) >> 1 = floor(|x|*10**s + 1/2), never a
-    tie, since |x|*10**s is irrational. e starts from bit lengths and
-    moves one decade per floor that misses. Under cancellation, where a
-    and b*sqrt(d) nearly meet, the bit lengths read |x| through its norm:
-    |a + b*sqrt(d)| = |a*a - b*b*d| / |a - b*sqrt(d)|, and the conjugate
-    a - b*sqrt(d) does not cancel.
+    tie, since |x|*10**s is irrational. e starts from bit lengths
+    (quadratic._bits, which reads |x| through its norm under
+    cancellation) and moves one decade per floor that misses.
     """
     a, b, z, d = value._x, value._y, value._z, value._d
     neg = value.sign() < 0
     if neg:
         a, b = -a, -b
-    bb = b * b * d
-    # Bits of the larger of |a| and |b|*sqrt(d), give or take one.
-    big = max(a.bit_length(), (bb.bit_length() + 1) // 2)
-    bits = big if a >= 0 and b > 0 else (a * a - bb).bit_length() - big
-    e = (bits - z.bit_length()) * 30103 // 100000
+    e = (_bits(a, b, d) - z.bit_length()) * 30103 // 100000
     low, high = 2 * 10 ** (sig - 1), 2 * 10**sig
     while True:
         s = sig - 1 - e

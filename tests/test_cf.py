@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,8 +17,7 @@ from badapprox import (
     DomainError,
     QuadraticNumber,
     Walk,
-    choose_surrogate,
-    convergents,
+    decimal_str,
     eval_theta,
     gap_constant,
     gap_set,
@@ -59,8 +59,6 @@ def test_shape_predicates():
     assert CFSpec(2, (), ()).is_integer
     assert CFSpec(0, (2, 3), ()).is_rational
     assert not GOLDEN.is_rational
-    assert CFSpec(0, (2, 3), ()).expansion_length() == 2
-    assert GOLDEN.expansion_length() is None
     assert GOLDEN.bound() == 1
     assert CFSpec(0, (2, 1, 3), (1, 2)).bound() == 3
     with pytest.raises(DomainError):
@@ -99,9 +97,14 @@ def test_presets():
             preset(bad)
 
 
+def _json(cf):
+    """The --theta JSON object of cf."""
+    return json.dumps({"a0": cf.a0, "prefix": list(cf.prefix), "period": list(cf.period)})
+
+
 def test_json_round_trip():
     for cf in (GOLDEN, CFSpec(2, (3, 1, 4), ()), CFSpec(0, (2,), (1, 5))):
-        assert CFSpec.from_json(cf.to_json()) == cf
+        assert CFSpec.from_json(_json(cf)) == cf
     with pytest.raises(DomainError):
         CFSpec.from_json("[1, 2]")
     with pytest.raises(DomainError):
@@ -129,7 +132,8 @@ def test_json_keys_are_a0_prefix_and_period():
 
 
 def test_golden_convergents_are_fibonacci():
-    got = [(c.p, c.q) for c in convergents(GOLDEN, 6)]
+    walk = Walk(GOLDEN)
+    got = [walk.convergent(k)[1:] for k in range(6)]
     assert got == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
 
 
@@ -150,9 +154,12 @@ def test_convergent_recurrence_and_coprimality(cf):
 
 
 def test_rational_expansion_runs_out_short():
-    conv = convergents(CFSpec(0, (2, 3), ()), 10)
-    assert len(conv) == 3
-    assert conv[-1].value == Fraction(3, 7)
+    walk = Walk(CFSpec(0, (2, 3), ()))
+    walk.grow(9)
+    assert len(walk.qs) == 3
+    assert Fraction(walk.ps[-1], walk.qs[-1]) == Fraction(3, 7)
+    with pytest.raises(DomainError):
+        walk.convergent(3)
 
 
 def _convergent_stream(cf):
@@ -252,8 +259,8 @@ def test_eval_theta_on_periods_that_end_in_one():
 def test_eval_theta_matches_high_precision():
     with mp.workdps(60):
         golden = (mp.sqrt(5) - 1) / 2
-        approx = eval_theta(GOLDEN).as_fraction_approx(55)
-        assert abs(mp.mpf(approx.numerator) / approx.denominator - golden) < mp.mpf(10) ** -54
+        approx = decimal_str(eval_theta(GOLDEN), 56)
+        assert abs(mp.mpf(approx) - golden) < mp.mpf(10) ** -54
 
 
 def test_eval_theta_rational_is_exact():
@@ -326,7 +333,8 @@ def _residual(cf, k):
 
 def test_reversal_identity():
     for cf in CORPUS:
-        conv = convergents(cf, 22)
+        walk = Walk(cf)
+        conv = [walk.convergent(k) for k in range(22)]
         for k in range(1, 21):
             assert _reversal(cf, k) == Fraction(conv[k - 1].q, conv[k].q)
 
@@ -336,7 +344,8 @@ def test_residual_identities_certified():
     q_k |q_{k-1} t - p_{k-1}| = 1/(1 + t_{k+1} q_{k-1}/q_k), checked as
     exact equalities in the field of t."""
     for cf in CORPUS:
-        conv = convergents(cf, 22)
+        walk = Walk(cf)
+        conv = [walk.convergent(k) for k in range(22)]
         for k in range(1, 21):
             phi = _reversal(cf, k)
             r_k = conv[k].q * _residual(cf, k)
@@ -346,8 +355,7 @@ def test_residual_identities_certified():
 
 
 def test_residual_identity_frozen_sqrt2():
-    conv = convergents(SQRT2_MINUS_1, 4)
-    assert (conv[2].p, conv[2].q) == (2, 5)
+    assert Walk(SQRT2_MINUS_1).convergent(2)[1:] == (2, 5)
     lhs = 5 * _residual(SQRT2_MINUS_1, 2)
     assert lhs == QuadraticNumber(-35, 25, 2)
     assert abs(lhs - Fraction("0.355339059327376")) < Fraction(1, 10**12)
@@ -362,18 +370,19 @@ def test_residual_identity_frozen_sqrt2():
 @given(irrational_cfs(), st.integers(min_value=1, max_value=200))
 def test_choose_surrogate_is_minimal_and_deep_enough(cf, N):
     need = 16 * (cf.bound() + 2) * N * N
-    c, c_next = choose_surrogate(cf, N)
-    assert c_next.k == c.k + 1
+    gs = gap_set(cf, N)
+    walk = Walk(cf)
+    c, c_next = walk.convergent(gs.depth), walk.convergent(gs.depth + 1)
+    assert (gs.numerator, gs.denominator) == (c.p % c.q, c.q)
+    assert gs.radius == Fraction(1, c.q * c_next.q)
     assert c.q * c_next.q > need
     if c.k > 0:
-        shallower = convergents(cf, c.k + 1)
-        assert shallower[c.k - 1].q * shallower[c.k].q <= need
+        assert walk.convergent(c.k - 1).q * c.q <= need
 
 
 @given(irrational_cfs(), st.integers(min_value=1, max_value=50))
 def test_choose_surrogate_honors_min_radius(cf, N):
-    c, c_next = choose_surrogate(cf, N, min_radius=Fraction(1, 10**12))
-    assert c.q * c_next.q >= 10**12
+    assert gap_set(cf, N, min_radius=Fraction(1, 10**12)).radius <= Fraction(1, 10**12)
 
 
 def test_surrogate_float_radius_is_read_exactly():
@@ -402,7 +411,7 @@ def test_pair_past_matches_the_convergent_stream():
         leasts = [-(10**9), 0, 1, 2, 10**6, 10**50, 10**400]
         leasts.append(rng.randrange(1, 10 ** rng.randint(1, 80)))
         # either side of each product the walk passes
-        for c, d in itertools.pairwise(convergents(cf, 12)):
+        for c, d in itertools.pairwise(itertools.islice(_convergent_stream(cf), 12)):
             leasts += [c.q * d.q - 1, c.q * d.q, c.q * d.q + 1]
         for least in leasts:
             walk = Walk(cf)
@@ -414,7 +423,7 @@ def test_pair_past_matches_the_convergent_stream():
 
 def test_pair_past_on_a_rational_that_runs_out():
     cf = CFSpec(1, (2, 3, 4), ())
-    conv = convergents(cf, 10)
+    conv = list(_convergent_stream(cf))
     assert len(conv) == 4
     # Pairs that exist are found as on an irrational expansion.
     assert Walk(cf).first_past(conv[2].q * conv[3].q) == 2
@@ -428,8 +437,9 @@ def test_pair_past_on_a_rational_that_runs_out():
 def test_surrogate_residual_identity_exact(cf, N):
     """Replacing theta by p_K/q_K keeps the classical residual identity
     q_k r_{k-1} + q_{k-1} r_k = 1 exact, in integer form, at every k <= K."""
-    cK, _ = choose_surrogate(cf, N)
-    conv = convergents(cf, cK.k + 1)
+    walk = Walk(cf)
+    cK = walk.convergent(gap_set(cf, N).depth)
+    conv = [walk.convergent(k) for k in range(cK.k + 1)]
     pK, qK = cK.p, cK.q
     for k in range(1, cK.k + 1):
         r_prev = abs(conv[k - 1].q * pK - conv[k - 1].p * qK)
@@ -539,11 +549,7 @@ def test_min_affine_mod_runs_long_expansions_without_recursion():
 
 
 def test_refusals_and_edge_values():
-    with pytest.raises(DomainError):
-        convergents(GOLDEN, 0)
     rational = CFSpec(0, (2, 3), ())  # 3/7
-    with pytest.raises(DomainError):
-        choose_surrogate(rational, 5)
     for call in (
         lambda: GOLDEN.tail(0),
         lambda: Walk(GOLDEN).convergent(-1),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import badapprox
 import badapprox.cli as cli
-from badapprox import CFSpec, OracleReport, convergents
+from badapprox import CFSpec, OracleReport, Walk
 from badapprox.gaps import MAX_POINTS, MAX_STAGE
 from badapprox.oracle import random_cf
 from badapprox.sturmian import MAX_BITS
@@ -74,14 +74,19 @@ def test_regime_json(capsys):
     assert obj["gaps"] == ["0.07106781187", "0.1005050634", "0.1715728753"]
 
 
+def _json(cf):
+    """The --theta JSON object of cf."""
+    return json.dumps({"a0": cf.a0, "prefix": list(cf.prefix), "period": list(cf.period)})
+
+
 def test_regime_sweep_is_pinned(capsys):
     # md5 of the concatenated exit codes and stdout, as printed when the
     # predicted gaps were CertifiedValue sums of two convergent_residual
     # calls and every match was decided in Fraction arithmetic.
     rng = random.Random(21)
     thetas = ["golden", "sqrt2", "extremal:1", "extremal:3", "extremal:7"]
-    thetas += [random_cf(rng).to_json() for _ in range(6)]
-    thetas.append(CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9), ()).to_json())
+    thetas += [_json(random_cf(rng)) for _ in range(6)]
+    thetas.append(_json(CFSpec(0, (3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9), ())))
     md5, brackets = hashlib.md5(), set()
     for theta in thetas:
         for n in (3, 7, 20, 97, 1000, 4321, 100000, 500000):
@@ -168,7 +173,7 @@ def _kron_sweep():
         else:
             cf = random_cf(rng, rng.choice((2, 10, 1000)))
         den = rng.randint(1, 1000)
-        calls.append((cf.to_json(), f"{rng.randrange(den)}/{den}", int(10 ** rng.uniform(0, 9))))
+        calls.append((_json(cf), f"{rng.randrange(den)}/{den}", int(10 ** rng.uniform(0, 9))))
     for i, (theta, beta, n) in enumerate(calls):
         yield ["kron", "--theta", theta, "--beta", beta, "--n", str(n),
                "--precision-digits", str(1 + i % 40)]
@@ -696,7 +701,8 @@ def test_extremal_gap_to_f_digits_hold_at_deep_stages(capsys):
         assert code == 0
         obj = json.loads(out)
         assert (obj["gap_to_f"], obj["k_surrogate"]) == (shown, depth)
-        conv = convergents(CFSpec(0, (), (b, 1)), 2 * stage + 1)
+        walk = Walk(CFSpec(0, (), (b, 1)))
+        conv = [walk.convergent(k) for k in range(2 * stage + 1)]
         with mpmath.workdps(250):
             theta = (mpmath.sqrt(b * b + 4 * b) - b) / (2 * b)  # [0; b, 1, b, 1, ...]
             f = {3: 1 + 6 / mpmath.sqrt(21), 12: 1 + 49 / (2 * mpmath.sqrt(48))}[b]
@@ -1109,3 +1115,30 @@ def test_out_of_memory_is_a_domain_error():
     assert out.stderr.startswith("error:") and "memory" in out.stderr
     assert "Traceback" not in out.stderr
     assert out.stdout == ""
+
+
+def _cli_process(argv, stdout=subprocess.PIPE):
+    """The CLI run in a child process, with text stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(badapprox.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "badapprox.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [("fb", "--b", "2"), ("gaps", "--theta", "golden", "--n", "5000")])
+def test_a_full_stdout_is_one_usage_error_line(argv):
+    # A small report fails on the flush, a 100 kB one on the write; either
+    # once ended in an OSError traceback.
+    with open("/dev/full", "w") as full:
+        out = _cli_process(argv, stdout=full)
+    assert out.returncode == 64
+    assert out.stderr.startswith("usage error: cannot write stdout: ")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+
+
+def test_an_unwritable_out_is_one_usage_error_line(tmp_path):
+    target = tmp_path / "missing" / "fb.json"
+    out = _cli_process(["fb", "--b", "2", "--out", str(target)])
+    assert out.returncode == 64
+    assert out.stdout == ""
+    assert out.stderr == f"usage error: cannot write --out: [Errno 2] No such file or directory: '{target}'\n"

@@ -25,9 +25,6 @@ from badapprox import (
     RegimeTag,
     VerificationError,
     Walk,
-    choose_surrogate,
-    classify_regime,
-    convergents,
     decimal_str,
     eval_theta,
     extremal_witness,
@@ -39,7 +36,8 @@ from badapprox import (
     solve,
     verify_regime,
 )
-from badapprox.gaps import CERT_ROUNDS
+from badapprox.cf import _least
+from badapprox.gaps import CERT_ROUNDS, _classify
 from badapprox.cli import _display_radius
 from badapprox.oracle import random_beta, random_cf
 
@@ -54,19 +52,34 @@ def irrational_cfs(draw):
     return CFSpec(a0, tuple(prefix), tuple(period))
 
 
+def _convergents(cf, count):
+    """c_0, ..., c_(count - 1) read off one Walk, fewer where a rational
+    expansion runs out."""
+    walk = Walk(cf)
+    walk.grow(count - 1)
+    return [walk.convergent(k) for k in range(min(count, len(walk.qs)))]
+
+
+def _multiples(gs):
+    """The multiples 0, n_1, ..., n_N, 0 of gs's points from left to
+    right, recovered from nums: v = n*p mod q, so n = v*p^-1 mod q."""
+    inverse = pow(gs.numerator, -1, gs.denominator)
+    return [v * inverse % gs.denominator for v in gs.nums]
+
+
 # ---- frozen small cases ----------------------------------------------------
 
 
 def test_golden_three_multiples_frozen():
     gs = gap_set(GOLDEN, 3, min_radius=DISPLAY)
-    assert [decimal_str(p) for p in gs.points] == [
+    assert [decimal_str(Fraction(v, gs.denominator)) for v in gs.nums] == [
         "0",
         "0.2360679775",
         "0.6180339887",
         "0.8541019662",
         "1",
     ]
-    assert [(decimal_str(g), m) for g, m in gs.gaps] == [
+    assert [(decimal_str(Fraction(g, gs.denominator)), m) for g, m in gs.gap_nums] == [
         ("0.1458980338", 1),
         ("0.2360679775", 2),
         ("0.3819660113", 1),
@@ -106,13 +119,14 @@ def test_three_gap_invariants(cf, N):
         assert c == a + b
     assert sum(g * m for g, m in gs.gap_nums) == gs.denominator
     assert sum(m for _, m in gs.gap_nums) == N + 1
-    pts = gs.points
-    assert len(pts) == N + 2
-    assert all(x < y for x, y in zip(pts, pts[1:]))
-    assert pts[0] == 0 and pts[-1] == 1
+    nums = gs.nums
+    assert len(nums) == N + 2
+    assert all(x < y for x, y in zip(nums, nums[1:]))
+    assert nums[0] == 0 and nums[-1] == gs.denominator
     # every interior point is {n*theta} for exactly one n in 1..N
-    assert sorted(gs.orders[1:-1]) == list(range(1, N + 1))
-    assert gs.orders[0] == 0 and gs.orders[-1] == 0
+    orders = _multiples(gs)
+    assert sorted(orders[1:-1]) == list(range(1, N + 1))
+    assert orders[0] == 0 and orders[-1] == 0
 
 
 # ---- rational inputs -------------------------------------------------------
@@ -140,7 +154,8 @@ def _surrogate(cf, N, min_radius=None):
     if cf.is_rational:
         v = cf.value()
         return v.numerator % v.denominator, v.denominator
-    ck, _ = choose_surrogate(cf, N, min_radius)
+    walk = Walk(cf)
+    ck = walk.convergent(walk.first_past(_least(cf.bound(), N, min_radius)))
     return ck.p % ck.q, ck.q
 
 
@@ -156,9 +171,9 @@ def _reference(p, q, N):
 def _assert_matches_reference(gs, p, q):
     nums, orders, gap_nums = _reference(p, q, gs.count)
     assert (gs.numerator, gs.denominator) == (p, q)
+    assert isinstance(gs.nums, tuple)
     assert gs.nums == nums
-    assert isinstance(gs.orders, tuple)
-    assert list(gs.orders) == orders
+    assert _multiples(gs) == orders
     assert gs.gap_nums == gap_nums
     lo, hi = gs.largest_gap_span()
     assert hi - lo == gs.largest
@@ -187,7 +202,6 @@ def test_gap_set_matches_sorted_residues():
         for radius in (None, _display_radius(10, N), _display_radius(40, N)):
             gs = gap_set(cf, N, min_radius=radius)
             _assert_matches_reference(gs, *_surrogate(cf, N, radius))
-            assert gs.order_of(gs.nums[1]) == gs.orders[1]
 
 
 def test_rational_gap_set_matches_sorted_residues():
@@ -203,10 +217,10 @@ def test_rational_gap_set_matches_sorted_residues():
 def _exact_nearest(cf, beta, N):
     """(n, p) of the nearest point to beta, left on ties, by bisection over
     the exact points {n*theta} in a gap set's walk order."""
-    theta, gs = eval_theta(cf), gap_set(cf, N)
+    theta, orders = eval_theta(cf), _multiples(gap_set(cf, N))
 
     def point(i):
-        n = gs.orders[i]
+        n = orders[i]
         p = math.floor(n * theta) if i <= N else -1  # the last is the endpoint 1
         return n * theta - p, n, p
 
@@ -304,14 +318,15 @@ def test_rationals_at_full_cycle_split_evenly():
 
 
 def _steps(gs):
-    return {b - a for a, b in zip(gs.orders, gs.orders[1:])}
+    orders = _multiples(gs)
+    return {b - a for a, b in zip(orders, orders[1:])}
 
 
 def test_walk_edge_cases_match_the_reference():
     # N + 1 = q_k + q_{k-1} leaves two lengths, and the walk never takes
     # its a - b step: that count is zero and drops out of the merge.
     for cf in (GOLDEN, SQRT2_MINUS_1, CFSpec(0, (2,), (1, 4))):
-        convs = convergents(cf, 8)
+        convs = _convergents(cf, 8)
         for c_km1, c_k in zip(convs, convs[1:]):
             N = c_k.q + c_km1.q - 1
             gs = gap_set(cf, N, min_radius=DISPLAY)
@@ -345,7 +360,7 @@ def _record_gap_sets(monkeypatch):
 
 def test_statistics_callers_never_sort(monkeypatch, capsys):
     made = _record_gap_sets(monkeypatch)
-    # Every successor walk, listing or orders, starts at the certificate's
+    # Every successor walk, listing or nums, starts at the certificate's
     # first part.
     walked = []
     real_steps = gaps_module.GapSet._steps
@@ -364,7 +379,7 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
         assert cli.main(argv) == 0, argv
     assert len(made) >= 3
     assert walked == []
-    assert all("orders" not in gs.__dict__ for gs in made)
+    assert all("nums" not in gs.__dict__ for gs in made)
     # No witness builds a GapSet: its rounds read the three-distance
     # lengths off one integer walk.
     count, built = len(made), []
@@ -384,11 +399,11 @@ def test_statistics_callers_never_sort(monkeypatch, capsys):
     assert len(rounds) >= 1 + 1 + 6
     assert walked == []
     # Listing the points is what sorts them: one certified walk, which
-    # renders each point as it steps and keeps neither orders nor nums.
+    # renders each point as it steps and keeps no nums.
     assert cli.main(["gaps", "--theta", "golden", "--n", "30"]) == 0
     capsys.readouterr()
     assert walked == [made[-1]]
-    assert not {"orders", "nums", "points"} & made[-1].__dict__.keys()
+    assert "nums" not in made[-1].__dict__
 
 
 def test_deep_gap_sets_and_solve_keep_a_few_convergents(monkeypatch):
@@ -425,13 +440,12 @@ def test_perturbed_walk_step_is_caught(monkeypatch):
 
             monkeypatch.setattr(gaps_module, "min_affine_mod", off_by_one)
             with pytest.raises(VerificationError) as caught:
-                gs.orders
+                gs.nums
             messages.add(str(caught.value))
-            # A failed walk publishes neither the order nor the numerators.
-            assert "orders" not in gs.__dict__
+            # A failed walk publishes no numerators.
             assert "nums" not in gs.__dict__
             monkeypatch.setattr(gaps_module, "min_affine_mod", real)
-            assert gs.orders[0] == 0
+            assert gs.nums[0] == 0
     # Both kinds of check fire: the golden and [0; 2, (1, 4)] walks are not
     # back at 0 after N + 1 steps, and sqrt2's come back with steps of the
     # wrong lengths.
@@ -462,11 +476,11 @@ def test_walk_step_range_and_visit_checks_each_fire(monkeypatch):
         argmins = iter(step - 1 for step in steps)
         monkeypatch.setattr(gaps_module, "min_affine_mod", lambda *args: (0, next(argmins)))
         with pytest.raises(VerificationError) as caught:
-            gs.orders
+            gs.nums
         assert str(caught.value) == message, steps
-        assert "orders" not in gs.__dict__
+        assert "nums" not in gs.__dict__
     monkeypatch.undo()
-    assert gs.orders[0] == 0
+    assert gs.nums[0] == 0
 
 
 def test_walk_steps_short_of_the_multiples_are_refused(monkeypatch):
@@ -479,11 +493,11 @@ def test_walk_steps_short_of_the_multiples_are_refused(monkeypatch):
         argmins = iter(step - 1 for step in steps)
         monkeypatch.setattr(gaps_module, "min_affine_mod", lambda *args: (0, next(argmins)))
         with pytest.raises(VerificationError) as caught:
-            gs.orders
+            gs.nums
         assert str(caught.value) == "the successor walk's steps are out of range", steps
-        assert "orders" not in gs.__dict__ and "nums" not in gs.__dict__
+        assert "nums" not in gs.__dict__
     monkeypatch.undo()
-    assert gs.orders[0] == 0
+    assert gs.nums[0] == 0
 
 
 def _rational(x: Fraction) -> CFSpec:
@@ -528,8 +542,8 @@ def test_listing_renders_the_walk_as_the_batch_core_does():
     for theta, N, sig in _listing_corpus():
         gs = gap_set(theta, N, min_radius=_display_radius(sig, N))
         points = gs.to_json_dict(sig)["points"]
-        # The listing walks on its own: no order and no numerator is kept.
-        assert not {"orders", "nums", "points"} & gs.__dict__.keys()
+        # The listing walks on its own: no numerator is kept.
+        assert "nums" not in gs.__dict__
         q = gs.denominator
         assert points == render._ratios_str(gs.nums, q, sig), (theta, N, sig)
         ties += sum(_is_tie(v, q, sig) for v in gs.nums[1:-1])
@@ -547,7 +561,7 @@ def test_listing_of_a_perturbed_surrogate_is_refused():
         with pytest.raises(VerificationError):
             off.to_json_dict()
         with pytest.raises(VerificationError):
-            off.orders
+            off.nums
         assert gs.to_json_dict()["points"][-1] == "1"
 
 
@@ -578,25 +592,25 @@ def test_deep_extremal_stages_finish_fast():
 
 
 def test_regime_frozen_tags():
-    assert classify_regime(SQRT2_MINUS_1, 7) == RegimeTag(2, 1)
-    assert classify_regime(SQRT2_MINUS_1, 7).case == "interval-2"
-    assert classify_regime(GOLDEN, 1) == RegimeTag(1, 0)
-    assert classify_regime(GOLDEN, 1).case == "interval-1"
-    assert classify_regime(GOLDEN, 3) == RegimeTag(3, 0)
+    assert verify_regime(SQRT2_MINUS_1, 7)[0] == RegimeTag(2, 1)
+    assert verify_regime(SQRT2_MINUS_1, 7)[0].case == "interval-2"
+    assert verify_regime(GOLDEN, 1)[0] == RegimeTag(1, 0)
+    assert verify_regime(GOLDEN, 1)[0].case == "interval-1"
+    assert verify_regime(GOLDEN, 3)[0] == RegimeTag(3, 0)
     assert len(gap_set(SQRT2_MINUS_1, 11).gap_nums) == 2
 
 
 def test_regime_errors():
     with pytest.raises(DomainError):
-        classify_regime(SQRT2_MINUS_1, 1)  # below q_1 = 2
+        _classify(Walk(SQRT2_MINUS_1), 1)  # below q_1 = 2
     with pytest.raises(CoincidentPointsError):
-        classify_regime(CFSpec(0, (2, 3), ()), 100)
+        _classify(Walk(CFSpec(0, (2, 3), ())), 100)
     with pytest.raises(DomainError):
-        classify_regime(CFSpec(2, (), ()), 5)
+        _classify(Walk(CFSpec(2, (), ())), 5)
 
 
 def test_predicted_values_shape():
-    tag = classify_regime(GOLDEN, 3)
+    tag = _classify(Walk(GOLDEN), 3)
     vals = predicted_gap_values(GOLDEN, tag)
     assert len(vals) == 3
     assert vals[2] == vals[0] + vals[1]  # interval-1: third is the sum
@@ -606,7 +620,7 @@ def _reference_predicted(cf, tag):
     """The exact predicted gaps from the two residuals r_j = |q_j*theta -
     p_j|, and the factor (|x|*q_k + |y|*q_{k-1}) of each gap x*r_k +
     y*r_{k-1}."""
-    c_km1, c_k = convergents(cf, tag.k + 1)[-2:]
+    c_km1, c_k = _convergents(cf, tag.k + 1)[-2:]
     theta = eval_theta(cf)
     r_k, r_km1 = abs(c_k.q * theta - c_k.p), abs(c_km1.q * theta - c_km1.p)
     mix = ((1, 0), (-tag.l, 1), (1 - tag.l, 1))
@@ -617,8 +631,8 @@ def _reference_predicted(cf, tag):
 def _reference_matches(gs, reference, widths):
     slack = gs.count * gs.radius
     return all(
-        any(abs(g - r) <= w * gs.radius + slack for r, w in zip(reference, widths))
-        for g, _ in gs.gaps
+        any(abs(Fraction(g, gs.denominator) - r) <= w * gs.radius + slack for r, w in zip(reference, widths))
+        for g, _ in gs.gap_nums
     )
 
 
@@ -633,7 +647,7 @@ def regime_cases(draw):
         quotients = draw(st.lists(st.integers(1, 12), min_size=3, max_size=14))
         cf = CFSpec(draw(st.integers(0, 2)), tuple(quotients), ())
         assume(not cf.is_integer)
-    qs = [c.q for c in convergents(cf, 40)]
+    qs = [c.q for c in _convergents(cf, 40)]
     assume(len(qs) > 2)
     top = qs[-1] - 1 if cf.is_rational else 10**7
     assume(qs[1] <= top)
@@ -670,13 +684,13 @@ def test_integer_regime_match_is_the_certified_formula(case):
     if not shift:
         assert ok
         # Read under the gap set's own surrogate, each length is predicted.
-        assert all(g in predicted for g, _ in gs.gaps)
+        assert all(Fraction(g, gs.denominator) in predicted for g, _ in gs.gap_nums)
 
 
 @given(irrational_cfs(), st.integers(min_value=1, max_value=250))
 @settings(max_examples=100, deadline=None)
 def test_observed_gaps_are_among_predicted(cf, N):
-    q1 = convergents(cf, 2)[1].q
+    q1 = Walk(cf).convergent(1).q
     assume(N >= q1)
     tag, gs, predicted, ok = verify_regime(cf, N)
     assert ok
@@ -704,7 +718,7 @@ def test_regime_prints_each_length_once(capsys):
     assert set(out["gaps"]) <= set(out["predicted"])
 
 
-@pytest.mark.parametrize("call", [gap_set, classify_regime, choose_surrogate])
+@pytest.mark.parametrize("call", [gap_set, verify_regime])
 @pytest.mark.parametrize("count", [10.5, 10.0])
 def test_counts_must_be_integers(call, count):
     with pytest.raises(TypeError):
@@ -813,7 +827,7 @@ def test_witness_frozen_stage_ten():
     # The exact largest gap for theta = [0; (1)] at stage 10 is r_19 + r_20,
     # built here from the convergents and the root of x^2 + x - 1.
     theta = (QuadraticNumber.sqrt(5) - 1) / 2
-    c19, c20 = convergents(GOLDEN, 21)[19:]
+    c19, c20 = _convergents(GOLDEN, 21)[19:]
     h = (c19.p - c19.q * theta) + (c20.q * theta - c20.p)
     assert w.h == h
     assert abs(h - w.largest) <= w.count * w.radius
@@ -858,7 +872,7 @@ def test_witness_gives_up_when_the_surrogate_never_deepens(monkeypatch):
     with pytest.raises(VerificationError) as err:
         extremal_witness(3, 5)
     (depth,) = used
-    conv = convergents(preset("extremal:3"), max(depth, 10) + 2)
+    conv = _convergents(preset("extremal:3"), max(depth, 10) + 2)
     N = conv[9].q + 2 * conv[10].q - 2
     radius = Fraction(1, conv[depth].q * conv[depth + 1].q)
     # The first round asks for the policy depth, each retry for 2**-40 of
@@ -874,7 +888,7 @@ def _reference_certification(bound, n, min_radius):
     the certification as it was when every round read a whole gap set,
     deepening the surrogate from min_radius."""
     cf = CFSpec(0, (), (bound, 1))
-    *_, c_odd, c_even = convergents(cf, 2 * n + 1)
+    *_, c_odd, c_even = _convergents(cf, 2 * n + 1)
     N = c_odd.q + ((bound + 2) // 2) * c_even.q - 2
     coeff = (bound - 2) // 2
     constant, theta = gap_constant(bound), eval_theta(cf)
@@ -961,7 +975,7 @@ def test_extremal_gap_to_f_is_exact():
         for n in (1, 10, 40):
             w = extremal_witness(b, n)
             assert w.gap_to_f > 0
-            conv = convergents(w.theta, 2 * n + 1)
+            conv = _convergents(w.theta, 2 * n + 1)
             with mpmath.workdps(250):
                 if b % 2:
                     f = 1 + mpmath.mpf(a * a + 3 * a + 2) / mpmath.sqrt(4 * a * a + 12 * a + 5)
@@ -975,8 +989,3 @@ def test_extremal_gap_to_f_is_exact():
                        + mpmath.mpf(g.b.numerator) / g.b.denominator * mpmath.sqrt(g.d))
                 assert abs(got / want - 1) < mpmath.mpf(10) ** -40, (b, n)
 
-
-def test_order_of_the_endpoints_is_zero():
-    gs = gap_set(GOLDEN, 5)
-    assert gs.order_of(0) == 0
-    assert gs.order_of(gs.denominator) == 0

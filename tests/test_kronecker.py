@@ -62,6 +62,12 @@ def _error(cf, sol, beta):
     return abs(sol.n * eval_theta(cf) - sol.p - beta)
 
 
+def _multiple(gs, num):
+    """The n whose point is num/denominator, n*numerator = num mod
+    denominator; the endpoints 0 and 1 both belong to n = 0."""
+    return num * pow(gs.numerator, -1, gs.denominator) % gs.denominator
+
+
 def test_exact_hit_recovers_the_multiple():
     # On a rational theta every point is exact, so a point hits.
     cf = CFSpec(0, (1, 2, 3, 4, 5), ())
@@ -69,7 +75,7 @@ def test_exact_hit_recovers_the_multiple():
     num = int(gs.nums[37])
     sol = solve(cf, Fraction(num, gs.denominator), 100)
     assert sol.achieved == 0
-    assert sol.n == gs.order_of(num)
+    assert sol.n == _multiple(gs, num)
     assert sol.n * gs.numerator - sol.p * gs.denominator == num
     # A deep surrogate's point lies within 20*DEEP of golden's, far nearer
     # than any other point, so it recovers the same multiple.
@@ -77,7 +83,7 @@ def test_exact_hit_recovers_the_multiple():
     num = int(gs.nums[5])
     beta = Fraction(num, gs.denominator)
     sol = solve(GOLDEN, beta, 20)
-    assert sol.n == gs.order_of(num)
+    assert sol.n == _multiple(gs, num)
     assert sol.n * gs.numerator - sol.p * gs.denominator == num
     assert sol.achieved == _error(GOLDEN, sol, beta) != 0
 
@@ -95,7 +101,7 @@ def test_midpoint_of_largest_gap_is_worst_case():
             assert sol.achieved == gs.largest / 2
         else:
             # The exact error at whichever end of the gap is nearer.
-            ends = [gs.order_of(v) for v in (lo * gs.denominator, hi * gs.denominator)]
+            ends = [_multiple(gs, int(v * gs.denominator)) for v in (lo, hi)]
             theta = eval_theta(cf)
             points = [n * theta - math.floor(n * theta) for n in ends]
             points[1] += hi == 1  # the endpoint 1 belongs to n = 0
@@ -172,8 +178,7 @@ def test_solve_at_a_billion_points_builds_none():
     theta = high_precision_value(GOLDEN)
     with mpmath.workdps(80):
         err = abs(sol.n * theta - sol.p - mpmath.mpf(1) / 3)
-        exact = sol.achieved.as_fraction_approx(60)
-        assert abs(err - mpmath.mpf(exact.numerator) / exact.denominator) < mpmath.mpf(10) ** -45
+        assert abs(err - mpmath.mpf(decimal_str(sol.achieved, 60))) < mpmath.mpf(10) ** -45
     assert sol.achieved < Fraction(1, N)
 
 

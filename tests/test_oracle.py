@@ -466,7 +466,7 @@ def _libmp_theta(cf, far: list, conj: list):
 
 
 def _libmp_beta(beta: Fraction):
-    """_beta_mpf's _mpf_ as libmp computed it."""
+    """The _mpf_ of oracle._beta's pair as libmp computed it."""
     prec, rnd = dps_to_prec(ORACLE_DPS), libmp.round_nearest
     num = libmp.from_int(beta.numerator, prec, rnd)
     return libmp.mpf_div(num, libmp.from_int(beta.denominator), prec, rnd)
@@ -536,7 +536,7 @@ def test_beta_is_the_libmp_quotient_bit_for_bit():
               for e in (-1, 0, 1) for j in (0, 5) for f in (0, 1)]
     assert len(betas) >= 1000
     for beta in betas:
-        assert oracle._beta_mpf(beta)._mpf_ == _libmp_beta(beta), beta
+        assert oracle._mpf(oracle._beta(beta))._mpf_ == _libmp_beta(beta), beta
 
 
 def test_kronecker_error_is_the_libmp_rounding_bit_for_bit():
@@ -759,7 +759,7 @@ def test_beta_mpf_is_the_context_quotient():
     for beta in betas:
         with mp.workdps(ORACLE_DPS):
             want = mp.mpf(beta.numerator) / beta.denominator
-        assert oracle._beta_mpf(beta)._mpf_ == want._mpf_, beta
+        assert oracle._mpf(oracle._beta(beta))._mpf_ == want._mpf_, beta
 
 
 def _mpf_bits(theta, length):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from badapprox.cf import SQRT2_MINUS_1, convergents
+from badapprox.cf import SQRT2_MINUS_1, Walk
 from badapprox.quadratic import QuadraticNumber
 from badapprox.render import _decade, _json_str, _ratio_str, _ratios_str, decimal_str
 
@@ -265,7 +265,7 @@ def test_quadratic_digits_are_correctly_rounded():
     # x = 1/8 + (sqrt(2) - 1 - p/q) for the first convergent of sqrt2 with
     # q >= 33461 is 0.1250000003...: an approximation within 10**-7 of it
     # can be exactly 1/8, a tie that rounds half to even to 0.12.
-    p, q = next((c.p, c.q) for c in convergents(SQRT2_MINUS_1, 30) if c.q >= 33461)
+    p, q = next((c.p, c.q) for c in map(Walk(SQRT2_MINUS_1).convergent, range(30)) if c.q >= 33461)
     x = Fraction(1, 8) + (QuadraticNumber.sqrt(2) - 1 - Fraction(p, q))
     assert decimal_str(x, 2) == _quadratic_reference(x, 2) == "0.13"
     assert decimal_str(-x, 2) == "-0.13"

@@ -366,7 +366,7 @@ def test_diversity_scan_validation():
 # fib_lucas's four identities in QuadraticNumber arithmetic, with beta^n a
 # power of its own: the reference its integer equalities are judged against.
 _ALPHA = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)
-_BETA = _ALPHA.conjugate()
+_BETA = QuadraticNumber(Fraction(1, 2), Fraction(-1, 2), 5)
 _FIB_LUCAS_MESSAGES = (
     "Fibonacci {} fails its power-sum form",
     "Lucas {} fails its power-sum form",

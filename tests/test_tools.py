@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import signal
@@ -6,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import badapprox
 import badapprox.cli as cli
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -131,3 +133,35 @@ def test_bench_rows_all_exit_zero(tmp_path):
     for row in rows + crossing + oracle:
         assert row["q1_ms"] <= row["median_ms"] <= row["q3_ms"]
         assert row["speed"] > 0, row
+
+
+# Public names that nothing outside tests reads yet, each with its reason.
+_NO_CALLER_YET = {
+    # ROADMAP item 18 makes it verify_regime's exact path.
+    "predicted_gap_values",
+}
+
+
+def _names_read(paths) -> set[str]:
+    """Every name the code in paths reads: each Name, Attribute and import
+    alias. Strings, comments and docstrings do not count."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name.rsplit(".", 1)[-1])
+    return read
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only its own tests call is library code that
+    # nothing uses: it goes, or it waits on the list above with a reason.
+    root = _TOOLS.parent
+    paths = [p for p in (root / "src" / "badapprox").glob("*.py") if p.name != "__init__.py"]
+    paths += [*(root / "tools").rglob("*.py"), *(root / "perfbench").rglob("*.py")]
+    assert _NO_CALLER_YET <= set(badapprox.__all__)
+    assert sorted(set(badapprox.__all__) - _names_read(paths) - _NO_CALLER_YET) == []
